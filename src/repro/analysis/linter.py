@@ -118,7 +118,7 @@ ASYNC_SUBJECT_HINTS = ("session", "pool")
 
 #: Modules under ``core/`` holding the hot batch kernels the
 #: ``kernel-scalar-loop`` rule polices.
-KERNEL_MODULES = frozenset({"kernels.py", "aggregates.py"})
+KERNEL_MODULES = frozenset({"kernels.py", "aggregates.py", "enumerate.py"})
 
 #: Iterator wrappers whose arguments still bind elements one at a time.
 ELEMENTWISE_WRAPPERS = frozenset({"enumerate", "zip", "reversed", "sorted"})

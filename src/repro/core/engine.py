@@ -30,22 +30,29 @@ unchanged fragments instead of mutating them.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from itertools import islice
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
+from dataclasses import dataclass, replace
+from itertools import chain, islice
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from repro.core import aggregates as agg
+from repro.core import kernels
 from repro.core import operators as ops
 from repro.core.build import factorise_path
 from repro.core.cost import Hypergraph, estimated_tree_size, ftree_cost
 from repro.core.enumerate import (
+    iter_blocks,
     iter_group_contexts,
-    iter_tuples,
     restructure_for_order,
     supports_order,
 )
 from repro.core.fplan import ExecutionTrace, FPlan, SelectStep
-from repro.core.frep import Factorisation, FRNode, iter_entries
+from repro.core.frep import (
+    ColumnarFactorisation,
+    CUnion,
+    Factorisation,
+    FRNode,
+    map_cunion_at,
+)
 from repro.core.ftree import (
     AggregateAttribute,
     FNode,
@@ -59,8 +66,17 @@ from repro.core.optimizer import (
     GreedyOptimizer,
     PlanContext,
 )
+from repro.expr import Expr
+from repro.obs import clock, spans
 from repro.obs.metrics import metrics
-from repro.query import AggregateSpec, Query, QueryError, natural_equalities
+from repro.obs.state import STATE
+from repro.query import (
+    AggregateSpec,
+    Query,
+    QueryError,
+    natural_equalities,
+    target_attributes,
+)
 from repro.relational.relation import Relation
 from repro.relational.sort import SortKey, normalise_order, sort_rows
 
@@ -77,6 +93,8 @@ _OPTIMIZER_TIMERS = {
     "exhaustive": _OPTIMIZER_SECONDS.labels("exhaustive"),
     "cost": _OPTIMIZER_SECONDS.labels("cost"),
 }
+
+_ENUMERATE_SECONDS = kernels.KERNEL_SECONDS.labels("enumerate")
 
 _OPTIMIZERS = {
     "greedy": GreedyOptimizer,
@@ -115,90 +133,98 @@ class FactorisedResult:
         """Singleton count of the result representation."""
         return self.factorisation.size()
 
+    def iter_blocks(self) -> Iterator[list[tuple]]:
+        """Result rows in the query's order, block by block (no limit)."""
+        fact = self.factorisation
+        order = [key for key in self.order if key.attribute in fact.ftree]
+        if self.computed:
+            columns, shape = _computed_shaper(
+                self.output_schema[: -len(self.computed)], self.computed
+            )
+            blocks = iter_blocks(fact, order, columns)
+            return ([shape(row) for row in block] for block in blocks)
+        if self.aggregate_node is None:
+            return iter_blocks(fact, order, self.output_schema)
+        # Group attributes, then the aliases read off the aggregate
+        # node's component tuple (the node may itself carry an alias).
+        cut = len(self.output_schema) - len(self.specs)
+        finalise = _finaliser(
+            self.specs, fact.ftree.node(self.aggregate_node).aggregate.functions
+        )
+        blocks = iter_blocks(
+            fact, order, self.output_schema[:cut] + (self.aggregate_node,)
+        )
+        return (
+            [row[:cut] + finalise(row[cut]) for row in block] for block in blocks
+        )
+
     def iter_tuples(self) -> Iterator[tuple]:
         """Enumerate result tuples in the query's order."""
-        fact = self.factorisation
-        inner_order = [
-            key for key in self.order if key.attribute in fact.ftree
-        ]
-        raw_schema = fact.schema()
-        aliases = {spec.alias: spec for spec in self.specs}
-        computed_by_alias = {
-            column.alias: column for column in self.computed
-        }
-        positions: list[int | None] = []
-        component_of: dict[int, AggregateSpec] = {}
-        computed_of: dict[int, Any] = {}
-        for out_index, name in enumerate(self.output_schema):
-            if self.aggregate_node is not None and name in aliases:
-                # An aggregate alias: resolved from the aggregate node's
-                # component tuple (the node may itself carry the alias).
-                positions.append(raw_schema.index(self.aggregate_node))
-                component_of[out_index] = aliases[name]
-            elif name in computed_by_alias:
-                column = computed_by_alias[name]
-                positions.append(None)
-                computed_of[out_index] = (
-                    column.expression,
-                    [
-                        (a, raw_schema.index(a))
-                        for a in column.source_attributes
-                    ],
-                )
-            else:
-                positions.append(raw_schema.index(name))
-
-        node = (
-            fact.ftree.node(self.aggregate_node)
-            if self.aggregate_node is not None
-            else None
-        )
-        functions = node.aggregate.functions if node is not None else ()
-
-        def shape(row: tuple) -> tuple:
-            out = []
-            for out_index, position in enumerate(positions):
-                if position is None:
-                    expression, slots = computed_of[out_index]
-                    out.append(
-                        expression.evaluate({a: row[p] for a, p in slots})
-                    )
-                    continue
-                value = row[position]
-                if out_index in component_of:
-                    value = _spec_value(component_of[out_index], functions, value)
-                out.append(value)
-            return tuple(out)
-
-        iterator = (shape(row) for row in iter_tuples(fact, inner_order))
-        if self.limit is not None:
-            iterator = islice(iterator, self.limit)
-        return iterator
+        return islice(chain.from_iterable(self.iter_blocks()), self.limit)
 
     def to_relation(self, name: str = "") -> Relation:
-        return Relation(
-            self.output_schema, list(self.iter_tuples()), name=name or "result"
+        return Relation.adopt(
+            self.output_schema, _drain(self.iter_tuples()), name=name or "result"
         )
 
 
-def _spec_value(
-    spec: AggregateSpec,
-    functions: Sequence[tuple[str, str | None]],
-    value: tuple,
-) -> Any:
-    """Extract one aggregate alias from a composite component tuple."""
-    if spec.function == "avg":
-        total = value[list(functions).index(("sum", spec.attribute))]
-        count = value[list(functions).index(("count", None))]
-        if not count:
-            return None  # SQL: AVG over zero rows is NULL
-        return total / count
-    index = list(functions).index(
-        (spec.function if spec.function != "avg" else "sum", spec.attribute)
-        if spec.function != "count"
-        else ("count", None)
-    )
-    return value[index]
+def _drain(rows: Iterable[tuple]) -> list[tuple]:
+    """Materialise enumerated rows; the ``enumerate`` kernel and span."""
+    if not STATE.enabled:
+        return list(rows)
+    started = clock.now()
+    if spans.current_span() is None:
+        out = list(rows)
+    else:
+        with spans.span("enumerate") as span:
+            out = list(rows)
+            span.attributes["rows"] = len(out)
+    _ENUMERATE_SECONDS.observe(clock.now() - started)
+    return out
+
+
+def _finaliser(
+    specs: Sequence[AggregateSpec],
+    functions: Sequence[tuple[str, "str | Expr | None"]],
+) -> Callable[[tuple], tuple]:
+    """``component tuple -> tuple of the specs' values`` (avg = sum/count,
+    NULL over zero rows as in SQL)."""
+    functions = list(functions)
+    count = functions.index(("count", None)) if ("count", None) in functions else None
+    picks = []
+    for spec in specs:
+        if spec.function == "count":
+            picks.append((count, None))
+        elif spec.function == "avg":
+            picks.append((functions.index(("sum", spec.attribute)), count))
+        else:
+            picks.append((functions.index((spec.function, spec.attribute)), None))
+    if any(divisor is not None for _, divisor in picks):
+        return lambda value: tuple(
+            value[index]
+            if divisor is None
+            else (value[index] / value[divisor] if value[divisor] else None)
+            for index, divisor in picks
+        )
+    indexes = [index for index, _ in picks]
+    return lambda value: tuple([value[index] for index in indexes])
+
+
+def _computed_shaper(
+    plain: Sequence[str], computed: Sequence
+) -> tuple[list[str], Callable[[tuple], tuple]]:
+    """Columns to enumerate and the row function appending the computed
+    columns to the ``plain`` ones."""
+    sources = sorted({a for column in computed for a in column.source_attributes})
+    cut = len(plain)
+
+    def shape(row: tuple) -> tuple:
+        binding = dict(zip(sources, row[cut:]))
+        return row[:cut] + tuple(
+            [column.expression.evaluate(binding) for column in computed]
+        )
+
+    return list(plain) + sources, shape
 
 
 @dataclass(frozen=True)
@@ -733,14 +759,12 @@ class FDBEngine:
                 )
             # Several aggregates ordered by one alias: combine on the fly
             # and sort the (small) aggregated result.
-            from dataclasses import replace
-
             unordered = replace(query, order_by=(), limit=None)
             result = self._flat_aggregate_output(unordered, fact, stats)
             rows = sort_rows(result.rows, result.schema, query.order_by)
             if query.limit is not None:
                 rows = rows[: query.limit]
-            return Relation(result.schema, rows, name=query.name or "result")
+            return Relation.adopt(result.schema, rows, name=query.name or "result")
         return self._flat_aggregate_output(query, fact, stats)
 
     def _flat_aggregate_output(
@@ -751,66 +775,45 @@ class FDBEngine:
     ) -> Relation:
         """Enumerate groups, combining partial aggregates on the fly."""
         functions = expand_functions(query.aggregates)
-        order = [
-            key
-            for key in query.order_by
-            if key.attribute in query.group_by
-        ]
-        evaluator = agg.CachedEvaluator(stats=stats)
-        having = [
-            (h.target, h) for h in query.having
-        ]
         schema = query.output_schema
-        rows: list[tuple] = []
-        if not query.group_by:
+        order = [
+            key for key in query.order_by if key.attribute in query.group_by
+        ]
+        rows: Iterable[tuple]
+        if not query.group_by and agg.forest_is_empty(
+            list(zip(fact.ftree.roots, fact.roots))
+        ):
             # SQL: ungrouped aggregates over zero input rows still yield
             # one row — COUNT is 0, every other aggregate NULL (matching
             # sqlite).  The emptiness check is structural, since counting
             # over e.g. min-only partial aggregates would not compose.
-            items = list(zip(fact.ftree.roots, fact.roots))
-            if agg.forest_is_empty(items):
-                row = agg.empty_aggregate_row(query.aggregates)
-                if not having or _having_passes(having, dict(zip(schema, row))):
-                    rows.append(row)
-                if query.limit is not None:
-                    rows = rows[: query.limit]
-                return Relation(schema, rows, name=query.name or "result")
-        want = query.limit if (query.limit is not None and not query.having) else None
-        group_sources = {
-            attr
-            for _, target in functions
-            for attr in _target_attributes(target)
-            if attr in query.group_by
-        }
-        for assignment, leftovers in iter_group_contexts(
-            fact, query.group_by, order
+            rows = [agg.empty_aggregate_row(query.aggregates)]
+        elif (
+            _needs_contexts(functions, query.group_by)
+            or (path := _join_path(fact.ftree, query.group_by)) is None
         ):
-            if agg.forest_is_empty(leftovers):
-                continue  # a drained group context: no tuples, no row
-            if group_sources:
-                # An aggregate over a grouping attribute (e.g. SUM(g) ...
-                # GROUP BY g): the group's fixed value joins the forest
-                # as a one-entry fragment.  These fragments are fresh per
-                # context, so bypass the cache for them.
-                items = leftovers + _group_value_fragments(
-                    group_sources, assignment
+            rows = _context_rows(query, fact, functions, order, stats)
+        else:
+            # The factorised engine's enumerator, without its
+            # linearisation: the group region keeps its shape (and so
+            # the row order of unordered queries).
+            fact, leaf = _fold_partials(fact, query.group_by, path, functions)
+            rows = FactorisedResult(
+                fact, schema, leaf, query.aggregates, order
+            ).iter_tuples()
+        if query.having:
+            # SQL NULL semantics: a None value satisfies nothing.
+            tests = [(schema.index(h.target), h.test) for h in query.having]
+            rows = (
+                row
+                for row in rows
+                if all(
+                    row[at] is not None and test(row[at]) for at, test in tests
                 )
-                components = agg.evaluate_components(functions, items, stats)
-            else:
-                components = evaluator.components(functions, leftovers)
-            values = tuple(
-                _component_value(spec, functions, components)
-                for spec in query.aggregates
             )
-            row = tuple(assignment[g] for g in query.group_by) + values
-            if having and not _having_passes(having, dict(zip(schema, row))):
-                continue
-            rows.append(row)
-            if want is not None and len(rows) >= want:
-                break
-        if query.limit is not None and len(rows) > query.limit:
-            rows = rows[: query.limit]
-        return Relation(schema, rows, name=query.name or "result")
+        if query.limit is not None:
+            rows = islice(rows, query.limit)
+        return Relation.adopt(schema, _drain(rows), name=query.name or "result")
 
     def _finalised_result(
         self,
@@ -823,7 +826,24 @@ class FDBEngine:
         aliases = {spec.alias for spec in query.aggregates}
         group_order = _group_path_order(query)
         fact = _linearise_group(fact, group_order)
-        fact, node_name = _collapse_partials(fact, group_order, functions, stats)
+        path = _group_path(fact.ftree, group_order)
+        if not group_order and agg.forest_is_empty(
+            list(zip(fact.ftree.roots, fact.roots))
+        ):
+            # Ungrouped aggregates over zero rows: NULL components
+            # (counts stay 0) per SQL semantics.
+            fact = _aggregate_leaf(
+                functions,
+                _aggregated_over(fact.ftree, ()),
+                agg.empty_aggregate_components(functions),
+            )
+            node_name = fact.ftree.roots[0].name
+        elif _needs_contexts(functions, group_order):
+            fact, node_name = _fold_contexts(
+                fact, group_order, path, functions, stats
+            )
+        else:
+            fact, node_name = _fold_partials(fact, group_order, path, functions)
 
         # Ordering: group-attribute keys are honoured by the linearised
         # path; an alias key requires promoting the aggregate node.
@@ -871,7 +891,9 @@ class FDBEngine:
             spec = next(
                 s for s in query.aggregates if s.alias == condition.target
             )
-            fact = _select_component(fact, node_name, spec, functions, condition)
+            fact = _select_component(
+                fact, node_name, _finaliser((spec,), functions), condition
+            )
         return fact
 
     # ------------------------------------------------------------------
@@ -932,52 +954,26 @@ class FDBEngine:
         if order and not supports_order(fact.ftree, order):
             for child in restructure_for_order(fact.ftree, order):
                 fact = ops.swap(fact, child)
-        raw_schema = fact.schema()
         base_schema = (
             list(query.projection)
             if query.projection is not None
-            else raw_schema
+            else fact.schema()
         )
-        out_schema = list(base_schema) + [c.alias for c in computed]
-        positions = [raw_schema.index(a) for a in base_schema]
+        out_schema = base_schema + [c.alias for c in computed]
+        rows: Iterable[tuple]
         if computed:
-            expr_slots = [
-                (
-                    column.expression,
-                    [(a, raw_schema.index(a)) for a in column.source_attributes],
-                )
-                for column in computed
-            ]
-
-            def shape(row: tuple) -> tuple:
-                values = [row[p] for p in positions]
-                for expression, slots in expr_slots:
-                    values.append(
-                        expression.evaluate({a: row[p] for a, p in slots})
-                    )
-                return tuple(values)
-
-            def deduped() -> Iterator[tuple]:
-                # π is set semantics: a non-injective expression can
-                # map distinct source tuples to equal output rows.
-                seen: set[tuple] = set()
-                for row in iter_tuples(fact, order):
-                    shaped = shape(row)
-                    if shaped not in seen:
-                        seen.add(shaped)
-                        yield shaped
-
-            rows = deduped()
-        else:
-            rows = (
-                tuple(row[p] for p in positions)
-                for row in iter_tuples(fact, order)
+            columns, shape = _computed_shaper(base_schema, computed)
+            rows = _distinct(
+                shape(row)
+                for row in chain.from_iterable(iter_blocks(fact, order, columns))
             )
+        else:
+            rows = chain.from_iterable(iter_blocks(fact, order, base_schema))
         if alias_keys:
-            rows = iter(sort_rows(list(rows), out_schema, query.order_by))
+            rows = sort_rows(rows, out_schema, query.order_by)
         if query.limit is not None:
             rows = islice(rows, query.limit)
-        return Relation(out_schema, list(rows), name=query.name or "result")
+        return Relation.adopt(out_schema, _drain(rows), name=query.name or "result")
 
 
 # ---------------------------------------------------------------------------
@@ -1011,37 +1007,67 @@ def expand_functions(
     return tuple(components)
 
 
-def _component_value(
-    spec: AggregateSpec,
-    functions: Sequence[tuple[str, str | None]],
-    components: tuple,
-) -> Any:
-    functions = list(functions)
-    if spec.function == "avg":
-        total = components[functions.index(("sum", spec.attribute))]
-        count = components[functions.index(("count", None))]
-        if not count:
-            return None  # SQL: AVG over zero rows is NULL
-        return total / count
-    if spec.function == "count":
-        return components[functions.index(("count", None))]
-    return components[functions.index((spec.function, spec.attribute))]
+def _distinct(rows: Iterable[tuple]) -> Iterator[tuple]:
+    """π is set semantics: a non-injective expression can map distinct
+    source tuples to equal output rows."""
+    seen: set[tuple] = set()
+    for row in rows:
+        if row not in seen:
+            seen.add(row)
+            yield row
 
 
-def _target_attributes(target) -> tuple[str, ...]:
-    """Attribute names of a γ component target (None/str/Expr)."""
-    from repro.query import target_attributes
+def _group_sources(functions, group: Iterable[str]) -> set[str]:
+    """Grouping attributes that some component aggregates over."""
+    return {
+        attr
+        for _, target in functions
+        for attr in target_attributes(target)
+        if attr in group
+    }
 
-    return target_attributes(target)
+
+def _needs_contexts(functions, group: Sequence[str]) -> bool:
+    """Whether the components must be evaluated one group at a time:
+    scalar expressions are distributed by the recursive evaluators, and
+    an aggregate over a grouping attribute reads the group's own value."""
+    return bool(_group_sources(functions, group)) or any(
+        isinstance(target, Expr) for _, target in functions
+    )
 
 
-def _having_passes(having, lookup: dict) -> bool:
-    """HAVING with SQL NULL semantics: a None value satisfies nothing."""
-    for target, condition in having:
-        value = lookup[target]
-        if value is None or not condition.test(value):
-            return False
-    return True
+def _context_rows(
+    query: Query, fact: Factorisation, functions, order, stats
+) -> Iterator[tuple]:
+    """Group rows through the per-context evaluators."""
+    evaluator = agg.CachedEvaluator(stats=stats)
+    finalise = _finaliser(query.aggregates, functions)
+    sources = _group_sources(functions, query.group_by)
+    for assignment, leftovers in iter_group_contexts(
+        fact, query.group_by, order
+    ):
+        if agg.forest_is_empty(leftovers):
+            continue  # a drained group context: no tuples, no row
+        components = _context_components(
+            functions, leftovers, sources, assignment, evaluator, stats
+        )
+        yield tuple([assignment[g] for g in query.group_by]) + finalise(
+            components
+        )
+
+
+def _context_components(
+    functions, forest: list, sources, assignment: dict, evaluator, stats
+) -> tuple:
+    """Component tuple of one group context's (non-empty) leftovers."""
+    if not sources:
+        return evaluator.components(functions, forest)
+    # An aggregate over a grouping attribute (SUM(g) ... GROUP BY g): the
+    # group's fixed value joins the forest as a one-entry fragment,
+    # fresh per context, so the cache is bypassed.
+    return agg.evaluate_components(
+        functions, forest + _group_value_fragments(sources, assignment), stats
+    )
 
 
 def _assign_expression_selections(
@@ -1095,44 +1121,26 @@ def _rename_tree(tree: FTree, old: str, new: str) -> FTree:
 def _select_component(
     fact: Factorisation,
     node_name: str,
-    spec: AggregateSpec,
-    functions: Sequence[tuple[str, str | None]],
+    extract: Callable[[tuple], tuple],
     condition,
-) -> Factorisation:
+) -> ColumnarFactorisation:
     """HAVING on an aggregate alias: filter the final node's entries."""
-    functions = list(functions)
-    if spec.function == "avg":
-        sum_index = functions.index(("sum", spec.attribute))
-        count_index = functions.index(("count", None))
-
-        def extract(value: tuple) -> Any:
-            if not value[count_index]:
-                return None  # AVG over zero rows is NULL
-            return value[sum_index] / value[count_index]
-
-    else:
-        index = functions.index(
-            ("count", None)
-            if spec.function == "count"
-            else (spec.function, spec.attribute)
-        )
-
-        def extract(value: tuple) -> Any:
-            return value[index]
-
-    from repro.core.frep import map_union_at
-
+    fact = fact.to_columnar()
     root_index, steps = fact.ftree.path_to(node_name)
 
-    def transform(_: FNode, union: list[FRNode]) -> list[FRNode]:
+    def transform(_: FNode, union: CUnion) -> CUnion:
         # SQL NULL semantics: a None aggregate satisfies no condition.
-        return [
-            e
-            for e in union
-            if (value := extract(e.value)) is not None and condition.test(value)
+        keep = [
+            i
+            for i, value in enumerate(union.values)
+            if (got := extract(value)[0]) is not None and condition.test(got)
         ]
+        return CUnion(
+            [union.values[i] for i in keep],
+            tuple([col[i] for i in keep] for col in union.children),
+        )
 
-    return map_union_at(fact, root_index, steps, transform, fact.ftree)
+    return map_cunion_at(fact, root_index, steps, transform, fact.ftree)
 
 
 def _with_effective_projection(query: Query, database: "Database") -> Query:
@@ -1142,8 +1150,6 @@ def _with_effective_projection(query: Query, database: "Database") -> Query:
     attribute once under its first-occurrence name (natural-join
     semantics); the renamed duplicates are projected away.
     """
-    from dataclasses import replace
-
     if query.projection is not None or query.aggregates or len(query.relations) == 1:
         return query
     seen: list[str] = []
@@ -1246,132 +1252,189 @@ def _linearise_group(fact: Factorisation, group_order: list[str]) -> Factorisati
     return fact
 
 
-def _collapse_partials(
-    fact: Factorisation,
-    group_order: list[str],
-    functions: Sequence[tuple[str, str | None]],
-    stats: "agg.ExpressionStats | None" = None,
-) -> tuple[Factorisation, str]:
-    """Replace leftover fragments with one final aggregate node.
+def _group_path(tree: FTree, group: Sequence[str]) -> list[FNode]:
+    """The linearised group region: its root and each node's group child."""
+    members = set(group)
+    level = [n for n in tree.roots if members.intersection(n.all_names)]
+    if len(level) > 1:
+        raise QueryError("group region is not linearised")
+    path: list[FNode] = []
+    while level:
+        path.append(level[0])
+        level = [
+            c for c in level[0].children if members.intersection(c.all_names)
+        ]
+    return path
 
-    Walks the linearised group path; fragments hanging off the path are
-    accumulated as pending partials and folded into a single value per
-    deepest group context using the cached evaluators.
-    """
-    tree = fact.ftree
-    group_set = set(group_order)
-    evaluator = agg.CachedEvaluator(stats=stats)
-    name = fresh_aggregate_name("final")
+
+def _join_path(tree: FTree, group: Sequence[str]) -> list[FNode] | None:
+    """The chain of group nodes down to the deepest one that partial
+    aggregates hang below; ``None`` when they hang below several
+    branches of the group region, so that no one union sees them all."""
+    members = set(group)
+    joins = [
+        node
+        for node in tree.nodes()
+        if members.intersection(node.all_names)
+        and not all(members.intersection(c.all_names) for c in node.children)
+    ]
+    if not joins:
+        return []
+    if not all(tree.is_ancestor(a, b) for a, b in zip(joins, joins[1:])):
+        return None
+    return tree.ancestors(joins[-1])[::-1] + [joins[-1]]
+
+
+def _aggregated_over(tree: FTree, group: Iterable[str]) -> set[str]:
+    """The attributes a final aggregate over ``tree`` aggregates away."""
     over: set[str] = set()
     for node in tree.nodes():
         if node.aggregate is not None:
             over |= set(node.aggregate.over)
         else:
-            over |= {a for a in node.attributes if a not in group_set}
+            over |= {a for a in node.attributes if a not in group}
+    return over
 
-    def is_group(node: FNode) -> bool:
-        return bool(set(node.all_names) & group_set)
 
-    # Split roots into the group path root and context-free partials.
-    path_roots = [
-        (node, union)
-        for node, union in zip(tree.roots, fact.roots)
-        if is_group(node)
-    ]
-    free_items = [
-        (node, union)
-        for node, union in zip(tree.roots, fact.roots)
-        if not is_group(node)
-    ]
-    if len(path_roots) > 1:
-        raise QueryError("group region is not linearised")
+def _aggregate_leaf(
+    functions: Sequence[tuple], over: Iterable[str], value: "tuple | None"
+) -> ColumnarFactorisation:
+    """A one-node factorisation: the aggregate ``value`` (``None``: ∅)."""
+    name = fresh_aggregate_name("final")
+    node = FNode(
+        AggregateAttribute(tuple(functions), frozenset(over), name),
+        (),
+        {f"__dep_final_{name}"},
+    )
+    values = [] if value is None else [value]
+    return ColumnarFactorisation(FTree([node]), [CUnion(values, ())])
 
-    functions = tuple(functions)
-    fresh_key = f"__dep_final_{name}"
-    group_sources = {
-        attr
-        for _, target in functions
-        for attr in _target_attributes(target)
-        if attr in group_set
-    }
+
+@kernels.timed("group_output")
+def _fold_partials(
+    fact: Factorisation,
+    group: Sequence[str],
+    path: Sequence[FNode],
+    functions: Sequence[tuple[str, str | None]],
+) -> tuple[Factorisation, str]:
+    """Fold the partial aggregates below the group region into one leaf.
+
+    ``path`` is a chain of group nodes from a root down; every fragment
+    that is not a group node hangs off it or is a root of its own.  The
+    output stage's γ is the f-plan's: the fragments are nested (shared
+    by reference, never copied) down to the node where the last of them
+    joins the path, one γ there combines them per union — a column
+    pass over all its entries, dropping the groups left without tuples
+    — and the resulting leaf is nested on to the end of ``path``, since
+    the aggregate depends on every attribute of the path.  Group nodes
+    off the path stay as they are.
+    """
+    members = set(group)
+
+    def partials(nodes: Iterable[FNode]) -> list[str]:
+        return [n.name for n in nodes if not members.intersection(n.all_names)]
+
+    names = [node.name for node in path]
+    loose = partials(fact.ftree.roots)
+    hook = max((d for d, n in enumerate(path) if partials(n.children)), default=-1)
+    if hook < 0 and not loose:
+        # Nothing hangs below the groups: each is one tuple.
+        unit = agg.evaluate_components(functions, [])
+        leaf = _aggregate_leaf(functions, (), unit)
+        fact, name = ops.product(fact, leaf), leaf.ftree.roots[0].name
+    else:
+        name = fresh_aggregate_name("final")
+        if hook >= 0:
+            for root in loose:
+                fact = ops.nest_root_under(fact, root, names[hook])
+            for depth in range(hook):
+                for partial in partials(fact.ftree.node(names[depth]).children):
+                    fact = ops.nest_under(fact, partial, names[depth + 1])
+            loose = partials(fact.ftree.node(names[hook]).children)
+        fact = ops.apply_aggregation(
+            fact, names[hook] if hook >= 0 else None, loose, functions, name
+        )
+    if hook < 0 and path:
+        fact = ops.nest_root_under(fact, name, names[-1])
+    for depth in range(max(hook, 0), len(path) - 1):
+        fact = ops.nest_under(fact, name, names[depth + 1])
+    # One shared key keeps the path a path under later swaps.
+    tied = set(names) | {name}
+    key = f"__dep_final_{name}"
+    tree = fact.ftree.map_nodes(
+        lambda n: n.with_keys(n.keys | {key}) if n.name in tied else n
+    )
+    return fact.__class__(tree, fact.roots), name
+
+
+def _fold_contexts(
+    fact: Factorisation,
+    group_order: Sequence[str],
+    path: Sequence[FNode],
+    functions: Sequence[tuple],
+    stats: "agg.ExpressionStats | None" = None,
+) -> tuple[ColumnarFactorisation, str]:
+    """:func:`_fold_partials` for components that γ cannot batch: one
+    evaluator call per deepest group context of the linearised path,
+    with the values of the grouping attributes along it at hand."""
+    fact = fact.to_columnar()
+    group_set = set(group_order)
+    over = _aggregated_over(fact.ftree, group_set)
+    sources = _group_sources(functions, group_set)
+    evaluator = agg.CachedEvaluator(stats=stats)
     assignment: dict[str, Any] = {}
 
-    def rebuild(node: FNode, union, pending) -> tuple[FNode, list[FRNode]]:
-        # ``union`` may be a legacy entry list or a columnar CUnion; the
-        # output is always a legacy union carrying the final aggregate.
-        group_children = [i for i, c in enumerate(node.children) if is_group(c)]
-        other_children = [i for i, c in enumerate(node.children) if not is_group(c)]
-        new_union: list[FRNode] = []
-        new_child_node: FNode | None = None
-        for value, entry_children in iter_entries(union):
-            for attr in node.attributes:
-                if attr in group_sources:
-                    assignment[attr] = value
-            entry_pending = pending + [
-                (node.children[i], entry_children[i]) for i in other_children
-            ]
-            if group_children:
-                child_index = group_children[0]
-                child_node, child_union = (
-                    node.children[child_index],
-                    entry_children[child_index],
-                )
-                new_child_node, new_child_union = rebuild(
-                    child_node, child_union, entry_pending
-                )
-                if not new_child_union:
+    def is_group(node: FNode) -> bool:
+        return bool(group_set.intersection(node.all_names))
+
+    def rebuild(depth: int, union: CUnion, pending: list) -> CUnion:
+        node = path[depth]
+        held = [
+            (child, col)
+            for child, col in zip(node.children, union.children)
+            if not is_group(child)
+        ]
+        fixed = [a for a in node.attributes if a in sources]
+        down = (
+            union.children[node.children.index(path[depth + 1])]
+            if depth + 1 < len(path)
+            else None
+        )
+        values, below = [], []
+        for i, value in enumerate(union.values):
+            assignment.update(dict.fromkeys(fixed, value))
+            forest = pending + [(n, col[i]) for n, col in held]
+            if down is not None:
+                sub = rebuild(depth + 1, down[i], forest)
+                if not sub.values:
                     continue
-                new_union.append(FRNode(value, (new_child_union,)))
+            elif agg.forest_is_empty(forest):
+                continue  # drained group context: contributes no row
             else:
-                items = entry_pending
-                if agg.forest_is_empty(items):
-                    continue  # drained group context: contributes no row
-                if group_sources:
-                    # Aggregates over grouping attributes read the fixed
-                    # path values (cannot be cached across contexts).
-                    items = entry_pending + _group_value_fragments(
-                        group_sources, assignment
-                    )
-                    components = agg.evaluate_components(functions, items, stats)
-                else:
-                    components = evaluator.components(functions, items)
-                new_union.append(
-                    FRNode(value, ([FRNode(components, ())],))
+                found = _context_components(
+                    functions, forest, sources, assignment, evaluator, stats
                 )
-                new_child_node = FNode(
-                    AggregateAttribute(functions, frozenset(over), name),
-                    (),
-                    {fresh_key},
-                )
-        if new_child_node is None:
-            # Empty union: still need a consistent node shape.
-            new_child_node = FNode(
-                AggregateAttribute(functions, frozenset(over), name),
-                (),
-                {fresh_key},
-            )
-        rebuilt = FNode(
-            node.attributes if node.aggregate is None else node.aggregate,
-            (new_child_node,),
-            node.keys | {fresh_key},
-        )
-        return rebuilt, new_union
+                sub = CUnion([found], ())
+            values.append(value)
+            below.append(sub)
+        return CUnion(values, (below,))
 
-    if not group_order:
-        if agg.forest_is_empty(free_items):
-            # Ungrouped aggregates over zero rows: NULL components
-            # (counts stay 0) per SQL semantics.
-            value = agg.empty_aggregate_components(functions)
-        else:
-            value = evaluator.components(functions, free_items)
-        node = FNode(
-            AggregateAttribute(functions, frozenset(over), name), (), {fresh_key}
+    items = list(zip(fact.ftree.roots, fact.roots))
+    free = [item for item in items if not is_group(item[0])]
+    if not path:
+        leaf = _aggregate_leaf(
+            functions, over, evaluator.components(functions, free)
         )
-        return Factorisation(FTree([node]), [[FRNode(value, ())]]), name
-
-    root_node, root_union = path_roots[0]
-    new_root, new_union = rebuild(root_node, root_union, free_items)
-    return Factorisation(FTree([new_root]), [new_union]), name
+        return leaf, leaf.ftree.roots[0].name
+    leaf = _aggregate_leaf(functions, over, None).ftree.roots[0]
+    root_union = next(union for node, union in items if node is path[0])
+    node = leaf
+    for upper in reversed(path):
+        node = FNode(upper.attributes, (node,), upper.keys | leaf.keys)
+    return (
+        ColumnarFactorisation(FTree([node]), [rebuild(0, root_union, free)]),
+        leaf.name,
+    )
 
 
 def _project_to(fact: Factorisation, kept: set[str]) -> Factorisation:

@@ -144,20 +144,36 @@ class Factorisation:
         walk stays cheap enough for per-step traces.  The singleton
         value objects themselves are excluded because they are shared
         identically between layouts.  Fragments shared by reference are
-        counted once per occurrence, matching ``size()``.
+        counted once per occurrence, matching ``size()``, but walked
+        only once: their totals are remembered by identity.
         """
-        singles = 0
-        nbytes = 0
-        stack = list(self.roots)
-        while stack:
-            union = stack.pop()
-            nbytes += _LIST_BYTES + _PTR * len(union)
-            for entry in union:
-                singles += 1
-                children = entry.children
-                nbytes += _FRNODE_BYTES + _TUPLE_BYTES + _PTR * len(children)
-                stack.extend(children)
-        return singles, nbytes
+        memo: dict[int, tuple[int, int]] = {}
+
+        def walk(node: FNode, union: list[FRNode]) -> tuple[int, int]:
+            got = memo.get(id(union))
+            if got is not None:
+                return got
+            singles = len(union)
+            arity = len(node.children)
+            nbytes = _LIST_BYTES + singles * (_LEAF_ENTRY_BYTES + _PTR * arity)
+            for c, child in enumerate(node.children):
+                if child.children:
+                    for entry in union:
+                        below = walk(child, entry.children[c])
+                        singles += below[0]
+                        nbytes += below[1]
+                else:
+                    # Leaf fragments are one pass per column, no recursion.
+                    held = sum([len(entry.children[c]) for entry in union])
+                    singles += held
+                    nbytes += _LIST_BYTES * len(union) + _LEAF_ENTRY_BYTES * held
+            memo[id(union)] = singles, nbytes
+            return singles, nbytes
+
+        totals = [
+            walk(node, union) for node, union in zip(self.ftree.roots, self.roots)
+        ]
+        return sum(t[0] for t in totals), sum(t[1] for t in totals)
 
     def byte_size(self) -> int:
         """Resident bytes of the container structure (see size_info)."""
@@ -219,7 +235,9 @@ class Factorisation:
 
     def to_relation(self, name: str = "") -> Relation:
         """Materialise the represented relation (flat output)."""
-        return Relation(self.schema(), list(self.iter_tuples()), name=name or "⟦E⟧")
+        return Relation.adopt(
+            self.schema(), list(self.iter_tuples()), name=name or "⟦E⟧"
+        )
 
     # ------------------------------------------------------------------
     # Validation (used by tests and debug paths)
@@ -389,7 +407,12 @@ _PTR = 8
 _LIST_BYTES = getsizeof([])
 _TUPLE_BYTES = getsizeof(())
 _FRNODE_BYTES = getsizeof(FRNode(0, ()))
+#: One childless entry: its union slot, the node and its empty child table.
+_LEAF_ENTRY_BYTES = _PTR + _FRNODE_BYTES + _TUPLE_BYTES
 _CUNION_BYTES = getsizeof(CUnion([], ()))
+#: A union without child columns: its own header, value list and the
+#: empty column tuple (plus one pointer per value and per column).
+_CUNION_LEAF_BYTES = _CUNION_BYTES + _LIST_BYTES + _TUPLE_BYTES
 
 
 def empty_cunion(arity: int) -> CUnion:
@@ -538,25 +561,34 @@ class ColumnarFactorisation(Factorisation):
         return total
 
     def size_info(self) -> tuple[int, int]:
-        singles = 0
-        nbytes = 0
-        stack = list(self.roots)
-        while stack:
-            union = stack.pop()
-            count = len(union.values)
+        memo: dict[int, tuple[int, int]] = {}
+
+        def walk(node: FNode, union: CUnion) -> tuple[int, int]:
+            got = memo.get(id(union))
+            if got is not None:
+                return got
             cols = union.children
-            singles += count
-            nbytes += (
-                _CUNION_BYTES
-                + _LIST_BYTES
-                + _PTR * count
-                + _TUPLE_BYTES
-                + _PTR * len(cols)
-            )
-            for col in cols:
+            singles = len(union.values)
+            nbytes = _CUNION_LEAF_BYTES + _PTR * (singles + len(cols))
+            for child, col in zip(node.children, cols):
                 nbytes += _LIST_BYTES + _PTR * len(col)
-                stack.extend(col)
-        return singles, nbytes
+                if child.children:
+                    for sub in col:
+                        below = walk(child, sub)
+                        singles += below[0]
+                        nbytes += below[1]
+                else:
+                    # A column of leaf unions is one pass, no recursion.
+                    held = sum([len(sub.values) for sub in col])
+                    singles += held
+                    nbytes += _CUNION_LEAF_BYTES * len(col) + _PTR * held
+            memo[id(union)] = singles, nbytes
+            return singles, nbytes
+
+        totals = [
+            walk(node, union) for node, union in zip(self.ftree.roots, self.roots)
+        ]
+        return sum(t[0] for t in totals), sum(t[1] for t in totals)
 
     def tuple_count(self) -> int:
         def count_union(union: CUnion) -> int:
@@ -587,26 +619,11 @@ class ColumnarFactorisation(Factorisation):
     # Flattening
     # ------------------------------------------------------------------
     def iter_tuples(self) -> Iterator[tuple]:
-        nodes = self.ftree.roots
+        # Pre-order is the expansion order of the schema read as an
+        # order list, so the block enumerator serves it unchanged.
+        from repro.core.enumerate import iter_tuples
 
-        def iter_forest(
-            items: Sequence[tuple[FNode, CUnion]]
-        ) -> Iterator[tuple]:
-            if not items:
-                yield ()
-                return
-            (node, union), rest = items[0], items[1:]
-            cols = union.children
-            child_nodes = node.children
-            span = range(len(cols))
-            for i, value in enumerate(union.values):
-                prefix_values = _value_tuple(node, value)
-                children = [(child_nodes[c], cols[c][i]) for c in span]
-                for mid in iter_forest(children):
-                    for suffix in iter_forest(rest):
-                        yield prefix_values + mid + suffix
-
-        yield from iter_forest(list(zip(nodes, self.roots)))
+        return iter_tuples(self, self.schema())
 
     # ------------------------------------------------------------------
     # Validation

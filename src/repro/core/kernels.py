@@ -48,15 +48,16 @@ if os.environ.get("REPRO_NUMPY", "").strip().lower() in {"1", "true", "yes", "on
 #: (below this the conversion overhead dominates).
 _NUMPY_MIN_LENGTH = 64
 
-_KERNEL_SECONDS = metrics().histogram(
+KERNEL_SECONDS = metrics().histogram(
     "repro_kernel_seconds",
     "Wall time of one columnar kernel invocation",
     ("kernel",),
 )
 
 
-def _timed(name: str):
-    child = _KERNEL_SECONDS.labels(name)
+def timed(name: str):
+    """Decorator recording a function's wall time as kernel ``name``."""
+    child = KERNEL_SECONDS.labels(name)
 
     def decorate(fn):
         @wraps(fn)
@@ -77,7 +78,7 @@ def _timed(name: str):
 # ---------------------------------------------------------------------------
 # swap χ_{A,B}
 # ---------------------------------------------------------------------------
-@_timed("swap")
+@timed("swap")
 def swap_c(fact: ColumnarFactorisation, child_name: str) -> ColumnarFactorisation:
     """Columnar χ_{A,B}: regroup by B before A in one pass per union."""
     ftree = fact.ftree
@@ -245,7 +246,7 @@ def _numpy_intersect(left_values: list, right_values: list):
     return values.tolist(), keep_left.tolist(), keep_right.tolist()
 
 
-@_timed("merge")
+@timed("merge")
 def merge_siblings_c(
     fact: ColumnarFactorisation, name_a: str, name_b: str
 ) -> ColumnarFactorisation:
@@ -292,7 +293,7 @@ def merge_siblings_c(
 # ---------------------------------------------------------------------------
 # absorb (selection A=B when one node is the other's descendant)
 # ---------------------------------------------------------------------------
-@_timed("absorb")
+@timed("absorb")
 def absorb_c(
     fact: ColumnarFactorisation, ancestor_name: str, descendant_name: str
 ) -> ColumnarFactorisation:
@@ -409,7 +410,7 @@ def absorb_c(
 # ---------------------------------------------------------------------------
 # constant selection
 # ---------------------------------------------------------------------------
-@_timed("select")
+@timed("select")
 def select_constant_c(
     fact: ColumnarFactorisation, condition: Comparison
 ) -> ColumnarFactorisation:
@@ -443,7 +444,7 @@ def select_constant_c(
 # ---------------------------------------------------------------------------
 # projection: remove a leaf
 # ---------------------------------------------------------------------------
-@_timed("remove_leaf")
+@timed("remove_leaf")
 def remove_leaf_c(fact: ColumnarFactorisation, name: str) -> ColumnarFactorisation:
     """Projection step: drop a leaf's column everywhere it occurs."""
     ftree = fact.ftree
@@ -475,7 +476,7 @@ def remove_leaf_c(fact: ColumnarFactorisation, name: str) -> ColumnarFactorisati
 # ---------------------------------------------------------------------------
 # nesting independent fragments (group-path linearisation)
 # ---------------------------------------------------------------------------
-@_timed("nest")
+@timed("nest")
 def nest_under_c(
     fact: ColumnarFactorisation, name: str, target_sibling: str
 ) -> ColumnarFactorisation:
@@ -520,7 +521,7 @@ def nest_under_c(
     return map_cunion_at(fact, root_index, steps, transform, new_ftree)
 
 
-@_timed("nest")
+@timed("nest")
 def nest_root_under_c(
     fact: ColumnarFactorisation, root_name: str, target: str
 ) -> ColumnarFactorisation:
@@ -557,7 +558,7 @@ def nest_root_under_c(
 # ---------------------------------------------------------------------------
 # the γ aggregation operator (Section 3)
 # ---------------------------------------------------------------------------
-@_timed("aggregate")
+@timed("aggregate")
 def apply_aggregation_c(
     fact: ColumnarFactorisation,
     parent_name: str | None,
@@ -939,6 +940,18 @@ def _memo_is_empty(node: FNode, union, memo: dict) -> bool:
     return got
 
 
+def _carrier(
+    nodes: Sequence[FNode], attribute: str, function: str, memo: dict
+) -> int:
+    """Which of ``nodes`` carries ``attribute`` — the subtree walk of
+    ``_locate_nodes`` resolved once per node list, not per union."""
+    key = ("lc", function, attribute, *map(id, nodes))
+    got = memo.get(key)
+    if got is None:
+        got = memo[key] = agg._locate_nodes(nodes, attribute, function)
+    return got
+
+
 def _batch_components(
     functions: Sequence[tuple[str, str | None]],
     nodes: Sequence[FNode],
@@ -981,7 +994,7 @@ def _batch_components(
         if function == "count":
             columns.append(counted())
         elif function == "sum":
-            carrier = agg._locate_nodes(nodes, attribute, "sum")
+            carrier = _carrier(nodes, attribute, "sum", memo)
             if _plain_leaf(nodes[carrier], memo):
                 acc = [
                     sum(sub.values)
@@ -999,7 +1012,7 @@ def _batch_components(
                     acc = [a * k for a, k in zip(acc, counts_for(c))]
             columns.append(acc)
         elif function in ("min", "max"):
-            carrier = agg._locate_nodes(nodes, attribute, function)
+            carrier = _carrier(nodes, attribute, function, memo)
             if _plain_leaf(nodes[carrier], memo):
                 columns.append(
                     [

@@ -41,6 +41,7 @@ readers and cached backends can still replay the gap when they advance.
 from __future__ import annotations
 
 import threading
+import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
@@ -374,6 +375,13 @@ class Database:
         self._pins: dict[int, int] = {}  # version -> active pin count
         self._retained: dict[int, _CatalogueState] = {}
         self._published = _CatalogueState(0, {}, {}, frozenset())
+        # The gauge outlives any one database: it samples through a weak
+        # reference and keeps its last value once the database is gone.
+        self._store_bytes: tuple[int, float] = (0, 0.0)
+        alive = weakref.ref(self)
+        self._sample_store_bytes = lambda: (
+            None if (database := alive()) is None else database.store_bytes()
+        )
         for relation in relations:
             self.add_relation(relation)
 
@@ -392,19 +400,24 @@ class Database:
         """Register a factorised materialised view."""
         with self._lock:
             self.factorised[name] = factorisation
-            self._update_store_bytes()
+            _STORE_BYTES.track(self._sample_store_bytes)
             self._record_registration(name)
 
-    def _update_store_bytes(self) -> None:
-        """Refresh the resident-bytes gauge over every factorised view."""
-        _STORE_BYTES.set(
-            float(
-                sum(
-                    fact.size_info()[1]
-                    for fact in self.factorised.values()
-                )
+    def store_bytes(self) -> float:
+        """Resident container bytes across the registered factorised views.
+
+        What the ``repro_store_bytes`` gauge reports.  Walking every
+        view is too slow for the write path, so the total is computed
+        when it is read and kept until the catalogue's next version.
+        """
+        state = self._published
+        version, total = self._store_bytes
+        if version != state.version:
+            total = float(
+                sum(fact.size_info()[1] for fact in state.factorised.values())
             )
-        )
+            self._store_bytes = (state.version, total)
+        return total
 
     def _record_registration(self, name: str) -> None:
         version = self.version + 1
@@ -841,8 +854,6 @@ class Database:
                 # The view's own flat copy is now stale; it refreshes
                 # from the maintained factorisation on next access.
                 self._stale_flat.add(view_name)
-        if view_deltas:
-            self._update_store_bytes()
         return view_deltas
 
     def _rebuild_view(

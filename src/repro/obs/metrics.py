@@ -63,19 +63,34 @@ class Counter:
 
 
 class Gauge:
-    """A value that goes up and down (sizes, in-flight counts)."""
+    """A value that goes up and down (sizes, in-flight counts).
 
-    __slots__ = ("_lock", "value")
+    A gauge whose value is expensive to compute can :meth:`track` a
+    source instead of being ``set``: the source is read when the gauge
+    is sampled (scrape, snapshot), so the owner pays nothing on its own
+    hot path.
+    """
+
+    __slots__ = ("_lock", "value", "_source")
     kind = "gauge"
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self.value = 0.0
+        self._source = None
 
     def set(self, value: float) -> None:
         if not STATE.enabled:
             return
+        self._source = None
         self.value = value
+
+    def track(self, source) -> None:
+        """Sample ``source()`` from now on; ``None`` from it (the owner
+        is gone) keeps the last value read."""
+        if not STATE.enabled:
+            return
+        self._source = source
 
     def inc(self, amount: float = 1.0) -> None:
         if not STATE.enabled:
@@ -90,14 +105,23 @@ class Gauge:
             self.value -= amount
 
     def _sample(self) -> float:
+        source = self._source
+        if source is not None:
+            value = source()
+            if value is None:
+                self._source = None
+            else:
+                self.value = value
         return self.value
 
     def _merge(self, sample: float) -> None:
         # Gauges are point-in-time observations; a merged snapshot's
         # value simply overwrites (diffs exclude gauges entirely).
+        self._source = None
         self.value = sample
 
     def _reset(self) -> None:
+        self._source = None
         self.value = 0.0
 
 
@@ -206,6 +230,9 @@ class Family:
 
     def set(self, value: float) -> None:
         self.labels().set(value)
+
+    def track(self, source) -> None:
+        self.labels().track(source)
 
     def observe(self, value: float) -> None:
         self.labels().observe(value)

@@ -35,6 +35,25 @@ class TestInstruments:
         pins.dec(2)
         assert pins.labels().value == 3.0
 
+    def test_gauge_tracks_a_source_until_it_is_gone(self, registry):
+        size = registry.gauge("size_bytes")
+        reads = []
+        state = {"value": 7.0}
+
+        def source():
+            reads.append(1)
+            return state["value"]
+
+        size.track(source)
+        assert reads == []  # nothing is computed until the gauge is read
+        assert size.samples() == [((), 7.0)]
+        state["value"] = 9.0
+        assert registry.snapshot()["size_bytes"]["samples"] == [[[], 9.0]]
+        state["value"] = None  # the owner is gone: the last value stays
+        assert size.samples() == [((), 9.0)]
+        size.set(3)
+        assert size.samples() == [((), 3.0)]
+
     def test_histogram_bucketing(self, registry):
         lat = registry.histogram("latency_seconds")
         child = lat.labels()

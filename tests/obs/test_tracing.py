@@ -63,6 +63,30 @@ class TestSingleEngine:
         # Plan cache hit: no recompile, hence no plan span.
         assert "plan" not in _span_names(json.loads(again.trace_json()))
 
+    def test_output_time_is_a_child_of_engine_run(self, db):
+        """Enumeration shows apart from the f-plan steps, with its own
+        histogram series next to the group-output kernel's."""
+        from repro.obs import metrics
+
+        def observed(kernel):
+            family = metrics().histogram("repro_kernel_seconds", "", ("kernel",))
+            return family.labels(kernel).count
+
+        before = observed("enumerate"), observed("group_output")
+        session = connect(db, engine="fdb", cache=False)
+        result = session.sql(
+            "SELECT package, date, SUM(price) AS total FROM R1 "
+            "GROUP BY package, date"
+        )
+        tree = json.loads(result.trace_json())
+        (run,) = [c for c in tree["children"] if c["name"] == "engine.run"]
+        (child,) = [c for c in run["children"] if c["name"] == "enumerate"]
+        assert child["attributes"]["rows"] == len(result.rows)
+        assert child["seconds"] <= run["seconds"]
+        assert "enumerate" in result.explain()
+        assert observed("enumerate") == before[0] + 1
+        assert observed("group_output") > before[1]
+
     def test_disabled_results_have_no_span(self, db):
         configure(enabled=False)
         try:

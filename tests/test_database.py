@@ -58,3 +58,37 @@ def test_add_relation_custom_name():
     database = Database()
     database.add_relation(Relation(("a",), [(1,)], "orig"), name="alias")
     assert "alias" in database and "orig" not in database
+
+
+def test_store_bytes_gauge_is_computed_on_read_not_on_write(monkeypatch):
+    """Writes only mark the gauge stale; a scrape reports the sum of
+    ``size_info()[1]`` over the views as they are then."""
+    from repro.core.frep import Factorisation
+    from repro.data.workloads import build_workload_database
+    from repro.obs import metrics, parse_prometheus, render_prometheus
+
+    database = build_workload_database(scale=0.1, seed=3)
+
+    def scraped() -> float:
+        families = parse_prometheus(render_prometheus(metrics()))
+        return families["repro_store_bytes"]["samples"][("repro_store_bytes", ())]
+
+    def resident() -> float:
+        views = [database.get_factorised(name) for name in ("R1", "R2", "R3")]
+        return float(sum(view.size_info()[1] for view in views))
+
+    assert scraped() == resident()
+    walks = []
+    original = Factorisation.size_info
+    monkeypatch.setattr(
+        Factorisation, "size_info", lambda self: walks.append(1) or original(self)
+    )
+    before = resident()
+    walks.clear()
+    database.insert("Orders", [("c_new", "d0000001", "p0001")])
+    database.insert("Orders", [("c_new", "d0000002", "p0001")])
+    assert walks == []  # no view is walked on the write path
+    assert scraped() == resident() != before
+    walks.clear()
+    assert scraped() == database.store_bytes()
+    assert walks == []  # unchanged catalogue: the total is kept

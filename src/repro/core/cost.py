@@ -355,8 +355,13 @@ def estimated_node_count(
       (each path attribute contributes at most its smallest distinct
       count over the relations covering it).
 
+    Where one input is a resident factorised view that holds every
+    path attribute, its own entry counts give a point estimate
+    (:func:`view_count`), capped by the two bounds.
+
     ``stats`` maps relation name → an object exposing ``rows`` and an
     ``attributes`` mapping of per-attribute objects with ``distinct``
+    and ``total``, and optionally ``nesting``
     (duck-typed so ``repro.core`` needs no import of ``repro.stats``).
     """
     relevant = frozenset(attributes) & hypergraph.covered_attributes()
@@ -386,7 +391,43 @@ def estimated_node_count(
         if distinct is None:
             distinct = scale
         product *= float(max(distinct, 1))
-    return max(1.0, min(agm, product))
+    estimate = min(agm, product)
+    for relation in stats.values():
+        counted = view_count(relation, relevant)
+        if counted is not None:
+            estimate = min(estimate, counted)
+    return max(1.0, estimate)
+
+
+def view_count(relation: Any, attributes: "frozenset[str]") -> "float | None":
+    """Tuples over ``attributes`` estimated from a view's entry counts.
+
+    ``relation.nesting`` gives each attribute's root-to-node path in
+    the f-tree the view is stored over, and an attribute's ``total`` is
+    the exact number of entries its node holds, i.e. of distinct tuples
+    over that path.  Branches of an f-tree are independent given their
+    common ancestors, so the tuples over the union of several paths
+    number the product, over the nodes on them, of each node's fan-out
+    ``total(node) / total(parent)`` — exact for a single path, the
+    uniform-fan-out estimate across branches.  Ancestors that are not
+    among ``attributes`` are counted too (projecting them away can only
+    merge tuples), which the caller's distinct-product bound corrects.
+    ``None`` when the record carries no nesting or misses an attribute.
+    """
+    nesting = getattr(relation, "nesting", None)
+    if not nesting or not attributes <= nesting.keys():
+        return None
+    entries = relation.attributes
+    fans: dict[str, float] = {}
+    for attribute in attributes:
+        above = 1
+        for step in nesting[attribute]:
+            if step not in entries:
+                return None
+            total = entries[step].total
+            fans[step] = total / max(above, 1)
+            above = total
+    return math.prod(fans.values())
 
 
 def estimated_tree_size(

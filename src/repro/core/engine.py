@@ -51,7 +51,9 @@ from repro.core.frep import (
     CUnion,
     Factorisation,
     FRNode,
-    map_cunion_at,
+    level_values,
+    map_cunion_level,
+    splice_level,
 )
 from repro.core.ftree import (
     AggregateAttribute,
@@ -92,6 +94,17 @@ _OPTIMIZER_TIMERS = {
     "greedy": _OPTIMIZER_SECONDS.labels("greedy"),
     "exhaustive": _OPTIMIZER_SECONDS.labels("exhaustive"),
     "cost": _OPTIMIZER_SECONDS.labels("cost"),
+}
+
+_ESTIMATE_QERROR_FAMILY = metrics().histogram(
+    "repro_estimate_qerror",
+    "max(estimated/observed, observed/estimated) singletons of each "
+    "executed f-plan step, per optimiser strategy.",
+    ("strategy",),
+    bounds=(1.05, 1.25, 1.5, 2.0, 3.0, 5.0, 10.0, 30.0, 100.0, 1000.0),
+)
+_ESTIMATE_QERROR = {
+    name: _ESTIMATE_QERROR_FAMILY.labels(name) for name in _OPTIMIZER_TIMERS
 }
 
 _ENUMERATE_SECONDS = kernels.KERNEL_SECONDS.labels("enumerate")
@@ -343,22 +356,30 @@ class FDBEngine:
     def _provenance(
         self, plan: FPlan, ftree: FTree, ctx: PlanContext
     ) -> dict:
-        """Optimiser provenance for explain: strategy + estimated cost."""
-        final = plan.simulate(ftree)[-1]
+        """Optimiser provenance for explain: strategy + estimated cost
+        (of the final tree, and of every intermediate one)."""
+        trees = plan.simulate(ftree)
         if ctx.stats:
-            estimated = estimated_tree_size(
-                final, ctx.hypergraph, ctx.stats, ctx.scale
-            )
+            node_memo: dict = {}
+            estimated = [
+                estimated_tree_size(
+                    tree, ctx.hypergraph, ctx.stats, ctx.scale, node_memo
+                )
+                for tree in trees
+            ]
             sources = {
                 name: (record.source, record.rows)
                 for name, record in sorted(ctx.stats.items())
             }
         else:
-            estimated = ftree_cost(final, ctx.hypergraph, ctx.scale)
+            estimated = [
+                ftree_cost(tree, ctx.hypergraph, ctx.scale) for tree in trees
+            ]
             sources = None
         return {
             "strategy": self.optimizer_name,
-            "estimated_size": estimated,
+            "estimated_size": estimated[-1],
+            "estimated_sizes": estimated[1:],
             "stats": sources,
         }
 
@@ -412,6 +433,14 @@ class FDBEngine:
         )
         fact = select_plan.execute(fact, trace)
         fact = compiled.plan.execute(fact, trace)
+        if STATE.enabled and compiled.provenance and compiled.plan.steps:
+            qerror = _ESTIMATE_QERROR[self.optimizer_name]
+            observed = trace.sizes[-len(compiled.plan.steps):]
+            for estimate, size in zip(
+                compiled.provenance["estimated_sizes"], observed
+            ):
+                if estimate and size:
+                    qerror.observe(max(estimate / size, size / estimate))
 
         if query.aggregates:
             result = self._shape_aggregate_output(query, fact, stats)
@@ -1128,19 +1157,15 @@ def _select_component(
     fact = fact.to_columnar()
     root_index, steps = fact.ftree.path_to(node_name)
 
-    def transform(_: FNode, union: CUnion) -> CUnion:
+    def keep(_: FNode, unions: list[CUnion]) -> Sequence[CUnion]:
         # SQL NULL semantics: a None aggregate satisfies no condition.
-        keep = [
-            i
-            for i, value in enumerate(union.values)
-            if (got := extract(value)[0]) is not None and condition.test(got)
+        live = [
+            (got := extract(value)[0]) is not None and bool(condition.test(got))
+            for value in level_values(unions)
         ]
-        return CUnion(
-            [union.values[i] for i in keep],
-            tuple([col[i] for i in keep] for col in union.children),
-        )
+        return splice_level(unions, live=live)
 
-    return map_cunion_at(fact, root_index, steps, transform, fact.ftree)
+    return map_cunion_level(fact, root_index, steps, keep, fact.ftree)
 
 
 def _with_effective_projection(query: Query, database: "Database") -> Query:

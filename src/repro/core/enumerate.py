@@ -18,13 +18,14 @@ with one Python-level step per union rather than per value:
   enumerated once per context and, when its rows fit one block, kept
   and combined with every later prefix as ``prefix + row`` instead of
   being re-enumerated under every value;
-- blocks are yielded lazily and hold at most ``_BLOCK_ROWS`` rows: the
-  block is what one innermost union holds, cut only where a union is
-  larger than that, so a consumer that stops after ``k`` rows pays for
-  ``k`` rows plus one block — constant delay, amortised per block —
-  and streaming holds one block (and at most one block per kept
-  branch) at a time.  With several leaves under one node a step first
-  reads the leaf unions of one entry (``itertools.product``);
+- blocks are yielded lazily and hold at most ``_BLOCK_ROWS`` rows: a
+  block is filled from the innermost unions below one union of the
+  level above them (many small innermost unions share blocks) and cut
+  where that exceeds the limit, so a consumer that stops after ``k``
+  rows pays for ``k`` rows plus one block — constant delay, amortised
+  per block — and streaming holds one block (and at most one block per
+  kept branch) at a time.  With several leaves under one node a step
+  first reads the leaf unions of one entry (``itertools.product``);
 - rows are built in expansion layout and permuted to the requested
   columns once per block with :func:`operator.itemgetter`.
 
@@ -58,10 +59,11 @@ from repro.core.frep import Factorisation, iter_entries
 from repro.core.ftree import FNode, FTree
 from repro.relational.sort import SortKey, normalise_order
 
-#: Rows a block holds at most.  The block is what the innermost union
-#: holds; only a union with more rows than this is cut, so that memory
-#: per block and the work past a LIMIT stay bounded.  An independent
-#: branch is kept for reuse only while it fits one block.
+#: Rows a block holds at most.  A block is filled from the innermost
+#: unions below one union of the level above them and cut at this many
+#: rows, so that memory per block and the work past a LIMIT stay
+#: bounded.  An independent branch is kept for reuse only while it fits
+#: one block.
 _BLOCK_ROWS = 1024
 
 _VALUES = attrgetter("values")
@@ -282,6 +284,9 @@ def _walk(
     cache: list = [None] * (inner + 1)
 
     def kernel(_: int, prefix: tuple) -> Iterator[list[tuple]]:
+        return _chunks(kernel_rows(prefix))
+
+    def kernel_rows(prefix: tuple) -> Iterator[tuple]:
         union = unions[inner]
         down = descending[inner]
         heads = reversed(union.values) if down else union.values
@@ -304,7 +309,7 @@ def _walk(
                 for x, rests in zip(heads, map(product, *leaves))
                 for rest in rests
             )
-        return _chunks(rows)
+        return rows
 
     def expand(j: int, prefix: tuple) -> Iterator[list[tuple]]:
         union = unions[j]
@@ -313,12 +318,23 @@ def _walk(
         bound = kids[j]
         stale = clears[j]
         indexes = range(len(values))
-        for i in reversed(indexes) if descending[j] else indexes:
+
+        def bind(i: int) -> tuple:
+            """Enter entry ``i``: its bindings, and its prefix."""
             for q, c in bound:
                 unions[q] = cols[c][i]
             for h in stale:
                 cache[h] = None
-            yield from enter(j + 1, prefix + (values[i],))
+            return prefix + (values[i],)
+
+        entries = map(bind, reversed(indexes) if descending[j] else indexes)
+        if j + 1 == inner and not hoisted[inner]:
+            # Right above the kernel the rows of successive entries
+            # stream into shared blocks: a level of many small innermost
+            # unions costs one step per union, not one block (and all a
+            # block costs downstream) per union.
+            return _chunks(chain.from_iterable(map(kernel_rows, entries)))
+        return chain.from_iterable(enter(j + 1, entered) for entered in entries)
 
     def keep(j: int, prefix: tuple, below) -> Iterator[list[tuple]]:
         # Stream the branch under its first prefix, keeping its rows for

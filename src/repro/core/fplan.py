@@ -8,13 +8,15 @@ and representation sizes so experiments can report where time goes.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.core import operators as ops
 from repro.core.frep import Factorisation
 from repro.core.ftree import FTree
-from repro.obs import clock
+from repro.obs import clock, spans
+from repro.obs.state import STATE
 from repro.query import Comparison
 
 
@@ -168,8 +170,11 @@ class ExecutionTrace:
     ``seconds[i]`` is the wall-clock cost of applying ``steps[i]``
     (``sizes[i]`` the singleton count of its output factorisation,
     ``bytes[i]`` the resident container bytes of the same output, both
-    from one :meth:`Factorisation.size_info` walk) — the EXPLAIN
-    ANALYZE evidence surfaced through ``Result.explain()``.
+    from one :meth:`Factorisation.size_info` walk; ``unions[i]`` the
+    number of unions the step's kernel covered — its f-tree level) —
+    the EXPLAIN ANALYZE evidence surfaced through ``Result.explain()``,
+    which sets each step's estimated size (``provenance``) beside the
+    observed one.
     ``expression_stats`` (a
     :class:`repro.core.aggregates.ExpressionStats`, when the engine
     evaluated expression aggregates) records whether evaluation stayed
@@ -179,6 +184,7 @@ class ExecutionTrace:
     steps: list[str] = field(default_factory=list)
     sizes: list[int] = field(default_factory=list)
     bytes: list[int] = field(default_factory=list)
+    unions: list[int] = field(default_factory=list)
     trees: list[FTree] = field(default_factory=list)
     seconds: list[float] = field(default_factory=list)
     expression_stats: object | None = None
@@ -189,16 +195,32 @@ class ExecutionTrace:
 
     def describe(self) -> str:
         lines = ["f-plan execution:"]
-        timings: "list[float | None]" = list(self.seconds)
-        timings.extend([None] * (len(self.steps) - len(timings)))
-        resident: "list[int | None]" = list(self.bytes)
-        resident.extend([None] * (len(self.steps) - len(resident)))
-        for step, size, spent, footprint in zip(
-            self.steps, self.sizes, timings, resident
+
+        def padded(column: list) -> list:
+            return list(column) + [None] * (len(self.steps) - len(column))
+
+        # The optimiser estimates the f-plan's steps; the constant
+        # selections run before them carry no estimate.
+        estimates = list((self.provenance or {}).get("estimated_sizes", ()))
+        estimates = [None] * (len(self.steps) - len(estimates)) + estimates
+        for step, size, covered, estimate, footprint, spent in zip(
+            self.steps,
+            self.sizes,
+            padded(self.unions),
+            estimates,
+            padded(self.bytes),
+            padded(self.seconds),
         ):
-            timing = "" if spent is None else f"  {spent * 1000.0:8.3f} ms"
-            memory = "" if footprint is None else f"  {footprint}B"
-            lines.append(f"  {step:<40} size={size}{memory}{timing}")
+            detail = f"size={size}"
+            if estimate is not None:
+                detail += f" est={estimate:.0f}"
+            if covered is not None:
+                detail += f" unions={covered}"
+            if footprint is not None:
+                detail += f"  {footprint}B"
+            if spent is not None:
+                detail += f"  {spent * 1000.0:8.3f} ms"
+            lines.append(f"  {step:<40} {detail}")
         return "\n".join(lines)
 
 
@@ -233,13 +255,22 @@ class FPlan:
             for step in self.steps:
                 current = step.apply(current)
             return current
+        # One child span per step under ``engine.run`` (never a root of
+        # its own); the spans' no-op fast path when observability is off.
+        nested = STATE.enabled and spans.current_span() is not None
         for step in self.steps:
-            started = clock.now()
-            current = step.apply(current)
-            trace.seconds.append(clock.now() - started)
+            with spans.span(type(step).__name__) if nested else nullcontext() as span:
+                started = clock.now()
+                current = step.apply(current)
+                trace.seconds.append(clock.now() - started)
             trace.steps.append(str(step))
             singletons, resident = current.size_info()
             trace.sizes.append(singletons)
             trace.bytes.append(resident)
+            trace.unions.append(getattr(current, "covered", 1))
             trace.trees.append(current.ftree)
+            if span is not None:
+                span.attributes.update(
+                    singletons=singletons, unions=trace.unions[-1]
+                )
         return current

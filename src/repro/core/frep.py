@@ -24,8 +24,9 @@ Two physical layouts represent the same logical structure:
 - the *columnar* layout (:class:`CUnion` / :class:`ColumnarFactorisation`)
   stores each union as one contiguous value array plus per-child columns
   of sub-unions aligned with it (struct-of-arrays), so batch kernels in
-  :mod:`repro.core.kernels` run one Python-level pass per union instead
-  of one per value.
+  :mod:`repro.core.kernels` run one Python-level pass per f-tree *level*
+  (all unions of one node, see :func:`map_cunion_level`) instead of one
+  per union or per value.
 
 ``iter_entries`` is the layout-generic access shim for cold paths;
 ``to_columnar()``/``to_legacy()`` convert between the layouts (cached
@@ -34,6 +35,9 @@ per factorisation, so repeated conversion is free).
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import accumulate, chain, compress, pairwise, repeat
+from operator import mul
 from sys import getsizeof
 from typing import Any, Callable, Iterator, Sequence
 
@@ -513,11 +517,13 @@ class ColumnarFactorisation(Factorisation):
     :mod:`repro.core.kernels` dispatch on this type.
     """
 
-    __slots__ = ()
+    __slots__ = ("covered",)
 
     layout = "columnar"
 
-    def __init__(self, ftree: FTree, roots: Sequence[CUnion]) -> None:
+    def __init__(
+        self, ftree: FTree, roots: Sequence[CUnion], covered: int = 1
+    ) -> None:
         if len(ftree.roots) != len(roots):
             raise FactorisationError(
                 f"{len(roots)} root fragments for {len(ftree.roots)} f-tree roots"
@@ -525,6 +531,9 @@ class ColumnarFactorisation(Factorisation):
         self.ftree = ftree
         self.roots = tuple(roots)  # type: ignore[assignment]
         self._twin = None
+        #: Trace evidence: how many unions the kernel that built this
+        #: factorisation ran over (see :func:`map_cunion_level`).
+        self.covered = covered
 
     # ------------------------------------------------------------------
     # Layout conversion
@@ -561,34 +570,41 @@ class ColumnarFactorisation(Factorisation):
         return total
 
     def size_info(self) -> tuple[int, int]:
-        memo: dict[int, tuple[int, int]] = {}
-
-        def walk(node: FNode, union: CUnion) -> tuple[int, int]:
-            got = memo.get(id(union))
-            if got is not None:
-                return got
-            cols = union.children
-            singles = len(union.values)
-            nbytes = _CUNION_LEAF_BYTES + _PTR * (singles + len(cols))
-            for child, col in zip(node.children, cols):
-                nbytes += _LIST_BYTES + _PTR * len(col)
-                if child.children:
-                    for sub in col:
-                        below = walk(child, sub)
-                        singles += below[0]
-                        nbytes += below[1]
-                else:
-                    # A column of leaf unions is one pass, no recursion.
-                    held = sum([len(sub.values) for sub in col])
-                    singles += held
-                    nbytes += _CUNION_LEAF_BYTES * len(col) + _PTR * held
-            memo[id(union)] = singles, nbytes
-            return singles, nbytes
-
-        totals = [
-            walk(node, union) for node, union in zip(self.ftree.roots, self.roots)
+        # A level at a time: per node only the number of union
+        # occurrences and of entries matter.  Shared fragments are one
+        # union of their level with a weight (their occurrences), so
+        # they are walked once and counted once per occurrence.
+        singles = nbytes = 0
+        pending: list = [
+            (node, [union], None)
+            for node, union in zip(self.ftree.roots, self.roots)
         ]
-        return sum(t[0] for t in totals), sum(t[1] for t in totals)
+        while pending:
+            node, level, weights = pending.pop()
+            sizes = [len(union.values) for union in level]
+            if weights is None:
+                unions, entries = len(level), sum(sizes)
+            else:
+                unions, entries = sum(weights), sum(map(mul, weights, sizes))
+            arity = len(node.children)
+            singles += entries
+            nbytes += unions * (
+                _CUNION_LEAF_BYTES + arity * (_LIST_BYTES + _PTR)
+            ) + _PTR * (1 + arity) * entries
+            for index, child in enumerate(node.children):
+                below = level_column(level, index)
+                spread = weights and list(
+                    chain.from_iterable(map(repeat, weights, sizes))
+                )
+                if child.children and len(set(map(id, below))) < len(below):
+                    tally: dict[int, int] = {} if spread else Counter(map(id, below))
+                    for key, weight in zip(map(id, below), spread or ()):
+                        tally[key] = tally.get(key, 0) + weight
+                    unique = {id(union): union for union in below}
+                    below = list(unique.values())
+                    spread = [tally[key] for key in unique]
+                pending.append((child, below, spread))
+        return singles, nbytes
 
     def tuple_count(self) -> int:
         def count_union(union: CUnion) -> int:
@@ -707,51 +723,154 @@ def empty_columnar_like(ftree: FTree) -> ColumnarFactorisation:
     )
 
 
-def map_cunion_at(
+# ---------------------------------------------------------------------------
+# Levels: every union at one f-tree position, handled as one batch
+# ---------------------------------------------------------------------------
+def level_values(unions: Sequence[CUnion]) -> list:
+    """The value arrays of a level, concatenated in level order."""
+    return list(chain.from_iterable([union.values for union in unions]))
+
+
+def level_column(unions: Sequence[CUnion], index: int) -> list[CUnion]:
+    """Child column ``index`` of a level, concatenated (the next level)."""
+    return list(chain.from_iterable([union.children[index] for union in unions]))
+
+
+def level_bounds(unions: Sequence[CUnion]) -> list[int]:
+    """Where each union's segment starts in the level's flat arrays
+    (one more bound than unions: the last is the level's length)."""
+    return [0, *accumulate([len(union.values) for union in unions])]
+
+
+def distinct_unions(
+    unions: Sequence[CUnion],
+) -> "tuple[Sequence[CUnion], list[int] | None]":
+    """``(unique, back)``: a level without the repeats of one union
+    object, and each position's index into it (``None``: no repeats)."""
+    if len(set(map(id, unions))) == len(unions):
+        return unions, None
+    unique = {id(union): union for union in unions}
+    slots = {key: i for i, key in enumerate(unique)}
+    return list(unique.values()), [slots[id(union)] for union in unions]
+
+
+def cut_level(bounds: Sequence[int], values: list, *cols: list) -> list[CUnion]:
+    """Flat arrays cut back into one union per consecutive bound pair
+    (array by array: one comprehension per column, not one per union)."""
+    spans = list(pairwise(bounds))
+    cut = [[col[a:b] for a, b in spans] for col in cols]
+    return list(
+        map(CUnion, [values[a:b] for a, b in spans], zip(*cut) if cut else repeat(()))
+    )
+
+
+def splice_level(
+    unions: Sequence[CUnion],
+    drop: Sequence[int] = (),
+    slot: int = 0,
+    columns: Sequence[list] = (),
+    live: "Sequence[bool] | None" = None,
+) -> Sequence[CUnion]:
+    """The level without its child columns ``drop`` and with the flat,
+    level-wide ``columns`` cut in at position ``slot`` of what remains.
+
+    ``live`` flags the level's entries (in flat order, as bools); the
+    others are pruned from the value array *and every column*, so
+    alignment is preserved.  While nothing is pruned the surviving
+    columns of each union are its own list objects, and a union (or the
+    whole level) that nothing changes is returned by reference.
+    """
+    if not unions:
+        return unions
+    rest = [c for c in range(len(unions[0].children)) if c not in drop]
+    same = not columns and not drop
+    before, after = rest[:slot], rest[slot:]
+    bounds = level_bounds(unions)
+    if live is None or all(live):
+        if same:
+            return unions
+        spans = list(pairwise(bounds))
+        children = zip(
+            *[[union.children[c] for union in unions] for c in before],
+            *[[col[a:b] for a, b in spans] for col in columns],
+            *[[union.children[c] for union in unions] for c in after],
+        )
+        return list(
+            map(
+                CUnion,
+                [union.values for union in unions],
+                children if rest or columns else repeat(()),
+            )
+        )
+    kept = [0, *accumulate(live)]
+    cut = [kept[b] for b in bounds]
+    flat = [
+        list(compress(col, live))
+        for col in (
+            level_values(unions),
+            *[level_column(unions, c) for c in before],
+            *columns,
+            *[level_column(unions, c) for c in after],
+        )
+    ]
+    if not same:
+        return cut_level(cut, *flat)
+    # A pure filter shares every union that lost nothing, and one
+    # empty union stands in for all that lost everything.
+    values, *cols = flat
+    empty = empty_cunion(len(cols))
+    return [
+        union
+        if b - a == len(union.values)
+        else empty
+        if a == b
+        else CUnion(values[a:b], tuple([col[a:b] for col in cols]))
+        for union, (a, b) in zip(unions, pairwise(cut))
+    ]
+
+
+def map_cunion_level(
     fact: ColumnarFactorisation,
     root_index: int,
     steps: Sequence[int],
-    transform: Callable[[FNode, CUnion], CUnion],
+    kernel: Callable[[FNode, list[CUnion]], Sequence[CUnion]],
     new_ftree: FTree,
 ) -> ColumnarFactorisation:
-    """Columnar twin of :func:`map_union_at` (same pruning semantics).
+    """Rebuild a factorisation with ``kernel`` applied at one position.
 
-    The transform must return a :class:`CUnion` with the child-column
-    arity of the (possibly reshaped) target node; entries whose
-    transformed fragment becomes empty are filtered out of the parent's
-    value array *and every sibling column* so alignment is preserved.
+    ``steps`` is the child-index path from the root (as produced by
+    :meth:`repro.core.ftree.FTree.path_to`).  One descent collects, per
+    depth, every union on the way — a *level*: the child columns of the
+    level above, concatenated — and the kernel runs once, over all the
+    unions at the target position in order.  It returns one union per
+    input union, with the child-column arity of the (possibly reshaped)
+    target node.  The ancestors are then rebuilt a level at a time:
+    each union takes its segment of the new column, entries whose
+    fragment became empty are pruned (an empty union kills its parent
+    entry, matching ∅ absorption through products), and untouched
+    sibling columns are shared by reference.
+
+    A fragment that several parent entries share by identity is one
+    union of its level: evaluated once and still shared afterwards.
     """
-    target_node = fact.ftree.roots[root_index]
+    node = fact.ftree.roots[root_index]
+    levels: list[list[CUnion]] = [[fact.roots[root_index]]]
+    shared: list["list[int] | None"] = []
     for step in steps:
-        target_node = target_node.children[step]
-
-    def rebuild(node: FNode, union: CUnion, remaining: Sequence[int]) -> CUnion:
-        if not remaining:
-            return transform(node, union)
-        step, rest = remaining[0], remaining[1:]
-        cols = union.children
-        child_node = node.children[step]
-        new_col: list[CUnion] = []
-        keep: list[int] = []
-        for i, sub in enumerate(cols[step]):
-            new_child = rebuild(child_node, sub, rest)
-            if not new_child.values:
-                continue  # empty fragment: the entry represents ∅, prune it
-            keep.append(i)
-            new_col.append(new_child)
-        if len(keep) == len(union.values):
-            values = union.values
-            children = cols[:step] + (new_col,) + cols[step + 1 :]
-        else:
-            values = [union.values[i] for i in keep]
-            children = tuple(
-                new_col if c == step else [cols[c][i] for i in keep]
-                for c in range(len(cols))
-            )
-        return CUnion(values, children)
-
+        node = node.children[step]
+        below, back = distinct_unions(level_column(levels[-1], step))
+        shared.append(back)
+        levels.append(below)
+    target = levels.pop()
+    out = kernel(node, target)
+    for step in reversed(steps):
+        back = shared.pop()
+        if back is not None:
+            out = [out[i] for i in back]
+        out = splice_level(
+            levels.pop(), (step,), step, (out,),
+            [True if union.values else False for union in out],
+        )
     new_roots = list(fact.roots)
-    new_roots[root_index] = rebuild(
-        fact.ftree.roots[root_index], fact.roots[root_index], list(steps)
-    )
-    return ColumnarFactorisation(new_ftree, new_roots)
+    new_roots[root_index] = out[0]
+    return ColumnarFactorisation(new_ftree, new_roots, covered=len(target))

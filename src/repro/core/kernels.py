@@ -2,9 +2,13 @@
 
 Each kernel is the columnar twin of one f-plan operator in
 :mod:`repro.core.operators`: same tree-level effect, same pruning and
-sortedness invariants (Section 4.1), but evaluated as whole-union array
-passes — one Python-level call per union, not one per value.  The
-operators module dispatches here when a factorisation is a
+sortedness invariants (Section 4.1), but evaluated as array passes over
+a whole f-tree *level*: :func:`repro.core.frep.map_cunion_level` hands a
+kernel every union of the target node at once, the kernel concatenates
+the columns it needs (``level_values``/``level_column``), runs one
+comprehension per column over the concatenation, and ``splice_level``
+cuts the results back into unions.  The operators module dispatches
+here when a factorisation is a
 :class:`repro.core.frep.ColumnarFactorisation`.
 
 Kernel wall time is recorded in the ``repro_kernel_seconds`` histogram
@@ -19,16 +23,23 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left
+from collections import defaultdict
 from functools import wraps
-from typing import Any, Sequence
+from itertools import accumulate, chain, compress, cycle, pairwise, repeat
+from typing import Sequence
 
 from repro.core import aggregates as agg
 from repro.core import operators as ops
 from repro.core.frep import (
     ColumnarFactorisation,
     CUnion,
-    empty_cunion,
-    map_cunion_at,
+    cut_level,
+    distinct_unions,
+    level_bounds,
+    level_column,
+    level_values,
+    map_cunion_level,
+    splice_level,
 )
 from repro.core.ftree import FNode, FTree
 from repro.expr import Expr
@@ -80,7 +91,7 @@ def timed(name: str):
 # ---------------------------------------------------------------------------
 @timed("swap")
 def swap_c(fact: ColumnarFactorisation, child_name: str) -> ColumnarFactorisation:
-    """Columnar χ_{A,B}: regroup by B before A in one pass per union."""
+    """Columnar χ_{A,B}: regroup by B before A, one pivot per level."""
     ftree = fact.ftree
     node_b = ftree.node(child_name)
     node_a = ftree.parent(node_b)
@@ -91,78 +102,75 @@ def swap_c(fact: ColumnarFactorisation, child_name: str) -> ColumnarFactorisatio
     j = next(i for i, child in enumerate(node_a.children) if child is node_b)
     new_b, tb_idx, tab_idx = ops._swapped_nodes(node_a, node_b)
     new_ftree = ftree.replace_node(node_a.name, lambda _: [new_b])
-
     rest_idx = [i for i in range(len(node_a.children)) if i != j]
+    pure = not (rest_idx or tb_idx or tab_idx)
     strict = ops.STRICT_SWAP_CHECKS
 
-    if not tb_idx and not tab_idx and not rest_idx:
-        # Pure two-level inversion: A has no other children and B keeps
-        # nothing above or below, so the pivot is b -> [a, ...] with no
-        # per-pair bookkeeping.  Ascending a-iteration keeps each
-        # regrouped union sorted without a per-union sort.
-        def invert(_: FNode, union_a: CUnion) -> CUnion:
-            b_col = union_a.children[j]
-            collected: dict[Any, list] = {}
-            collected_get = collected.get
-            for ai, a_value in enumerate(union_a.values):  # repro: allow[kernel-scalar-loop] -- regrouping pivot: each (a, b) pair moves once
-                for b_value in b_col[ai].values:  # repro: allow[kernel-scalar-loop] -- see above
-                    got = collected_get(b_value)
-                    if got is None:
-                        collected[b_value] = [a_value]
-                    else:
-                        got.append(a_value)
-            values = sorted(collected)
-            return CUnion(
-                values, ([CUnion(collected[v], ()) for v in values],)
-            )
-
-        root_index, steps = ftree.path_to(node_a.name)
-        return map_cunion_at(fact, root_index, steps, invert, new_ftree)
-
-    def transform(_: FNode, union_a: CUnion) -> CUnion:
-        a_values = union_a.values
-        a_cols = union_a.children
-        b_col = a_cols[j]
-        # b_value -> (T_B fragments, [(a_value, ai, b_cols, bi), ...]);
-        # the pivot records each (a, b) pair once, and the under-union
-        # columns are materialised per b-value with one comprehension
-        # per column instead of per-pair appends.
-        collected: dict[Any, tuple] = {}
-        collected_get = collected.get
-        for ai, a_value in enumerate(a_values):  # repro: allow[kernel-scalar-loop] -- regrouping pivot: each (a, b) pair moves once
-            b_union = b_col[ai]
-            b_cols = b_union.children
-            for bi, b_value in enumerate(b_union.values):  # repro: allow[kernel-scalar-loop] -- see above
-                record = collected_get(b_value)
-                if record is None:
-                    collected[b_value] = (
-                        [b_cols[i][bi] for i in tb_idx],
-                        [(a_value, ai, b_cols, bi)],
-                    )
-                    continue
-                if strict:
-                    _check_independent_cfragments(
-                        record[0], [b_cols[i][bi] for i in tb_idx]
-                    )
-                record[1].append((a_value, ai, b_cols, bi))
-        values = sorted(collected)
-        tb_out = tuple(
-            [collected[value][0][t] for value in values]
-            for t in range(len(tb_idx))
+    def pivot(_: FNode, unions: list[CUnion]) -> list[CUnion]:
+        # Flat position p is one (a, b) pair of the level, in input
+        # order.  A pure two-level inversion (B a leaf and A's only
+        # child) moves the a-values themselves; otherwise the pairs'
+        # positions are moved and every output column is gathered
+        # through them (``spread``: a per-a column, once per pair).
+        b_unions = level_column(unions, j)
+        fanout = [] if pure else [len(b_union.values) for b_union in b_unions]
+        a_values = level_values(unions)
+        # One ``b -> contributions`` table per union of the level.
+        tables = [defaultdict(list) for _ in unions]
+        table_of = chain.from_iterable(
+            map(repeat, tables, [len(union.values) for union in unions])
         )
-        under_col = []
-        for value in values:  # repro: allow[kernel-scalar-loop] -- one union object built per b-value
-            pairs = collected[value][1]
-            under_cols = [
-                [a_cols[i][p[1]] for p in pairs] for i in rest_idx
-            ] + [[p[2][i][p[3]] for p in pairs] for i in tab_idx]
-            under_col.append(
-                CUnion([p[0] for p in pairs], tuple(under_cols))
+        firsts = a_values if pure else accumulate(fanout, initial=0)
+        for table, b_union, first in zip(table_of, b_unions, firsts):
+            if pure:
+                for b_value in b_union.values:  # repro: allow[kernel-scalar-loop] -- the regrouping pivot: each (a, b) pair moves once
+                    table[b_value].append(first)
+            else:
+                for p, b_value in enumerate(b_union.values, first):  # repro: allow[kernel-scalar-loop] -- see above
+                    table[b_value].append(p)
+        ordered = [sorted(table) for table in tables]
+        # Ascending a within each b: pairs were met in a-order.
+        members = [
+            table[b_value]
+            for table, found in zip(tables, ordered)
+            for b_value in found
+        ]
+        if pure:
+            under = list(map(CUnion, members))
+        else:
+
+            def spread(column: Sequence) -> list:
+                return list(chain.from_iterable(map(repeat, column, fanout)))
+
+            order = list(chain.from_iterable(members))
+            under = cut_level(
+                [0, *accumulate([len(found) for found in members])],
+                *[
+                    [col[p] for p in order]
+                    for col in (
+                        spread(a_values),
+                        *[spread(level_column(unions, i)) for i in rest_idx],
+                        *[level_column(b_unions, i) for i in tab_idx],
+                    )
+                ],
             )
-        return CUnion(values, tb_out + (under_col,))
+        tb_flat = [level_column(b_unions, i) for i in tb_idx]
+        if strict:
+            for found in members:
+                for p in found[1:]:
+                    _check_independent_cfragments(
+                        [col[found[0]] for col in tb_flat],
+                        [col[p] for col in tb_flat],
+                    )
+        return cut_level(
+            [0, *accumulate([len(found) for found in ordered])],
+            list(chain.from_iterable(ordered)),
+            *[[col[found[0]] for found in members] for col in tb_flat],
+            under,
+        )
 
     root_index, steps = ftree.path_to(node_a.name)
-    return map_cunion_at(fact, root_index, steps, transform, new_ftree)
+    return map_cunion_level(fact, root_index, steps, pivot, new_ftree)
 
 
 def _check_independent_cfragments(first: list, second: list) -> None:
@@ -268,26 +276,19 @@ def merge_siblings_c(
     ib = next(i for i, n in enumerate(parent.children) if n is node_b)
     slot = ops._merged_slot(ia, ib)
 
-    def transform(_: FNode, union: CUnion) -> CUnion:
-        values = union.values
-        cols = union.children
-        col_a = cols[ia]
-        col_b = cols[ib]
-        merged_col: list[CUnion] = []
-        keep: list[int] = []
-        for i in range(len(values)):
-            merged = intersect_cunions(col_a[i], col_b[i])
-            if not merged.values:
-                continue  # the selection empties this context: prune
-            keep.append(i)
-            merged_col.append(merged)
-        rest = [c for c in range(len(cols)) if c != ia and c != ib]
-        out_cols = [[cols[c][i] for i in keep] for c in rest]
-        out_cols.insert(slot, merged_col)
-        return CUnion([values[i] for i in keep], tuple(out_cols))
+    def intersect(_: FNode, unions: list[CUnion]) -> Sequence[CUnion]:
+        merged = [
+            intersect_cunions(left, right)
+            for left, right in zip(
+                level_column(unions, ia), level_column(unions, ib)
+            )
+        ]
+        # A context the selection empties is pruned.
+        live = [True if union.values else False for union in merged]
+        return splice_level(unions, (ia, ib), slot, (merged,), live)
 
     root_index, steps = ftree.path_to(parent.name)
-    return map_cunion_at(fact, root_index, steps, transform, new_ftree)
+    return map_cunion_level(fact, root_index, steps, intersect, new_ftree)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +298,7 @@ def merge_siblings_c(
 def absorb_c(
     fact: ColumnarFactorisation, ancestor_name: str, descendant_name: str
 ) -> ColumnarFactorisation:
-    """σ_{A=B} with B below A: bisect B's value arrays per context."""
+    """σ_{A=B} with B below A: bisect B's value arrays, a level at a time."""
     ftree = fact.ftree
     node_anc = ftree.node(ancestor_name)
     node_desc = ftree.node(descendant_name)
@@ -308,103 +309,49 @@ def absorb_c(
     new_ftree = ops.absorb_tree(ftree, ancestor_name, descendant_name)
 
     spine = [node_desc]
-    current = ftree.parent(node_desc)
-    while current is not node_anc:
-        spine.append(current)
-        current = ftree.parent(current)
-    spine.append(node_anc)
+    while spine[-1] is not node_anc:
+        spine.append(ftree.parent(spine[-1]))
     spine.reverse()  # ancestor ... descendant
     rel_steps = [
         next(i for i, child in enumerate(upper.children) if child is lower)
         for upper, lower in zip(spine, spine[1:])
     ]
-    direct = len(rel_steps) == 1
-    out_arity = (
-        len(node_anc.children) - 1 + len(node_desc.children)
-        if direct
-        else len(node_anc.children)
-    )
+    desc_arity = range(len(node_desc.children))
 
-    def filter_union(node: FNode, union: CUnion, steps: Sequence[int], value: Any) -> CUnion:
-        """Keep entries whose descendant (at ``steps``) holds ``value``."""
+    def matching(unions: list[CUnion], wanted: list, steps: Sequence[int]):
+        """The level's entries whose descendant at ``steps`` holds the
+        entry's ``wanted`` value; B's children take B's place."""
         step = steps[0]
-        cols = union.children
-        col = cols[step]
-        if len(steps) == 1:
-            k_desc = len(node.children[step].children)
-            matched_cols: list[list[CUnion]] = [[] for _ in range(k_desc)]
-            keep: list[int] = []
-            for i, sub in enumerate(col):
-                sub_values = sub.values
-                index = bisect_left(sub_values, value)
-                if index == len(sub_values) or sub_values[index] != value:
-                    continue
-                keep.append(i)
-                for c in range(k_desc):
-                    matched_cols[c].append(sub.children[c][index])
-            out_cols: list[list[CUnion]] = []
-            for c in range(len(cols)):
-                if c == step:
-                    out_cols.extend(matched_cols)
-                else:
-                    out_cols.append([cols[c][i] for i in keep])
-            return CUnion([union.values[i] for i in keep], tuple(out_cols))
-        new_col: list[CUnion] = []
-        keep = []
-        for i, sub in enumerate(col):
-            filtered = filter_union(node.children[step], sub, steps[1:], value)
-            if not filtered.values:
-                continue
-            keep.append(i)
-            new_col.append(filtered)
-        return CUnion(
-            [union.values[i] for i in keep],
-            tuple(
-                new_col if c == step else [cols[c][i] for i in keep]
-                for c in range(len(cols))
-            ),
-        )
+        subs = level_column(unions, step)
+        if len(steps) > 1:
+            # Unlike the driver's levels these repeat shared fragments:
+            # each occurrence is filtered by its own context's value.
+            below = matching(
+                subs,
+                [w for w, sub in zip(wanted, subs) for _ in sub.values],
+                steps[1:],
+            )
+            live = [True if union.values else False for union in below]
+            return splice_level(unions, (step,), step, (below,), live)
+        hits = [bisect_left(sub.values, w) for sub, w in zip(subs, wanted)]
+        live = [
+            hit < len(sub.values) and sub.values[hit] == w
+            for sub, w, hit in zip(subs, wanted, hits)
+        ]
+        matched = [
+            [
+                sub.children[c][hit] if ok else None
+                for sub, hit, ok in zip(subs, hits, live)
+            ]
+            for c in desc_arity
+        ]
+        return splice_level(unions, (step,), step, matched, live)
 
-    def transform(node: FNode, union: CUnion) -> CUnion:
-        values = union.values
-        cols = union.children
-        step = rel_steps[0]
-        keep: list[int] = []
-        entry_children: list[tuple] = []
-        for i, value in enumerate(values):  # repro: allow[kernel-scalar-loop] -- each context filters by its own value
-            sub = cols[step][i]
-            if direct:
-                sub_values = sub.values
-                index = bisect_left(sub_values, value)
-                if index == len(sub_values) or sub_values[index] != value:
-                    continue
-                matched = tuple(col[index] for col in sub.children)
-                children = (
-                    tuple(cols[c][i] for c in range(step))
-                    + matched
-                    + tuple(cols[c][i] for c in range(step + 1, len(cols)))
-                )
-            else:
-                filtered = filter_union(
-                    node.children[step], sub, rel_steps[1:], value
-                )
-                if not filtered.values:
-                    continue
-                children = tuple(
-                    cols[c][i] if c != step else filtered
-                    for c in range(len(cols))
-                )
-            keep.append(i)
-            entry_children.append(children)
-        out_cols = tuple(
-            [entry[c] for entry in entry_children] for c in range(out_arity)
-        )
-        if not entry_children:
-            out_cols = tuple([] for _ in range(out_arity))
-        return CUnion([values[i] for i in keep], out_cols)
+    def absorb(_: FNode, unions: list[CUnion]) -> Sequence[CUnion]:
+        return matching(unions, level_values(unions), rel_steps)
 
     root_index, steps = ftree.path_to(node_anc.name)
-    return map_cunion_at(fact, root_index, steps, transform, new_ftree)
+    return map_cunion_level(fact, root_index, steps, absorb, new_ftree)
 
 
 # ---------------------------------------------------------------------------
@@ -414,31 +361,42 @@ def absorb_c(
 def select_constant_c(
     fact: ColumnarFactorisation, condition: Comparison
 ) -> ColumnarFactorisation:
-    """σ_{AθC}: one filter pass over the value array of A's unions."""
+    """σ_{AθC}: one filter pass cuts every union of A's level.
+
+    The condition is tested once per distinct value of the level — or,
+    for an order comparison, probed by bisection: the unions are sorted
+    (Section 4.1), so the survivors of each are a prefix or a suffix.
+    """
     ftree = fact.ftree
     node = ftree.node(condition.attribute)
-    component: int | None = None
+    test = condition.test
+    # Which end of a sorted union an order comparison keeps.
+    keeps_suffix = {">": True, ">=": True, "<": False, "<=": False}.get(condition.op)
     if node.is_aggregate:
         component = ops._scalar_component(node.aggregate)
-    test = condition.test
+        test = lambda value: condition.test(value[component])  # noqa: E731
+        keeps_suffix = None  # component tuples sort as tuples
 
-    def transform(_: FNode, union: CUnion) -> CUnion:
-        values = union.values
-        if component is None:
-            keep = [i for i, value in enumerate(values) if test(value)]
-        else:
-            keep = [
-                i for i, value in enumerate(values) if test(value[component])
-            ]
-        if len(keep) == len(values):
-            return union  # nothing filtered: share the fragment unchanged
-        return CUnion(
-            [values[i] for i in keep],
-            tuple([col[i] for i in keep] for col in union.children),
-        )
+    def keep(_: FNode, unions: list[CUnion]) -> Sequence[CUnion]:
+        values = level_values(unions)
+        probes = len(unions) * (len(values) // max(len(unions), 1)).bit_length()
+        if keeps_suffix is None or probes >= len(values):
+            # First-seen order keeps the tests on neighbouring objects.
+            verdict = {
+                value: bool(test(value)) for value in dict.fromkeys(values)
+            }
+            return splice_level(unions, live=[verdict[v] for v in values])
+        # Fewer probes than values: find where each union's run ends.
+        falls = test if keeps_suffix else (lambda value: not test(value))
+        cuts = [bisect_left(union.values, True, key=falls) for union in unions]
+        rests = [len(union.values) - cut for union, cut in zip(unions, cuts)]
+        runs = chain.from_iterable(zip(cuts, rests))
+        flags = cycle((not keeps_suffix, keeps_suffix))
+        live = list(chain.from_iterable(map(repeat, flags, runs)))
+        return splice_level(unions, live=live)
 
     root_index, steps = ftree.path_to(node.name)
-    return map_cunion_at(fact, root_index, steps, transform, fact.ftree)
+    return map_cunion_level(fact, root_index, steps, keep, fact.ftree)
 
 
 # ---------------------------------------------------------------------------
@@ -465,12 +423,11 @@ def remove_leaf_c(fact: ColumnarFactorisation, name: str) -> ColumnarFactorisati
 
     index = next(i for i, n in enumerate(parent.children) if n is node)
 
-    def transform(_: FNode, union: CUnion) -> CUnion:
-        cols = union.children
-        return CUnion(union.values, cols[:index] + cols[index + 1 :])
+    def drop(_: FNode, unions: list[CUnion]) -> Sequence[CUnion]:
+        return splice_level(unions, drop=(index,))
 
     root_index, steps = ftree.path_to(parent.name)
-    return map_cunion_at(fact, root_index, steps, transform, new_ftree)
+    return map_cunion_level(fact, root_index, steps, drop, new_ftree)
 
 
 # ---------------------------------------------------------------------------
@@ -501,24 +458,22 @@ def nest_under_c(
     new_parent = parent.with_children(new_children)
     new_ftree = ftree.replace_node(parent.name, lambda _: [new_parent])
 
-    new_t_slot = t_idx - 1 if s_idx < t_idx else t_idx
-
-    def transform(_: FNode, union: CUnion) -> CUnion:
-        cols = union.children
-        moved_col = cols[s_idx]
-        rest = [cols[c] for c in range(len(cols)) if c != s_idx]
-        target_col = rest[new_t_slot]
-        rest[new_t_slot] = [
+    def nest(_: FNode, unions: list[CUnion]) -> Sequence[CUnion]:
+        nested = [
             CUnion(
-                t.values,
-                t.children + ([moved_col[i]] * len(t.values),),
+                below.values,
+                below.children + ([moved] * len(below.values),),
             )
-            for i, t in enumerate(target_col)
+            for below, moved in zip(
+                level_column(unions, t_idx), level_column(unions, s_idx)
+            )
         ]
-        return CUnion(union.values, tuple(rest))
+        # The target keeps its place among the columns that stay.
+        slot = t_idx - 1 if s_idx < t_idx else t_idx
+        return splice_level(unions, (s_idx, t_idx), slot, (nested,))
 
     root_index, steps = ftree.path_to(parent.name)
-    return map_cunion_at(fact, root_index, steps, transform, new_ftree)
+    return map_cunion_level(fact, root_index, steps, nest, new_ftree)
 
 
 @timed("nest")
@@ -544,15 +499,18 @@ def nest_root_under_c(
     pruned_tree = FTree(pruned_roots)
     new_ftree = pruned_tree.replace_node(target, lambda _: [new_target])
 
-    def transform(_: FNode, union: CUnion) -> CUnion:
-        return CUnion(
-            union.values,
-            union.children + ([moved_union] * len(union.values),),
-        )
+    def hang(_: FNode, unions: list[CUnion]) -> list[CUnion]:
+        return [
+            CUnion(
+                union.values,
+                union.children + ([moved_union] * len(union.values),),
+            )
+            for union in unions
+        ]
 
     pruned = ColumnarFactorisation(pruned_tree, pruned_fact_roots)
     root_index, steps = pruned_tree.path_to(target)
-    return map_cunion_at(pruned, root_index, steps, transform, new_ftree)
+    return map_cunion_level(pruned, root_index, steps, hang, new_ftree)
 
 
 # ---------------------------------------------------------------------------
@@ -566,13 +524,12 @@ def apply_aggregation_c(
     functions: Sequence[tuple[str, "str | Expr | None"]],
     name: str | None = None,
 ) -> ColumnarFactorisation:
-    """γ_F(U) as a batch fold: carriers located once, columns shared.
+    """γ_F(U) as a batch fold over the parent's whole level.
 
-    The legacy operator re-resolves each component's carrier fragment
-    and recomputes child counts for every parent entry; here the
-    carrier is located once per union and the per-child count arrays
-    are computed once and shared between the count and sum components
-    — the dominant saving on fig4-style aggregate queries.
+    The carrier of each component is located once, the per-child count
+    arrays are computed once over the level's concatenated columns and
+    shared between the count and sum components, and fragments shared
+    between parent entries are folded once (``memo``).
     """
     ftree = fact.ftree
     parent, indices = ops._resolve_subtrees(ftree, parent_name, child_names)
@@ -583,74 +540,56 @@ def apply_aggregation_c(
     functions = tuple(functions)
     slot = ops._collapsed_slot(indices[0], indices)
 
-    if parent is None:
-        items = [(ftree.roots[i], fact.roots[i]) for i in indices]
-        roots = [u for i, u in enumerate(fact.roots) if i not in index_set]
-        if agg.forest_is_empty(items):
-            union = empty_cunion(0)
-        else:
-            union = CUnion([agg.evaluate_components(functions, items)], ())
-        roots.insert(slot, union)
-        return ColumnarFactorisation(new_ftree, roots)
-
-    child_nodes = [parent.children[i] for i in indices]
+    child_nodes = [
+        (ftree.roots if parent is None else parent.children)[i] for i in indices
+    ]
     scalar_fallback = any(
         isinstance(attribute, Expr) for _, attribute in functions
     )
-    # One shared-fragment cache for the whole operator application:
-    # restructured factorisations share subtrees across parent entries.
+    # One cache for the whole operator application (see _batch_components).
     memo: dict = {}
 
-    def transform(_: FNode, union: CUnion) -> CUnion:
-        values = union.values
-        cols = union.children
-        agg_cols = [cols[i] for i in indices]
+    def components(agg_cols: list) -> tuple:
+        """``(live, values)`` for the contexts ``agg_cols[c][i]``: which
+        of them hold tuples (``None``: all) and the component tuples of
+        those that do."""
         # Emptiness mask first: dropped contexts must never be evaluated
-        # (extrema over ∅ raise; SQL drops empty groups).  Computed per
-        # column so leaf and aggregate-leaf children fuse; when no entry
-        # is dropped the input columns are reused without copying.
-        dead = None
+        # (extrema over ∅ raise; SQL drops empty groups).
+        live = None
         for node, col in zip(child_nodes, agg_cols):
-            mask = _empty_col(node, col, memo)
-            dead = mask if dead is None else [d or m for d, m in zip(dead, mask)]
-        if dead is not None and any(dead):
-            keep = [i for i, d in enumerate(dead) if not d]
-            values = [values[i] for i in keep]
-            agg_cols = [[col[i] for i in keep] for col in agg_cols]
+            mask = _live_col(node, col, memo)
+            live = mask if live is None else [a and b for a, b in zip(live, mask)]
+        if all(live):
+            live = None
         else:
-            keep = None
+            agg_cols = [list(compress(col, live)) for col in agg_cols]
         if scalar_fallback:
-            agg_values = [
-                agg.evaluate_components(  # repro: allow[kernel-scalar-loop] -- expression aggregates stay per-entry
-                    functions,
-                    [
-                        (node, col[i])
-                        for node, col in zip(child_nodes, agg_cols)
-                    ],
-                )
-                for i in range(len(values))
+            return live, [
+                agg.evaluate_components(functions, list(zip(child_nodes, subs)))
+                for subs in zip(*agg_cols)  # repro: allow[kernel-scalar-loop] -- expression aggregates stay per-entry
             ]
+        return live, _batch_components(
+            functions, child_nodes, agg_cols, len(agg_cols[0]), memo
+        )
+
+    if parent is None:
+        # The roots are one context: zero or one aggregate value.
+        _, found = components([[fact.roots[i]] for i in indices])
+        roots = [u for i, u in enumerate(fact.roots) if i not in index_set]
+        roots.insert(slot, CUnion(found, ()))
+        return ColumnarFactorisation(new_ftree, roots)
+
+    def fold(_: FNode, unions: list[CUnion]) -> Sequence[CUnion]:
+        live, found = components([level_column(unions, i) for i in indices])
+        leaves = map(CUnion, [[value] for value in found])
+        if live is None:
+            leaves = list(leaves)
         else:
-            agg_values = _batch_components(
-                functions, child_nodes, agg_cols, len(values), memo
-            )
-        agg_col = [CUnion([value], ()) for value in agg_values]
-        if keep is None:
-            out_cols = [cols[c] for c in range(len(cols)) if c not in index_set]
-        else:
-            out_cols = [
-                [cols[c][i] for i in keep]
-                for c in range(len(cols))
-                if c not in index_set
-            ]
-        out_cols.insert(slot, agg_col)
-        return CUnion(values, tuple(out_cols))
+            leaves = [next(leaves) if ok else None for ok in live]
+        return splice_level(unions, indices, slot, (leaves,), live)
 
     root_index, steps = ftree.path_to(parent.name)
-    return map_cunion_at(fact, root_index, steps, transform, new_ftree)
-
-
-_MISSING = object()
+    return map_cunion_level(fact, root_index, steps, fold, new_ftree)
 
 
 def _plain_leaf(node: FNode, memo: dict) -> bool:
@@ -686,171 +625,85 @@ def _agg_leaf(child: FNode, memo: dict) -> tuple:
     return got
 
 
-def _count_col(child: FNode, col, memo: dict) -> list:
-    """Counts of one child column, with the leaf cases fused."""
-    if _plain_leaf(child, memo):
-        # A plain leaf fragment counts its entries in either layout.
-        return [
-            len(sub.values) if type(sub) is CUnion else len(sub)
-            for sub in col
-        ]
-    is_leaf, component = _agg_leaf(child, memo)
+def _component_col(
+    col: Sequence[CUnion], component: int, memo: dict, fold=sum
+) -> list:
+    """``fold`` of one stored component over each union of an
+    aggregate-leaf column.  γ leaves hold one value each, and then this
+    is one pass over the column's concatenated values — whatever the
+    fold, so the emptiness mask and the counts of a step share it
+    (``memo`` keeps the column alive with its result)."""
+    key = ("col", id(col), component)
+    got = memo.get(key)
+    if got is None:
+        values = level_values(col)
+        if len(values) != len(col) or not all([sub.values for sub in col]):
+            return [fold([value[component] for value in sub.values]) for sub in col]
+        got = memo[key] = col, [value[component] for value in values]
+    return got[1]
+
+
+def _per_union(col: Sequence[CUnion], entries_of, fold) -> list:
+    """``fold`` of each union's slice of a per-entry array.
+
+    ``entries_of(unions)`` evaluates the column's unions as one level
+    (one value per entry, in level order).  Restructuring operators
+    (swap, nest) share fragments instead of copying them, so the same
+    union object recurs in a column: it is one union of the level and
+    is evaluated once.
+    """
+    unions, back = distinct_unions(col)
+    per_entry = entries_of(unions)
+    out = [fold(per_entry[a:b]) for a, b in pairwise(level_bounds(unions))]
+    return out if back is None else [out[i] for i in back]
+
+
+def _count_col(node: FNode, col: Sequence[CUnion], memo: dict) -> list:
+    """Tuples each fragment of a column represents — the twin of
+    :func:`repro.core.aggregates.count_union`, a level at a time."""
+    if not col:
+        return []
+    if _plain_leaf(node, memo):
+        return [len(sub.values) for sub in col]
+    is_leaf, component = _agg_leaf(node, memo)
     if is_leaf and component is not None:
         # Aggregate leaf: the count is the fold of count components.
-        return [
-            sum(value[component] for value in sub.values)
-            if type(sub) is CUnion
-            else agg.count_union(child, sub)
-            for sub in col
-        ]
-    return [_memo_count(child, sub, memo) for sub in col]
+        return _component_col(col, component, memo)
 
-
-def _empty_col(node: FNode, col, memo: dict) -> list:
-    """Per-entry emptiness of one child column (leaf cases fused)."""
-    if _plain_leaf(node, memo):
-        # A plain leaf union is empty iff it has no values.
-        return [
-            (not sub.values)
-            if type(sub) is CUnion
-            else agg.union_is_empty(node, sub)
-            for sub in col
-        ]
-    is_leaf, component = _agg_leaf(node, memo)
-    if is_leaf:
-        if component is None:
-            # No count component: any retained entry is live.
-            return [
-                (not sub.values)
-                if type(sub) is CUnion
-                else agg.union_is_empty(node, sub)
-                for sub in col
-            ]
-        # Aggregate leaf: dead iff every entry's count component is 0.
-        return [
-            not (
-                sub.values
-                and any(value[component] for value in sub.values)
-            )
-            if type(sub) is CUnion
-            else agg.union_is_empty(node, sub)
-            for sub in col
-        ]
-    return [_memo_is_empty(node, sub, memo) for sub in col]
-
-
-def _memo_count(node: FNode, union, memo: dict) -> int:
-    """Memoised twin of :func:`repro.core.aggregates.count_union`.
-
-    Restructuring operators (swap, nest) share fragments instead of
-    copying them, so the same union object recurs under many parent
-    entries; one γ application evaluates each shared subtree once.
-    Keys pair object identities — every keyed object is kept alive by
-    the factorisation for the whole operator application.
-    """
-    if type(union) is not CUnion:
-        return agg.count_union(node, union)
-    key = ("c", id(node), id(union))
-    got = memo.get(key, _MISSING)
-    if got is not _MISSING:
-        return got
-    values = union.values
-    cols = union.children
-    if node.aggregate is None:
-        acc = None  # all multiplicities are 1
-    else:
-        component = agg._count_component(node)
-        acc = [value[component] for value in values]
-    if not cols:
-        got = len(values) if acc is None else sum(acc)
-    else:
-        for child, col in zip(node.children, cols):
-            counts = _count_col(child, col, memo)
-            acc = counts if acc is None else [a * c for a, c in zip(acc, counts)]
-        got = sum(acc)
-    memo[key] = got
-    return got
-
-
-def _sum_meta(attribute: str, node: FNode, memo: dict) -> tuple:
-    """Carrier decision for Σ at ``node`` — the subtree walk of
-    ``_carries``/``_locate_nodes`` resolved once per node, not per
-    fragment visit."""
-    key = ("sm", attribute, id(node))
-    meta = memo.get(key)
-    if meta is None:
-        if agg._carries(node, attribute, "sum") == "here":
-            component = (
-                None
-                if node.aggregate is None
-                else node.aggregate.sum_component(attribute)
-            )
-            meta = ("here", component)
-        else:
-            meta = (
-                "below",
-                agg._locate_nodes(node.children, attribute, "sum"),
-            )
-        memo[key] = meta
-    return meta
-
-
-def _memo_sum(attribute: str, node: FNode, union, memo: dict):
-    """Memoised twin of :func:`repro.core.aggregates.sum_union`."""
-    if type(union) is not CUnion:
-        return agg.sum_union(attribute, node, union)
-    key = ("s", attribute, id(node), id(union))
-    got = memo.get(key, _MISSING)
-    if got is not _MISSING:
-        return got
-    carrier, where = _sum_meta(attribute, node, memo)
-    values = union.values
-    cols = union.children
-    if carrier == "here":
-        acc = (
-            list(values)
-            if where is None
-            else [value[where] for value in values]
-        )
-        for child, col in zip(node.children, cols):
-            counts = _count_col(child, col, memo)
-            acc = [a * c for a, c in zip(acc, counts)]
-        got = sum(acc)
-    else:
-        children = node.children
-        carrier_node = children[where]
-        if _plain_leaf(carrier_node, memo):
-            # Leaf carrier: Σ of each sub-union is the sum of its own
-            # (atomic) values — fused, no per-union recursion.
-            acc = [
-                sum(sub.values)
-                if type(sub) is CUnion
-                else agg.sum_union(attribute, carrier_node, sub)
-                for sub in cols[where]
-            ]
-        else:
-            acc = [
-                _memo_sum(attribute, carrier_node, sub, memo)
-                for sub in cols[where]
-            ]
-        for c, child in enumerate(children):
-            if c == where:
-                continue
-            counts = _count_col(child, cols[c], memo)
-            acc = [a * k for a, k in zip(acc, counts)]
+    def entries(unions: Sequence[CUnion]) -> list:
+        acc = None  # an atomic node's entries have multiplicity 1
         if node.aggregate is not None:
             component = agg._count_component(node)
-            acc = [a * value[component] for a, value in zip(acc, values)]
-        got = sum(acc)
-    memo[key] = got
-    return got
+            acc = [value[component] for value in level_values(unions)]
+        for index, child in enumerate(node.children):
+            counts = _count_col(child, level_column(unions, index), memo)
+            acc = counts if acc is None else [a * k for a, k in zip(acc, counts)]
+        return acc
+
+    return _per_union(col, entries, sum)
 
 
-def _extremum_meta(
+def _live_col(node: FNode, col: Sequence[CUnion], memo: dict) -> list[bool]:
+    """Per-entry non-emptiness of one child column (leaf cases fused)."""
+    is_leaf, component = _agg_leaf(node, memo)
+    if is_leaf and component is not None:
+        # Aggregate leaf: live iff some entry's count component is not 0.
+        counts = _component_col(col, component, memo, any)
+        return [True if count else False for count in counts]
+    if is_leaf or _plain_leaf(node, memo):
+        # No multiplicities: any retained entry is live.
+        return [True if sub.values else False for sub in col]
+    return [not _memo_is_empty(node, sub, memo) for sub in col]
+
+
+def _carrier_meta(
     function: str, attribute: str, node: FNode, memo: dict
 ) -> tuple:
-    """Per-node carrier decision for min/max (see :func:`_sum_meta`)."""
-    key = ("mm", function, attribute, id(node))
+    """Carrier decision for ``function(attribute)`` at ``node`` — the
+    subtree walk of ``_carries``/``_locate_nodes`` resolved once per
+    node, not per fragment visit: ``("here", stored component or None)``
+    or ``("below", index of the carrying child)``."""
+    key = ("cm", function, attribute, id(node))
     meta = memo.get(key)
     if meta is None:
         if agg._carries(node, attribute, function) == "here":
@@ -869,51 +722,71 @@ def _extremum_meta(
     return meta
 
 
-def _memo_extremum(
-    function: str, attribute: str, node: FNode, union, memo: dict
-):
-    """Memoised twin of :func:`repro.core.aggregates.extremum_union`."""
-    if type(union) is not CUnion:
-        return agg.extremum_union(function, attribute, node, union)
-    key = ("m", function, attribute, id(node), id(union))
-    got = memo.get(key, _MISSING)
-    if got is not _MISSING:
-        return got
-    values = union.values
-    if not values:
+def _sum_col(
+    attribute: str, node: FNode, col: Sequence[CUnion], memo: dict
+) -> list:
+    """Σ ``attribute`` of each fragment of a column — the twin of
+    :func:`repro.core.aggregates.sum_union`, a level at a time."""
+    if not col:
+        return []
+    if _plain_leaf(node, memo):
+        return [sum(sub.values) for sub in col]
+    carrier, where = _carrier_meta("sum", attribute, node, memo)
+    if _agg_leaf(node, memo)[0]:
+        return _component_col(col, where, memo)
+
+    def entries(unions: Sequence[CUnion]) -> list:
+        values = level_values(unions)
+        if carrier == "here":
+            acc = values if where is None else [value[where] for value in values]
+        else:
+            acc = _sum_col(
+                attribute, node.children[where], level_column(unions, where), memo
+            )
+        for index, child in enumerate(node.children):
+            if carrier == "here" or index != where:
+                counts = _count_col(child, level_column(unions, index), memo)
+                acc = [a * k for a, k in zip(acc, counts)]
+        if carrier == "below" and node.aggregate is not None:
+            component = agg._count_component(node)
+            acc = [a * value[component] for a, value in zip(acc, values)]
+        return acc
+
+    return _per_union(col, entries, sum)
+
+
+def _extremum_col(
+    function: str, attribute: str, node: FNode, col: Sequence[CUnion], memo: dict
+) -> list:
+    """min/max ``attribute`` of each fragment of a column — the twin of
+    :func:`repro.core.aggregates.extremum_union`, a level at a time."""
+    if not col:
+        return []
+    if not all([sub.values for sub in col]):
         raise agg.EmptyAggregateError(f"{function} over an empty fragment")
-    carrier, where = _extremum_meta(function, attribute, node, memo)
+    if _plain_leaf(node, memo):
+        # Sorted union: the extremum is at an end.
+        end = 0 if function == "min" else -1
+        return [sub.values[end] for sub in col]
     pick = min if function == "min" else max
-    if carrier == "here":
-        if where is None:
-            # Sorted union: the extremum is at an end.
-            got = values[0] if function == "min" else values[-1]
-        else:
-            got = pick(value[where] for value in values)
-    else:
-        child = node.children[where]
-        if _plain_leaf(child, memo):
-            # Leaf carrier: sorted sub-unions expose extrema at an end
-            # (the slow path keeps the EmptyAggregateError for ∅).
-            got = pick(
-                (sub.values[0] if function == "min" else sub.values[-1])
-                if (type(sub) is CUnion and sub.values)
-                else agg.extremum_union(function, attribute, child, sub)
-                for sub in union.children[where]
+    carrier, where = _carrier_meta(function, attribute, node, memo)
+    if _agg_leaf(node, memo)[0]:
+        return _component_col(col, where, memo, pick)
+
+    def entries(unions: Sequence[CUnion]) -> list:
+        if carrier == "below":
+            return _extremum_col(
+                function, attribute, node.children[where],
+                level_column(unions, where), memo,
             )
-        else:
-            got = pick(
-                _memo_extremum(function, attribute, child, sub, memo)
-                for sub in union.children[where]
-            )
-    memo[key] = got
-    return got
+        values = level_values(unions)
+        return values if where is None else [value[where] for value in values]
+
+    return _per_union(col, entries, pick)
 
 
-def _memo_is_empty(node: FNode, union, memo: dict) -> bool:
+def _memo_is_empty(node: FNode, union: CUnion, memo: dict) -> bool:
     """Memoised twin of the structural emptiness check."""
-    if type(union) is not CUnion:
-        return agg.union_is_empty(node, union)
     values = union.values
     if not values:
         return True
@@ -944,7 +817,7 @@ def _carrier(
     nodes: Sequence[FNode], attribute: str, function: str, memo: dict
 ) -> int:
     """Which of ``nodes`` carries ``attribute`` — the subtree walk of
-    ``_locate_nodes`` resolved once per node list, not per union."""
+    ``_locate_nodes`` resolved once per node list, not per level."""
     key = ("lc", function, attribute, *map(id, nodes))
     got = memo.get(key)
     if got is None:
@@ -957,19 +830,18 @@ def _batch_components(
     nodes: Sequence[FNode],
     cols: Sequence[Sequence[CUnion]],
     n: int,
-    memo: dict | None = None,
+    memo: dict,
 ) -> list[tuple]:
     """Component tuples for ``n`` contexts, one array pass per component.
 
     ``cols[c][i]`` is the fragment of aggregated child ``c`` in context
-    ``i``.  Per-child count arrays are computed lazily once and shared
-    (an AVG's count and sum reuse them), mirroring the shared-count rule
-    of :func:`repro.core.aggregates.evaluate_components`.  ``memo``
-    carries the shared-fragment cache across the parent entries of one
-    operator application (see :func:`_memo_count`).
+    ``i`` (of a whole level).  Per-child count arrays are computed
+    lazily once and shared (an AVG's count and sum reuse them),
+    mirroring the shared-count rule of
+    :func:`repro.core.aggregates.evaluate_components`.  ``memo``
+    carries what one operator application resolves once: per-node
+    carrier decisions, component columns, emptiness of shared fragments.
     """
-    if memo is None:
-        memo = {}
     count_cols: dict[int, list[int]] = {}
 
     def counts_for(c: int) -> list[int]:
@@ -978,65 +850,29 @@ def _batch_components(
             got = count_cols[c] = _count_col(nodes[c], cols[c], memo)
         return got
 
-    total_counts: list[int] | None = None
-
-    def counted() -> list[int]:
-        nonlocal total_counts
-        if total_counts is None:
-            acc = [1] * n
-            for c in range(len(nodes)):
-                acc = [a * k for a, k in zip(acc, counts_for(c))]
-            total_counts = acc
-        return total_counts
-
     columns: list[list] = []
     for function, attribute in functions:
         if function == "count":
-            columns.append(counted())
+            acc, carrier = [1] * n, None
         elif function == "sum":
             carrier = _carrier(nodes, attribute, "sum", memo)
-            if _plain_leaf(nodes[carrier], memo):
-                acc = [
-                    sum(sub.values)
-                    if type(sub) is CUnion
-                    else agg.sum_union(attribute, nodes[carrier], sub)
-                    for sub in cols[carrier]
-                ]
-            else:
-                acc = [
-                    _memo_sum(attribute, nodes[carrier], sub, memo)
-                    for sub in cols[carrier]
-                ]
-            for c in range(len(nodes)):
-                if c != carrier:
-                    acc = [a * k for a, k in zip(acc, counts_for(c))]
-            columns.append(acc)
+            acc = _sum_col(attribute, nodes[carrier], cols[carrier], memo)
         elif function in ("min", "max"):
             carrier = _carrier(nodes, attribute, function, memo)
-            if _plain_leaf(nodes[carrier], memo):
-                columns.append(
-                    [
-                        (sub.values[0] if function == "min" else sub.values[-1])
-                        if (type(sub) is CUnion and sub.values)
-                        else agg.extremum_union(
-                            function, attribute, nodes[carrier], sub
-                        )
-                        for sub in cols[carrier]
-                    ]
+            columns.append(
+                _extremum_col(
+                    function, attribute, nodes[carrier], cols[carrier], memo
                 )
-            else:
-                columns.append(
-                    [
-                        _memo_extremum(
-                            function, attribute, nodes[carrier], sub, memo
-                        )
-                        for sub in cols[carrier]
-                    ]
-                )
+            )
+            continue
         else:
             raise agg.CompositionError(
                 f"unknown aggregation function {function!r}"
             )
+        for c in range(len(nodes)):
+            if c != carrier:
+                acc = [a * k for a, k in zip(acc, counts_for(c))]
+        columns.append(acc)
     if not columns:
         return [()] * n
     return list(zip(*columns))

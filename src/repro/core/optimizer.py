@@ -520,16 +520,19 @@ class CostBasedOptimizer(ExhaustiveOptimizer):
     def plan(self, ftree: FTree, ctx: PlanContext) -> FPlan:
         if not ctx.stats:
             return super().plan(ftree, ctx)
-        greedy_plan = GreedyOptimizer().plan(ftree, ctx)
-        budget = max(
-            (
-                s_parameter(tree, ctx.hypergraph)
-                for tree in greedy_plan.simulate(ftree)
-            ),
-            default=0.0,
-        )
+        # Over a single input every path is covered by its one
+        # hyperedge (s ≡ 1): the bound can prune nothing there.
+        prune = len(ctx.hypergraph.edges) > 1
+        budget = 0.0
+        if prune:
+            greedy_trees = GreedyOptimizer().plan(ftree, ctx).simulate(ftree)
+            budget = max(
+                (s_parameter(tree, ctx.hypergraph) for tree in greedy_trees),
+                default=0.0,
+            )
         size_memo: dict = {}
         s_memo: dict = {}
+        sig_memo: dict = {}
         # Shared across candidate trees: most differ in very few nodes,
         # so their per-path estimates are overwhelmingly repeats.
         node_memo: dict = {}
@@ -558,7 +561,7 @@ class CostBasedOptimizer(ExhaustiveOptimizer):
         ] = []
         counter = 0
         heapq.heappush(heap, (0.0, counter, ftree, start_pending, ()))
-        seen: set = {(_signature(ftree), start_pending)}
+        seen: set = {(_signature(ftree, sig_memo), start_pending)}
         expanded = 0
         while heap:
             cost, _, tree, pending, steps = heapq.heappop(heap)
@@ -569,11 +572,11 @@ class CostBasedOptimizer(ExhaustiveOptimizer):
                 break
             for step, new_pending in self._edges(tree, pending, ctx):
                 new_tree = step.apply_tree(tree)
-                signature = _signature(new_tree)
-                if tree_s(signature, new_tree) > budget + 1e-9:
-                    continue
+                signature = _signature(new_tree, sig_memo)
                 state = (signature, tuple(new_pending))
                 if state in seen:
+                    continue
+                if prune and tree_s(signature, new_tree) > budget + 1e-9:
                     continue
                 seen.add(state)
                 counter += 1
@@ -587,25 +590,37 @@ class CostBasedOptimizer(ExhaustiveOptimizer):
                         steps + (step,),
                     ),
                 )
-        return greedy_plan
+        return GreedyOptimizer().plan(ftree, ctx)
 
 
-def _signature(tree: FTree):
-    """Structural state signature (order-insensitive among siblings)."""
+def _signature(tree: FTree, memo: "dict | None" = None):
+    """Structural state signature (order-insensitive among siblings).
+
+    Candidate trees of one search share the subtrees a step left alone
+    (the same node objects), so ``memo`` — node → signature, kept for
+    the search — computes each subtree's signature once.
+    """
+    memo = {} if memo is None else memo
 
     def node_sig(node: FNode):
-        # Aggregate names are freshly minted per step, so the signature
-        # identifies aggregates by content (functions + source attrs) to
-        # let Dijkstra recognise equivalent states.
-        label = (
-            (
-                "agg",
-                node.aggregate.functions,
-                tuple(sorted(map(str, node.aggregate.over))),
+        got = memo.get(node)
+        if got is None:
+            # Aggregate names are freshly minted per step, so the
+            # signature identifies aggregates by content (functions +
+            # source attrs) to let Dijkstra recognise equivalent states.
+            label = (
+                (
+                    "agg",
+                    node.aggregate.functions,
+                    tuple(sorted(map(str, node.aggregate.over))),
+                )
+                if node.aggregate is not None
+                else ("atom", tuple(sorted(node.attributes)))
             )
-            if node.aggregate is not None
-            else ("atom", tuple(sorted(node.attributes)))
-        )
-        return (label, tuple(sorted(node_sig(child) for child in node.children)))
+            got = memo[node] = (
+                label,
+                tuple(sorted(node_sig(child) for child in node.children)),
+            )
+        return got
 
     return tuple(sorted(node_sig(root) for root in tree.roots))

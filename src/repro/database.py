@@ -99,17 +99,23 @@ class SnapshotError(RuntimeError):
 def _path_fallback_tree(ftree):
     """The path f-tree chaining ``ftree``'s nodes in pre-order.
 
-    Attribute classes and dependency keys are preserved, so routed
+    Attribute classes and relation keys are preserved, so routed
     maintenance keeps working after a view falls back to its (always
-    valid, less succinct) path factorisation.
+    valid, less succinct) path factorisation.  The view falls back
+    exactly when its data broke the independences those keys claimed,
+    so every node also carries one fresh shared key: no two nodes of
+    the path are independent, and a later χ cannot split a subtree off
+    the node it is moved past.
     """
     from repro.core.ftree import FNode, FTree
+    from repro.core.operators import _fresh_dependency_key
 
+    tied = _fresh_dependency_key()
     chained = None
     for node in reversed(list(ftree.nodes())):
         label = node.aggregate if node.aggregate is not None else node.attributes
         chained = FNode(
-            label, (chained,) if chained is not None else (), node.keys
+            label, (chained,) if chained is not None else (), node.keys | {tied}
         )
     return FTree([chained])
 
@@ -916,7 +922,7 @@ class Database:
             # dependencies (factorise would silently represent the join
             # of the subtree projections).  Every relation admits a path
             # factorisation (Section 2.1), so re-register over the path
-            # f-tree — keeping each node's dependency keys for routing.
+            # f-tree — keeping each node's relation keys for routing.
             return factorise(
                 source, _path_fallback_tree(fact.ftree), layout=layout
             )

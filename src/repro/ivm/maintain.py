@@ -119,16 +119,18 @@ class _Splice:
 
 
 def contributors(fact: Factorisation) -> frozenset[str]:
-    """All dependency keys of a factorisation's f-tree.
+    """The relation keys of a factorisation's f-tree.
 
     For views registered via :func:`repro.core.build.factorise` these
     are exactly the contributing relation names — the lineage the
-    maintenance routing relies on.
+    maintenance routing relies on.  Keys minted to record a dependency
+    (``__dep_…``: a path-fallback rebuild ties its nodes with one) name
+    no relation and are left out.
     """
     keys: set[str] = set()
     for node in fact.ftree.nodes():
         keys |= node.keys
-    return frozenset(keys)
+    return frozenset(key for key in keys if not key.startswith("__dep_"))
 
 
 # ---------------------------------------------------------------------------
@@ -926,6 +928,8 @@ def _fragment_union(
         keys |= walk_node.keys
     relations: list[Relation] = []
     for key in sorted(keys):
+        if key.startswith("__dep_"):
+            continue  # records a dependency, names no relation
         if key not in database:
             raise IndependenceViolation(
                 f"cannot build a fresh fragment below {node.label()!r}: "

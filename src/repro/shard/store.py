@@ -45,7 +45,8 @@ def refactorise_shard(
     dependencies (each shard is a union of whole root subtrees), but a
     caller-chosen key may not: when the slice no longer satisfies the
     dependencies, fall back to the always-valid path f-tree — keeping
-    the dependency keys so delta routing continues to work.  ``layout``
+    the relation keys so delta routing continues to work (see
+    ``_path_fallback_tree``: the path claims no independence).  ``layout``
     matches the source view's representation, so columnar views shard
     into columnar slices (whose flat arrays also pickle across the fork
     boundary far cheaper than ``FRNode`` object trees).

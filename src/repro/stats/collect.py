@@ -68,8 +68,11 @@ def stats_from_factorisation(name: str, fact) -> RelationStats:
     appears under — the skew signal that drives selection placement).
     """
     attributes: dict[str, AttributeStats] = {}
+    nesting: dict[str, tuple] = {}
 
-    def walk(node, unions: list) -> None:
+    def walk(node, unions: list, above: tuple = ()) -> None:
+        above += (node.name,)
+        nesting.update(dict.fromkeys(node.attributes, above))
         if not node.is_aggregate and node.attributes:
             counts: dict[Any, int] = {}
             for union in unions:
@@ -88,7 +91,7 @@ def stats_from_factorisation(name: str, fact) -> RelationStats:
             gathered: list = []
             for union in unions:
                 gathered.extend(_child_unions(union, index))
-            walk(child, gathered)
+            walk(child, gathered, above)
 
     for node, union in zip(fact.ftree.roots, fact.roots):
         walk(node, [union])
@@ -100,6 +103,7 @@ def stats_from_factorisation(name: str, fact) -> RelationStats:
         source=fact.layout,
         singletons=singletons,
         resident_bytes=resident_bytes,
+        nesting=nesting,
     )
 
 

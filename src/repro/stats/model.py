@@ -48,6 +48,12 @@ class RelationStats:
     layout (``columnar`` / ``legacy``) for resident-view walks,
     ``flat`` for a sampling pass, ``metrics`` for values recovered from
     the ``repro.obs`` registry, and ``merged`` for cross-shard merges.
+
+    ``nesting`` is set when the attribute totals are *entry counts* of
+    a resident factorisation: it maps every attribute to the root-to-
+    node path of the f-tree the entries were counted over (each node
+    named by its first attribute).  The cost model reads the view's
+    conditional independences off it.
     """
 
     name: str
@@ -56,6 +62,7 @@ class RelationStats:
     source: str = "flat"
     singletons: "int | None" = None
     resident_bytes: "int | None" = None
+    nesting: "Mapping[str, tuple[str, ...]] | None" = None
 
     def renamed(self, mapping: Mapping[str, str]) -> "RelationStats":
         """Statistics under renamed attributes (self-join aliases)."""
@@ -65,7 +72,13 @@ class RelationStats:
             mapping.get(attribute, attribute): entry
             for attribute, entry in self.attributes.items()
         }
-        return replace(self, attributes=attributes)
+        nesting = self.nesting and {
+            mapping.get(attribute, attribute): tuple(
+                mapping.get(step, step) for step in path
+            )
+            for attribute, path in self.nesting.items()
+        }
+        return replace(self, attributes=attributes, nesting=nesting)
 
     def extended(
         self, extra: Mapping[str, AttributeStats]
@@ -127,11 +140,15 @@ def merge_relation_stats(parts: Sequence[RelationStats]) -> RelationStats:
         )
     singletons = [part.singletons for part in parts]
     resident = [part.resident_bytes for part in parts]
+    nesting = parts[0].nesting
     return RelationStats(
         name=parts[0].name,
         rows=rows,
         attributes=attributes,
         source="merged",
+        nesting=(
+            nesting if all(part.nesting == nesting for part in parts) else None
+        ),
         singletons=(
             sum(singletons) if all(s is not None for s in singletons) else None
         ),

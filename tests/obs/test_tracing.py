@@ -87,6 +87,54 @@ class TestSingleEngine:
         assert observed("enumerate") == before[0] + 1
         assert observed("group_output") > before[1]
 
+    def test_every_f_plan_step_is_a_child_of_engine_run(self, db):
+        """One child span per executed step, with the output size and the
+        unions its kernel covered; explain() sets the estimate beside
+        the observed size and the ratio feeds repro_estimate_qerror."""
+        from repro.obs import metrics
+
+        qerror = metrics().histogram(
+            "repro_estimate_qerror", "", ("strategy",)
+        ).labels("cost")
+        before = qerror.count
+        session = connect(db, engine="fdb", cache=False)
+        result = session.sql(
+            "SELECT customer, SUM(price) AS revenue FROM R1 "
+            "WHERE price > 2 GROUP BY customer"
+        )
+        trace = result.trace
+        tree = json.loads(result.trace_json())
+        (run,) = [c for c in tree["children"] if c["name"] == "engine.run"]
+        steps = [c for c in run["children"] if c["name"].endswith("Step")]
+        assert [c["name"] for c in steps][0] == "SelectStep"
+        assert len(steps) == len(trace.steps) == len(trace.unions)
+        assert [c["attributes"]["singletons"] for c in steps] == trace.sizes
+        assert [c["attributes"]["unions"] for c in steps] == trace.unions
+        # σ on price runs over every price union below every item.
+        assert trace.unions[0] > 1
+        estimates = trace.provenance["estimated_sizes"]
+        assert len(estimates) == len(result.plan)
+        assert qerror.count == before + len(estimates)
+        lines = [
+            line for line in trace.describe().splitlines() if "size=" in line
+        ]
+        assert all("unions=" in line for line in lines)
+        assert "est=" not in lines[0]  # the selection carries no estimate
+        assert all("est=" in line for line in lines[1:])
+        assert "est=" in result.explain()
+
+    def test_f_plan_steps_open_no_root_spans(self, db):
+        """Outside a query span (a bare engine call) a traced execution
+        records its trace but no spans of its own."""
+        from repro.core.engine import FDBEngine
+        from repro.data.workloads import FULL_WORKLOAD
+        from repro.obs import spans
+
+        _, _, trace = FDBEngine().execute_traced(FULL_WORKLOAD["Q2"].query, db)
+        assert trace.unions
+        roots = {entry["name"] for entry in spans.slow_log().slowest(64)}
+        assert not any(name.endswith("Step") for name in roots)
+
     def test_disabled_results_have_no_span(self, db):
         configure(enabled=False)
         try:

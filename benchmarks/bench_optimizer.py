@@ -133,7 +133,7 @@ def _skew_database(heavy: int) -> Database:
     relation = Relation(("j", "a", "x", "c", "y"), rows, name="V")
     tree = build_ftree([("j", [("a", ["x"]), ("c", ["y"])])])
     database = Database([relation])
-    database.add_factorised("V", factorise(relation, tree).to_columnar())
+    database.add_factorised("V", factorise(relation, tree))
     return database
 
 

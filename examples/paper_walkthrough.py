@@ -100,11 +100,12 @@ def main() -> None:
           "(not 3: the partial counts weigh in)")
 
     banner("Example 8 — the sum algorithm on the T4 factorisation")
-    mario = next(e for e in t4.roots[0] if e.value == "Mario")
     from repro.core.aggregates import sum_union
 
+    customers = t4.roots[0]
+    marios_pizzas = customers.children[0][customers.values.index("Mario")]
     pizza_node = t4.ftree.node("pizza")
-    value = sum_union("price", pizza_node, mario.children[0])
+    value = sum_union("price", pizza_node, marios_pizzas)
     print(f"  sum_price over Mario's subtree = {value}  (1·2·8 + 1·1·6)")
 
     banner("Examples 9-10 — Theorem 2 vs Theorem 1 on T1")

@@ -13,9 +13,7 @@ all select engines the same way:
 ====================  ====================================================
 registry name         backend
 ====================  ====================================================
-``fdb``               factorised evaluation, flat output (the paper's FDB;
-                      columnar kernel)
-``fdb-legacy``        same pipeline over the per-node legacy layout
+``fdb``               factorised evaluation, flat output (the paper's FDB)
 ``fdb-factorised``    factorised evaluation, factorised output (FDB f/o)
 ``fdb-parallel``      sharded parallel FDB with merge aggregation
 ``rdb``               flat baseline, sort-based grouping (SQLite model)
@@ -31,9 +29,12 @@ Third-party backends plug in the same way::
 
 from __future__ import annotations
 
+import inspect
+import re
 import sqlite3
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 from repro.core.engine import FactorisedResult, FDBCompiled, FDBEngine
@@ -133,23 +134,11 @@ class Engine(ABC):
 
 
 class FDBBackend(Engine):
-    """Factorised evaluation; ``output`` selects FDB vs FDB f/o.
+    """Factorised evaluation; ``output`` selects FDB vs FDB f/o."""
 
-    ``layout`` picks the physical union representation: ``"columnar"``
-    (the batch-kernel default) or ``"legacy"`` (per-node objects, kept
-    registered as ``fdb-legacy`` for comparison benchmarks).
-    """
-
-    def __init__(
-        self,
-        output: str = "flat",
-        optimizer: str = "cost",
-        layout: str = "columnar",
-    ) -> None:
-        self._engine = FDBEngine(output=output, optimizer=optimizer, layout=layout)
+    def __init__(self, output: str = "flat", optimizer: str = "cost") -> None:
+        self._engine = FDBEngine(output=output, optimizer=optimizer)
         self.name = "FDB" if output == "flat" else "FDB f/o"
-        if layout == "legacy":
-            self.name += " (legacy layout)"
         # Cost-based plans depend on live statistics, so the prepared-
         # query fingerprint must include the stats-cache epochs.
         self.stats_sensitive = optimizer == "cost"
@@ -451,7 +440,12 @@ def register_engine(
 
 
 def create_engine(name: str, **options) -> Engine:
-    """Instantiate a registered engine, forwarding ``options``."""
+    """Instantiate a registered engine, forwarding ``options``.
+
+    An option the engine does not take is reported like an unknown
+    engine name: a ``ValueError`` naming the engine, the option and the
+    options it does accept.
+    """
     try:
         factory = _REGISTRY[name.lower()]
     except KeyError:
@@ -462,7 +456,21 @@ def create_engine(name: str, **options) -> Engine:
             f"{', '.join(available_engines())}"
             + suggest(name.lower(), _REGISTRY)
         ) from None
-    return factory(**options)
+    try:
+        return factory(**options)
+    except TypeError as error:
+        unexpected = re.search(r"unexpected keyword argument '(\w+)'", str(error))
+        if unexpected is None or unexpected[1] not in options:
+            raise
+        accepted = [
+            parameter.name
+            for parameter in inspect.signature(factory).parameters.values()
+            if parameter.kind is not parameter.VAR_KEYWORD
+        ]
+        raise ValueError(
+            f"engine {name!r} does not accept option {unexpected[1]!r}; "
+            f"accepted options: {', '.join(accepted) or '(none)'}"
+        ) from None
 
 
 def available_engines() -> tuple[str, ...]:
@@ -475,19 +483,14 @@ def _sharded_factory(**options) -> Engine:
     # module, so a top-level import would be circular.
     from repro.shard.engine import ShardedFDBBackend
 
+    # Lets introspection (create_engine's error report) see the options.
+    _sharded_factory.__wrapped__ = ShardedFDBBackend
     return ShardedFDBBackend(**options)
 
 
 register_engine("fdb", FDBBackend)
-register_engine(
-    "fdb-legacy", lambda **options: FDBBackend(layout="legacy", **options)
-)
-register_engine(
-    "fdb-factorised", lambda **options: FDBBackend(output="factorised", **options)
-)
+register_engine("fdb-factorised", partial(FDBBackend, output="factorised"))
 register_engine("fdb-parallel", _sharded_factory)
 register_engine("rdb", RDBBackend)
-register_engine(
-    "rdb-hash", lambda **options: RDBBackend(grouping="hash", **options)
-)
+register_engine("rdb-hash", partial(RDBBackend, grouping="hash"))
 register_engine("sqlite", SQLiteBackend)

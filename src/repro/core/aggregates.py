@@ -4,9 +4,10 @@ These evaluators compute an aggregation function over the relation
 *represented* by a factorisation fragment, in time linear in the size of
 the fragment — even though the represented relation can be exponentially
 larger.  The four cases of each paper algorithm map onto our structure
-as follows: a singleton is an entry's value; a union is the list of
-entries of a node; a product is an entry's tuple of child fragments
-(plus the product across forest roots).
+as follows: a singleton is an entry's value; a union is the
+:class:`repro.core.frep.CUnion` of a node; a product is an entry's
+tuple of child fragments (plus the product across forest roots).  Each
+evaluator runs one comprehension pass per child column of a union.
 
 Aggregate attributes are interpreted as pre-aggregated relations
 (Example 6): a ⟨count(X): c⟩ singleton counts as ``c`` tuples, and a
@@ -27,16 +28,12 @@ from dataclasses import dataclass
 from itertools import product as _cartesian
 from typing import Any, Iterator, Sequence
 
-from repro.core.frep import CUnion, FRNode, iter_entries
+from repro.core.frep import CUnion, iter_entries
 from repro.core.ftree import AggregateAttribute, FNode
 from repro.expr import Attr, Expr, Term, linearise
 
-#: A fragment is a node together with its union of entries.  Unions may
-#: be legacy (``list[FRNode]``) or columnar (:class:`CUnion`); every
-#: union-level evaluator dispatches on the type, so forests may mix
-#: layouts (the engine's group-value fragments are legacy one-entry
-#: unions even when the data fragments are columnar).
-FragmentItem = tuple[FNode, list]
+#: A fragment is a node together with its union of entries.
+FragmentItem = tuple[FNode, CUnion]
 
 #: One γ component: an aggregation function over a bare attribute
 #: (``("sum", "price")``), over nothing (``("count", None)``), or over
@@ -55,18 +52,8 @@ class EmptyAggregateError(ValueError):
 # ---------------------------------------------------------------------------
 # count (Section 3.2.1)
 # ---------------------------------------------------------------------------
-def count_union(node: FNode, union: list[FRNode]) -> int:
+def count_union(node: FNode, union: CUnion) -> int:
     """|⟦E⟧| for the fragment of ``node``: Σ over entries (disjoint union)."""
-    if type(union) is CUnion:
-        return _count_cunion(node, union)
-    total = 0
-    for entry in union:
-        total += _entry_multiplicity(node, entry) * _children_count(node, entry)
-    return total
-
-
-def _count_cunion(node: FNode, union: CUnion) -> int:
-    """Batch count: one comprehension pass per child column."""
     values = union.values
     cols = union.children
     if node.aggregate is None:
@@ -90,13 +77,6 @@ def count_forest(items: Sequence[FragmentItem]) -> int:
     return product
 
 
-def _children_count(node: FNode, entry: FRNode) -> int:
-    product = 1
-    for child, child_union in zip(node.children, entry.children):
-        product *= count_union(child, child_union)
-    return product
-
-
 def _count_component(node: FNode) -> int:
     component = node.aggregate.count_component
     if component is None:
@@ -112,10 +92,6 @@ def _value_multiplicity(node: FNode, value: Any) -> int:
     if node.aggregate is None:
         return 1
     return value[_count_component(node)]
-
-
-def _entry_multiplicity(node: FNode, entry: FRNode) -> int:
-    return _value_multiplicity(node, entry.value)
 
 
 def empty_aggregate_components(functions: Sequence[Component]) -> tuple:
@@ -149,21 +125,11 @@ def forest_is_empty(items: Sequence[FragmentItem]) -> bool:
     represents no tuples — an empty union, every entry blocked by an
     empty child fragment, or a ⟨count: 0⟩ singleton.
     """
-    return any(_union_is_empty(node, union) for node, union in items)
+    return any(union_is_empty(node, union) for node, union in items)
 
 
-def union_is_empty(node: FNode, union) -> bool:
-    """Whether one fragment represents zero tuples (either layout)."""
-    return _union_is_empty(node, union)
-
-
-def _union_is_empty(node: FNode, union) -> bool:
-    if type(union) is CUnion:
-        return _cunion_is_empty(node, union)
-    return all(_entry_is_empty(node, entry) for entry in union)
-
-
-def _cunion_is_empty(node: FNode, union: CUnion) -> bool:
+def union_is_empty(node: FNode, union: CUnion) -> bool:
+    """Whether one fragment represents zero tuples."""
     values = union.values
     if not values:
         return True
@@ -177,52 +143,17 @@ def _cunion_is_empty(node: FNode, union: CUnion) -> bool:
     for i, value in enumerate(values):  # repro: allow[kernel-scalar-loop]
         if component is not None and value[component] == 0:
             continue
-        if any(_union_is_empty(children[c], cols[c][i]) for c in span):
+        if any(union_is_empty(children[c], cols[c][i]) for c in span):
             continue
         return False
     return True
 
 
-def _entry_is_empty(node: FNode, entry: FRNode) -> bool:
-    if node.aggregate is not None:
-        component = node.aggregate.count_component
-        if component is not None and entry.value[component] == 0:
-            return True
-    return any(
-        _union_is_empty(child, child_union)
-        for child, child_union in zip(node.children, entry.children)
-    )
-
-
 # ---------------------------------------------------------------------------
 # sum_A (Section 3.2.2)
 # ---------------------------------------------------------------------------
-def sum_union(attribute: str, node: FNode, union: list[FRNode]) -> Any:
-    """Σ of ``attribute`` over ⟦fragment⟧."""
-    if type(union) is CUnion:
-        return _sum_cunion(attribute, node, union)
-    carrier = _carries(node, attribute, "sum")
-    total: Any = 0
-    if carrier == "here":
-        component = (
-            None
-            if node.aggregate is None
-            else node.aggregate.sum_component(attribute)
-        )
-        for entry in union:
-            value = entry.value if component is None else entry.value[component]
-            total += value * _children_count(node, entry)
-        return total
-    # The attribute lives deeper: Σ over entries of mult · sum(children).
-    for entry in union:
-        total += _entry_multiplicity(node, entry) * sum_forest(
-            attribute, list(zip(node.children, entry.children))
-        )
-    return total
-
-
-def _sum_cunion(attribute: str, node: FNode, union: CUnion) -> Any:
-    """Batch Σ: carrier resolved once per union, one pass per column."""
+def sum_union(attribute: str, node: FNode, union: CUnion) -> Any:
+    """Σ of ``attribute`` over ⟦fragment⟧ (carrier resolved once per union)."""
     carrier = _carries(node, attribute, "sum")
     values = union.values
     cols = union.children
@@ -276,35 +207,10 @@ def sum_forest(attribute: str, items: Sequence[FragmentItem]) -> Any:
 # min_A / max_A (Section 3.2.3)
 # ---------------------------------------------------------------------------
 def extremum_union(
-    function: str, attribute: str, node: FNode, union: list[FRNode]
-) -> Any:
-    """min/max of ``attribute`` over ⟦fragment⟧ (multiplicity-free)."""
-    if type(union) is CUnion:
-        return _extremum_cunion(function, attribute, node, union)
-    pick = min if function == "min" else max
-    if not union:
-        raise EmptyAggregateError(f"{function} over an empty fragment")
-    carrier = _carries(node, attribute, function)
-    if carrier == "here":
-        component = (
-            None
-            if node.aggregate is None
-            else node.aggregate.component(function, attribute)
-        )
-        return pick(
-            entry.value if component is None else entry.value[component]
-            for entry in union
-        )
-    return pick(
-        extremum_forest(function, attribute, list(zip(node.children, entry.children)))
-        for entry in union
-    )
-
-
-def _extremum_cunion(
     function: str, attribute: str, node: FNode, union: CUnion
 ) -> Any:
-    """Batch min/max; sortedness gives the atomic 'here' case in O(1)."""
+    """min/max of ``attribute`` over ⟦fragment⟧ (multiplicity-free);
+    sortedness gives the atomic 'here' case in O(1)."""
     pick = min if function == "min" else max
     values = union.values
     if not values:
@@ -468,7 +374,7 @@ def sum_expression_forest(
 
 
 def _count_item(
-    node: FNode, union: list, evaluator: "CachedEvaluator | None"
+    node: FNode, union: CUnion, evaluator: "CachedEvaluator | None"
 ) -> int:
     if evaluator is not None:
         return evaluator.count_item(node, union)
@@ -478,7 +384,7 @@ def _count_item(
 def _sum_item(
     attribute: str,
     node: FNode,
-    union: list,
+    union: CUnion,
     evaluator: "CachedEvaluator | None",
 ) -> Any:
     if evaluator is not None:
@@ -542,7 +448,7 @@ def _term_sum_forest(
 def _term_sum_fragment(
     factors: Sequence[Expr],
     node: FNode,
-    union: list,
+    union: CUnion,
     evaluator: "CachedEvaluator | None",
     stats: ExpressionStats | None,
 ) -> Any:
@@ -694,7 +600,7 @@ def _iter_forest_bindings(
 
 
 def _iter_fragment_bindings(
-    node: FNode, union: list, needed: set[str]
+    node: FNode, union: CUnion, needed: set[str]
 ) -> Iterator[tuple[dict[str, Any], int]]:
     for value, entry_children in iter_entries(union):
         if node.aggregate is not None:
@@ -893,18 +799,18 @@ class CachedEvaluator:
         self._pins: list = []
         self.stats = stats
 
-    def _memo(self, key: tuple, union: list, compute) -> Any:
+    def _memo(self, key: tuple, union: CUnion, compute) -> Any:
         if key not in self._cache:
             self._cache[key] = compute()
             self._pins.append(union)
         return self._cache[key]
 
-    def count_item(self, node: FNode, union: list[FRNode]) -> int:
+    def count_item(self, node: FNode, union: CUnion) -> int:
         return self._memo(
             ("count", id(union)), union, lambda: count_union(node, union)
         )
 
-    def sum_item(self, attribute: str, node: FNode, union: list[FRNode]) -> Any:
+    def sum_item(self, attribute: str, node: FNode, union: CUnion) -> Any:
         return self._memo(
             ("sum", attribute, id(union)),
             union,
@@ -912,7 +818,7 @@ class CachedEvaluator:
         )
 
     def extremum_item(
-        self, function: str, attribute: str, node: FNode, union: list[FRNode]
+        self, function: str, attribute: str, node: FNode, union: CUnion
     ) -> Any:
         return self._memo(
             (function, attribute, id(union)),

@@ -29,7 +29,11 @@ unchanged fragments instead of mutating them.
 
 from __future__ import annotations
 
+import gc
+import os
+import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import chain, islice
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
@@ -47,12 +51,11 @@ from repro.core.enumerate import (
 )
 from repro.core.fplan import ExecutionTrace, FPlan, SelectStep
 from repro.core.frep import (
-    ColumnarFactorisation,
     CUnion,
     Factorisation,
-    FRNode,
     level_values,
     map_cunion_level,
+    singleton_cunion,
     splice_level,
 )
 from repro.core.ftree import (
@@ -108,6 +111,55 @@ _ESTIMATE_QERROR = {
 }
 
 _ENUMERATE_SECONDS = kernels.KERNEL_SECONDS.labels("enumerate")
+
+_PAUSE_LOCK = threading.Lock()
+_PAUSE = {"resume": False}
+
+
+@contextmanager
+def _collector_paused():
+    """No cyclic garbage collection while an f-plan runs.
+
+    Every step builds thousands of short-lived unions and child columns,
+    nearly all of which reference counting frees when the next step
+    replaces them.  With the collector on, the young collections that
+    fall inside a plan walk them while they are alive and age them into
+    the oldest generation, whose count then forces a full collection
+    every few queries: a pause longer than the query, at a moment that
+    depends on the allocation history and not on the query.  Paused,
+    intermediates die young, the few cycles a plan leaves behind go in
+    the first young collection after it, and full collections follow
+    the growth of what is actually retained.
+
+    The switch is per process.  One plan at a time holds it and turns
+    the collector back on (if it was on) when it ends; a plan that
+    starts meanwhile leaves the switch alone, so collections cannot be
+    held off for longer than one plan however many threads run plans.
+    """
+    if not _PAUSE_LOCK.acquire(blocking=False):
+        yield
+        return
+    _PAUSE["resume"] = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if _PAUSE["resume"]:
+            gc.enable()
+        _PAUSE_LOCK.release()
+
+
+def _unpause_in_child() -> None:
+    """A forked child runs no plan, whatever another thread of its
+    parent was running at the fork (shard workers, a forked server)."""
+    global _PAUSE_LOCK
+    if _PAUSE_LOCK.locked() and _PAUSE["resume"]:
+        gc.enable()
+    _PAUSE_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_unpause_in_child)
 
 _OPTIMIZERS = {
     "greedy": GreedyOptimizer,
@@ -298,33 +350,19 @@ class FDBEngine:
         ``"greedy"`` (Section 5.2), ``"exhaustive"`` (Section 5.1), or
         ``"cost"`` (data-driven search over ``repro.stats`` estimates,
         falling back to exhaustive when no statistics are available).
-    layout:
-        Physical representation of the factorisations the engine
-        operates on: ``"columnar"`` (struct-of-arrays unions, batch
-        kernels) or ``"legacy"`` (per-singleton node objects).
-        Registered views are converted on first use via their cached
-        layout twin; both layouts produce identical results.
     """
 
     name = "FDB"
 
-    def __init__(
-        self,
-        output: str = "flat",
-        optimizer: str = "cost",
-        layout: str = "columnar",
-    ) -> None:
+    def __init__(self, output: str = "flat", optimizer: str = "cost") -> None:
         if output not in ("flat", "factorised"):
             raise ValueError(f"unknown output mode {output!r}")
-        if layout not in ("legacy", "columnar"):
-            raise ValueError(f"unknown factorisation layout {layout!r}")
         if optimizer not in _OPTIMIZERS:
             raise ValueError(
                 f"unknown optimizer {optimizer!r} "
                 f"(expected one of {sorted(_OPTIMIZERS)})"
             )
         self.output = output
-        self.layout = layout
         self.optimizer_name = optimizer
         self.optimizer = _OPTIMIZERS[optimizer]()
 
@@ -407,6 +445,7 @@ class FDBEngine:
             ctx.stats = self._planning_stats(database, decisions, equalities)
         return query, ftree, hypergraph, ctx
 
+    @_collector_paused()
     def execute_planned(
         self, compiled: FDBCompiled, query: Query, database: "Database"
     ) -> tuple[Any, FPlan, ExecutionTrace]:
@@ -593,11 +632,6 @@ class FDBEngine:
         for decision in decisions:
             if decision.registered is not None:
                 fact = decision.registered
-                fact = (
-                    fact.to_columnar()
-                    if self.layout == "columnar"
-                    else fact.to_legacy()
-                )
                 for old, new in decision.mapping.items():
                     fact = ops.rename(fact, old, new)
             else:
@@ -628,10 +662,7 @@ class FDBEngine:
                         name=relation.name,
                     )
                 fact = factorise_path(
-                    relation,
-                    key=decision.name,
-                    order=list(decision.order),
-                    layout=self.layout,
+                    relation, key=decision.name, order=list(decision.order)
                 )
             facts.append(fact)
 
@@ -663,7 +694,7 @@ class FDBEngine:
             if decision.registered is not None:
                 tree = decision.registered.ftree
                 for old, new in decision.mapping.items():
-                    tree = _rename_tree(tree, old, new)
+                    tree = ops.rename_tree(tree, old, new)
             else:
                 tree = path_ftree(
                     decision.schema, decision.name, decision.order
@@ -1141,20 +1172,13 @@ def _comparison(condition) -> "Comparison":
     return Comparison(condition.target, condition.op, condition.value)
 
 
-def _rename_tree(tree: FTree, old: str, new: str) -> FTree:
-    """Tree-level attribute rename (via a zero-fragment factorisation)."""
-    empty = Factorisation(tree, [[] for _ in tree.roots])
-    return ops.rename(empty, old, new).ftree
-
-
 def _select_component(
     fact: Factorisation,
     node_name: str,
     extract: Callable[[tuple], tuple],
     condition,
-) -> ColumnarFactorisation:
+) -> Factorisation:
     """HAVING on an aggregate alias: filter the final node's entries."""
-    fact = fact.to_columnar()
     root_index, steps = fact.ftree.path_to(node_name)
 
     def keep(_: FNode, unions: list[CUnion]) -> Sequence[CUnion]:
@@ -1190,7 +1214,7 @@ def _group_value_fragments(
 ) -> list:
     """One-entry fragments exposing fixed group values to the evaluators."""
     return [
-        (FNode((attr,)), [FRNode(assignment[attr], ())])
+        (FNode((attr,)), singleton_cunion(assignment[attr]))
         for attr in sorted(attributes)
     ]
 
@@ -1323,7 +1347,7 @@ def _aggregated_over(tree: FTree, group: Iterable[str]) -> set[str]:
 
 def _aggregate_leaf(
     functions: Sequence[tuple], over: Iterable[str], value: "tuple | None"
-) -> ColumnarFactorisation:
+) -> Factorisation:
     """A one-node factorisation: the aggregate ``value`` (``None``: ∅)."""
     name = fresh_aggregate_name("final")
     node = FNode(
@@ -1332,7 +1356,7 @@ def _aggregate_leaf(
         {f"__dep_final_{name}"},
     )
     values = [] if value is None else [value]
-    return ColumnarFactorisation(FTree([node]), [CUnion(values, ())])
+    return Factorisation(FTree([node]), [CUnion(values, ())])
 
 
 @kernels.timed("group_output")
@@ -1389,7 +1413,7 @@ def _fold_partials(
     tree = fact.ftree.map_nodes(
         lambda n: n.with_keys(n.keys | {key}) if n.name in tied else n
     )
-    return fact.__class__(tree, fact.roots), name
+    return Factorisation(tree, fact.roots), name
 
 
 def _fold_contexts(
@@ -1398,11 +1422,10 @@ def _fold_contexts(
     path: Sequence[FNode],
     functions: Sequence[tuple],
     stats: "agg.ExpressionStats | None" = None,
-) -> tuple[ColumnarFactorisation, str]:
+) -> tuple[Factorisation, str]:
     """:func:`_fold_partials` for components that γ cannot batch: one
     evaluator call per deepest group context of the linearised path,
     with the values of the grouping attributes along it at hand."""
-    fact = fact.to_columnar()
     group_set = set(group_order)
     over = _aggregated_over(fact.ftree, group_set)
     sources = _group_sources(functions, group_set)
@@ -1457,7 +1480,7 @@ def _fold_contexts(
     for upper in reversed(path):
         node = FNode(upper.attributes, (node,), upper.keys | leaf.keys)
     return (
-        ColumnarFactorisation(FTree([node]), [rebuild(0, root_union, free)]),
+        Factorisation(FTree([node]), [rebuild(0, root_union, free)]),
         leaf.name,
     )
 

@@ -44,9 +44,6 @@ Public surface:
 - :func:`restructure_for_order` / :func:`restructure_for_grouping` —
   the swap sequences of Section 4.2 that make an arbitrary f-tree
   enumerable for a given order/grouping.
-
-The block walk reads the columnar layout; legacy-layout factorisations
-take the row-at-a-time walk.
 """
 
 from __future__ import annotations
@@ -389,8 +386,7 @@ def iter_blocks(
     Rows list ``columns`` (default ``fact.schema()``); concatenated, the
     blocks are the rows in ``order`` — which the f-tree must support
     (Theorem 2; use :func:`restructure_for_order` first otherwise) —
-    with the tree's own expansion order breaking ties.  A legacy-layout
-    factorisation is walked row by row (one-row blocks).
+    with the tree's own expansion order breaking ties.
     """
     keys = _order_keys(fact.ftree, order)
     sequence, _ = _expansion(fact.ftree.roots, keys)
@@ -398,13 +394,7 @@ def iter_blocks(
         return iter(([()],))  # the relation over no attributes: one row
     count = len(sequence)
     descending = _directions(sequence, keys)
-    if fact.layout == "legacy":
-        blocks = (
-            [tuple(values)]
-            for values, _ in _iter_contexts(fact, sequence, descending)
-        )
-    else:
-        blocks = _walk(*_layout(fact, sequence), descending)
+    blocks = _walk(*_layout(fact, sequence), descending)
     slot = {
         name: j for j, node in enumerate(sequence) for name in node.all_names
     }
@@ -442,8 +432,8 @@ def iter_group_contexts(
     each group attribute to its value and ``leftovers`` is the list of
     fragments (node, union) hanging below the assignment — the partial
     aggregates to combine on the fly.  With an ``order`` list over group
-    attributes, assignments come out in that order (Theorem 2).  Either
-    layout, one Python step per group.
+    attributes, assignments come out in that order (Theorem 2).  One
+    Python step per group.
     """
     keys = _order_keys(fact.ftree, order, group)
     members = set(group)
@@ -466,7 +456,7 @@ def iter_group_contexts(
 def _iter_contexts(
     fact: Factorisation, sequence: Sequence[FNode], descending: Sequence[bool]
 ) -> Iterator[tuple[list, dict]]:
-    """Row-at-a-time walk of an expansion order, either layout.
+    """Row-at-a-time walk of an expansion order.
 
     Yields, per assignment to ``sequence``, the value of each position
     and the union bound to each node (by ``id``); both are live objects

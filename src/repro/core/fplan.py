@@ -138,7 +138,7 @@ class RenameStep(Step):
     def apply_tree(self, ftree: FTree) -> FTree:
         # rename is implemented on factorisations; tree-only callers can
         # apply it through a zero-fragment factorisation.
-        return ops.rename(Factorisation(ftree, [[] for _ in ftree.roots]), self.old, self.new).ftree
+        return ops.rename_tree(ftree, self.old, self.new)
 
     def apply(self, fact: Factorisation) -> Factorisation:
         return ops.rename(fact, self.old, self.new)
@@ -267,7 +267,7 @@ class FPlan:
             singletons, resident = current.size_info()
             trace.sizes.append(singletons)
             trace.bytes.append(resident)
-            trace.unions.append(getattr(current, "covered", 1))
+            trace.unions.append(current.covered)
             trace.trees.append(current.ftree)
             if span is not None:
                 span.attributes.update(

@@ -3,8 +3,9 @@
 Materialised views live across sessions in the paper's read-optimised
 scenario, so factorisations need a storage format.  This module writes
 a compact JSON document: the f-tree (labels, keys, aggregate metadata)
-plus the fragment structure as nested lists.  Loading reconstructs an
-identical :class:`repro.core.frep.Factorisation` (round-trip tested).
+plus the fragment structure as nested lists — per union, one
+``[value, [child union, ...]]`` pair per entry.  Loading reconstructs
+an identical :class:`repro.core.frep.Factorisation` (round-trip tested).
 
 The format is versioned to allow evolution; unknown versions are
 rejected loudly rather than mis-read.
@@ -15,7 +16,7 @@ from __future__ import annotations
 import json
 from typing import Any, IO
 
-from repro.core.frep import Factorisation, FRNode
+from repro.core.frep import CUnion, Factorisation, iter_entries
 from repro.core.ftree import AggregateAttribute, FNode, FTree
 
 FORMAT_VERSION = 1
@@ -71,10 +72,10 @@ def ftree_from_dict(document: dict) -> FTree:
 # ---------------------------------------------------------------------------
 # factorisations
 # ---------------------------------------------------------------------------
-def _encode_union(union: list[FRNode]) -> list:
+def _encode_union(union: CUnion) -> list:
     return [
-        [_encode_value(entry.value), [_encode_union(c) for c in entry.children]]
-        for entry in union
+        [_encode_value(value), [_encode_union(child) for child in children]]
+        for value, children in iter_entries(union)
     ]
 
 
@@ -90,14 +91,17 @@ def _decode_value(value: Any) -> Any:
     return value
 
 
-def _decode_union(entries: list) -> list[FRNode]:
-    return [
-        FRNode(
-            _decode_value(value),
-            tuple(_decode_union(child) for child in children),
-        )
-        for value, children in entries
-    ]
+def _decode_union(node: FNode, entries: list) -> CUnion:
+    # The node supplies the arity: an empty union's entries carry none.
+    values: list = []
+    columns: tuple[list, ...] = tuple([] for _ in node.children)
+    for value, children in entries:
+        values.append(_decode_value(value))
+        for column, child, fragment in zip(
+            columns, node.children, children, strict=True
+        ):
+            column.append(_decode_union(child, fragment))
+    return CUnion(values, columns)
 
 
 def factorisation_to_dict(fact: Factorisation) -> dict:
@@ -115,7 +119,15 @@ def factorisation_from_dict(document: dict) -> Factorisation:
             f"unsupported factorisation format version {version!r}"
         )
     ftree = ftree_from_dict(document["ftree"])
-    roots = [_decode_union(union) for union in document["roots"]]
+    try:
+        roots = [
+            _decode_union(node, union)
+            for node, union in zip(ftree.roots, document["roots"], strict=True)
+        ]
+    except (TypeError, ValueError) as error:
+        raise SerialisationError(
+            f"fragments do not fit the document's f-tree: {error}"
+        ) from error
     fact = Factorisation(ftree, roots)
     fact.validate()
     return fact

@@ -1,63 +1,46 @@
-"""Batch kernels over the columnar factorisation layout.
+"""Batch kernels over whole f-tree levels.
 
-Each kernel is the columnar twin of one f-plan operator in
-:mod:`repro.core.operators`: same tree-level effect, same pruning and
-sortedness invariants (Section 4.1), but evaluated as array passes over
-a whole f-tree *level*: :func:`repro.core.frep.map_cunion_level` hands a
-kernel every union of the target node at once, the kernel concatenates
-the columns it needs (``level_values``/``level_column``), runs one
+Each f-plan operator in :mod:`repro.core.operators` resolves its
+position in the f-tree and applies one kernel from this module there:
+:func:`repro.core.frep.map_cunion_level` hands the kernel every union of
+the target node at once — a *level* — the kernel concatenates the
+columns it needs (``level_values``/``level_column``), runs one
 comprehension per column over the concatenation, and ``splice_level``
-cuts the results back into unions.  The operators module dispatches
-here when a factorisation is a
-:class:`repro.core.frep.ColumnarFactorisation`.
+cuts the results back into unions.  The kernels keep the operators'
+pruning and sortedness invariants (Section 4.1).
 
-Kernel wall time is recorded in the ``repro_kernel_seconds`` histogram
-(one label per kernel) so the speed win is observable in server mode.
-
-An optional numpy fast path (``REPRO_NUMPY=1``) accelerates sorted
-intersection of large numeric value arrays; it is off by default and
-every kernel is complete without it.
+Operator wall time is recorded in the ``repro_kernel_seconds`` histogram
+(one label per operator, see :func:`timed`) so the cost of each is
+observable in server mode.
 """
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left
 from collections import defaultdict
 from functools import wraps
 from itertools import accumulate, chain, compress, cycle, pairwise, repeat
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.core import aggregates as agg
-from repro.core import operators as ops
 from repro.core.frep import (
-    ColumnarFactorisation,
     CUnion,
     cut_level,
     distinct_unions,
     level_bounds,
     level_column,
     level_values,
-    map_cunion_level,
     splice_level,
 )
-from repro.core.ftree import FNode, FTree
+from repro.core.ftree import FNode
 from repro.expr import Expr
 from repro.obs import clock
 from repro.obs.metrics import metrics
 from repro.obs.state import STATE
-from repro.query import Comparison
 
-_NUMPY = None
-if os.environ.get("REPRO_NUMPY", "").strip().lower() in {"1", "true", "yes", "on"}:
-    try:  # pragma: no cover - environment-dependent
-        import numpy as _NUMPY  # type: ignore[no-redef]
-    except ImportError:  # pragma: no cover
-        _NUMPY = None
-
-#: Minimum union length before the numpy intersection path engages
-#: (below this the conversion overhead dominates).
-_NUMPY_MIN_LENGTH = 64
+#: What :func:`repro.core.frep.map_cunion_level` applies: the target
+#: node and every union at it, to one union each.
+LevelKernel = Callable[[FNode, list[CUnion]], Sequence[CUnion]]
 
 KERNEL_SECONDS = metrics().histogram(
     "repro_kernel_seconds",
@@ -89,24 +72,23 @@ def timed(name: str):
 # ---------------------------------------------------------------------------
 # swap χ_{A,B}
 # ---------------------------------------------------------------------------
-@timed("swap")
-def swap_c(fact: ColumnarFactorisation, child_name: str) -> ColumnarFactorisation:
-    """Columnar χ_{A,B}: regroup by B before A, one pivot per level."""
-    ftree = fact.ftree
-    node_b = ftree.node(child_name)
-    node_a = ftree.parent(node_b)
-    if node_a is None:
-        raise ops.OperatorError(
-            f"node {child_name!r} is a root; nothing to swap"
-        )
-    j = next(i for i, child in enumerate(node_a.children) if child is node_b)
-    new_b, tb_idx, tab_idx = ops._swapped_nodes(node_a, node_b)
-    new_ftree = ftree.replace_node(node_a.name, lambda _: [new_b])
-    rest_idx = [i for i in range(len(node_a.children)) if i != j]
-    pure = not (rest_idx or tb_idx or tab_idx)
-    strict = ops.STRICT_SWAP_CHECKS
+def pivot(
+    j: int,
+    rest_idx: Sequence[int],
+    tb_idx: Sequence[int],
+    tab_idx: Sequence[int],
+    check: "Callable[[list, list], None] | None" = None,
+) -> LevelKernel:
+    """The χ_{A,B} kernel for A's level: regroup by B before A.
 
-    def pivot(_: FNode, unions: list[CUnion]) -> list[CUnion]:
+    ``j`` is B's column under A, ``rest_idx`` A's other columns,
+    ``tb_idx``/``tab_idx`` B's columns that move up with B or stay
+    below A (Section 4.2).  ``check`` is called with the T_B fragments
+    of two pairs that share a B value (strict mode).
+    """
+    pure = not (rest_idx or tb_idx or tab_idx)
+
+    def kernel(_: FNode, unions: list[CUnion]) -> list[CUnion]:
         # Flat position p is one (a, b) pair of the level, in input
         # order.  A pure two-level inversion (B a leaf and A's only
         # child) moves the a-values themselves; otherwise the pairs'
@@ -155,10 +137,10 @@ def swap_c(fact: ColumnarFactorisation, child_name: str) -> ColumnarFactorisatio
                 ],
             )
         tb_flat = [level_column(b_unions, i) for i in tb_idx]
-        if strict:
+        if check is not None:
             for found in members:
                 for p in found[1:]:
-                    _check_independent_cfragments(
+                    check(
                         [col[found[0]] for col in tb_flat],
                         [col[p] for col in tb_flat],
                     )
@@ -169,26 +151,7 @@ def swap_c(fact: ColumnarFactorisation, child_name: str) -> ColumnarFactorisatio
             under,
         )
 
-    root_index, steps = ftree.path_to(node_a.name)
-    return map_cunion_level(fact, root_index, steps, pivot, new_ftree)
-
-
-def _check_independent_cfragments(first: list, second: list) -> None:
-    if _cfragments_signature(first) != _cfragments_signature(second):
-        raise ops.OperatorError(
-            "swap invariant violated: fragments declared independent of the "
-            "old parent differ across its values (path constraint broken?)"
-        )
-
-
-def _cfragments_signature(fragments: Sequence[CUnion]) -> tuple:
-    def sig(union: CUnion) -> tuple:
-        return (
-            tuple(union.values),
-            tuple(tuple(sig(sub) for sub in col) for col in union.children),
-        )
-
-    return tuple(sig(union) for union in fragments)
+    return kernel
 
 
 # ---------------------------------------------------------------------------
@@ -198,19 +161,6 @@ def intersect_cunions(left: CUnion, right: CUnion) -> CUnion:
     """Sorted intersection; matched entries concatenate child columns."""
     left_values = left.values
     right_values = right.values
-    if (
-        _NUMPY is not None
-        and len(left_values) >= _NUMPY_MIN_LENGTH
-        and len(right_values) >= _NUMPY_MIN_LENGTH
-    ):
-        fast = _numpy_intersect(left_values, right_values)
-        if fast is not None:
-            values, keep_left, keep_right = fast
-            return CUnion(
-                values,
-                tuple([col[i] for i in keep_left] for col in left.children)
-                + tuple([col[i] for i in keep_right] for col in right.children),
-            )
     values = []
     keep_left: list[int] = []
     keep_right: list[int] = []
@@ -237,46 +187,11 @@ def intersect_cunions(left: CUnion, right: CUnion) -> CUnion:
     )
 
 
-def _numpy_intersect(left_values: list, right_values: list):
-    """np.intersect1d over numeric arrays; None when not applicable."""
-    try:
-        left_arr = _NUMPY.asarray(left_values)
-        right_arr = _NUMPY.asarray(right_values)
-    except (TypeError, ValueError):  # pragma: no cover - defensive
-        return None
-    if left_arr.dtype == object or right_arr.dtype == object:
-        return None
-    values, keep_left, keep_right = _NUMPY.intersect1d(
-        left_arr, right_arr, assume_unique=True, return_indices=True
-    )
-    # Back to plain Python objects: numpy scalars must never leak into
-    # value arrays (they are not JSON-serialisable and surprise pickles).
-    return values.tolist(), keep_left.tolist(), keep_right.tolist()
+def intersect_columns(ia: int, ib: int, slot: int) -> LevelKernel:
+    """σ_{A=B} for sibling columns ``ia``/``ib``: the intersections take
+    column ``slot`` of what remains."""
 
-
-@timed("merge")
-def merge_siblings_c(
-    fact: ColumnarFactorisation, name_a: str, name_b: str
-) -> ColumnarFactorisation:
-    """σ_{A=B} for siblings on the columnar layout."""
-    ftree = fact.ftree
-    node_a, node_b = ftree.node(name_a), ftree.node(name_b)
-    ops._require_siblings(ftree, node_a, node_b)
-    parent = ftree.parent(node_a)
-    new_ftree = ops.merge_tree(ftree, name_a, name_b)
-
-    if parent is None:
-        ia = next(i for i, n in enumerate(ftree.roots) if n is node_a)
-        ib = next(i for i, n in enumerate(ftree.roots) if n is node_b)
-        merged = intersect_cunions(fact.roots[ia], fact.roots[ib])
-        roots = ops._reposition_roots(fact.roots, ia, ib, merged)
-        return ColumnarFactorisation(new_ftree, roots)
-
-    ia = next(i for i, n in enumerate(parent.children) if n is node_a)
-    ib = next(i for i, n in enumerate(parent.children) if n is node_b)
-    slot = ops._merged_slot(ia, ib)
-
-    def intersect(_: FNode, unions: list[CUnion]) -> Sequence[CUnion]:
+    def kernel(_: FNode, unions: list[CUnion]) -> Sequence[CUnion]:
         merged = [
             intersect_cunions(left, right)
             for left, right in zip(
@@ -287,40 +202,19 @@ def merge_siblings_c(
         live = [True if union.values else False for union in merged]
         return splice_level(unions, (ia, ib), slot, (merged,), live)
 
-    root_index, steps = ftree.path_to(parent.name)
-    return map_cunion_level(fact, root_index, steps, intersect, new_ftree)
+    return kernel
 
 
 # ---------------------------------------------------------------------------
 # absorb (selection A=B when one node is the other's descendant)
 # ---------------------------------------------------------------------------
-@timed("absorb")
-def absorb_c(
-    fact: ColumnarFactorisation, ancestor_name: str, descendant_name: str
-) -> ColumnarFactorisation:
-    """σ_{A=B} with B below A: bisect B's value arrays, a level at a time."""
-    ftree = fact.ftree
-    node_anc = ftree.node(ancestor_name)
-    node_desc = ftree.node(descendant_name)
-    if not ftree.is_ancestor(node_anc, node_desc):
-        raise ops.OperatorError(
-            f"{ancestor_name!r} is not an ancestor of {descendant_name!r}"
-        )
-    new_ftree = ops.absorb_tree(ftree, ancestor_name, descendant_name)
-
-    spine = [node_desc]
-    while spine[-1] is not node_anc:
-        spine.append(ftree.parent(spine[-1]))
-    spine.reverse()  # ancestor ... descendant
-    rel_steps = [
-        next(i for i, child in enumerate(upper.children) if child is lower)
-        for upper, lower in zip(spine, spine[1:])
-    ]
-    desc_arity = range(len(node_desc.children))
+def match_descendant(rel_steps: Sequence[int], desc_arity: int) -> LevelKernel:
+    """σ_{A=B} with B ``rel_steps`` below A: bisect B's value arrays, a
+    level at a time; B's ``desc_arity`` columns take B's place."""
 
     def matching(unions: list[CUnion], wanted: list, steps: Sequence[int]):
         """The level's entries whose descendant at ``steps`` holds the
-        entry's ``wanted`` value; B's children take B's place."""
+        entry's ``wanted`` value."""
         step = steps[0]
         subs = level_column(unions, step)
         if len(steps) > 1:
@@ -343,41 +237,29 @@ def absorb_c(
                 sub.children[c][hit] if ok else None
                 for sub, hit, ok in zip(subs, hits, live)
             ]
-            for c in desc_arity
+            for c in range(desc_arity)
         ]
         return splice_level(unions, (step,), step, matched, live)
 
-    def absorb(_: FNode, unions: list[CUnion]) -> Sequence[CUnion]:
+    def kernel(_: FNode, unions: list[CUnion]) -> Sequence[CUnion]:
         return matching(unions, level_values(unions), rel_steps)
 
-    root_index, steps = ftree.path_to(node_anc.name)
-    return map_cunion_level(fact, root_index, steps, absorb, new_ftree)
+    return kernel
 
 
 # ---------------------------------------------------------------------------
 # constant selection
 # ---------------------------------------------------------------------------
-@timed("select")
-def select_constant_c(
-    fact: ColumnarFactorisation, condition: Comparison
-) -> ColumnarFactorisation:
-    """σ_{AθC}: one filter pass cuts every union of A's level.
+def keep_matching(test: Callable, keeps_suffix: "bool | None") -> LevelKernel:
+    """σ_{AθC}: the entries of A's level whose value passes ``test``.
 
     The condition is tested once per distinct value of the level — or,
-    for an order comparison, probed by bisection: the unions are sorted
-    (Section 4.1), so the survivors of each are a prefix or a suffix.
+    when ``keeps_suffix`` says which end of a sorted union an order
+    comparison keeps (``None``: not an order comparison), probed by
+    bisection: the survivors of each union are a prefix or a suffix.
     """
-    ftree = fact.ftree
-    node = ftree.node(condition.attribute)
-    test = condition.test
-    # Which end of a sorted union an order comparison keeps.
-    keeps_suffix = {">": True, ">=": True, "<": False, "<=": False}.get(condition.op)
-    if node.is_aggregate:
-        component = ops._scalar_component(node.aggregate)
-        test = lambda value: condition.test(value[component])  # noqa: E731
-        keeps_suffix = None  # component tuples sort as tuples
 
-    def keep(_: FNode, unions: list[CUnion]) -> Sequence[CUnion]:
+    def kernel(_: FNode, unions: list[CUnion]) -> Sequence[CUnion]:
         values = level_values(unions)
         probes = len(unions) * (len(values) // max(len(unions), 1)).bit_length()
         if keeps_suffix is None or probes >= len(values):
@@ -395,70 +277,18 @@ def select_constant_c(
         live = list(chain.from_iterable(map(repeat, flags, runs)))
         return splice_level(unions, live=live)
 
-    root_index, steps = ftree.path_to(node.name)
-    return map_cunion_level(fact, root_index, steps, keep, fact.ftree)
-
-
-# ---------------------------------------------------------------------------
-# projection: remove a leaf
-# ---------------------------------------------------------------------------
-@timed("remove_leaf")
-def remove_leaf_c(fact: ColumnarFactorisation, name: str) -> ColumnarFactorisation:
-    """Projection step: drop a leaf's column everywhere it occurs."""
-    ftree = fact.ftree
-    node = ftree.node(name)
-    if node.children:
-        raise ops.OperatorError(f"node {name!r} is not a leaf")
-    new_ftree = ops.remove_leaf_tree(ftree, name)
-    parent = ftree.parent(node)
-
-    if parent is None:
-        index = next(i for i, n in enumerate(ftree.roots) if n is node)
-        if not fact.roots[index]:
-            raise ops.OperatorError(
-                "cannot project away the only empty fragment of ∅"
-            )
-        roots = [u for i, u in enumerate(fact.roots) if i != index]
-        return ColumnarFactorisation(new_ftree, roots)
-
-    index = next(i for i, n in enumerate(parent.children) if n is node)
-
-    def drop(_: FNode, unions: list[CUnion]) -> Sequence[CUnion]:
-        return splice_level(unions, drop=(index,))
-
-    root_index, steps = ftree.path_to(parent.name)
-    return map_cunion_level(fact, root_index, steps, drop, new_ftree)
+    return kernel
 
 
 # ---------------------------------------------------------------------------
 # nesting independent fragments (group-path linearisation)
 # ---------------------------------------------------------------------------
-@timed("nest")
-def nest_under_c(
-    fact: ColumnarFactorisation, name: str, target_sibling: str
-) -> ColumnarFactorisation:
-    """Move a subtree below an independent sibling, sharing by reference."""
-    ftree = fact.ftree
-    node = ftree.node(name)
-    target = ftree.node(target_sibling)
-    parent = ftree.parent(node)
-    if parent is None or ftree.parent(target) is not parent:
-        raise ops.OperatorError(
-            f"{name!r} and {target_sibling!r} must be siblings to nest"
-        )
-    s_idx = next(i for i, c in enumerate(parent.children) if c is node)
-    t_idx = next(i for i, c in enumerate(parent.children) if c is target)
+def nest_column(s_idx: int, t_idx: int) -> LevelKernel:
+    """Move column ``s_idx`` below its sibling column ``t_idx``: each
+    moved fragment is shared (by reference) under every value of the
+    target union beside it."""
 
-    new_target = target.with_children(tuple(target.children) + (node,))
-    new_children = [
-        (new_target if i == t_idx else c)
-        for i, c in enumerate(parent.children)
-        if i != s_idx
-    ]
-    new_parent = parent.with_children(new_children)
-    new_ftree = ftree.replace_node(parent.name, lambda _: [new_parent])
-
-    def nest(_: FNode, unions: list[CUnion]) -> Sequence[CUnion]:
+    def kernel(_: FNode, unions: list[CUnion]) -> Sequence[CUnion]:
         nested = [
             CUnion(
                 below.values,
@@ -472,87 +302,49 @@ def nest_under_c(
         slot = t_idx - 1 if s_idx < t_idx else t_idx
         return splice_level(unions, (s_idx, t_idx), slot, (nested,))
 
-    root_index, steps = ftree.path_to(parent.name)
-    return map_cunion_level(fact, root_index, steps, nest, new_ftree)
+    return kernel
 
 
-@timed("nest")
-def nest_root_under_c(
-    fact: ColumnarFactorisation, root_name: str, target: str
-) -> ColumnarFactorisation:
-    """Move a whole root tree below a node of another tree (shared)."""
-    ftree = fact.ftree
-    node = ftree.node(root_name)
-    if ftree.parent(node) is not None:
-        raise ops.OperatorError(f"{root_name!r} is not a root")
-    target_node = ftree.node(target)
-    if target_node is node or ftree.is_ancestor(node, target_node):
-        raise ops.OperatorError("cannot nest a tree under its own subtree")
-    r_idx = next(i for i, r in enumerate(ftree.roots) if r is node)
-    moved_union = fact.roots[r_idx]
+def hang_below(moved: CUnion) -> LevelKernel:
+    """Share the context-free fragment ``moved`` as a new last column
+    under every value of the level."""
 
-    new_target = target_node.with_children(
-        tuple(target_node.children) + (node,)
-    )
-    pruned_roots = [r for i, r in enumerate(ftree.roots) if i != r_idx]
-    pruned_fact_roots = [u for i, u in enumerate(fact.roots) if i != r_idx]
-    pruned_tree = FTree(pruned_roots)
-    new_ftree = pruned_tree.replace_node(target, lambda _: [new_target])
-
-    def hang(_: FNode, unions: list[CUnion]) -> list[CUnion]:
+    def kernel(_: FNode, unions: list[CUnion]) -> list[CUnion]:
         return [
             CUnion(
                 union.values,
-                union.children + ([moved_union] * len(union.values),),
+                union.children + ([moved] * len(union.values),),
             )
             for union in unions
         ]
 
-    pruned = ColumnarFactorisation(pruned_tree, pruned_fact_roots)
-    root_index, steps = pruned_tree.path_to(target)
-    return map_cunion_level(pruned, root_index, steps, hang, new_ftree)
+    return kernel
 
 
 # ---------------------------------------------------------------------------
 # the γ aggregation operator (Section 3)
 # ---------------------------------------------------------------------------
-@timed("aggregate")
-def apply_aggregation_c(
-    fact: ColumnarFactorisation,
-    parent_name: str | None,
-    child_names: Sequence[str],
+def context_components(
+    child_nodes: Sequence[FNode],
     functions: Sequence[tuple[str, "str | Expr | None"]],
-    name: str | None = None,
-) -> ColumnarFactorisation:
-    """γ_F(U) as a batch fold over the parent's whole level.
+) -> Callable[[list], tuple]:
+    """The evaluator of one γ_F(U) application.
 
-    The carrier of each component is located once, the per-child count
-    arrays are computed once over the level's concatenated columns and
-    shared between the count and sum components, and fragments shared
-    between parent entries are folded once (``memo``).
+    The returned ``components(agg_cols)`` takes, per aggregated child,
+    its fragment in every context (``agg_cols[c][i]``) and returns
+    ``(live, values)``: which contexts hold tuples (``None``: all) and
+    the component tuples of those that do.  The carrier of each
+    component is located once, the per-child count arrays are computed
+    once over the concatenated columns and shared between the count and
+    sum components, and fragments shared between contexts are folded
+    once (one ``memo`` for the whole operator application).
     """
-    ftree = fact.ftree
-    parent, indices = ops._resolve_subtrees(ftree, parent_name, child_names)
-    new_ftree, agg_name = ops.aggregate_tree(
-        ftree, parent_name, child_names, functions, name
-    )
-    index_set = set(indices)
-    functions = tuple(functions)
-    slot = ops._collapsed_slot(indices[0], indices)
-
-    child_nodes = [
-        (ftree.roots if parent is None else parent.children)[i] for i in indices
-    ]
     scalar_fallback = any(
         isinstance(attribute, Expr) for _, attribute in functions
     )
-    # One cache for the whole operator application (see _batch_components).
     memo: dict = {}
 
     def components(agg_cols: list) -> tuple:
-        """``(live, values)`` for the contexts ``agg_cols[c][i]``: which
-        of them hold tuples (``None``: all) and the component tuples of
-        those that do."""
         # Emptiness mask first: dropped contexts must never be evaluated
         # (extrema over ∅ raise; SQL drops empty groups).
         live = None
@@ -572,14 +364,16 @@ def apply_aggregation_c(
             functions, child_nodes, agg_cols, len(agg_cols[0]), memo
         )
 
-    if parent is None:
-        # The roots are one context: zero or one aggregate value.
-        _, found = components([[fact.roots[i]] for i in indices])
-        roots = [u for i, u in enumerate(fact.roots) if i not in index_set]
-        roots.insert(slot, CUnion(found, ()))
-        return ColumnarFactorisation(new_ftree, roots)
+    return components
 
-    def fold(_: FNode, unions: list[CUnion]) -> Sequence[CUnion]:
+
+def fold_columns(
+    components: Callable[[list], tuple], indices: Sequence[int], slot: int
+) -> LevelKernel:
+    """γ_F(U) over a level: columns ``indices`` fold into one aggregate
+    leaf per context at column ``slot``; contexts without tuples go."""
+
+    def kernel(_: FNode, unions: list[CUnion]) -> Sequence[CUnion]:
         live, found = components([level_column(unions, i) for i in indices])
         leaves = map(CUnion, [[value] for value in found])
         if live is None:
@@ -588,8 +382,7 @@ def apply_aggregation_c(
             leaves = [next(leaves) if ok else None for ok in live]
         return splice_level(unions, indices, slot, (leaves,), live)
 
-    root_index, steps = ftree.path_to(parent.name)
-    return map_cunion_level(fact, root_index, steps, fold, new_ftree)
+    return kernel
 
 
 def _plain_leaf(node: FNode, memo: dict) -> bool:

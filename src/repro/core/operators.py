@@ -1,11 +1,15 @@
 """F-plan operators: mappings between factorisations (Sections 2.1, 3, 4.2).
 
-Every operator is implemented in two layers:
+Every operator has two layers:
 
 - a pure *tree-level* transform (``*_tree``) producing the output f-tree,
   used by the optimiser to explore plans without touching data; and
-- the full transform on a :class:`repro.core.frep.Factorisation`,
-  rebuilding only the affected spine of the representation.
+- the transform on a :class:`repro.core.frep.Factorisation`: it resolves
+  the operator's position in the f-tree and hands every union at that
+  position — one f-tree *level* — to the matching batch kernel of
+  :mod:`repro.core.kernels` in a single call
+  (:func:`repro.core.frep.map_cunion_level`), which rebuilds only the
+  affected spine of the representation.
 
 Operators preserve the two global invariants: values within each union
 are sorted ascending, and no entry has an empty child union (∅ absorbs
@@ -27,41 +31,22 @@ Implemented operators:
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Any, Sequence
+from typing import Sequence
 
-from repro.core import aggregates as agg
-from repro.core.frep import (
-    ColumnarFactorisation,
-    Factorisation,
-    FRNode,
-    map_union_at,
-)
+from repro.core import kernels
+from repro.core.frep import CUnion, Factorisation, map_cunion_level, splice_level
 from repro.core.ftree import (
     AggregateAttribute,
     FNode,
     FTree,
-    FTreeError,
     fresh_aggregate_name,
 )
+from repro.expr import Expr
 from repro.query import Comparison
 
 #: When True, swap verifies that fragments independent of the swapped
 #: node really are identical across contexts (costly; used in tests).
 STRICT_SWAP_CHECKS = False
-
-_kernels_module = None
-
-
-def _kernels():
-    """The columnar batch kernels, imported lazily (they import us)."""
-    global _kernels_module
-    if _kernels_module is None:
-        from repro.core import kernels
-
-        _kernels_module = kernels
-    return _kernels_module
-
 
 _dep_counter = [0]
 
@@ -114,14 +99,13 @@ def _swapped_nodes(
     return new_b, tb_idx, tab_idx
 
 
+@kernels.timed("swap")
 def swap(fact: Factorisation, child_name: str) -> Factorisation:
     """χ_{A,B} on a factorisation: regroup by B before A (Section 4.2).
 
     Linear in the size of the affected fragments: each (a, b) pair is
     visited once; the union over B is assembled sorted.
     """
-    if type(fact) is ColumnarFactorisation:
-        return _kernels().swap_c(fact, child_name)
     ftree = fact.ftree
     node_b = ftree.node(child_name)
     node_a = ftree.parent(node_b)
@@ -130,39 +114,21 @@ def swap(fact: Factorisation, child_name: str) -> Factorisation:
     j = next(i for i, child in enumerate(node_a.children) if child is node_b)
     new_b, tb_idx, tab_idx = _swapped_nodes(node_a, node_b)
     new_ftree = ftree.replace_node(node_a.name, lambda _: [new_b])
-
-    def transform(_: FNode, union_a: list[FRNode]) -> list[FRNode]:
-        collected: dict[Any, dict] = {}
-        for a_entry in union_a:
-            a_rest = tuple(
-                child for i, child in enumerate(a_entry.children) if i != j
-            )
-            for b_entry in a_entry.children[j]:
-                record = collected.get(b_entry.value)
-                if record is None:
-                    record = {
-                        "f": [b_entry.children[i] for i in tb_idx],
-                        "under": [],
-                    }
-                    collected[b_entry.value] = record
-                elif STRICT_SWAP_CHECKS:
-                    _check_independent_fragments(
-                        record["f"], [b_entry.children[i] for i in tb_idx]
-                    )
-                g_parts = tuple(b_entry.children[i] for i in tab_idx)
-                record["under"].append(FRNode(a_entry.value, a_rest + g_parts))
-        new_union: list[FRNode] = []
-        for value in sorted(collected):
-            record = collected[value]
-            children = tuple(record["f"]) + (record["under"],)
-            new_union.append(FRNode(value, children))
-        return new_union
-
+    rest_idx = [i for i in range(len(node_a.children)) if i != j]
+    pivot = kernels.pivot(
+        j,
+        rest_idx,
+        tb_idx,
+        tab_idx,
+        _check_independent_fragments if STRICT_SWAP_CHECKS else None,
+    )
     root_index, steps = ftree.path_to(node_a.name)
-    return map_union_at(fact, root_index, steps, transform, new_ftree)
+    return map_cunion_level(fact, root_index, steps, pivot, new_ftree)
 
 
-def _check_independent_fragments(first: list, second: list) -> None:
+def _check_independent_fragments(
+    first: Sequence[CUnion], second: Sequence[CUnion]
+) -> None:
     """Debug check: T_B fragments must match across co-occurring A values."""
     if _fragments_signature(first) != _fragments_signature(second):
         raise OperatorError(
@@ -171,14 +137,14 @@ def _check_independent_fragments(first: list, second: list) -> None:
         )
 
 
-def _fragments_signature(fragments: list) -> tuple:
-    def sig_union(union: list[FRNode]) -> tuple:
-        return tuple(
-            (entry.value, tuple(sig_union(child) for child in entry.children))
-            for entry in union
+def _fragments_signature(fragments: Sequence[CUnion]) -> tuple:
+    def sig(union: CUnion) -> tuple:
+        return (
+            tuple(union.values),
+            tuple(tuple(sig(sub) for sub in col) for col in union.children),
         )
 
-    return tuple(sig_union(union) for union in fragments)
+    return tuple(sig(union) for union in fragments)
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +179,9 @@ def _merged_node(node_a: FNode, node_b: FNode) -> FNode:
     )
 
 
+@kernels.timed("merge")
 def merge_siblings(fact: Factorisation, name_a: str, name_b: str) -> Factorisation:
     """σ_{A=B} for siblings: intersect the two sorted unions (linear)."""
-    if type(fact) is ColumnarFactorisation:
-        return _kernels().merge_siblings_c(fact, name_a, name_b)
     ftree = fact.ftree
     node_a, node_b = ftree.node(name_a), ftree.node(name_b)
     _require_siblings(ftree, node_a, node_b)
@@ -226,31 +191,16 @@ def merge_siblings(fact: Factorisation, name_a: str, name_b: str) -> Factorisati
     if parent is None:
         ia = next(i for i, n in enumerate(ftree.roots) if n is node_a)
         ib = next(i for i, n in enumerate(ftree.roots) if n is node_b)
-        merged = _intersect_unions(fact.roots[ia], fact.roots[ib])
+        merged = kernels.intersect_cunions(fact.roots[ia], fact.roots[ib])
         # Positional bookkeeping: replace_node keeps A's slot and drops B's.
         roots = _reposition_roots(fact.roots, ia, ib, merged)
         return Factorisation(new_ftree, roots)
 
     ia = next(i for i, n in enumerate(parent.children) if n is node_a)
     ib = next(i for i, n in enumerate(parent.children) if n is node_b)
-
-    def transform(_: FNode, union: list[FRNode]) -> list[FRNode]:
-        out: list[FRNode] = []
-        for entry in union:
-            merged = _intersect_unions(entry.children[ia], entry.children[ib])
-            if not merged:
-                continue  # the selection empties this context: prune
-            children = tuple(
-                child
-                for i, child in enumerate(entry.children)
-                if i != ia and i != ib
-            )
-            children = _insert_at(children, _merged_slot(ia, ib), merged)
-            out.append(FRNode(entry.value, children))
-        return out
-
+    intersect = kernels.intersect_columns(ia, ib, _merged_slot(ia, ib))
     root_index, steps = ftree.path_to(parent.name)
-    return map_union_at(fact, root_index, steps, transform, new_ftree)
+    return map_cunion_level(fact, root_index, steps, intersect, new_ftree)
 
 
 def _merged_slot(ia: int, ib: int) -> int:
@@ -263,32 +213,11 @@ def _merged_slot(ia: int, ib: int) -> int:
 
 
 def _reposition_roots(
-    roots: Sequence[list], ia: int, ib: int, merged: list
-) -> list[list]:
+    roots: Sequence[CUnion], ia: int, ib: int, merged: CUnion
+) -> list[CUnion]:
     remaining = [u for i, u in enumerate(roots) if i != ia and i != ib]
     remaining.insert(_merged_slot(ia, ib), merged)
     return remaining
-
-
-def _insert_at(children: tuple, index: int, union: list) -> tuple:
-    return children[:index] + (union,) + children[index:]
-
-
-def _intersect_unions(left: list[FRNode], right: list[FRNode]) -> list[FRNode]:
-    """Sorted-merge intersection; matched entries concatenate children."""
-    out: list[FRNode] = []
-    i = j = 0
-    while i < len(left) and j < len(right):
-        lv, rv = left[i].value, right[j].value
-        if lv < rv:
-            i += 1
-        elif rv < lv:
-            j += 1
-        else:
-            out.append(FRNode(lv, left[i].children + right[j].children))
-            i += 1
-            j += 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +244,7 @@ def absorb_tree(ftree: FTree, ancestor_name: str, descendant_name: str) -> FTree
     return hoisted.replace_node(node_anc.name, lambda _: [merged])
 
 
+@kernels.timed("absorb")
 def absorb(
     fact: Factorisation, ancestor_name: str, descendant_name: str
 ) -> Factorisation:
@@ -325,90 +255,49 @@ def absorb(
     (binary search in the sorted union) and its children are spliced in
     place; contexts with no match are pruned.
     """
-    if type(fact) is ColumnarFactorisation:
-        return _kernels().absorb_c(fact, ancestor_name, descendant_name)
     ftree = fact.ftree
     node_anc = ftree.node(ancestor_name)
     node_desc = ftree.node(descendant_name)
-    if not ftree.is_ancestor(node_anc, node_desc):
-        raise OperatorError(
-            f"{ancestor_name!r} is not an ancestor of {descendant_name!r}"
-        )
     new_ftree = absorb_tree(ftree, ancestor_name, descendant_name)
 
     # Child-index path from the ancestor down to the descendant.
     spine = [node_desc]
-    current = ftree.parent(node_desc)
-    while current is not node_anc:
-        spine.append(current)
-        current = ftree.parent(current)
-    spine.append(node_anc)
+    while spine[-1] is not node_anc:
+        spine.append(ftree.parent(spine[-1]))
     spine.reverse()  # ancestor ... descendant
     rel_steps = [
         next(i for i, child in enumerate(upper.children) if child is lower)
         for upper, lower in zip(spine, spine[1:])
     ]
-
-    def filter_entry(
-        node: FNode, entry: FRNode, steps: Sequence[int], value: Any
-    ) -> FRNode | None:
-        step = steps[0]
-        if len(steps) == 1:
-            union = entry.children[step]
-            index = bisect_left([e.value for e in union], value)
-            if index == len(union) or union[index].value != value:
-                return None
-            match = union[index]
-            children = (
-                entry.children[:step]
-                + match.children
-                + entry.children[step + 1 :]
-            )
-            return FRNode(entry.value, children)
-        new_sub: list[FRNode] = []
-        for sub in entry.children[step]:
-            filtered = filter_entry(node.children[step], sub, steps[1:], value)
-            if filtered is not None:
-                new_sub.append(filtered)
-        if not new_sub:
-            return None
-        children = (
-            entry.children[:step] + (new_sub,) + entry.children[step + 1 :]
-        )
-        return FRNode(entry.value, children)
-
-    def transform(node: FNode, union: list[FRNode]) -> list[FRNode]:
-        out = []
-        for entry in union:
-            filtered = filter_entry(node, entry, rel_steps, entry.value)
-            if filtered is not None:
-                out.append(filtered)
-        return out
-
+    matching = kernels.match_descendant(rel_steps, len(node_desc.children))
     root_index, steps = ftree.path_to(node_anc.name)
-    return map_union_at(fact, root_index, steps, transform, new_ftree)
+    return map_cunion_level(fact, root_index, steps, matching, new_ftree)
 
 
 # ---------------------------------------------------------------------------
 # constant selection
 # ---------------------------------------------------------------------------
+@kernels.timed("select")
 def select_constant(fact: Factorisation, condition: Comparison) -> Factorisation:
-    """σ_{AθC}: filter the union of A's node in every context."""
-    if type(fact) is ColumnarFactorisation:
-        return _kernels().select_constant_c(fact, condition)
+    """σ_{AθC}: one filter pass cuts every union of A's level.
+
+    The unions are sorted (Section 4.1), so the survivors of an order
+    comparison are a prefix or a suffix of each and can be found by
+    bisection.
+    """
     ftree = fact.ftree
     node = ftree.node(condition.attribute)
-    component: int | None = None
+    test = condition.test
+    # Which end of a sorted union an order comparison keeps.
+    keeps_suffix = {">": True, ">=": True, "<": False, "<=": False}.get(condition.op)
     if node.is_aggregate:
         component = _scalar_component(node.aggregate)
-
-    def transform(_: FNode, union: list[FRNode]) -> list[FRNode]:
-        if component is None:
-            return [e for e in union if condition.test(e.value)]
-        return [e for e in union if condition.test(e.value[component])]
-
+        test = lambda value: condition.test(value[component])  # noqa: E731
+        keeps_suffix = None  # component tuples sort as tuples
     root_index, steps = ftree.path_to(node.name)
-    return map_union_at(fact, root_index, steps, transform, fact.ftree)
+    return map_cunion_level(
+        fact, root_index, steps, kernels.keep_matching(test, keeps_suffix), ftree
+    )
 
 
 def _scalar_component(aggregate: AggregateAttribute) -> int:
@@ -442,18 +331,15 @@ def remove_leaf_tree(ftree: FTree, name: str) -> FTree:
     )
 
 
+@kernels.timed("remove_leaf")
 def remove_leaf(fact: Factorisation, name: str) -> Factorisation:
     """Projection step: drop a leaf attribute from the representation.
 
     No duplicate elimination is ever needed: distinct sibling structure
     is untouched, so the remaining representation stays a set.
     """
-    if type(fact) is ColumnarFactorisation:
-        return _kernels().remove_leaf_c(fact, name)
     ftree = fact.ftree
     node = ftree.node(name)
-    if node.children:
-        raise OperatorError(f"node {name!r} is not a leaf")
     new_ftree = remove_leaf_tree(ftree, name)
     parent = ftree.parent(node)
 
@@ -469,17 +355,11 @@ def remove_leaf(fact: Factorisation, name: str) -> Factorisation:
 
     index = next(i for i, n in enumerate(parent.children) if n is node)
 
-    def transform(_: FNode, union: list[FRNode]) -> list[FRNode]:
-        return [
-            FRNode(
-                entry.value,
-                entry.children[:index] + entry.children[index + 1 :],
-            )
-            for entry in union
-        ]
+    def drop(_: FNode, unions: list[CUnion]) -> Sequence[CUnion]:
+        return splice_level(unions, drop=(index,))
 
     root_index, steps = ftree.path_to(parent.name)
-    return map_union_at(fact, root_index, steps, transform, new_ftree)
+    return map_cunion_level(fact, root_index, steps, drop, new_ftree)
 
 
 # ---------------------------------------------------------------------------
@@ -508,17 +388,17 @@ def remove_class_attribute(fact: Factorisation, attribute: str) -> Factorisation
             tuple(a for a in current.attributes if a != attribute)
         )
 
-    return fact.__class__(fact.ftree.map_nodes(relabel), fact.roots)
+    return Factorisation(fact.ftree.map_nodes(relabel), fact.roots)
 
 
 # ---------------------------------------------------------------------------
 # rename
 # ---------------------------------------------------------------------------
-def rename(fact: Factorisation, old: str, new: str) -> Factorisation:
-    """Rename an attribute (constant time: names live in the f-tree)."""
-    if new in fact.ftree:
+def rename_tree(ftree: FTree, old: str, new: str) -> FTree:
+    """Tree-level rename: attribute names live in the f-tree alone."""
+    if new in ftree:
         raise OperatorError(f"attribute {new!r} already exists")
-    node = fact.ftree.node(old)
+    node = ftree.node(old)
 
     def relabel(current: FNode) -> FNode:
         if current.name != node.name and old not in current.attributes:
@@ -531,12 +411,18 @@ def rename(fact: Factorisation, old: str, new: str) -> Factorisation:
         attributes = tuple(new if a == old else a for a in current.attributes)
         return current.with_attributes(attributes)
 
-    return fact.__class__(fact.ftree.map_nodes(relabel), fact.roots)
+    return ftree.map_nodes(relabel)
+
+
+def rename(fact: Factorisation, old: str, new: str) -> Factorisation:
+    """Rename an attribute (constant time: the fragments are untouched)."""
+    return Factorisation(rename_tree(fact.ftree, old, new), fact.roots)
 
 
 # ---------------------------------------------------------------------------
 # nesting independent fragments (group-path linearisation)
 # ---------------------------------------------------------------------------
+@kernels.timed("nest")
 def nest_under(fact: Factorisation, name: str, target_sibling: str) -> Factorisation:
     """Move a subtree below an *independent sibling* subtree.
 
@@ -548,8 +434,6 @@ def nest_under(fact: Factorisation, name: str, target_sibling: str) -> Factorisa
     factorisation of an aggregate query requires (the aggregate value
     depends on every group attribute).
     """
-    if type(fact) is ColumnarFactorisation:
-        return _kernels().nest_under_c(fact, name, target_sibling)
     ftree = fact.ftree
     node = ftree.node(name)
     target = ftree.node(target_sibling)
@@ -570,30 +454,13 @@ def nest_under(fact: Factorisation, name: str, target_sibling: str) -> Factorisa
     new_parent = parent.with_children(new_children)
     new_ftree = ftree.replace_node(parent.name, lambda _: [new_parent])
 
-    new_t_slot = t_idx - 1 if s_idx < t_idx else t_idx
-
-    def transform(_: FNode, union: list[FRNode]) -> list[FRNode]:
-        out = []
-        for entry in union:
-            moved = entry.children[s_idx]
-            rest = tuple(
-                c for i, c in enumerate(entry.children) if i != s_idx
-            )
-            target_union = rest[new_t_slot]
-            new_target_union = [
-                FRNode(t_entry.value, t_entry.children + (moved,))
-                for t_entry in target_union
-            ]
-            children = (
-                rest[:new_t_slot] + (new_target_union,) + rest[new_t_slot + 1 :]
-            )
-            out.append(FRNode(entry.value, children))
-        return out
-
     root_index, steps = ftree.path_to(parent.name)
-    return map_union_at(fact, root_index, steps, transform, new_ftree)
+    return map_cunion_level(
+        fact, root_index, steps, kernels.nest_column(s_idx, t_idx), new_ftree
+    )
 
 
+@kernels.timed("nest")
 def nest_root_under(fact: Factorisation, root_name: str, target: str) -> Factorisation:
     """Move a whole root tree below an arbitrary node of another tree.
 
@@ -601,8 +468,6 @@ def nest_root_under(fact: Factorisation, root_name: str, target: str) -> Factori
     fragment is context-free and can be shared under every value of the
     target node.
     """
-    if type(fact) is ColumnarFactorisation:
-        return _kernels().nest_root_under_c(fact, root_name, target)
     ftree = fact.ftree
     node = ftree.node(root_name)
     if ftree.parent(node) is not None:
@@ -611,7 +476,6 @@ def nest_root_under(fact: Factorisation, root_name: str, target: str) -> Factori
     if target_node is node or ftree.is_ancestor(node, target_node):
         raise OperatorError("cannot nest a tree under its own subtree")
     r_idx = next(i for i, r in enumerate(ftree.roots) if r is node)
-    moved_union = fact.roots[r_idx]
 
     new_target = target_node.with_children(
         tuple(target_node.children) + (node,)
@@ -621,15 +485,11 @@ def nest_root_under(fact: Factorisation, root_name: str, target: str) -> Factori
     pruned_tree = FTree(pruned_roots)
     new_ftree = pruned_tree.replace_node(target, lambda _: [new_target])
 
-    def transform(_: FNode, union: list[FRNode]) -> list[FRNode]:
-        return [
-            FRNode(entry.value, entry.children + (moved_union,))
-            for entry in union
-        ]
-
     pruned = Factorisation(pruned_tree, pruned_fact_roots)
     root_index, steps = pruned_tree.path_to(target)
-    return map_union_at(pruned, root_index, steps, transform, new_ftree)
+    return map_cunion_level(
+        pruned, root_index, steps, kernels.hang_below(fact.roots[r_idx]), new_ftree
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -637,11 +497,8 @@ def nest_root_under(fact: Factorisation, root_name: str, target: str) -> Factori
 # ---------------------------------------------------------------------------
 def product(left: Factorisation, right: Factorisation) -> Factorisation:
     """E1 × E2: concatenate the forests (disjoint attribute names)."""
-    if left.layout != right.layout:
-        left = left.to_columnar()
-        right = right.to_columnar()
     ftree = FTree(left.ftree.roots + right.ftree.roots)
-    return left.__class__(ftree, left.roots + right.roots)
+    return Factorisation(ftree, left.roots + right.roots)
 
 
 # ---------------------------------------------------------------------------
@@ -744,70 +601,41 @@ def _resolve_subtrees(
     return parent, sorted(indices)
 
 
+@kernels.timed("aggregate")
 def apply_aggregation(
     fact: Factorisation,
     parent_name: str | None,
     child_names: Sequence[str],
-    functions: Sequence[tuple[str, str | None]],
+    functions: Sequence[tuple[str, "str | Expr | None"]],
     name: str | None = None,
 ) -> Factorisation:
     """γ_F(U): replace each expression over U with ⟨F(U): v⟩ (Section 3.2).
 
-    The value ``v`` is computed by the linear-time recursive algorithms
-    in :mod:`repro.core.aggregates`, once per context of U's parent.
+    The values are computed by the linear-time algorithms of
+    :mod:`repro.core.aggregates`, as one batch fold over the whole level
+    of U's parent.  A context left without tuples of U (a selection
+    drained it) represents no result tuples and is pruned, matching the
+    SQL rule that empty groups do not appear; γ of the empty relation
+    is an empty union, not a ⟨F(∅): v⟩ singleton.
     """
-    if type(fact) is ColumnarFactorisation:
-        return _kernels().apply_aggregation_c(
-            fact, parent_name, child_names, functions, name
-        )
     ftree = fact.ftree
     parent, indices = _resolve_subtrees(ftree, parent_name, child_names)
-    new_ftree, agg_name = aggregate_tree(
+    new_ftree, _ = aggregate_tree(
         ftree, parent_name, child_names, functions, name
     )
-    index_set = set(indices)
-    functions = tuple(functions)
+    slot = _collapsed_slot(indices[0], indices)
+    child_nodes = [
+        (ftree.roots if parent is None else parent.children)[i] for i in indices
+    ]
+    components = kernels.context_components(child_nodes, tuple(functions))
 
     if parent is None:
-        items = [
-            (ftree.roots[i], fact.roots[i]) for i in indices
-        ]
-        roots = [
-            u for i, u in enumerate(fact.roots) if i not in index_set
-        ]
-        if agg.forest_is_empty(items):
-            # γ of the empty relation is the empty pre-aggregated
-            # relation: an empty union, not a ⟨F(∅): v⟩ singleton.
-            union: list[FRNode] = []
-        else:
-            union = [FRNode(agg.evaluate_components(functions, items), ())]
-        roots.insert(_collapsed_slot(indices[0], indices), union)
+        # The roots are one context: zero or one aggregate value.
+        _, found = components([[fact.roots[i]] for i in indices])
+        roots = [u for i, u in enumerate(fact.roots) if i not in indices]
+        roots.insert(slot, CUnion(found, ()))
         return Factorisation(new_ftree, roots)
 
-    child_nodes = [parent.children[i] for i in indices]
-
-    def transform(_: FNode, union: list[FRNode]) -> list[FRNode]:
-        out = []
-        for entry in union:
-            items = [
-                (node, entry.children[i])
-                for node, i in zip(child_nodes, indices)
-            ]
-            if agg.forest_is_empty(items):
-                # This context holds zero tuples of the aggregated
-                # subtrees (e.g. a selection drained them): the entry
-                # represents no result tuples — prune it, matching the
-                # SQL rule that empty groups do not appear.
-                continue
-            value = agg.evaluate_components(functions, items)
-            children = [
-                c for i, c in enumerate(entry.children) if i not in index_set
-            ]
-            children.insert(
-                _collapsed_slot(indices[0], indices), [FRNode(value, ())]
-            )
-            out.append(FRNode(entry.value, tuple(children)))
-        return out
-
+    fold = kernels.fold_columns(components, indices, slot)
     root_index, steps = ftree.path_to(parent.name)
-    return map_union_at(fact, root_index, steps, transform, new_ftree)
+    return map_cunion_level(fact, root_index, steps, fold, new_ftree)

@@ -43,6 +43,7 @@ from __future__ import annotations
 import threading
 import weakref
 from dataclasses import dataclass, field
+from itertools import count
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from repro.obs import clock
@@ -77,6 +78,9 @@ _STORE_BYTES = metrics().gauge(
     "repro_store_bytes",
     "Resident container bytes across registered factorised views.",
 ).labels()
+
+#: Source of :attr:`Database.token`.
+_TOKENS = count(1)
 
 #: Retained change-log length; older records force full re-preparation.
 MAX_LOG = 512
@@ -364,6 +368,9 @@ class Database:
         self.relations: dict[str, Relation] = {}
         self.factorised: dict[str, "Factorisation"] = {}
         self.version = 0
+        #: Never reused within the process, unlike ``id(self)``: what
+        #: process-global caches key this database's entries on.
+        self.token = next(_TOKENS)
         self.maintenance = MaintenanceStats()
         # Cumulative changed-row counts per view since creation; the
         # statistics cache (repro.stats) diffs these against the value
@@ -873,14 +880,9 @@ class Database:
     ) -> "Factorisation":
         """Fall back to re-factorising a view after a failed splice."""
         from repro.core.build import factorise
-        from repro.core.frep import ColumnarFactorisation
         from repro.ivm.delta import DeltaError
         from repro.ivm.maintain import contributors
         from repro.relational.operators import multiway_join
-
-        layout = (
-            "columnar" if isinstance(fact, ColumnarFactorisation) else "legacy"
-        )
 
         if any(node.is_aggregate for node in fact.ftree.nodes()):
             raise DeltaError(
@@ -915,7 +917,7 @@ class Database:
                         row for row in fresh.rows if row not in doomed
                     ]
                 source = fresh
-            rebuilt = factorise(source, fact.ftree, layout=layout)
+            rebuilt = factorise(source, fact.ftree)
             if rebuilt.tuple_count() == len(set(source.rows)):
                 return rebuilt
             # The updated relation no longer satisfies the f-tree's join
@@ -923,9 +925,7 @@ class Database:
             # of the subtree projections).  Every relation admits a path
             # factorisation (Section 2.1), so re-register over the path
             # f-tree — keeping each node's relation keys for routing.
-            return factorise(
-                source, _path_fallback_tree(fact.ftree), layout=layout
-            )
+            return factorise(source, _path_fallback_tree(fact.ftree))
         missing = sorted(key for key in contributors(fact) if key not in self)
         if missing:
             raise DeltaError(
@@ -940,7 +940,7 @@ class Database:
                 f"view {view_name!r} cannot be rebuilt: its contributors "
                 f"do not produce attributes {absent!r}"
             )
-        return factorise(joined.project(attributes), fact.ftree, layout=layout)
+        return factorise(joined.project(attributes), fact.ftree)
 
     def _append_log(self, record: LogRecord) -> None:
         """Append one record, truncating with respect for pinned readers.

@@ -30,13 +30,10 @@ Both modes report the exact view-level delta (rows added and removed,
 in the factorisation's schema order) so that downstream consumers —
 live aggregate views, forwarded SQL backends — can update additively.
 
-The splice/prune machinery is layout-generic: a view registered as a
-:class:`repro.core.frep.ColumnarFactorisation` is maintained by
-splicing its value arrays and child columns as contiguous ranges (one
-slice per union, not one object per singleton), while legacy
-``FRNode`` views keep the original entry-level edits.  Each union
-carries its own layout, so mixed forests — a columnar view holding a
-legacy fragment built elsewhere — maintain correctly too.
+A splice edits the view the kernels read, in its own representation:
+the value array and every child column of a touched
+:class:`repro.core.frep.CUnion` are spliced as contiguous ranges (one
+slice per union, not one object per singleton).
 """
 
 from __future__ import annotations
@@ -50,10 +47,10 @@ from repro.core.build import factorise
 from repro.core.frep import (
     CUnion,
     Factorisation,
-    FRNode,
     _value_tuple,
     empty_cunion,
     iter_entries,
+    singleton_cunion,
 )
 from repro.core.ftree import FNode, FTree
 from repro.ivm.delta import DeltaError
@@ -134,89 +131,60 @@ def contributors(fact: Factorisation) -> frozenset[str]:
 
 
 # ---------------------------------------------------------------------------
-# Union access layer: one edit vocabulary over both layouts
+# Union edits: every one returns a fresh union, sharing the fragments
 # ---------------------------------------------------------------------------
-def _u_len(union) -> int:
-    return len(union.values) if type(union) is CUnion else len(union)
-
-
-def _u_value(union, index: int) -> Any:
-    if type(union) is CUnion:
-        return union.values[index]
-    return union[index].value
-
-
-def _u_children(union, index: int) -> tuple:
+def _u_children(union: CUnion, index: int) -> tuple:
     """The child fragments of entry ``index`` (a tuple of unions)."""
-    if type(union) is CUnion:
-        return tuple(col[index] for col in union.children)
-    return union[index].children
+    return tuple(col[index] for col in union.children)
 
 
-def _u_insert(union, index: int, value: Any, children: tuple):
+def _u_insert(union: CUnion, index: int, value: Any, children: tuple) -> CUnion:
     """A copy of ``union`` with a fresh entry spliced in at ``index``.
 
-    Columnar unions splice the value array and every child column as
-    contiguous ranges; an empty union grows its columns to the entry's
-    arity (``empty_cunion(0)`` placeholders carry none).
+    The value array and every child column are spliced as contiguous
+    ranges; an empty union grows its columns to the entry's arity
+    (``empty_cunion(0)`` placeholders carry none).
     """
-    if type(union) is CUnion:
-        cols = union.children
-        if len(cols) != len(children):
-            cols = tuple([] for _ in children)
-        return CUnion(
-            union.values[:index] + [value] + union.values[index:],
-            tuple(
-                col[:index] + [child] + col[index:]
-                for col, child in zip(cols, children)
-            ),
-        )
-    return union[:index] + [FRNode(value, children)] + union[index:]
+    cols = union.children
+    if len(cols) != len(children):
+        cols = tuple([] for _ in children)
+    return CUnion(
+        union.values[:index] + [value] + union.values[index:],
+        tuple(
+            col[:index] + [child] + col[index:]
+            for col, child in zip(cols, children)
+        ),
+    )
 
 
-def _u_replace(union, index: int, value: Any, children: tuple):
+def _u_replace(union: CUnion, index: int, value: Any, children: tuple) -> CUnion:
     """A copy of ``union`` with entry ``index`` replaced."""
-    if type(union) is CUnion:
-        return CUnion(
-            union.values[:index] + [value] + union.values[index + 1 :],
-            tuple(
-                col[:index] + [child] + col[index + 1 :]
-                for col, child in zip(union.children, children)
-            ),
-        )
-    return union[:index] + [FRNode(value, children)] + union[index + 1 :]
+    return CUnion(
+        union.values[:index] + [value] + union.values[index + 1 :],
+        tuple(
+            col[:index] + [child] + col[index + 1 :]
+            for col, child in zip(union.children, children)
+        ),
+    )
 
 
-def _u_remove(union, index: int):
+def _u_remove(union: CUnion, index: int) -> CUnion:
     """A copy of ``union`` with entry ``index`` pruned."""
-    if type(union) is CUnion:
-        return CUnion(
-            union.values[:index] + union.values[index + 1 :],
-            tuple(
-                col[:index] + col[index + 1 :] for col in union.children
-            ),
-        )
-    return union[:index] + union[index + 1 :]
+    return CUnion(
+        union.values[:index] + union.values[index + 1 :],
+        tuple(col[:index] + col[index + 1 :] for col in union.children),
+    )
 
 
-def _u_clear(union):
-    """The empty union in ``union``'s layout."""
-    if type(union) is CUnion:
-        return empty_cunion(len(union.children))
-    return []
-
-
-def _u_make(columnar: bool, entries: Sequence[tuple], arity: int):
-    """A union from ``(value, children)`` pairs in the requested layout."""
-    if columnar:
-        return CUnion(
-            [value for value, _ in entries],
-            tuple(
-                [children[c] for _, children in entries]
-                for c in range(arity)
-            ),
-        )
-    return [FRNode(value, children) for value, children in entries]
+def _u_make(entries: Sequence[tuple], arity: int) -> CUnion:
+    """A union from ``(value, children)`` pairs."""
+    return CUnion(
+        [value for value, _ in entries],
+        tuple(
+            [children[c] for _, children in entries]
+            for c in range(arity)
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -309,27 +277,18 @@ def _expand_forest(
     return out
 
 
-def _find(union, value: Any) -> int | None:
+def _find(union: CUnion, value: Any) -> int | None:
     """Index of ``value`` in a sorted union, or None."""
     try:
-        if type(union) is CUnion:
-            index = bisect_left(union.values, value)
-        else:
-            index = bisect_left(union, value, key=lambda entry: entry.value)
+        index = bisect_left(union.values, value)
     except TypeError as error:  # incomparable value for this column
         raise DeltaError(
             f"value {value!r} is not comparable with the column's values: "
             f"{error}"
         ) from None
-    if index < _u_len(union) and _u_value(union, index) == value:
+    if index < len(union.values) and union.values[index] == value:
         return index
     return None
-
-
-def _insertion_point(union, value: Any) -> int:
-    if type(union) is CUnion:
-        return bisect_left(union.values, value)
-    return bisect_left(union, value, key=lambda entry: entry.value)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +379,7 @@ def direct_insert(
             ) from None
         if added:
             splice.added.append(_reorder(view, schema))
-    return type(fact)(fact.ftree, roots)
+    return Factorisation(fact.ftree, roots)
 
 
 def _direct_insert_row(
@@ -486,13 +445,11 @@ def _direct_splice_union(
     value = view.node_value(node)
     index = _find(union, value)
     if index is None:
-        columnar = type(union) is CUnion
         splice.nodes_touched += 1
         subs = tuple(
-            _fresh_union(child, view, splice, columnar)
-            for child in node.children
+            _fresh_union(child, view, splice) for child in node.children
         )
-        at = _insertion_point(union, value)
+        at = bisect_left(union.values, value)
         return _u_insert(union, at, value, subs), True, True
     children = _u_children(union, index)
     results = [
@@ -510,19 +467,12 @@ def _direct_splice_union(
     return _u_replace(union, index, value, new_children), True, True
 
 
-def _fresh_union(
-    node: FNode, view: _RowView, splice: _Splice, columnar: bool
-):
+def _fresh_union(node: FNode, view: _RowView, splice: _Splice) -> CUnion:
     """A one-entry union representing exactly the row's subtree projection."""
     splice.nodes_touched += 1
     value = view.node_value(node)
-    subs = tuple(
-        _fresh_union(child, view, splice, columnar)
-        for child in node.children
-    )
-    if columnar:
-        return CUnion([value], tuple([sub] for sub in subs))
-    return [FRNode(value, subs)]
+    subs = [_fresh_union(child, view, splice) for child in node.children]
+    return singleton_cunion(value, subs)
 
 
 def direct_delete(
@@ -555,7 +505,7 @@ def direct_delete(
             continue
         roots = _direct_delete_row(fact.ftree, roots, view, splice)
         splice.removed.append(_reorder(view, schema))
-    return type(fact)(fact.ftree, roots)
+    return Factorisation(fact.ftree, roots)
 
 
 def _contains(node: FNode, union, view: _RowView) -> bool:
@@ -578,7 +528,7 @@ def _direct_delete_row(
         total *= _union_count(node, union)
     if total == 1:
         splice.nodes_touched += len(roots)
-        return [_u_clear(union) for union in roots]
+        return [empty_cunion(len(union.children)) for union in roots]
     big = [i for i, (node, union) in enumerate(items) if _union_count(node, union) > 1]
     if len(big) != 1:
         raise IndependenceViolation(
@@ -597,7 +547,7 @@ def _direct_prune_union(
 ):
     index = _find(union, view.node_value(node))
     assert index is not None  # containment was checked
-    value = _u_value(union, index)
+    value = union.values[index]
     children = _u_children(union, index)
     splice.nodes_touched += 1
     if _parts_count(node, children) == 1:
@@ -723,7 +673,7 @@ def _routed(
         roots[route.root_index] = union
         splice.added.extend(expanded_added)
         splice.removed.extend(expanded_removed)
-    return type(fact)(tree, roots)
+    return Factorisation(tree, roots)
 
 
 def _routed_walk(
@@ -769,7 +719,7 @@ def _routed_walk(
         if last:
             removed = list(
                 _iter_parts(
-                    node, _u_value(union, index), _u_children(union, index)
+                    node, union.values[index], _u_children(union, index)
                 )
             )
             splice.nodes_touched += 1
@@ -783,7 +733,7 @@ def _routed_walk(
     added: list[Row] = []
     removed: list[Row] = []
     changed = False
-    for index in range(_u_len(union)):
+    for index in range(len(union.values)):
         result, entry_added, entry_removed = _routed_entry(
             route, position, node, union, index, view, bindings,
             database, relation, splice, kind,
@@ -791,19 +741,14 @@ def _routed_walk(
         added.extend(entry_added)
         removed.extend(entry_removed)
         if result is _UNCHANGED:
-            entries.append(
-                (_u_value(union, index), _u_children(union, index))
-            )
+            entries.append((union.values[index], _u_children(union, index)))
         else:
             changed = True
             if result is not None:
                 entries.append(result)
     if not changed:
         return None, added, removed
-    new_union = _u_make(
-        type(union) is CUnion, entries, len(node.children)
-    )
-    return new_union, added, removed
+    return _u_make(entries, len(node.children)), added, removed
 
 
 _UNCHANGED = object()
@@ -825,7 +770,7 @@ def _routed_entry(
     """Recurse below one entry; returns ``(_UNCHANGED | (value,
     children) | None, added, removed)`` with rows expanded to this
     node's subtree schema (``None`` means the entry was pruned away)."""
-    value = _u_value(union, index)
+    value = union.values[index]
     children = _u_children(union, index)
     branch = route.steps[position]
     child = node.children[branch]
@@ -841,7 +786,7 @@ def _routed_entry(
     added = _expand_below(node, value, children, branch, child_added)
     removed = _expand_below(node, value, children, branch, child_removed)
     splice.nodes_touched += 1
-    if not _u_len(new_child):
+    if not new_child.values:
         # ∅ absorption: an empty fragment kills the entry; everything
         # the entry represented is exactly the expanded removal.
         return None, added, removed
@@ -893,14 +838,13 @@ def _routed_fresh(
     package" and "new item joining existing packages": the join decides
     which entries belong here.
     """
-    columnar = type(union) is CUnion
-    fragment = _fragment_union(node, bindings, database, splice, columnar)
+    fragment = _fragment_union(node, bindings, database, splice)
     added: list[Row] = []
     new_union = union
     changed = False
     for value, children in iter_entries(fragment):
         if _find(new_union, value) is None:
-            at = _insertion_point(new_union, value)
+            at = bisect_left(new_union.values, value)
             new_union = _u_insert(new_union, at, value, children)
             added.extend(_iter_parts(node, value, children))
             changed = True
@@ -914,14 +858,12 @@ def _fragment_union(
     bindings: dict[str, Any],
     database: "Database",
     splice: _Splice,
-    columnar: bool,
-):
+) -> CUnion:
     """Build the exact fragment for ``node``'s subtree under ``bindings``.
 
     Joins every contributing relation of the subtree (restricted to the
     binding values on shared attributes), projects onto the subtree's
-    attributes and factorises over the subtree itself — in the target
-    union's layout, so the merged entries splice without conversion.
+    attributes and factorises over the subtree itself.
     """
     keys: set[str] = set()
     for walk_node in node.walk():
@@ -950,9 +892,7 @@ def _fragment_union(
             )
     sub = joined.project(attributes)
     if not sub.rows:
-        return empty_cunion(len(node.children)) if columnar else []
-    fragment = factorise(
-        sub, FTree([node]), layout="columnar" if columnar else "legacy"
-    )
+        return empty_cunion(len(node.children))
+    fragment = factorise(sub, FTree([node]))
     splice.nodes_touched += fragment.size()
     return fragment.roots[0]

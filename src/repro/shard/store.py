@@ -20,7 +20,6 @@ from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.core.build import factorise
-from repro.core.frep import ColumnarFactorisation
 from repro.database import Database, _path_fallback_tree
 from repro.relational.relation import Relation
 from repro.shard.partition import choose_partition_key, partition_relation, shard_of
@@ -31,14 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.database import LogRecord
 
 
-def _layout_of(fact: "Factorisation | None") -> str:
-    """The union layout a registered view was stored in."""
-    return "columnar" if isinstance(fact, ColumnarFactorisation) else "legacy"
-
-
-def refactorise_shard(
-    relation: Relation, ftree: "FTree", layout: str = "legacy"
-) -> "Factorisation":
+def refactorise_shard(relation: Relation, ftree: "FTree") -> "Factorisation":
     """Factorise one shard slice over the view's f-tree.
 
     Partitioning on the root attribute preserves the tree's join
@@ -46,21 +38,18 @@ def refactorise_shard(
     caller-chosen key may not: when the slice no longer satisfies the
     dependencies, fall back to the always-valid path f-tree — keeping
     the relation keys so delta routing continues to work (see
-    ``_path_fallback_tree``: the path claims no independence).  ``layout``
-    matches the source view's representation, so columnar views shard
-    into columnar slices (whose flat arrays also pickle across the fork
-    boundary far cheaper than ``FRNode`` object trees).
+    ``_path_fallback_tree``: the path claims no independence).
     """
-    fact = factorise(relation, ftree, layout=layout)
+    fact = factorise(relation, ftree)
     if fact.tuple_count() == len(set(relation.rows)):
         return fact
-    return factorise(relation, _path_fallback_tree(ftree), layout=layout)
+    return factorise(relation, _path_fallback_tree(ftree))
 
 
 def build_shard_factorisations(
-    jobs: Sequence[tuple[Relation, "FTree", str]], workers: int
+    jobs: Sequence[tuple[Relation, "FTree"]], workers: int
 ) -> list["Factorisation"]:
-    """One factorisation per (shard slice, f-tree, layout) job.
+    """One factorisation per (shard slice, f-tree) job.
 
     With ``workers > 1`` the builds run concurrently through
     ``concurrent.futures`` (a process pool when the platform forks,
@@ -68,14 +57,11 @@ def build_shard_factorisations(
     fallback.
     """
     if workers <= 1 or len(jobs) <= 1:
-        return [
-            refactorise_shard(relation, ftree, layout)
-            for relation, ftree, layout in jobs
-        ]
+        return [refactorise_shard(relation, ftree) for relation, ftree in jobs]
     with _build_pool(min(workers, len(jobs))) as pool:
         futures = [
-            pool.submit(refactorise_shard, relation, ftree, layout)
-            for relation, ftree, layout in jobs
+            pool.submit(refactorise_shard, relation, ftree)
+            for relation, ftree in jobs
         ]
         return [future.result() for future in futures]
 
@@ -121,23 +107,21 @@ class ShardStore:
         self.keys: dict[str, str] = {}
         self.counts: dict[str, list[int]] = {}
         self.databases: list[Database] = [Database() for _ in range(shards)]
-        jobs: list[tuple[int, str, Relation, "FTree", str]] = []
+        jobs: list[tuple[int, str, Relation, "FTree"]] = []
         for name in database.names():
             partition_key = choose_partition_key(database, name, key)
             self.keys[name] = partition_key
             parts = partition_relation(database.flat(name), partition_key, shards)
             self.counts[name] = [len(part.rows) for part in parts]
             registered = database.get_factorised(name)
-            layout = _layout_of(registered)
             for index, part in enumerate(parts):
                 self.databases[index].add_relation(part, name=name)
                 if registered is not None:
-                    jobs.append((index, name, part, registered.ftree, layout))
+                    jobs.append((index, name, part, registered.ftree))
         built = build_shard_factorisations(
-            [(part, ftree, layout) for _, _, part, ftree, layout in jobs],
-            workers,
+            [(part, ftree) for _, _, part, ftree in jobs], workers
         )
-        for (index, name, _, _, _), fact in zip(jobs, built):
+        for (index, name, _, _), fact in zip(jobs, built):
             self.databases[index].add_factorised(name, fact)
 
     # ------------------------------------------------------------------
@@ -235,9 +219,7 @@ class ShardStore:
                 # assumptions (e.g. a one-row insert cross-multiplying
                 # sibling branches): re-factorise this one shard's slice
                 # of the view from its updated flat rows.
-                fact = refactorise_shard(
-                    relation, fact.ftree, _layout_of(fact)
-                )
+                fact = refactorise_shard(relation, fact.ftree)
                 self.local_rebuilds += 1
             shard_db.factorised[name] = fact
 

@@ -8,11 +8,11 @@ caches them across prepares behind a drift-aware epoch scheme:
   arrays (``CUnion.values``) directly, so exact distinct counts and
   cardinalities come from array walks over resident state — no tuple
   enumeration, no sampling pass;
-- **metrics seeding**: seeds are republished to the ``repro.obs``
-  registry (``repro_stats_*`` gauges), so a cache entry evicted between
-  prepares can be recovered from the registry without touching data;
 - **flat sampling**: relations without a factorisation fall back to one
   bounded sampling pass over the flat rows.
+
+Every seed is also published to the ``repro.obs`` registry
+(``repro_stats_*`` gauges) for operators.
 
 The :class:`StatsCache` (process-global via :func:`stats_cache`) keys
 entries like the PR 5 catalogue fingerprint (schema + registered f-tree
@@ -32,7 +32,6 @@ from repro.stats.collect import (
     FLAT_SAMPLE_LIMIT,
     stats_from_factorisation,
     stats_from_flat,
-    stats_from_metrics,
 )
 from repro.stats.model import (
     HISTOGRAM_WIDTH,
@@ -53,5 +52,4 @@ __all__ = [
     "stats_cache",
     "stats_from_factorisation",
     "stats_from_flat",
-    "stats_from_metrics",
 ]

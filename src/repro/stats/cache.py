@@ -1,6 +1,6 @@
 """The drift-aware statistics cache behind cost-based optimisation.
 
-Entries are keyed per (database identity, relation) and validated the
+Entries are keyed per (database token, relation) and validated the
 same way the PR 5 plan cache fingerprints the catalogue: by schema and
 registered f-tree signature, so schema changes invalidate naturally.
 Each key additionally carries an *epoch* counter that the prepared-
@@ -28,7 +28,6 @@ from repro.stats.collect import (
     publish_stats,
     stats_from_factorisation,
     stats_from_flat,
-    stats_from_metrics,
 )
 from repro.stats.model import RelationStats
 
@@ -44,16 +43,14 @@ CAPACITY = 64
 _STATS_EVENTS = metrics().counter(
     "repro_stats_cache_events_total",
     "Statistics cache traffic by event and source "
-    "(hit/miss/seed/invalidate × cache/columnar/legacy/flat/metrics/"
-    "merged/drift/schema).",
+    "(hit/miss/seed/invalidate × cache/columnar/flat/merged/drift/"
+    "schema).",
     ("event", "source"),
 )
 _HIT = _STATS_EVENTS.labels("hit", "cache")
 _MISS = _STATS_EVENTS.labels("miss", "cache")
 _SEED_COLUMNAR = _STATS_EVENTS.labels("seed", "columnar")
-_SEED_LEGACY = _STATS_EVENTS.labels("seed", "legacy")
 _SEED_FLAT = _STATS_EVENTS.labels("seed", "flat")
-_SEED_METRICS = _STATS_EVENTS.labels("seed", "metrics")
 _SEED_MERGED = _STATS_EVENTS.labels("seed", "merged")
 _INVALIDATE_DRIFT = _STATS_EVENTS.labels("invalidate", "drift")
 _INVALIDATE_SCHEMA = _STATS_EVENTS.labels("invalidate", "schema")
@@ -67,9 +64,7 @@ _REOPT_DRIFT = _REOPT.labels("drift")
 
 _SEED_EVENTS = {
     "columnar": _SEED_COLUMNAR,
-    "legacy": _SEED_LEGACY,
     "flat": _SEED_FLAT,
-    "metrics": _SEED_METRICS,
     "merged": _SEED_MERGED,
 }
 
@@ -77,6 +72,14 @@ _SEED_EVENTS = {
 def _origin(database):
     """The live database behind a snapshot (drift lives there)."""
     return getattr(database, "database", database)
+
+
+def _key(database, name: str) -> tuple:
+    """Cache key of one relation: the origin's ``token`` is unique for
+    the life of the process, where its ``id()`` is recycled once the
+    database is collected — and would hand a new database at the same
+    address, version and relation name the dead one's entry."""
+    return (_origin(database).token, name)
 
 
 @dataclass
@@ -104,12 +107,11 @@ class StatsCache:
         """Statistics for one relation, seeding the cache on miss.
 
         ``database`` may be a live :class:`~repro.database.Database` or
-        a snapshot; entries key on the live origin so snapshots of the
-        same database share statistics.  Returns ``None`` for unknown
+        a snapshot; entries key on the live origin's token so snapshots
+        of the same database share statistics.  Returns ``None`` for unknown
         relations (the optimiser then falls back to asymptotic costs).
         """
-        origin = _origin(database)
-        key = (id(origin), name)
+        key = _key(database, name)
         version = getattr(database, "version", 0)
         with self._lock:
             entry = self._entries.get(key)
@@ -131,27 +133,22 @@ class StatsCache:
                 _HIT.inc()
                 return entry.stats
         _MISS.inc()
-        stats = self._seed(database, origin, name, version)
+        stats = self._seed(database, name)
         if stats is None:
             return None
         self._store(database, key, stats, version)
-        if stats.source != "metrics":
-            publish_stats(origin, version, stats)
+        publish_stats(_origin(database), version, stats)
         return stats
 
-    def _seed(
-        self, database, origin, name: str, version: int
-    ) -> "RelationStats | None":
+    def _seed(self, database, name: str) -> "RelationStats | None":
         fact = getattr(database, "factorised", {}).get(name)
         if fact is not None:
             stats = stats_from_factorisation(name, fact)
         else:
-            stats = stats_from_metrics(name, origin, version)
-            if stats is None:
-                relation = getattr(database, "relations", {}).get(name)
-                if relation is None:
-                    return None
-                stats = stats_from_flat(name, relation)
+            relation = getattr(database, "relations", {}).get(name)
+            if relation is None:
+                return None
+            stats = stats_from_flat(name, relation)
         counter = _SEED_EVENTS.get(stats.source)
         if counter is not None:
             counter.inc()
@@ -183,11 +180,10 @@ class StatsCache:
         bump changes the fingerprint and the stale plan-cache entry is
         bypassed.
         """
-        origin = _origin(database)
         version = getattr(database, "version", 0)
         out = []
         for name in sorted(set(names)):
-            key = (id(origin), name)
+            key = _key(database, name)
             with self._lock:
                 entry = self._entries.get(key)
             if (
@@ -213,10 +209,9 @@ class StatsCache:
     # ------------------------------------------------------------------
     def prime(self, database, stats_by_name: Mapping[str, RelationStats]) -> None:
         """Install externally computed statistics (e.g. shard merges)."""
-        origin = _origin(database)
         version = getattr(database, "version", 0)
         for name, stats in stats_by_name.items():
-            self._store(database, (id(origin), name), stats, version)
+            self._store(database, _key(database, name), stats, version)
             counter = _SEED_EVENTS.get(stats.source)
             if counter is not None:
                 counter.inc()

@@ -1,4 +1,4 @@
-"""Statistics collectors: columnar walks, metrics recovery, sampling.
+"""Statistics collectors: structure walks and sampling.
 
 The cheap path reads resident factorised state: every union's value
 array is sorted and duplicate-free, so ``len(values)`` *is* the
@@ -8,18 +8,15 @@ single tuple.  Cardinality comes from ``tuple_count()`` (a dynamic
 program over union lengths) and the footprint from ``size_info()`` —
 all structure walks, no data scan.
 
-Seeds are republished to the ``repro.obs`` registry so an evicted cache
-entry can be recovered (``stats_from_metrics``) as long as the database
-has not moved past the version the gauges were stamped with.  Relations
-with no factorisation fall back to one bounded sampling pass over the
-flat rows.
+Relations with no factorisation fall back to one bounded sampling pass
+over the flat rows.  Seeds are republished to the ``repro.obs``
+registry for operators (``publish_stats``).
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.core.frep import CUnion, union_values
 from repro.obs.metrics import metrics
 from repro.relational.relation import Relation
 from repro.stats.model import HISTOGRAM_WIDTH, AttributeStats, RelationStats
@@ -27,8 +24,8 @@ from repro.stats.model import HISTOGRAM_WIDTH, AttributeStats, RelationStats
 # Flat fallback: stride-sample at most this many rows in one pass.
 FLAT_SAMPLE_LIMIT = 4096
 
-# Gauges the collectors publish so statistics survive cache eviction
-# and cross the shard fork boundary with the metrics merge protocol.
+# Gauges holding each relation's last seed, for operators; they cross
+# the shard fork boundary with the metrics merge protocol.
 _STATS_ROWS = metrics().gauge(
     "repro_stats_relation_rows",
     "Cardinality recorded at the last statistics seed, per relation.",
@@ -52,12 +49,6 @@ def _top_k(counts: "dict[Any, int]") -> "tuple[tuple, bool]":
     return tuple(top[:HISTOGRAM_WIDTH]), len(top) <= HISTOGRAM_WIDTH
 
 
-def _child_unions(union, index: int) -> list:
-    if type(union) is CUnion:
-        return union.children[index]
-    return [entry.children[index] for entry in union]
-
-
 def stats_from_factorisation(name: str, fact) -> RelationStats:
     """Exact statistics from a resident factorisation — no data scan.
 
@@ -76,7 +67,7 @@ def stats_from_factorisation(name: str, fact) -> RelationStats:
         if not node.is_aggregate and node.attributes:
             counts: dict[Any, int] = {}
             for union in unions:
-                for value in union_values(union):
+                for value in union.values:
                     counts[value] = counts.get(value, 0) + 1
             histogram, complete = _top_k(counts)
             entry = AttributeStats(
@@ -90,7 +81,7 @@ def stats_from_factorisation(name: str, fact) -> RelationStats:
         for index, child in enumerate(node.children):
             gathered: list = []
             for union in unions:
-                gathered.extend(_child_unions(union, index))
+                gathered.extend(union.children[index])
             walk(child, gathered, above)
 
     for node, union in zip(fact.ftree.roots, fact.roots):
@@ -100,7 +91,7 @@ def stats_from_factorisation(name: str, fact) -> RelationStats:
         name=name,
         rows=fact.tuple_count(),
         attributes=attributes,
-        source=fact.layout,
+        source="columnar",
         singletons=singletons,
         resident_bytes=resident_bytes,
         nesting=nesting,
@@ -144,48 +135,12 @@ def stats_from_flat(
 # ---------------------------------------------------------------------------
 # Metrics-registry bridge
 # ---------------------------------------------------------------------------
-def _db_token(origin) -> str:
-    return f"{id(origin):x}"
-
-
 def publish_stats(origin, version: int, stats: RelationStats) -> None:
-    """Record a seed in the metrics registry (and for operators)."""
-    token = _db_token(origin)
+    """Record a seed in the metrics registry (for operators)."""
+    token = str(origin.token)
     _STATS_ROWS.labels(token, stats.name).set(float(stats.rows))
     _STATS_VERSION.labels(token, stats.name).set(float(version))
     for attribute, entry in stats.attributes.items():
         _STATS_DISTINCT.labels(token, stats.name, attribute).set(
             float(entry.distinct)
         )
-
-
-def stats_from_metrics(name: str, origin, version: int) -> "RelationStats | None":
-    """Recover a previously published seed from the metrics registry.
-
-    Only valid while the database is still at the version the gauges
-    were stamped with — any mutation since makes the recovery stale and
-    the caller falls through to a fresh seed.
-    """
-    token = _db_token(origin)
-    rows = None
-    stamp = None
-    for key, sample in _STATS_ROWS.samples():
-        if key == (token, name):
-            rows = sample
-    for key, sample in _STATS_VERSION.samples():
-        if key == (token, name):
-            stamp = sample
-    if rows is None or stamp is None or int(stamp) != int(version):
-        return None
-    attributes: dict[str, AttributeStats] = {}
-    for key, sample in _STATS_DISTINCT.samples():
-        if key[0] == token and key[1] == name:
-            attributes[key[2]] = AttributeStats(
-                distinct=int(sample), total=0
-            )
-    return RelationStats(
-        name=name,
-        rows=int(rows),
-        attributes=attributes,
-        source="metrics",
-    )

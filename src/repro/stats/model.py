@@ -44,10 +44,9 @@ class AttributeStats:
 class RelationStats:
     """Summary of one relation (or registered view).
 
-    ``source`` labels where the numbers came from: the factorisation
-    layout (``columnar`` / ``legacy``) for resident-view walks,
-    ``flat`` for a sampling pass, ``metrics`` for values recovered from
-    the ``repro.obs`` registry, and ``merged`` for cross-shard merges.
+    ``source`` labels where the numbers came from: ``columnar`` for a
+    walk over a resident view's value arrays, ``flat`` for a sampling
+    pass, and ``merged`` for cross-shard merges.
 
     ``nesting`` is set when the attribute totals are *entry counts* of
     a resident factorisation: it maps every attribute to the root-to-

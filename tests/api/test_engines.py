@@ -26,6 +26,38 @@ def test_create_engine_unknown_name_suggests():
         create_engine("nope")
 
 
+@pytest.mark.parametrize(
+    "engine,accepted",
+    [
+        ("fdb", "output, optimizer"),
+        ("fdb-factorised", "output, optimizer"),
+        ("fdb-parallel", "shards, workers, key, optimizer"),
+        ("rdb", "grouping, join_method"),
+        ("sqlite", r"\(none\)"),
+    ],
+)
+def test_unknown_engine_option_fails_with_a_reason(pizzeria, engine, accepted):
+    """Reported when the backend is instantiated — at the first query."""
+    session = connect(pizzeria, engine=engine, layout="legacy")
+    with pytest.raises(
+        ValueError,
+        match=f"engine '{engine}' does not accept option 'layout'; "
+        f"accepted options: {accepted}$",
+    ):
+        session.query("R").count("n").run()
+
+
+def test_errors_inside_a_backend_constructor_are_not_rewritten(monkeypatch):
+    from repro.api import engines
+
+    def raises(optimizer):
+        raise TypeError("boom")
+
+    monkeypatch.setitem(engines._REGISTRY, "raises-test", raises)
+    with pytest.raises(TypeError, match="boom"):
+        create_engine("raises-test", optimizer="cost")
+
+
 def test_register_engine_rejects_silent_override():
     with pytest.raises(ValueError, match="already registered"):
         register_engine("fdb", lambda: None)

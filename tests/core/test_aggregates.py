@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import aggregates as agg
 from repro.core.build import factorise, factorise_path
-from repro.core.frep import FRNode
+from repro.core.frep import CUnion, singleton_cunion
 from repro.core.ftree import AggregateAttribute, FNode, build_ftree
 from repro.relational.operators import multiway_join
 from repro.relational.relation import Relation
@@ -39,14 +39,14 @@ def test_count_of_aggregate_singleton():
     # Example 6: ⟨count(item):3⟩ counts as 3 tuples, not 1.
     attr = AggregateAttribute((("count", None),), frozenset({"item"}), "c")
     node = FNode(attr, (), {"r"})
-    assert agg.count_union(node, [FRNode((3,), ())]) == 3
+    assert agg.count_union(node, singleton_cunion((3,))) == 3
 
 
 def test_count_over_sum_only_aggregate_raises():
     attr = AggregateAttribute((("sum", "p"),), frozenset({"p"}), "s")
     node = FNode(attr, (), {"r"})
     with pytest.raises(agg.CompositionError):
-        agg.count_union(node, [FRNode((9,), ())])
+        agg.count_union(node, singleton_cunion((9,)))
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +67,7 @@ def test_sum_multiplies_by_sibling_counts():
 def test_sum_of_partial_sum_singleton():
     attr = AggregateAttribute((("sum", "p"),), frozenset({"p", "i"}), "s")
     node = FNode(attr, (), {"r"})
-    assert agg.sum_union("p", node, [FRNode((9,), ()), FRNode((8,), ())]) == 17
+    assert agg.sum_union("p", node, CUnion([(9,), (8,)])) == 17
 
 
 def test_sum_example8_combination():
@@ -77,10 +77,13 @@ def test_sum_example8_combination():
         (("sum", "price"),), frozenset({"item", "price"}), "sp"
     )
     pizza = FNode(("pizza",), (FNode(count_attr), FNode(sum_attr)), {"o"})
-    union = [
-        FRNode("Capricciosa", ([FRNode((2,), ())], [FRNode((8,), ())])),
-        FRNode("Margherita", ([FRNode((1,), ())], [FRNode((6,), ())])),
-    ]
+    union = CUnion(
+        ["Capricciosa", "Margherita"],
+        (
+            [singleton_cunion((2,)), singleton_cunion((1,))],
+            [singleton_cunion((8,)), singleton_cunion((6,))],
+        ),
+    )
     assert agg.sum_union("price", pizza, union) == 22
 
 
@@ -88,7 +91,7 @@ def test_sum_over_count_only_aggregate_raises():
     attr = AggregateAttribute((("count", None),), frozenset({"p"}), "c")
     node = FNode(attr, (), {"r"})
     with pytest.raises(agg.CompositionError):
-        agg.sum_union("p", node, [FRNode((3,), ())])
+        agg.sum_union("p", node, singleton_cunion((3,)))
 
 
 def test_sum_missing_attribute_raises(pizza_fact):
@@ -114,13 +117,13 @@ def test_extrema_ignore_multiplicities():
 def test_extremum_of_partial(pizza_fact):
     attr = AggregateAttribute((("min", "p"),), frozenset({"p"}), "m")
     node = FNode(attr, (), {"r"})
-    assert agg.extremum_union("min", "p", node, [FRNode((4,), ()), FRNode((2,), ())]) == 2
+    assert agg.extremum_union("min", "p", node, CUnion([(4,), (2,)])) == 2
 
 
 def test_extremum_empty_raises():
     node = FNode(("a",), (), {"r"})
     with pytest.raises(agg.EmptyAggregateError):
-        agg.extremum_union("min", "a", node, [])
+        agg.extremum_union("min", "a", node, CUnion([]))
 
 
 # ---------------------------------------------------------------------------

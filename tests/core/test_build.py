@@ -21,8 +21,7 @@ def test_factorise_pizzeria_matches_figure1(pizzeria_rels, t1):
 def test_factorise_groups_by_root(pizzeria_rels, t1):
     joined = multiway_join(list(pizzeria_rels))
     fact = factorise(joined, t1)
-    pizzas = [entry.value for entry in fact.roots[0]]
-    assert pizzas == ["Capricciosa", "Hawaii", "Margherita"]  # sorted
+    assert fact.roots[0].values == ["Capricciosa", "Hawaii", "Margherita"]  # sorted
 
 
 def test_factorise_requires_matching_schema(t1):

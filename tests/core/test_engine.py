@@ -245,3 +245,102 @@ def test_exhaustive_optimizer_engine(pizzeria):
         aggregates=(aggregate("sum", "price", "rev"),),
     )
     assert_same_relation(fdb.execute(q, pizzeria), rdb.execute(q, pizzeria))
+
+
+# ---------------------------------------------------------------------------
+# The collector pause around f-plan execution
+# ---------------------------------------------------------------------------
+_REVENUE = Query(
+    relations=("R",),
+    group_by=("customer",),
+    aggregates=(aggregate("sum", "price", "rev"),),
+)
+
+
+def test_no_collection_inside_a_plan_and_collector_back_on_after(pizzeria):
+    import gc
+
+    from repro.core import fplan
+
+    seen = []
+    original = fplan.FPlan.execute
+
+    def spying(self, fact, trace=None):
+        seen.append(gc.isenabled())
+        return original(self, fact, trace)
+
+    fplan.FPlan.execute = spying
+    try:
+        assert gc.isenabled()
+        FDBEngine().execute(_REVENUE, pizzeria)
+    finally:
+        fplan.FPlan.execute = original
+    assert seen and not any(seen)
+    assert gc.isenabled()
+
+
+def test_pause_respects_a_collector_the_caller_turned_off(pizzeria):
+    import gc
+
+    gc.disable()
+    try:
+        FDBEngine().execute(_REVENUE, pizzeria)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_pause_ends_when_the_plan_fails(pizzeria):
+    import gc
+
+    from repro.core.engine import _collector_paused
+
+    with pytest.raises(KeyError):
+        with _collector_paused():
+            assert not gc.isenabled()
+            raise KeyError("boom")
+    assert gc.isenabled()
+    with _collector_paused():  # the switch was handed back
+        assert not gc.isenabled()
+    assert gc.isenabled()
+
+
+def test_concurrent_plans_leave_the_collector_on(pizzeria):
+    import gc
+    import threading
+
+    engine = FDBEngine()
+    expected = engine.execute(_REVENUE, pizzeria).rows
+    failures = []
+
+    def client():
+        for _ in range(40):
+            if engine.execute(_REVENUE, pizzeria).rows != expected:
+                failures.append("rows differ")
+
+    threads = [threading.Thread(target=client) for _ in range(6)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert not failures
+    assert gc.isenabled()
+
+
+@pytest.mark.skipif(not hasattr(__import__("os"), "fork"), reason="needs fork")
+def test_child_forked_during_a_plan_collects(pizzeria):
+    import gc
+    import os
+
+    from repro.core.engine import _collector_paused
+
+    with _collector_paused():
+        pid = os.fork()
+        if pid == 0:  # the child: outside every plan, collector on
+            healthy = gc.isenabled()
+            with _collector_paused():
+                healthy = healthy and not gc.isenabled()
+            os._exit(0 if healthy and gc.isenabled() else 1)
+        _, status = os.waitpid(pid, 0)
+    assert status == 0
+    assert gc.isenabled()

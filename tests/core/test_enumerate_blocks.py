@@ -29,11 +29,7 @@ from repro.core.enumerate import (
     supports_order,
 )
 from repro.core.fplan import ExecutionTrace, FPlan, SelectStep
-from repro.core.frep import (
-    ColumnarFactorisation,
-    CUnion,
-    Factorisation,
-)
+from repro.core.frep import CUnion, Factorisation
 from repro.core.ftree import FNode, FTree
 from repro.data.workloads import FULL_WORKLOAD
 from repro.database import Database
@@ -228,10 +224,10 @@ def _random_union(rng: random.Random, node: FNode, pool: dict, root=False) -> CU
     return union
 
 
-def random_fact(rng: random.Random) -> ColumnarFactorisation:
+def random_fact(rng: random.Random) -> Factorisation:
     tree = _make_tree(rng.choice(SHAPES))
     pool: dict = {}
-    return ColumnarFactorisation(
+    return Factorisation(
         tree, [_random_union(rng, root, pool, root=True) for root in tree.roots]
     )
 
@@ -278,7 +274,6 @@ def test_blocks_match_reference_position_by_position(seed):
         blocks = list(iter_blocks(fact, order))
         assert all(blocks), "empty blocks are not yielded"
         assert [row for block in blocks for row in block] == expected
-        assert list(iter_tuples(fact.to_legacy(), order)) == expected
         first = len(blocks[0]) if blocks else 1
         for limit in (0, 1, first - 1, first, first + 1, len(expected) + 3):
             if limit >= 0:
@@ -298,8 +293,8 @@ def test_column_selection_and_preorder(seed):
     ]
     got = [row for block in iter_blocks(fact, order, columns) for row in block]
     assert got == expected
-    # Flattening keeps the legacy layout's depth-first order.
-    assert list(fact.iter_tuples()) == list(fact.to_legacy().iter_tuples())
+    # Flattening is depth-first in pre-order.
+    assert list(fact.iter_tuples()) == list(ref_iter_tuples(fact, schema))
 
 
 def test_unsupported_order_is_rejected():
@@ -341,20 +336,15 @@ def test_group_output_matches_reference_contexts(seed):
         )
         expected = ref_flat_aggregate_rows(query, fact)
         assert engine._flat_aggregate_output(query, fact).rows == expected
-        legacy = FDBEngine(layout="legacy")._flat_aggregate_output(
-            query, fact.to_legacy()
-        )
-        assert legacy.rows == expected
-        # The row-at-a-time walk agrees with its reference in either layout.
-        for layout in (fact, fact.to_legacy()):
-            contexts = [
-                (a, [node.name for node, _ in left])
-                for a, left in iter_group_contexts(layout, group, order)
-            ]
-            assert contexts == [
-                (a, [node.name for node, _ in left])
-                for a, left in ref_iter_group_contexts(fact, group, order)
-            ]
+        # The row-at-a-time walk agrees with its reference.
+        contexts = [
+            (a, [node.name for node, _ in left])
+            for a, left in iter_group_contexts(fact, group, order)
+        ]
+        assert contexts == [
+            (a, [node.name for node, _ in left])
+            for a, left in ref_iter_group_contexts(fact, group, order)
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +356,7 @@ def _wide_fact(groups: int = 500, left: int = 25, right: int = 20):
     b = CUnion(list(range(left)), ())
     c = CUnion(list(range(right)), ())
     root = CUnion(list(range(groups)), ([b] * groups, [c] * groups))
-    return ColumnarFactorisation(tree, [root])
+    return Factorisation(tree, [root])
 
 
 @pytest.fixture()
@@ -445,7 +435,7 @@ def test_wide_unions_and_branches_stay_lazy_and_bounded(produced, shape):
     huge second root or a huge independent branch is neither built
     before the first row nor held in one list while streaming."""
     spec, roots, order = WIDE[shape]
-    fact = ColumnarFactorisation(_make_tree(spec), roots())
+    fact = Factorisation(_make_tree(spec), roots())
     total = fact.tuple_count()
     assert total >= 600_000
     assert list(iter_tuples(fact, order, 1)) == list(ref_iter_tuples(fact, order, 1))
@@ -473,7 +463,7 @@ def test_independent_branch_is_enumerated_once(monkeypatch):
     leaf = CUnion([1, 2], ())
     b = CUnion(list(range(30)), ([leaf] * 30,))
     c = CUnion(list(range(4)), (Counted([leaf] * 4),))
-    fact = ColumnarFactorisation(tree, [CUnion([0, 1], ([b, b], [c, c]))])
+    fact = Factorisation(tree, [CUnion([0, 1], ([b, b], [c, c]))])
     order = ["a", "b", "d", "c", "e"]
     rows = list(iter_tuples(fact, order))
     assert rows == list(ref_iter_tuples(fact, order))
@@ -519,24 +509,21 @@ def _planned_fact(engine: FDBEngine, query, database):
     return compiled.query, compiled.plan.execute(fact, trace)
 
 
-@pytest.mark.parametrize("layout", ["columnar", "legacy"])
 @pytest.mark.parametrize(
     "name,query", list(_aggregate_queries()), ids=lambda v: v if isinstance(v, str) else ""
 )
-def test_group_output_matches_old_loop(tiny_workload_db, layout, name, query):
+def test_group_output_matches_old_loop(tiny_workload_db, name, query):
     aliases = {spec.alias for spec in query.aggregates}
     if any(key.attribute in aliases for key in query.order_by):
         pytest.skip("ordered by an alias: not the flat group-output path")
-    engine = FDBEngine(layout=layout)
+    engine = FDBEngine()
     effective, fact = _planned_fact(engine, query, tiny_workload_db)
     got = engine._flat_aggregate_output(effective, fact)
     assert got.rows == ref_flat_aggregate_rows(effective, fact)
     assert got.schema == tuple(effective.output_schema)
     # The factorised engine shares the enumerator: same rows, same order
     # whenever the query fixes one.
-    finalised = FDBEngine(output="factorised", layout=layout)._finalised_result(
-        effective, fact
-    )
+    finalised = FDBEngine(output="factorised")._finalised_result(effective, fact)
     rows = finalised.to_relation().rows
     assert list(finalised.iter_tuples()) == rows
     if len(query.order_by) == len(query.group_by):
@@ -587,7 +574,7 @@ def test_engine_results_skip_row_validation(tiny_workload_db, monkeypatch):
         parse_query("SELECT * FROM R3 ORDER BY date"), tiny_workload_db
     )
     assert len(factorised.to_relation().rows) > 100
-    assert len(factorised.factorisation.to_legacy().to_relation().rows) > 100
+    assert len(factorised.factorisation.to_relation().rows) > 100
     assert validated == []
     with pytest.raises(Exception):
         Relation(("a", "b"), [(1,)])  # user-supplied rows are still checked

@@ -14,6 +14,7 @@ from repro.core import operators as ops
 from repro.core.build import factorise, factorise_path
 from repro.core.engine import FDBEngine
 from repro.core.enumerate import iter_tuples, supports_grouping, supports_order
+from repro.core.frep import iter_entries
 from repro.data.pizzeria import pizzeria_database, pizzeria_view
 from repro.query import Query, aggregate
 from repro.relational.engine import RDBEngine
@@ -30,15 +31,11 @@ def view():
 def test_figure1_factorisation_structure(view):
     _, fact = view
     # Three pizzas at the root, sorted; Hawaii shares Lucia & Pietro.
-    assert [e.value for e in fact.roots[0]] == [
-        "Capricciosa",
-        "Hawaii",
-        "Margherita",
-    ]
-    hawaii = fact.roots[0][1]
-    dates = hawaii.children[0]
-    assert [e.value for e in dates] == ["Friday"]
-    assert [c.value for c in dates[0].children[0]] == ["Lucia", "Pietro"]
+    pizzas = fact.roots[0]
+    assert pizzas.values == ["Capricciosa", "Hawaii", "Margherita"]
+    dates = pizzas.children[0][1]  # Hawaii's
+    assert dates.values == ["Friday"]
+    assert dates.children[0][0].values == ["Lucia", "Pietro"]
 
 
 def test_example1_scenario1_local_aggregation(view):
@@ -47,7 +44,10 @@ def test_example1_scenario1_local_aggregation(view):
     s = ops.apply_aggregation(
         fact, "pizza", ["item"], [("sum", "price")], name="sp"
     )
-    by_pizza = {e.value: e.children[1][0].value[0] for e in s.roots[0]}
+    by_pizza = {
+        pizza: children[1].values[0][0]
+        for pizza, children in iter_entries(s.roots[0])
+    }
     assert by_pizza == {"Capricciosa": 8, "Hawaii": 9, "Margherita": 6}
 
 
@@ -63,13 +63,9 @@ def test_example1_scenario2_restructure_and_partials(view):
         t3, "pizza", ["date"], [("count", None)], name="cd"
     )
     # T4 fragment of Mario/Capricciosa: count 2, sum 8 (paper's figures).
-    mario = next(e for e in t4.roots[0] if e.value == "Mario")
-    capricciosa = next(
-        p for p in mario.children[0] if p.value == "Capricciosa"
-    )
-    values = sorted(
-        child[0].value for child in capricciosa.children
-    )
+    mario = dict(iter_entries(t4.roots[0]))["Mario"]
+    capricciosa = dict(iter_entries(mario[0]))["Capricciosa"]
+    values = sorted(child.values[0] for child in capricciosa)
     assert values == [(2,), (8,)]
     final = ops.apply_aggregation(
         t4, "customer", ["pizza"], [("sum", "price")], name="revenue"

@@ -4,11 +4,12 @@ import pytest
 
 from repro.core.build import factorise, factorise_path
 from repro.core.frep import (
+    CUnion,
     Factorisation,
     FactorisationError,
-    FRNode,
+    empty_cunion,
     empty_like,
-    singleton_union,
+    singleton_cunion,
 )
 from repro.core.ftree import build_ftree, path_ftree
 from repro.relational.relation import Relation
@@ -62,7 +63,7 @@ def test_empty_like():
 def test_root_count_must_match():
     tree = path_ftree(("x",), "R")
     with pytest.raises(FactorisationError):
-        Factorisation(tree, [[], []])
+        Factorisation(tree, [empty_cunion(0), empty_cunion(0)])
 
 
 def test_validate_sorted_ok():
@@ -72,28 +73,28 @@ def test_validate_sorted_ok():
 
 def test_validate_detects_unsorted():
     tree = path_ftree(("x",), "R")
-    fact = Factorisation(tree, [[FRNode(2, ()), FRNode(1, ())]])
+    fact = Factorisation(tree, [CUnion([2, 1])])
     with pytest.raises(FactorisationError):
         fact.validate()
 
 
 def test_validate_detects_duplicates():
     tree = path_ftree(("x",), "R")
-    fact = Factorisation(tree, [[FRNode(1, ()), FRNode(1, ())]])
+    fact = Factorisation(tree, [CUnion([1, 1])])
     with pytest.raises(FactorisationError):
         fact.validate()
 
 
 def test_validate_detects_misaligned_children():
     tree = path_ftree(("x", "y"), "R")
-    fact = Factorisation(tree, [[FRNode(1, ())]])  # missing child fragment
+    fact = Factorisation(tree, [CUnion([1])])  # missing child fragment
     with pytest.raises(FactorisationError):
         fact.validate()
 
 
 def test_equivalence_class_values_repeat():
     tree = build_ftree([(("a", "b"), [])], keys={"a": {"r"}})
-    fact = Factorisation(tree, [singleton_union(7)])
+    fact = Factorisation(tree, [singleton_cunion(7)])
     assert list(fact.iter_tuples()) == [(7, 7)]
     assert fact.schema() == ["a", "b"]
 
@@ -102,10 +103,7 @@ def test_tuple_count_multiplies_products():
     tree = build_ftree(["a", "b"], keys={"a": {"r"}, "b": {"s"}})
     fact = Factorisation(
         tree,
-        [
-            [FRNode(1, ()), FRNode(2, ())],
-            [FRNode(1, ()), FRNode(2, ()), FRNode(3, ())],
-        ],
+        [CUnion([1, 2]), CUnion([1, 2, 3])],
     )
     assert fact.tuple_count() == 6
     assert fact.size() == 5
@@ -129,26 +127,16 @@ def _naive_size_info(fact):
     of a shared fragment is visited again."""
     from sys import getsizeof
 
-    from repro.core.frep import CUnion
-
     ptr, lst, tup = 8, getsizeof([]), getsizeof(())
-    frnode, cunion = getsizeof(FRNode(0, ())), getsizeof(CUnion([], ()))
+    cunion = getsizeof(CUnion([], ()))
 
     def walk(union):
-        if type(union) is CUnion:
-            singles = len(union.values)
-            nbytes = cunion + lst + ptr * singles + tup + ptr * len(union.children)
-            for col in union.children:
-                nbytes += lst + ptr * len(col)
-                for sub in col:
-                    below = walk(sub)
-                    singles, nbytes = singles + below[0], nbytes + below[1]
-            return singles, nbytes
-        singles, nbytes = len(union), lst + ptr * len(union)
-        for entry in union:
-            nbytes += frnode + tup + ptr * len(entry.children)
-            for child in entry.children:
-                below = walk(child)
+        singles = len(union.values)
+        nbytes = cunion + lst + ptr * singles + tup + ptr * len(union.children)
+        for col in union.children:
+            nbytes += lst + ptr * len(col)
+            for sub in col:
+                below = walk(sub)
                 singles, nbytes = singles + below[0], nbytes + below[1]
         return singles, nbytes
 
@@ -176,11 +164,10 @@ def test_size_info_matches_naive_walk_with_shared_subtrees(seed):
         tuple(rng.randrange(4) for _ in range(4)) for _ in range(rng.randrange(1, 60))
     }
     fact = factorise(Relation(("a", "b", "c", "d"), sorted(rows)), tree)
-    for layout in (fact, fact.to_columnar()):
-        # χ shares the fragments that do not depend on the old parent.
-        for swapped in (layout, ops.swap(layout, "b")):
-            assert swapped.size_info() == _naive_size_info(swapped)
-            assert swapped.size_info()[0] == swapped.size()
+    # χ shares the fragments that do not depend on the old parent.
+    for swapped in (fact, ops.swap(fact, "b")):
+        assert swapped.size_info() == _naive_size_info(swapped)
+        assert swapped.size_info()[0] == swapped.size()
 
 
 def test_accounting_a_swap_output_costs_less_than_the_swap():
@@ -192,7 +179,6 @@ def test_accounting_a_swap_output_costs_less_than_the_swap():
     from repro.data.workloads import build_workload_database
 
     view = build_workload_database(scale=1.0, seed=7).get_factorised("R1")
-    view = view.to_columnar()
 
     def best(action):
         timings = []

@@ -96,3 +96,38 @@ def test_empty_factorisation_roundtrip():
     fact = factorise_path(Relation(("a", "b"), []), "R")
     restored = loads(dumps(fact))
     assert restored.is_empty() or restored.size() == 0
+
+
+#: Written by ``dumps`` at the commit before unions became ``CUnion``s
+#: (format version 1): γ_{sum(b), count}(b) below ``a`` in the view
+#: ``a → {b, c}``.  Documents on disk outlive the in-memory classes.
+PARENT_DOCUMENT = (
+    '{"version":1,"ftree":{"roots":[{"keys":["R","S","__dep_1"],"children":'
+    '[{"keys":["__dep_1"],"children":[],"aggregate":{"functions":[["sum","b"],'
+    '["count",null]],"over":["b"],"name":"sb"}},{"keys":["S"],"children":[],'
+    '"attributes":["c"]}],"attributes":["a"]}]},"roots":[[[1,[[[{"t":[30,2]},'
+    '[]]],[["x",[]]]]],[2,[[[{"t":[10,1]},[]]],[["y",[]],["z",[]]]]]]]}'
+)
+
+
+def test_document_written_before_the_port_loads_and_rewrites_identically():
+    restored = loads(PARENT_DOCUMENT)
+    assert list(restored.iter_tuples()) == [
+        (1, (30, 2), "x"),
+        (2, (10, 1), "y"),
+        (2, (10, 1), "z"),
+    ]
+    assert restored.ftree.node("sb").aggregate.functions == (
+        ("sum", "b"),
+        ("count", None),
+    )
+    assert dumps(restored) == PARENT_DOCUMENT
+
+
+def test_fragments_that_do_not_fit_the_tree_are_rejected():
+    document = factorisation_to_dict(
+        factorise_path(Relation(("a", "b"), [(1, 2)]), "R")
+    )
+    document["roots"][0][0][1] = []  # the entry lost its child union
+    with pytest.raises(SerialisationError):
+        factorisation_from_dict(document)

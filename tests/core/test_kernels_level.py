@@ -19,7 +19,7 @@ from repro.core import aggregates as agg
 from repro.core import kernels
 from repro.core import operators as ops
 from repro.core.frep import (
-    ColumnarFactorisation,
+    Factorisation,
     CUnion,
     level_column,
     map_cunion_level,
@@ -62,7 +62,7 @@ def map_cunion_at(fact, root_index, steps, transform, new_ftree):
     new_roots[root_index] = rebuild(
         fact.ftree.roots[root_index], fact.roots[root_index], list(steps)
     )
-    return ColumnarFactorisation(new_ftree, new_roots)
+    return Factorisation(new_ftree, new_roots)
 
 
 def ref_swap(fact, child_name):
@@ -330,7 +330,7 @@ def ref_nest_root_under(fact, root_name, target):
             union.values, union.children + ([moved_union] * len(union.values),)
         )
 
-    pruned = ColumnarFactorisation(
+    pruned = Factorisation(
         pruned_tree, [u for i, u in enumerate(fact.roots) if i != r_idx]
     )
     root_index, steps = pruned_tree.path_to(target)
@@ -355,7 +355,7 @@ def ref_aggregate(fact, parent_name, child_names, functions, name):
             else [agg.evaluate_components(functions, items)]
         )
         roots.insert(slot, CUnion(found, ()))
-        return ColumnarFactorisation(new_ftree, roots)
+        return Factorisation(new_ftree, roots)
     child_nodes = [parent.children[i] for i in indices]
 
     def transform(_, union):
@@ -487,7 +487,7 @@ def random_union(rng, node, top=True):
 def random_fact(seed, kind=None):
     rng = random.Random(seed)
     tree = random_tree(rng, kind)
-    return rng, ColumnarFactorisation(
+    return rng, Factorisation(
         tree, [random_union(rng, root) for root in tree.roots]
     )
 
@@ -504,12 +504,12 @@ def test_swap_general_and_pure(seed):
     for node in list(fact.ftree.nodes()):
         if fact.ftree.parent(node) is None:
             continue
-        assert_same(kernels.swap_c(fact, node.name), ref_swap(fact, node.name))
+        assert_same(ops.swap(fact, node.name), ref_swap(fact, node.name))
     # The pure two-level shape: a leaf that is its parent's only child,
     # below a level of several unions.
     tree = FTree([FNode(("a",), (FNode(("b",), (leaf("c"),), ("k",)),), ("k",))])
-    pure = ColumnarFactorisation(tree, [random_union(rng, tree.roots[0])])
-    assert_same(kernels.swap_c(pure, "c"), ref_swap(pure, "c"))
+    pure = Factorisation(tree, [random_union(rng, tree.roots[0])])
+    assert_same(ops.swap(pure, "c"), ref_swap(pure, "c"))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -520,7 +520,7 @@ def test_merge_and_absorb(seed):
         plain = [c for c in parent.children if not c.is_aggregate]
         for left, right in zip(plain, plain[1:]):
             assert_same(
-                kernels.merge_siblings_c(fact, left.name, right.name),
+                ops.merge_siblings(fact, left.name, right.name),
                 ref_merge(fact, left.name, right.name),
             )
     for upper in tree.nodes():
@@ -528,7 +528,7 @@ def test_merge_and_absorb(seed):
             if lower.is_aggregate or not tree.is_ancestor(upper, lower):
                 continue
             assert_same(
-                kernels.absorb_c(fact, upper.name, lower.name),
+                ops.absorb(fact, upper.name, lower.name),
                 ref_absorb(fact, upper.name, lower.name),
             )
 
@@ -545,10 +545,10 @@ def test_select_prunes_ancestors_and_keeps_columns_aligned(seed):
             (">", 1), ("<", 3), (">=", 2), ("<=", 2), ("=", 2), ("!=", 0), (">", 9), ("<", 0),
         ):
             condition = Comparison(node.name, op, constant)
-            got = kernels.select_constant_c(fact, condition)
+            got = ops.select_constant(fact, condition)
             assert_same(got, ref_select(fact, condition))
     # (">", 9) keeps nothing: the whole relation is pruned to ∅.
-    assert kernels.select_constant_c(
+    assert ops.select_constant(
         fact, Comparison(fact.ftree.roots[0].name, ">", 9)
     ).is_empty()
 
@@ -563,23 +563,23 @@ def test_projection_and_nests(seed):
             continue
         if not node.children:
             assert_same(
-                kernels.remove_leaf_c(fact, node.name),
+                ops.remove_leaf(fact, node.name),
                 ref_remove_leaf(fact, node.name),
             )
         for sibling in parent.children:
             if sibling is not node and not sibling.is_aggregate:
                 assert_same(
-                    kernels.nest_under_c(fact, node.name, sibling.name),
+                    ops.nest_under(fact, node.name, sibling.name),
                     ref_nest_under(fact, node.name, sibling.name),
                 )
     extra = FNode(("z",), (leaf("y", keys=("kz",)),), ("kz",))
-    product = ColumnarFactorisation(
+    product = Factorisation(
         FTree(tree.roots + (extra,)), fact.roots + (random_union(rng, extra),)
     )
     for target in tree.nodes():
         if target.is_aggregate:
             continue
-        got = kernels.nest_root_under_c(product, "z", target.name)
+        got = ops.nest_root_under(product, "z", target.name)
         assert_same(got, ref_nest_root_under(product, "z", target.name))
         # The moved tree is one fragment, shared by every entry.
         moved = product.roots[-1]
@@ -605,9 +605,9 @@ def check_gamma(fact, *args):
         want = ref_aggregate(fact, *args)
     except (agg.CompositionError, agg.EmptyAggregateError) as error:
         with pytest.raises(type(error)):
-            kernels.apply_aggregation_c(fact, *args)
+            ops.apply_aggregation(fact, *args)
     else:
-        assert_same(kernels.apply_aggregation_c(fact, *args), want)
+        assert_same(ops.apply_aggregation(fact, *args), want)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -634,7 +634,7 @@ def test_aggregation(seed):
     root = fact.ftree.roots[0]
     for functions in ((("count", None),), (("sum", "a"), ("max", "a"))):
         check_gamma(fact, None, [root.name], functions, "out")
-    empty = ColumnarFactorisation(fact.ftree, [CUnion([], ([],) * len(root.children))])
+    empty = Factorisation(fact.ftree, [CUnion([], ([],) * len(root.children))])
     check_gamma(empty, None, [root.name], (("min", "a"),), "out")
 
 
@@ -643,7 +643,7 @@ def test_expression_aggregates_take_the_scalar_fallback(seed):
     rng, fact = random_fact(seed, kind=0)  # a → (b → (c, d), e)
     functions = (("sum", col("c") * 2 + 1), ("count", None))
     args = ("a", ["b"], functions, "out")
-    assert_same(kernels.apply_aggregation_c(fact, *args), ref_aggregate(fact, *args))
+    assert_same(ops.apply_aggregation(fact, *args), ref_aggregate(fact, *args))
 
 
 def test_extrema_over_an_empty_fragment_still_raise():
@@ -651,17 +651,17 @@ def test_extrema_over_an_empty_fragment_still_raise():
     # union alive: min(c) must not skip it silently.
     tree = FTree([FNode(("a",), (FNode(("b",), (leaf("c"),), ("k",)),), ("k",))])
     b_union = CUnion([1, 2], ([CUnion([5], ()), CUnion([], ())],))
-    fact = ColumnarFactorisation(tree, [CUnion([0], ([b_union],))])
+    fact = Factorisation(tree, [CUnion([0], ([b_union],))])
     for function in ("min", "max"):
         with pytest.raises(agg.EmptyAggregateError):
-            kernels.apply_aggregation_c(fact, "a", ["b"], ((function, "c"),), "out")
+            ops.apply_aggregation(fact, "a", ["b"], ((function, "c"),), "out")
         with pytest.raises(agg.EmptyAggregateError):
             ref_aggregate(fact, "a", ["b"], ((function, "c"),), "out")
     # Whole contexts without tuples are dropped, never evaluated.
-    dead = ColumnarFactorisation(
+    dead = Factorisation(
         tree, [CUnion([0, 1], ([CUnion([], ([],)), b_union],))]
     )
-    got = kernels.apply_aggregation_c(dead, "a", ["b"], (("count", None),), "out")
+    got = ops.apply_aggregation(dead, "a", ["b"], (("count", None),), "out")
     assert shape(got.roots[0]) == ([1], [[([(1,)], [])]])
 
 
@@ -672,7 +672,7 @@ def test_shared_fragment_is_evaluated_once_and_stays_shared():
     tree = FTree([FNode(("a",), (FNode(("b",), (leaf("c"),), ("kb",)),), ("ka",))])
     shared = CUnion([1, 2, 3], ([CUnion([v], ()) for v in (7, 8, 9)],))
     other = CUnion([2], ([CUnion([7], ())],))
-    fact = ColumnarFactorisation(
+    fact = Factorisation(
         tree, [CUnion([10, 11, 12, 13], ([shared, other, shared, shared],))]
     )
     tested = []
@@ -682,7 +682,7 @@ def test_shared_fragment_is_evaluated_once_and_stays_shared():
             tested.append(value)
             return value >= 2
 
-    got = kernels.select_constant_c(fact, Counting("b", ">=", 2))
+    got = ops.select_constant(fact, Counting("b", ">=", 2))
     assert sorted(tested) == [1, 2, 3]  # once per distinct value of the level
     column = got.roots[0].children[0]
     assert column[0] is column[2] is column[3]
@@ -706,7 +706,7 @@ def test_shared_fragment_is_evaluated_once_and_stays_shared():
 def test_order_comparisons_probe_sorted_unions_by_bisection():
     tree = FTree([FNode(("a",), (leaf("b"),), ("k",))])
     root = CUnion(list(range(64)), ([CUnion([i], ()) for i in range(64)],))
-    fact = ColumnarFactorisation(tree, [root])
+    fact = Factorisation(tree, [root])
     for op, constant in ((">=", 40), (">", 40), ("<", 7), ("<=", 7), (">", 99)):
         probed = []
 
@@ -715,7 +715,7 @@ def test_order_comparisons_probe_sorted_unions_by_bisection():
                 probed.append(value)
                 return super().test(value)
 
-        got = kernels.select_constant_c(fact, Counting("a", op, constant))
+        got = ops.select_constant(fact, Counting("a", op, constant))
         assert len(probed) <= 7  # log2(64) + 1, not 64
         assert_same(got, ref_select(fact, Comparison("a", op, constant)))
 
@@ -724,15 +724,15 @@ def test_untouched_fragments_and_columns_are_shared_by_reference():
     tree = FTree([FNode(("a",), (leaf("b"), leaf("e")), ("k",))])
     b_col = [CUnion([1, 2], ()), CUnion([3], ())]
     e_col = [CUnion([5], ()), CUnion([6], ())]
-    fact = ColumnarFactorisation(tree, [CUnion([0, 1], (b_col, e_col))])
-    kept = kernels.select_constant_c(fact, Comparison("b", ">", 1))
+    fact = Factorisation(tree, [CUnion([0, 1], (b_col, e_col))])
+    kept = ops.select_constant(fact, Comparison("b", ">", 1))
     root = kept.roots[0]
     assert root.values is fact.roots[0].values  # no entry pruned: no copy
     assert root.children[1] is e_col  # the sibling column itself
     assert root.children[0][1] is b_col[1]  # a union that lost nothing
     assert shape(root.children[0][0]) == ([2], [])
     # Once an entry is pruned, every column is cut alike.
-    cut = kernels.select_constant_c(fact, Comparison("b", ">", 2)).roots[0]
+    cut = ops.select_constant(fact, Comparison("b", ">", 2)).roots[0]
     assert shape(cut) == ([1], [[([3], [])], [([6], [])]])
     assert cut.children[1][0] is e_col[1]
 

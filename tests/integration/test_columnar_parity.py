@@ -1,15 +1,15 @@
-"""Seeded layout-parity properties: columnar vs legacy unions.
+"""Seeded parity properties of the factorised engine against flat ones.
 
-The columnar kernel (`repro.core.kernels`) must be observationally
-identical to the legacy per-node operators: same rows in the same
-order, same singleton accounting in execution traces, across the full
-named workload, seeded random queries, IVM deltas spliced into each
-layout, and sharded ``fdb-parallel`` runs over columnar-registered
-views.  Every random source is seeded so failures replay exactly.
+The batch kernels (`repro.core.kernels`) must be observationally
+identical to the flat relational baseline (``rdb``) and to the real
+``sqlite3``: same rows, in the same order wherever the query fixes one,
+across the full named workload, seeded random queries, IVM deltas
+spliced into the registered views, and sharded ``fdb-parallel`` runs.
+Every random source is seeded so failures replay exactly.
 """
 
 import random
-import re
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,15 +20,27 @@ from tests.shard.test_random_parity import _assert_parity, _random_query
 
 SEED = "columnar-parity/2013"
 
+REFERENCES = ("rdb", "sqlite")
 
-def _columnar_database(scale=0.1, seed=7):
-    """A workload database whose views are registered columnar."""
-    database = build_workload_database(scale=scale, seed=seed)
-    for name in list(database.factorised):
-        database.add_factorised(
-            name, database.get_factorised(name).to_columnar()
+
+def _assert_same(query, reference, actual):
+    """Exact rows, and exact order wherever the query determines it."""
+    if query.projection is None and not query.aggregates:
+        # ``SELECT *``: each engine lists the columns in its own order.
+        assert sorted(reference.schema) == sorted(actual.schema), query
+        picks = [reference.schema.index(name) for name in actual.schema]
+        reference = SimpleNamespace(
+            schema=actual.schema,
+            rows=[tuple(row[p] for p in picks) for row in reference.rows],
         )
-    return database
+    _assert_parity(query, reference, actual)
+    if not query.order_by:
+        return
+    positions = [actual.schema.index(k.attribute) for k in query.order_by]
+    keys = [tuple(row[p] for p in positions) for row in reference.rows]
+    assert [tuple(row[p] for p in positions) for row in actual.rows] == keys
+    if len(set(keys)) == len(keys):  # no ties: one admissible sequence
+        assert list(actual.rows) == list(reference.rows), query
 
 
 @pytest.fixture(scope="module")
@@ -39,121 +51,95 @@ def db():
 # ---------------------------------------------------------------------------
 # Full named workload: rows, ordering, trace accounting
 # ---------------------------------------------------------------------------
+@pytest.mark.parametrize("reference", REFERENCES)
 @pytest.mark.parametrize("name", sorted(FULL_WORKLOAD))
-def test_full_workload_exact_parity(db, name):
+def test_full_workload_exact_parity(db, name, reference):
     query = FULL_WORKLOAD[name].query
-    legacy = connect(db, engine="fdb", layout="legacy").execute(query)
-    columnar = connect(db, engine="fdb", layout="columnar").execute(query)
-    assert columnar.schema == legacy.schema
-    assert list(columnar.rows) == list(legacy.rows)
+    expected = connect(db, engine=reference).execute(query)
+    _assert_same(query, expected, connect(db, engine="fdb").execute(query))
 
 
 @pytest.mark.parametrize("name", sorted(FULL_WORKLOAD))
 def test_trace_size_accounting_matches(db, name):
-    """Singleton counts per plan step are layout-invariant; resident
-    bytes are layout-specific but always accounted (> 0)."""
+    """The trace's singleton count per plan step is the size of the
+    factorisation that step produced (an independent walk); resident
+    bytes are always accounted (> 0)."""
     query = FULL_WORKLOAD[name].query
-    _, _, legacy = FDBEngine(
-        output="flat", layout="legacy"
-    ).execute_traced(query, db)
-    _, _, columnar = FDBEngine(
-        output="flat", layout="columnar"
-    ).execute_traced(query, db)
-    # Aggregate placeholder names carry a process-global counter
-    # (``__agg_7``); normalise it so only the structure is compared.
-    def normalise(steps):
-        return [re.sub(r"__agg_\d+", "__agg", step) for step in steps]
-
-    assert normalise(columnar.steps) == normalise(legacy.steps)
-    assert columnar.sizes == legacy.sizes
-    assert len(columnar.bytes) == len(legacy.bytes)
-    assert all(b > 0 for b in columnar.bytes)
-    assert all(b > 0 for b in legacy.bytes)
+    engine = FDBEngine(output="flat")
+    _, plan, trace = engine.execute_traced(query, db)
+    fact, _, _ = engine._prepare_inputs(query, db)
+    sizes = []
+    for step in plan:
+        fact = step.apply(fact)
+        sizes.append(fact.size())
+    assert len(trace.steps) == len(trace.sizes) == len(trace.bytes)
+    assert trace.sizes[len(trace.sizes) - len(sizes):] == sizes
+    assert all(b > 0 for b in trace.bytes)
 
 
-def test_registered_views_report_same_singletons(db):
+def test_registered_views_report_their_singletons(db):
     for name in db.factorised:
-        legacy = db.get_factorised(name).to_legacy()
-        columnar = legacy.to_columnar()
-        legacy_singletons, legacy_bytes = legacy.size_info()
-        columnar_singletons, columnar_bytes = columnar.size_info()
-        assert columnar_singletons == legacy_singletons
-        assert legacy_bytes > 0 and columnar_bytes > 0
+        view = db.get_factorised(name)
+        singletons, resident = view.size_info()
+        assert singletons == view.size()
+        assert resident > 0
+        assert view.tuple_count() == len(set(db.flat(name).rows))
 
 
 # ---------------------------------------------------------------------------
 # Seeded random queries
 # ---------------------------------------------------------------------------
-def test_seeded_random_queries_agree(db):
+@pytest.mark.parametrize("reference", REFERENCES)
+def test_seeded_random_queries_agree(db, reference):
     rng = random.Random(SEED)
-    legacy = connect(db, engine="fdb", layout="legacy")
-    columnar = connect(db, engine="fdb", layout="columnar")
+    expected = connect(db, engine=reference)
+    fdb = connect(db, engine="fdb")
     for _ in range(40):
         query = _random_query(rng, db)
-        _assert_parity(query, legacy.execute(query), columnar.execute(query))
+        _assert_same(query, expected.execute(query), fdb.execute(query))
 
 
 # ---------------------------------------------------------------------------
-# IVM deltas spliced into each layout independently
+# IVM deltas spliced into the registered views
 # ---------------------------------------------------------------------------
-def test_parity_after_ivm_deltas():
+@pytest.mark.parametrize("reference", REFERENCES)
+def test_parity_after_ivm_deltas(reference):
     rng = random.Random(SEED + "/deltas")
-    legacy_db = build_workload_database(scale=0.1, seed=23)
-    columnar_db = _columnar_database(scale=0.1, seed=23)
-    legacy = connect(legacy_db, engine="fdb", layout="legacy")
-    columnar = connect(columnar_db, engine="fdb", layout="columnar")
-    packages = sorted({row[2] for row in legacy_db.flat("Orders").rows})
+    database = build_workload_database(scale=0.1, seed=23)
+    fdb = connect(database, engine="fdb")
+    expected = connect(database, engine=reference)
+    packages = sorted({row[2] for row in database.flat("Orders").rows})
     for step in range(8):
         if step % 2 == 0:
             row = (f"c{step:03d}", f"dCOL{step:05d}", rng.choice(packages))
-            legacy.insert("Orders", [row])
-            columnar.insert("Orders", [row])
+            fdb.insert("Orders", [row])
         else:
-            victim = rng.choice(legacy_db.flat("Orders").rows)
-            legacy.delete("Orders", [victim])
-            columnar.delete("Orders", [victim])
-        assert sorted(columnar_db.flat("Orders").rows) == sorted(
-            legacy_db.flat("Orders").rows
-        )
+            victim = rng.choice(database.flat("Orders").rows)
+            fdb.delete("Orders", [victim])
         for _ in range(3):
-            query = _random_query(rng, legacy_db)
-            _assert_parity(
-                query, legacy.execute(query), columnar.execute(query)
-            )
-
-
-def test_maintained_views_stay_columnar_after_deltas():
-    from repro.core.frep import ColumnarFactorisation
-
-    database = _columnar_database(scale=0.1, seed=23)
-    session = connect(database, engine="fdb", layout="columnar")
-    packages = sorted({row[2] for row in database.flat("Orders").rows})
-    session.insert("Orders", [("c900", "dNEW00001", packages[0])])
-    session.delete("Orders", [database.flat("Orders").rows[0]])
-    for name in database.factorised:
-        fact = database.get_factorised(name)
-        assert isinstance(fact, ColumnarFactorisation), name
+            query = _random_query(rng, database)
+            _assert_same(query, expected.execute(query), fdb.execute(query))
 
 
 # ---------------------------------------------------------------------------
-# Sharded runs over columnar-registered views
+# Sharded runs
 # ---------------------------------------------------------------------------
-def test_sharded_parity_with_columnar_views():
+@pytest.mark.parametrize("reference", REFERENCES)
+def test_sharded_parity_with_columnar_views(reference):
     rng = random.Random(SEED + "/shards")
-    database = _columnar_database(scale=0.1, seed=7)
-    reference = connect(database, engine="fdb", layout="legacy")
+    database = build_workload_database(scale=0.1, seed=7)
+    expected = connect(database, engine=reference)
     parallel = connect(database, engine="fdb-parallel", shards=3, workers=0)
     for _ in range(20):
         query = _random_query(rng, database)
-        _assert_parity(
-            query, reference.execute(query), parallel.execute(query)
-        )
+        _assert_same(query, expected.execute(query), parallel.execute(query))
 
 
-def test_sharded_parity_with_columnar_views_after_mutations():
+@pytest.mark.parametrize("reference", REFERENCES)
+def test_sharded_parity_with_columnar_views_after_mutations(reference):
     rng = random.Random(SEED + "/shard-deltas")
-    database = _columnar_database(scale=0.1, seed=23)
-    reference = connect(database, engine="fdb", layout="columnar")
+    database = build_workload_database(scale=0.1, seed=23)
+    expected = connect(database, engine=reference)
     parallel = connect(database, engine="fdb-parallel", shards=3, workers=0)
     packages = sorted({row[2] for row in database.flat("Orders").rows})
     for step in range(6):
@@ -167,6 +153,6 @@ def test_sharded_parity_with_columnar_views_after_mutations():
             parallel.delete("Orders", [victim])
         for _ in range(3):
             query = _random_query(rng, database)
-            _assert_parity(
-                query, reference.execute(query), parallel.execute(query)
+            _assert_same(
+                query, expected.execute(query), parallel.execute(query)
             )

@@ -151,9 +151,7 @@ def _skew_database():
     relation = Relation(("j", "a", "x", "c", "y"), rows, name="V")
     tree = build_ftree([("j", [("a", ["x"]), ("c", ["y"])])])
     database = Database([relation])
-    database.add_factorised(
-        "V", factorise(relation, tree, check=True).to_columnar()
-    )
+    database.add_factorised("V", factorise(relation, tree, check=True))
     return database
 
 

@@ -7,6 +7,8 @@ seed time)``; epochs are monotone and survive both eviction and
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.database import Database
@@ -104,6 +106,34 @@ def test_schema_change_invalidates_entry():
     second = cache.relation_stats(database, "R")
     assert second is not first
     assert second.attributes.keys() == {"k", "m", "extra"}
+
+
+def test_collected_database_never_lends_its_statistics():
+    """A new database at a dead one's address (same version, same
+    relation name) must seed its own statistics: the process-global
+    cache and the published gauges key on ``Database.token``."""
+    from repro.stats import stats_cache
+
+    cache = stats_cache()
+    cache.clear()
+    rounds = 120
+    tokens, addresses = set(), set()
+    for round_ in range(rounds):
+        width = 2 + round_ % 3
+        schema = tuple(f"c{i}" for i in range(width))
+        rows = [tuple(range(j, j + width)) for j in range(width * 5)]
+        database = Database([Relation(schema, rows, name="R")])
+        stats = cache.relation_stats(database, "R")
+        assert tuple(stats.attributes) == schema
+        assert stats.rows == len(rows)
+        assert all(entry.total for entry in stats.attributes.values())
+        tokens.add(database.token)
+        addresses.add(id(database))
+        del database, stats
+        gc.collect()
+    assert len(tokens) == rounds
+    if len(addresses) == rounds:
+        pytest.skip("the allocator reused no address: scenario not exercised")
 
 
 def test_lru_eviction_is_bounded():

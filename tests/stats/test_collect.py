@@ -1,6 +1,6 @@
-"""Statistics collectors: exactness, scan-freeness, metrics recovery.
+"""Statistics collectors: exactness, scan-freeness.
 
-The columnar/legacy walks must reproduce the ground truth computable
+The structure walk must reproduce the ground truth computable
 from the flat rows (distinct counts, cardinality) while touching only
 union structure — asserted via the seed-source counters of
 ``repro_stats_cache_events_total``: a resident view never seeds from
@@ -18,7 +18,6 @@ from repro.stats import (
     stats_cache,
     stats_from_factorisation,
     stats_from_flat,
-    stats_from_metrics,
 )
 from repro.stats.cache import _SEED_EVENTS
 
@@ -43,20 +42,19 @@ def _ground_truth(relation):
     }
 
 
-def test_factorised_stats_match_flat_truth_both_layouts():
+def test_factorised_stats_match_flat_truth():
     relation = _example_relation()
     truth = _ground_truth(relation)
-    legacy = factorise(relation, _example_ftree(), check=True)
-    for fact, source in ((legacy, "legacy"), (legacy.to_columnar(), "columnar")):
-        stats = stats_from_factorisation("V", fact)
-        assert stats.source == source
-        assert stats.rows == len(relation.rows)
-        assert {
-            name: entry.distinct for name, entry in stats.attributes.items()
-        } == truth
-        singletons, resident = fact.size_info()
-        assert stats.singletons == singletons
-        assert stats.resident_bytes == resident
+    fact = factorise(relation, _example_ftree(), check=True)
+    stats = stats_from_factorisation("V", fact)
+    assert stats.source == "columnar"
+    assert stats.rows == len(relation.rows)
+    assert {
+        name: entry.distinct for name, entry in stats.attributes.items()
+    } == truth
+    singletons, resident = fact.size_info()
+    assert stats.singletons == singletons
+    assert stats.resident_bytes == resident
 
 
 def test_factorised_histogram_exposes_skew():
@@ -78,9 +76,7 @@ def test_resident_view_seeds_without_flat_scan():
     structure-only — the ``flat`` sampling counter does not move."""
     relation = _example_relation()
     database = Database([relation])
-    database.add_factorised(
-        "V", factorise(relation, _example_ftree()).to_columnar()
-    )
+    database.add_factorised("V", factorise(relation, _example_ftree()))
     stats_cache().clear()
     before = {
         source: child._sample() for source, child in _SEED_EVENTS.items()
@@ -113,36 +109,3 @@ def test_flat_sampling_is_bounded():
     assert k.distinct <= 1000
     assert not k.complete
     assert FLAT_SAMPLE_LIMIT >= 100
-
-
-def test_metrics_recovery_round_trips_after_eviction():
-    relation = _example_relation()
-    database = Database([relation])
-    cache = stats_cache()
-    cache.clear()
-    first = cache.relation_stats(database, "V")
-    assert first is not None and first.source == "flat"
-    cache.clear()  # evict; the published gauges survive
-    recovered = cache.relation_stats(database, "V")
-    assert recovered is not None and recovered.source == "metrics"
-    assert recovered.rows == first.rows
-    assert {
-        name: entry.distinct for name, entry in recovered.attributes.items()
-    } == {name: entry.distinct for name, entry in first.attributes.items()}
-
-
-def test_metrics_recovery_rejects_stale_version():
-    relation = _example_relation()
-    database = Database([relation])
-    cache = stats_cache()
-    cache.clear()
-    assert cache.relation_stats(database, "V") is not None
-    database.insert("V", [(99, "a99", 0, "c99", 999)])  # version moves on
-    stale = stats_from_metrics(
-        "V", database, getattr(database, "version", 0)
-    )
-    assert stale is None
-    cache.clear()
-    reseeded = cache.relation_stats(database, "V")
-    assert reseeded is not None and reseeded.source == "flat"
-    assert reseeded.rows == len(relation.rows) + 1

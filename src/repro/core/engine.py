@@ -42,14 +42,21 @@ from repro.core import aggregates as agg
 from repro.core import kernels
 from repro.core import operators as ops
 from repro.core.build import factorise_path
-from repro.core.cost import Hypergraph, estimated_tree_size, ftree_cost
+from repro.core.cost import (
+    Hypergraph,
+    estimated_node_count,
+    estimated_tree_size,
+    ftree_cost,
+)
 from repro.core.enumerate import (
     iter_blocks,
     iter_group_contexts,
+    merge_steps,
+    on_demand_swap,
     restructure_for_order,
     supports_order,
 )
-from repro.core.fplan import ExecutionTrace, FPlan, SelectStep
+from repro.core.fplan import ExecutionTrace, FPlan, SelectStep, SwapStep
 from repro.core.frep import (
     CUnion,
     Factorisation,
@@ -304,6 +311,30 @@ class _InputDecision:
     order: tuple[str, ...]  # path order, join attributes first
 
 
+@dataclass(frozen=True)
+class OrderSwap:
+    """The χ at the end of a compiled SPJ plan that only establishes
+    the requested order (Theorem 2), and whether the enumerator merges
+    it on demand instead of the plan building it.
+
+    On demand, ``χ↑child`` costs a heap over the parent's entries (the
+    fan-out) and one sift per row drawn
+    (:func:`repro.core.enumerate.merge_steps`), where the eager swap
+    builds the whole swapped factorisation; the merge is chosen when
+    it takes fewer steps than the optimiser's estimate of the swap's
+    output in singletons.
+    ``detail`` says what was merged, or why the swap stayed eager.
+    """
+
+    child: str
+    on_demand: bool
+    detail: str
+
+    def describe(self) -> str:
+        how = "on demand" if self.on_demand else "eager"
+        return f"χ↑{self.child} {how} ({self.detail})"
+
+
 @dataclass
 class FDBCompiled:
     """The retained output of :meth:`FDBEngine.compile`.
@@ -325,10 +356,24 @@ class FDBCompiled:
     # the statistics sources the estimate was computed from (None for
     # plans costed purely asymptotically).
     provenance: "dict | None" = None
+    # The plan's order-only last χ and where it runs (see OrderSwap).
+    order_swap: "OrderSwap | None" = None
 
     def lite(self) -> "FDBCompiled":
         """A copy without the explain-only payload (cheap to pickle)."""
-        return FDBCompiled(self.query, self.plan, provenance=self.provenance)
+        return FDBCompiled(
+            self.query,
+            self.plan,
+            provenance=self.provenance,
+            order_swap=self.order_swap,
+        )
+
+    @property
+    def merged(self) -> str | None:
+        """The node of ``plan``'s last χ when the enumerator performs
+        that χ on demand instead of the executor."""
+        swap = self.order_swap
+        return swap.child if swap is not None and swap.on_demand else None
 
 
 class FDBEngine:
@@ -389,7 +434,13 @@ class FDBEngine:
             time.perf_counter() - started
         )
         provenance = self._provenance(plan, ftree, ctx)
-        return FDBCompiled(query, plan, ftree, hypergraph, provenance)
+        order_swap = self._order_swap(query, plan, ftree, ctx, provenance)
+        if order_swap is not None and order_swap.on_demand:
+            # Estimated against what the executor builds.
+            provenance = self._provenance(FPlan(plan.steps[:-1]), ftree, ctx)
+        return FDBCompiled(
+            query, plan, ftree, hypergraph, provenance, order_swap
+        )
 
     def _provenance(
         self, plan: FPlan, ftree: FTree, ctx: PlanContext
@@ -420,6 +471,63 @@ class FDBEngine:
             "estimated_sizes": estimated[1:],
             "stats": sources,
         }
+
+    def _order_swap(
+        self,
+        query: Query,
+        plan: FPlan,
+        ftree: FTree,
+        ctx: PlanContext,
+        provenance: dict,
+    ) -> "OrderSwap | None":
+        """Where the plan's order-only last χ runs (see :class:`OrderSwap`).
+
+        ``None`` unless the query enumerates flat, unaggregated rows of
+        the plan's output as they are and that χ is the one swap
+        :func:`repro.core.enumerate.on_demand_swap` can merge.  The
+        choice depends only on the query and the statistics, so it is
+        made once here and retained with the plan.
+        """
+        if (
+            self.output != "flat"
+            or query.aggregates
+            or query.computed
+            or not plan.steps
+            or not isinstance(plan.steps[-1], SwapStep)
+        ):
+            return None
+        child = plan.steps[-1].child
+        before = plan.simulate(ftree)[-2]
+        if query.projection is not None and not set(
+            before.attribute_names()
+        ) <= set(query.projection):
+            return None  # the output stage projects first
+        if on_demand_swap(before, query.order_by) != child:
+            return None
+        if query.limit is None:
+            return OrderSwap(child, False, "no LIMIT")
+        if not ctx.stats:
+            return OrderSwap(child, False, "no statistics to price it")
+        # The parent's entries per union: its level over its parent's.
+        parent = before.parent(before.node(child))
+        path = {a for node in before.ancestors(parent) for a in node.attributes}
+        fanout = estimated_node_count(
+            ctx.hypergraph, path | set(parent.attributes), ctx.stats, ctx.scale
+        ) / estimated_node_count(ctx.hypergraph, path, ctx.stats, ctx.scale)
+        merge = merge_steps(fanout, query.limit)
+        estimate = provenance["estimated_sizes"][-1]
+        if merge < estimate:
+            return OrderSwap(
+                child,
+                True,
+                f"merge of {fanout:.0f} unions, LIMIT {query.limit}",
+            )
+        return OrderSwap(
+            child,
+            False,
+            f"estimate {estimate:.0f} singletons ≤ {merge} heap steps "
+            f"over {fanout:.0f} unions for LIMIT {query.limit}",
+        )
 
     def planning_inputs(
         self, query: Query, database: "Database"
@@ -463,6 +571,9 @@ class FDBEngine:
         stats = agg.ExpressionStats()
         trace.expression_stats = stats
         trace.provenance = compiled.provenance
+        order_swap = compiled.order_swap
+        if order_swap is not None:
+            trace.enumeration = order_swap.describe()
 
         # Constant selections first (Section 5.1: evaluated in one
         # pass); expression selections were pushed into the inputs by
@@ -471,10 +582,12 @@ class FDBEngine:
             [SelectStep(c) for c in query.comparisons if not c.is_expression]
         )
         fact = select_plan.execute(fact, trace)
-        fact = compiled.plan.execute(fact, trace)
-        if STATE.enabled and compiled.provenance and compiled.plan.steps:
+        merged = compiled.merged
+        plan = FPlan(compiled.plan.steps[:-1]) if merged else compiled.plan
+        fact = plan.execute(fact, trace)
+        if STATE.enabled and compiled.provenance and plan.steps:
             qerror = _ESTIMATE_QERROR[self.optimizer_name]
-            observed = trace.sizes[-len(compiled.plan.steps):]
+            observed = trace.sizes[-len(plan.steps):]
             for estimate, size in zip(
                 compiled.provenance["estimated_sizes"], observed
             ):
@@ -484,7 +597,7 @@ class FDBEngine:
         if query.aggregates:
             result = self._shape_aggregate_output(query, fact, stats)
         else:
-            result = self._shape_spj_output(query, fact)
+            result = self._shape_spj_output(query, fact, merged)
         return result, compiled.plan, trace
 
     def execute_traced(
@@ -513,6 +626,7 @@ class FDBEngine:
         query, ftree, hypergraph, ctx = self.planning_inputs(query, database)
         plan = self.optimizer.plan(ftree, ctx)
         provenance = self._provenance(plan, ftree, ctx)
+        order_swap = self._order_swap(query, plan, ftree, ctx, provenance)
         trees = plan.simulate(ftree)
         lines = [f"query: {query}"]
         lines.append(
@@ -565,6 +679,8 @@ class FDBEngine:
                 "output: ordered constant-delay enumeration "
                 f"by ({', '.join(str(k) for k in query.order_by)})"
             )
+            if order_swap is not None:
+                lines.append(f"order: {order_swap.describe()}")
         else:
             lines.append("output: constant-delay enumeration")
         if query.limit is not None:
@@ -959,7 +1075,12 @@ class FDBEngine:
     # ------------------------------------------------------------------
     # SPJ output
     # ------------------------------------------------------------------
-    def _shape_spj_output(self, query: Query, fact: Factorisation):
+    def _shape_spj_output(
+        self, query: Query, fact: Factorisation, merged: str | None = None
+    ):
+        """Flat or factorised SPJ output.  ``merged``: the order's last
+        χ, left to the enumerator (:class:`OrderSwap`) — rows, columns
+        and order are those of the swapped factorisation."""
         computed = query.computed
         computed_aliases = {column.alias for column in computed}
         kept = (
@@ -1011,14 +1132,15 @@ class FDBEngine:
         # Ordering by a computed alias cannot ride the factorisation:
         # enumerate unordered, compute, sort the materialised rows.
         order = () if alias_keys else normalise_order(query.order_by)
-        if order and not supports_order(fact.ftree, order):
+        if order and merged is None and not supports_order(fact.ftree, order):
             for child in restructure_for_order(fact.ftree, order):
                 fact = ops.swap(fact, child)
-        base_schema = (
-            list(query.projection)
-            if query.projection is not None
-            else fact.schema()
-        )
+        if query.projection is not None:
+            base_schema = list(query.projection)
+        elif merged is not None:
+            base_schema = ops.swap_tree(fact.ftree, merged).attribute_names()
+        else:
+            base_schema = fact.schema()
         out_schema = base_schema + [c.alias for c in computed]
         rows: Iterable[tuple]
         if computed:

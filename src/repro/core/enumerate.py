@@ -27,14 +27,20 @@ with one Python-level step per union rather than per value:
   kept branch) at a time.  With several leaves under one node a step
   first reads the leaf unions of one entry (``itertools.product``);
 - rows are built in expansion layout and permuted to the requested
-  columns once per block with :func:`operator.itemgetter`.
+  columns once per block with :func:`operator.itemgetter`;
+- an order one swap away (:func:`on_demand_swap`) is served without
+  the swap: the key node and its parent are expanded jointly, from a
+  heap over the key node's unions under the parent's entries, so a
+  consumer that stops early reads only the unions its rows reach.
 
 Public surface:
 
 - :func:`supports_grouping` / :func:`supports_order` — the Theorem 1 and
   Theorem 2 characterisations of f-trees;
 - :func:`iter_blocks` / :func:`iter_tuples` — enumeration in an order
-  satisfying Theorem 2 (or no particular order);
+  satisfying Theorem 2, or one merge away from it (or no particular
+  order); :func:`on_demand_swap` / :func:`merge_steps` — which orders
+  the merge serves and what it costs;
 - :func:`iter_group_contexts` — row-at-a-time enumeration of group-by
   assignments together with the leftover fragments hanging below each
   group, for evaluators that combine partial aggregates one context at
@@ -48,12 +54,15 @@ Public surface:
 
 from __future__ import annotations
 
+from heapq import merge
 from itertools import chain, islice, product, repeat
+from math import ceil, log2
 from operator import attrgetter, itemgetter
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.core.frep import Factorisation, iter_entries
 from repro.core.ftree import FNode, FTree
+from repro.core.operators import swap_tree
 from repro.relational.sort import SortKey, normalise_order
 
 #: Rows a block holds at most.  A block is filled from the innermost
@@ -178,11 +187,15 @@ def _order_keys(
                     f"order attribute {key.attribute!r} is not in the group"
                 )
     if keys and not supports_order(ftree, keys):
-        raise EnumerationError(
-            f"f-tree does not support constant-delay enumeration in order "
-            f"{[str(k) for k in keys]}; restructure first (Theorem 2)"
-        )
+        raise _unsupported(keys)
     return keys
+
+
+def _unsupported(keys: Sequence[SortKey]) -> EnumerationError:
+    return EnumerationError(
+        f"f-tree does not support constant-delay enumeration in order "
+        f"{[str(k) for k in keys]}; restructure first (Theorem 2)"
+    )
 
 
 def _expansion(
@@ -243,58 +256,87 @@ def _chunks(rows: Iterator[tuple]) -> Iterator[list[tuple]]:
     return iter(lambda: list(islice(rows, _BLOCK_ROWS)), [])
 
 
-def _walk(
-    parent: Sequence[int],
-    column: Sequence[int],
-    unions: list,
-    descending: Sequence[bool],
-) -> Iterator[list[tuple]]:
+class _Walk:
     """Blocks of rows in expansion layout: one value per position.
 
     Positions are expanded in order; ``parent[q]``/``column[q]`` say
     which entry of which earlier position binds ``unions[q]`` (``-1``:
     a root, bound by the caller).
+
+    ``merged`` is ``(m, under, down)`` when position ``m`` expands a
+    key node K and its parent P jointly (an on-demand χ, see
+    :func:`on_demand_swap`): ``unions[m]`` is P's union, ``under`` K's
+    column in it, ``down`` P's direction.  Its entries are the
+    (K value, P entry) pairs in K-then-P order, drawn from a heap over
+    the K unions of P's entries; each appends both values to the row.
+    Positions below it take their union from P's entry (``column[q]``)
+    or from K's entry (``~column[q]``).
+
+    The walk is an object rather than a nest of closures so that no
+    reference cycle holds the unions: once the consumer drops the
+    blocks, reference counting frees what the walk was reading.
     """
-    count = len(parent)
-    kids: list[list[tuple[int, int]]] = [[] for _ in range(count)]
-    for q, p in enumerate(parent):
-        if p >= 0:
-            kids[p].append((q, column[q]))
-    # The kernel sits at the last position with children in the
-    # sequence; everything after it is a leaf.
-    inner = max(0, max(parent))
-    tail = range(inner + 1, count)
-    # tops[j]: the latest position whose entry the suffix from j on
-    # depends on.  When that is not the loop right around j, the suffix
-    # is the same for every entry of the loops in between: an
-    # independent branch, whose rows are kept (see ``keep``) until
-    # tops[j] moves to its next entry.
-    tops = [
-        max(p for q, p in enumerate(parent) if p < j <= q)
-        for j in range(inner + 1)
-    ]
-    hoisted = [j > 0 and tops[j] < j - 1 for j in range(inner + 1)]
-    clears = [
-        [j for j in range(inner + 1) if hoisted[j] and tops[j] == p]
-        for p in range(inner + 1)
-    ]
-    cache: list = [None] * (inner + 1)
 
-    def kernel(_: int, prefix: tuple) -> Iterator[list[tuple]]:
-        return _chunks(kernel_rows(prefix))
+    def __init__(
+        self,
+        parent: Sequence[int],
+        column: Sequence[int],
+        unions: list,
+        descending: Sequence[bool],
+        merged: "tuple[int, int, bool] | None" = None,
+    ) -> None:
+        count = len(parent)
+        self.column = column
+        self.unions = unions
+        self.descending = descending
+        self.merged = merged
+        self.fused = merged[0] if merged is not None else -1
+        self.kids: list[list[tuple[int, int]]] = [[] for _ in range(count)]
+        for q, p in enumerate(parent):
+            if p >= 0:
+                self.kids[p].append((q, column[q]))
+        # The kernel sits at the last position with children in the
+        # sequence (or the merged one, which is no leaf either);
+        # everything after it is a leaf.
+        inner = self.inner = max(0, max(parent), self.fused)
+        self.tail = range(inner + 1, count)
+        self.parent = parent
+        # tops[j]: the latest position whose entry the suffix from j on
+        # depends on.  When that is not the loop right around j, the
+        # suffix is the same for every entry of the loops in between: an
+        # independent branch, whose rows are kept (see ``keep``) until
+        # tops[j] moves to its next entry.
+        tops = [
+            max(p for q, p in enumerate(parent) if p < j <= q)
+            for j in range(inner + 1)
+        ]
+        self.hoisted = [j > 0 and tops[j] < j - 1 for j in range(inner + 1)]
+        self.clears = [
+            [j for j in range(inner + 1) if self.hoisted[j] and tops[j] == p]
+            for p in range(inner + 1)
+        ]
+        self.cache: list = [None] * (inner + 1)
 
-    def kernel_rows(prefix: tuple) -> Iterator[tuple]:
-        union = unions[inner]
+    def blocks(self) -> Iterator[list[tuple]]:
+        return self.enter(0, ())
+
+    def kernel(self, _: int, prefix: tuple) -> Iterator[list[tuple]]:
+        return _chunks(self.kernel_rows(prefix))
+
+    def kernel_rows(self, prefix: tuple) -> Iterator[tuple]:
+        inner = self.inner
+        parent, column, descending = self.parent, self.column, self.descending
+        union = self.unions[inner]
         down = descending[inner]
         heads = reversed(union.values) if down else union.values
         # Per leaf position, the value list to read under each head.
         leaves: list = []
-        for q in tail:
+        for q in self.tail:
             if parent[q] == inner:
                 col = union.children[column[q]]
                 held = map(_VALUES, reversed(col) if down else col)
             else:
-                held = repeat(unions[q].values)
+                held = repeat(self.unions[q].values)
             leaves.append(map(reversed, held) if descending[q] else held)
         if not leaves:
             rows = (prefix + (x,) for x in heads)
@@ -308,32 +350,94 @@ def _walk(
             )
         return rows
 
-    def expand(j: int, prefix: tuple) -> Iterator[list[tuple]]:
+    def leaf_rows(self, prefix: tuple) -> Iterator[tuple]:
+        """The rows of the leaves after a merged position that is the
+        last one with children: their product under ``prefix``."""
+        unions, descending = self.unions, self.descending
+        leaves = [
+            reversed(unions[q].values) if descending[q] else unions[q].values
+            for q in self.tail
+        ]
+        return map(prefix.__add__, product(*leaves))
+
+    def entries(self, j: int, prefix: tuple) -> Iterator[tuple]:
+        """Enter each entry of position ``j`` in turn: bind the unions
+        below it and yield its prefix."""
+        unions, cache = self.unions, self.cache
         union = unions[j]
         values = union.values
         cols = union.children
-        bound = kids[j]
-        stale = clears[j]
-        indexes = range(len(values))
+        bound = self.kids[j]
+        stale = self.clears[j]
 
         def bind(i: int) -> tuple:
-            """Enter entry ``i``: its bindings, and its prefix."""
             for q, c in bound:
                 unions[q] = cols[c][i]
             for h in stale:
                 cache[h] = None
             return prefix + (values[i],)
 
-        entries = map(bind, reversed(indexes) if descending[j] else indexes)
-        if j + 1 == inner and not hoisted[inner]:
+        indexes = range(len(values))
+        return map(bind, reversed(indexes) if self.descending[j] else indexes)
+
+    def merged_entries(self, j: int, prefix: tuple) -> Iterator[tuple]:
+        """:meth:`entries` of the merged position: one heap over the K
+        unions of P's entries yields the pairs in K-then-P order."""
+        unions, cache = self.unions, self.cache
+        _, under, down_p = self.merged
+        union = unions[j]
+        values = union.values
+        cols = union.children
+        subs = cols[under]
+        down = self.descending[j]
+        from_p = [(q, c) for q, c in self.kids[j] if c >= 0]
+        from_k = [(q, ~c) for q, c in self.kids[j] if c < 0]
+        stale = self.clears[j]
+        # Heap items are (K value, rank of P's entry, K's entry): the
+        # rank (± P's entry) makes every item distinct, so ties on the K
+        # value come out in P's direction and nothing past it is compared.
+        sign = 1 if down == down_p else -1
+        streams = [
+            zip(
+                reversed(sub.values) if down else sub.values,
+                repeat(sign * i),
+                reversed(range(len(sub.values))) if down else range(len(sub.values)),
+            )
+            for i, sub in enumerate(subs)
+        ]
+
+        def bind(item: tuple) -> tuple:
+            value, rank, at = item
+            i = sign * rank
+            below = subs[i].children
+            for q, c in from_p:
+                unions[q] = cols[c][i]
+            for q, c in from_k:
+                unions[q] = below[c][at]
+            for h in stale:
+                cache[h] = None
+            return prefix + (value, values[i])
+
+        return map(bind, merge(*streams, reverse=down))
+
+    def expand(self, j: int, prefix: tuple) -> Iterator[list[tuple]]:
+        if j == self.fused:
+            entries = self.merged_entries(j, prefix)
+            if j == self.inner:
+                return _chunks(chain.from_iterable(map(self.leaf_rows, entries)))
+        else:
+            entries = self.entries(j, prefix)
+        inner = self.inner
+        if j + 1 == inner != self.fused and not self.hoisted[inner]:
             # Right above the kernel the rows of successive entries
             # stream into shared blocks: a level of many small innermost
             # unions costs one step per union, not one block (and all a
             # block costs downstream) per union.
-            return _chunks(chain.from_iterable(map(kernel_rows, entries)))
+            return _chunks(chain.from_iterable(map(self.kernel_rows, entries)))
+        enter = self.enter
         return chain.from_iterable(enter(j + 1, entered) for entered in entries)
 
-    def keep(j: int, prefix: tuple, below) -> Iterator[list[tuple]]:
+    def keep(self, j: int, prefix: tuple, below) -> Iterator[list[tuple]]:
         # Stream the branch under its first prefix, keeping its rows for
         # the prefixes to come while they fit one block; a larger branch
         # is enumerated again under each prefix, in constant memory.
@@ -344,36 +448,97 @@ def _walk(
                 if len(kept) > _BLOCK_ROWS:
                     kept = None
             yield list(map(prefix.__add__, block))
-        cache[j] = kept
+        self.cache[j] = kept
 
-    def enter(j: int, prefix: tuple) -> Iterator[list[tuple]]:
-        below = kernel if j == inner else expand
-        if not hoisted[j]:
+    def enter(self, j: int, prefix: tuple) -> Iterator[list[tuple]]:
+        below = self.kernel if j == self.inner != self.fused else self.expand
+        if not self.hoisted[j]:
             return below(j, prefix)
-        kept = cache[j]
+        kept = self.cache[j]
         if kept is None:
-            return keep(j, prefix, below)
+            return self.keep(j, prefix, below)
         return iter((list(map(prefix.__add__, kept)),) if kept else ())
-
-    return enter(0, ())
 
 
 def _layout(
-    fact: Factorisation, sequence: Sequence[FNode]
-) -> tuple[list[int], list[int], list]:
-    """Binding tables and root bindings of ``sequence`` for :func:`_walk`."""
-    position = {id(node): j for j, node in enumerate(sequence)}
-    parent = [-1] * len(sequence)
-    column = [0] * len(sequence)
-    for j, node in enumerate(sequence):
-        for c, child in enumerate(node.children):
-            q = position[id(child)]
-            parent[q] = j
-            column[q] = c
-    unions: list = [None] * len(sequence)
+    fact: Factorisation, sequence: Sequence[FNode], merged: str | None = None
+) -> tuple[list[int], list[int], list, "tuple[int, int] | None"]:
+    """Binding tables and root bindings of ``sequence`` for :class:`_Walk`.
+
+    ``sequence`` may be the expansion of an f-tree in which ``merged``
+    was swapped above its parent (its successor in ``sequence``); the
+    pair then shares one position, and every binding is read off the
+    stored tree, where that parent still holds the merged node's unions.
+    The last item is then (that position, the merged node's column
+    under its parent).
+    """
+    owner = {
+        child.name: (node.name, c)
+        for node in fact.ftree.nodes()
+        for c, child in enumerate(node.children)
+    }
+    names = [node.name for node in sequence]
+    fused = names.index(merged) if merged is not None else len(names)
+    position = {name: j - (j > fused) for j, name in enumerate(names)}
+    count = len(names) - (merged is not None)
+    parent = [-1] * count
+    column = [0] * count
+    for name in names:
+        if name in owner and name != merged:
+            above, c = owner[name]
+            parent[position[name]] = position[above]
+            column[position[name]] = ~c if above == merged else c
+    unions: list = [None] * count
     for node, union in zip(fact.ftree.roots, fact.roots):
-        unions[position[id(node)]] = union
-    return parent, column, unions
+        unions[position[node.name]] = union
+    pair = (fused, owner[merged][1]) if merged is not None else None
+    return parent, column, unions, pair
+
+
+def _merge_plan(
+    ftree: FTree, keys: Sequence[SortKey]
+) -> "tuple[str, list[FNode]] | None":
+    """``(key node, expansion order)`` of an on-demand χ for ``keys``.
+
+    Applies when one swap establishes Theorem 2 and the node it lifts
+    is expanded right before its old parent in the swapped tree — then
+    the pair can be expanded jointly from the stored tree.
+    """
+    swaps = restructure_for_order(ftree, keys)
+    if len(swaps) != 1:
+        return None
+    (child,) = swaps
+    sequence, _ = _expansion(swap_tree(ftree, child).roots, keys)
+    at = next(j for j, node in enumerate(sequence) if node.name == child)
+    top = ftree.parent(ftree.node(child)).name
+    if at + 1 == len(sequence) or sequence[at + 1].name != top:
+        return None
+    return child, sequence
+
+
+def on_demand_swap(ftree: FTree, order: Sequence) -> str | None:
+    """The node whose χ :func:`iter_blocks` performs on demand for
+    ``order``, or ``None`` when the tree supports the order already or
+    needs more than that one merge.
+
+    A key node one level below a parent that is expanded after it
+    (and no other restructuring) is the case of a k-way merge: the
+    swapped union is the merge of the key node's unions under the
+    parent's entries, which a heap yields lazily in order.
+    """
+    keys = normalise_order(order)
+    if not keys or supports_order(ftree, keys):
+        return None
+    plan = _merge_plan(ftree, keys)
+    return plan[0] if plan is not None else None
+
+
+def merge_steps(fanout: float, limit: int) -> int:
+    """Heap steps of an on-demand χ over ``fanout`` unions for the first
+    ``limit`` rows: building the heap, then one sift per entry drawn —
+    at most one per row, and rows are drawn a whole block at a time."""
+    depth = max(1, ceil(log2(max(fanout, 1.0))))
+    return ceil(fanout + max(limit, _BLOCK_ROWS)) * depth
 
 
 def iter_blocks(
@@ -386,15 +551,31 @@ def iter_blocks(
     Rows list ``columns`` (default ``fact.schema()``); concatenated, the
     blocks are the rows in ``order`` — which the f-tree must support
     (Theorem 2; use :func:`restructure_for_order` first otherwise) —
-    with the tree's own expansion order breaking ties.
+    with the tree's own expansion order breaking ties.  An order one
+    swap away (:func:`on_demand_swap`) is served by merging that swap's
+    unions as the rows are drawn: the rows and their order are those
+    of the swapped factorisation, but only the unions the rows drawn
+    reach are read.
     """
-    keys = _order_keys(fact.ftree, order)
-    sequence, _ = _expansion(fact.ftree.roots, keys)
+    keys = normalise_order(order)
+    merged = None
+    if keys and not supports_order(fact.ftree, keys):
+        plan = _merge_plan(fact.ftree, keys)
+        if plan is None:
+            raise _unsupported(keys)
+        merged, sequence = plan
+    else:
+        sequence, _ = _expansion(fact.ftree.roots, keys)
     if not sequence:
         return iter(([()],))  # the relation over no attributes: one row
     count = len(sequence)
     descending = _directions(sequence, keys)
-    blocks = _walk(*_layout(fact, sequence), descending)
+    parent, column, unions, pair = _layout(fact, sequence, merged)
+    if pair is not None:
+        # The merged pair's position reads the key node's direction;
+        # its parent's goes with the pair.
+        pair = (*pair, descending.pop(pair[0] + 1))
+    blocks = _Walk(parent, column, unions, descending, pair).blocks()
     slot = {
         name: j for j, node in enumerate(sequence) for name in node.all_names
     }
@@ -463,20 +644,25 @@ def _iter_contexts(
     the walk keeps updating.
     """
     bound = {id(node): union for node, union in zip(fact.ftree.roots, fact.roots)}
-    values: list = [None] * len(sequence)
+    return _contexts(0, sequence, descending, [None] * len(sequence), bound)
 
-    def generate(j: int):
-        if j == len(sequence):
-            yield values, bound
-            return
-        node = sequence[j]
-        entries = iter_entries(bound[id(node)])
-        for value, fragments in (
-            reversed(list(entries)) if descending[j] else entries
-        ):
-            values[j] = value
-            for child, fragment in zip(node.children, fragments):
-                bound[id(child)] = fragment
-            yield from generate(j + 1)
 
-    return generate(0)
+def _contexts(
+    j: int,
+    sequence: Sequence[FNode],
+    descending: Sequence[bool],
+    values: list,
+    bound: dict,
+) -> Iterator[tuple[list, dict]]:
+    # A module-level recursion: a self-referencing closure would keep
+    # ``bound`` — the unions — in a reference cycle after the walk.
+    if j == len(sequence):
+        yield values, bound
+        return
+    node = sequence[j]
+    entries = iter_entries(bound[id(node)])
+    for value, fragments in reversed(list(entries)) if descending[j] else entries:
+        values[j] = value
+        for child, fragment in zip(node.children, fragments):
+            bound[id(child)] = fragment
+        yield from _contexts(j + 1, sequence, descending, values, bound)

@@ -192,6 +192,9 @@ class ExecutionTrace:
     # size, statistics sources) — set by the engine so Result.explain
     # can report estimated vs. observed cost.
     provenance: "dict | None" = None
+    # Restructuring done while enumerating rather than by a step (the
+    # engine's on-demand χ, or why it stayed a step).
+    enumeration: str | None = None
 
     def describe(self) -> str:
         lines = ["f-plan execution:"]
@@ -221,6 +224,8 @@ class ExecutionTrace:
             if spent is not None:
                 detail += f"  {spent * 1000.0:8.3f} ms"
             lines.append(f"  {step:<40} {detail}")
+        if self.enumeration is not None:
+            lines.append(f"  enumerate: {self.enumeration}")
         return "\n".join(lines)
 
 

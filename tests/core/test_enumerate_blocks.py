@@ -8,7 +8,7 @@ ties included), never multiset.
 from __future__ import annotations
 
 import random
-from itertools import islice
+from itertools import chain, groupby, islice
 from typing import Any, Iterator, Sequence
 
 import pytest
@@ -16,6 +16,7 @@ import pytest
 from repro import connect
 from repro.core import aggregates as agg
 from repro.core import enumerate as enum
+from repro.core import operators as ops
 from repro.core.engine import (
     FDBEngine,
     _group_value_fragments,
@@ -31,7 +32,7 @@ from repro.core.enumerate import (
 from repro.core.fplan import ExecutionTrace, FPlan, SelectStep
 from repro.core.frep import CUnion, Factorisation
 from repro.core.ftree import FNode, FTree
-from repro.data.workloads import FULL_WORKLOAD
+from repro.data.workloads import FULL_WORKLOAD, build_workload_database
 from repro.database import Database
 from repro.query import Query, aggregate, target_attributes
 from repro.relational.relation import Relation
@@ -205,18 +206,25 @@ def _make_tree(spec) -> FTree:
     return FTree([make(entry) for entry in spec])
 
 
-def _random_union(rng: random.Random, node: FNode, pool: dict, root=False) -> CUnion:
+#: Union sizes drawn for roots and for the unions below them.
+NARROW = ([1, 1, 2, 3, 5], [0, 1, 1, 2, 3, 4])
+WIDE_SIZES = ([6, 12, 20], [0, 2, 3, 5, 8])
+
+
+def _random_union(
+    rng: random.Random, node: FNode, pool: dict, root=False, sizes=NARROW
+) -> CUnion:
     """A sorted union below ``node``: sometimes empty, often one entry,
     sometimes a fragment already used elsewhere (shared by reference)."""
     shared = pool.setdefault(id(node), [])
     if shared and not root and rng.random() < 0.3:
         return rng.choice(shared)
-    size = rng.choice([1, 1, 2, 3, 5]) if root else rng.choice([0, 1, 1, 2, 3, 4])
+    size = rng.choice(sizes[0] if root else sizes[1])
     values = sorted(rng.sample(range(40), size))
     union = CUnion(
         values,
         tuple(
-            [_random_union(rng, child, pool) for _ in values]
+            [_random_union(rng, child, pool, sizes=sizes) for _ in values]
             for child in node.children
         ),
     )
@@ -224,11 +232,12 @@ def _random_union(rng: random.Random, node: FNode, pool: dict, root=False) -> CU
     return union
 
 
-def random_fact(rng: random.Random) -> Factorisation:
+def random_fact(rng: random.Random, sizes=NARROW) -> Factorisation:
     tree = _make_tree(rng.choice(SHAPES))
     pool: dict = {}
     return Factorisation(
-        tree, [_random_union(rng, root, pool, root=True) for root in tree.roots]
+        tree,
+        [_random_union(rng, root, pool, True, sizes) for root in tree.roots],
     )
 
 
@@ -244,6 +253,20 @@ def random_order(rng: random.Random, tree: FTree) -> list[tuple[str, str]]:
         order.append((rng.choice(node.all_names), rng.choice(["asc", "desc"])))
     assert supports_order(tree, order)
     return order
+
+
+def random_merge_order(rng: random.Random, tree: FTree) -> "list | None":
+    """A random order one swap away from ``tree`` that the enumerator
+    merges on demand (``None`` if the tries find none)."""
+    inner = [node for node in tree.nodes() if tree.parent(node) is not None]
+    for _ in range(20):
+        if not inner:
+            return None
+        swapped = ops.swap_tree(tree, rng.choice(inner).name)
+        order = random_order(rng, swapped)
+        if enum.on_demand_swap(tree, order) is not None:
+            return order
+    return None
 
 
 def random_group(rng: random.Random, tree: FTree) -> list[str]:
@@ -297,9 +320,147 @@ def test_column_selection_and_preorder(seed):
     assert list(fact.iter_tuples()) == list(ref_iter_tuples(fact, schema))
 
 
+def _same_as_oracle(got, want, keys, limited) -> bool:
+    """The benchmark oracle's rule: sort keys position by position, rows
+    tying on them as multisets, a tie group cut by LIMIT on its keys."""
+    (got_schema, got_rows), (schema, want_rows) = got, want
+    columns = [got_schema.index(name) for name in schema]
+    got_rows = [tuple(row[c] for c in columns) for row in got_rows]
+    positions = [schema.index(name) for name in keys]
+
+    def key(row):
+        return tuple(row[p] for p in positions)
+
+    if [key(row) for row in got_rows] != [key(row) for row in want_rows]:
+        return False
+    got_groups = [sorted(g) for _, g in groupby(got_rows, key)]
+    want_groups = [sorted(g) for _, g in groupby(want_rows, key)]
+    if limited:
+        got_groups, want_groups = got_groups[:-1], want_groups[:-1]
+    return got_groups == want_groups
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_on_demand_swap_matches_swap_then_enumerate(seed):
+    """An order one swap away: the merge yields the swapped
+    factorisation's rows, position by position, under every LIMIT."""
+    rng = random.Random(7000 + seed)
+    checked = 0
+    for _ in range(8):
+        fact = random_fact(rng, rng.choice([NARROW, WIDE_SIZES]))
+        order = random_merge_order(rng, fact.ftree)
+        if order is None:
+            continue
+        child = enum.on_demand_swap(fact.ftree, order)
+        swapped = ops.swap(fact, child)
+        assert not supports_order(fact.ftree, order)
+        expected = list(iter_tuples(swapped, order))
+        columns = swapped.schema()
+        got = list(chain.from_iterable(iter_blocks(fact, order, columns)))
+        assert got == expected
+        for limit in (0, 1, 7, 1024, 1025, len(expected) + 3):
+            rows = chain.from_iterable(iter_blocks(fact, order, columns))
+            assert list(islice(rows, limit)) == expected[:limit]
+        checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_on_demand_swap_agrees_with_sqlite(seed):
+    rng = random.Random(9000 + seed)
+    fact = random_fact(rng, WIDE_SIZES)
+    order = random_merge_order(rng, fact.ftree)
+    while order is None:
+        fact = random_fact(rng, WIDE_SIZES)
+        order = random_merge_order(rng, fact.ftree)
+    keys = normalise_order(order)
+    database = Database()
+    database.add_factorised("T", fact)
+    clause = ", ".join(
+        f"{key.attribute} {'DESC' if key.descending else 'ASC'}" for key in keys
+    )
+    columns = fact.schema()
+    with connect(database, engine="sqlite", cache=False) as oracle:
+        for limit in (1, 7, 1024, 1025, None):
+            sql = f"SELECT * FROM T ORDER BY {clause}" + (
+                "" if limit is None else f" LIMIT {limit}"
+            )
+            want = oracle.sql(sql)
+            got = list(islice(chain.from_iterable(iter_blocks(fact, order, columns)), limit))
+            assert _same_as_oracle(
+                (columns, got),
+                (want.schema, want.rows),
+                [key.attribute for key in keys],
+                limit is not None,
+            )
+
+
+@pytest.mark.parametrize("limit", [1, 10, 1000, 5000])
+def test_on_demand_swap_touches_at_most_one_block_more(produced, limit):
+    """The merge reads the rows it returns plus at most one block: a
+    LIMIT over 250 000 rows neither swaps nor enumerates them all."""
+    fact = _wide_fact()
+    order = ["b", ("a", "desc"), "c"]
+    assert enum.on_demand_swap(fact.ftree, order) == "b"
+    expected = list(iter_tuples(ops.swap(fact, "b"), order, limit))
+    produced["rows"] = produced["largest"] = 0
+    rows = list(iter_tuples(fact, order, limit))
+    assert rows == [(row[1], row[0], row[2]) for row in expected]
+    assert produced["largest"] <= enum._BLOCK_ROWS
+    assert produced["rows"] < limit + enum._BLOCK_ROWS
+
+
+def test_orders_beyond_one_merge_are_not_merged():
+    fact = _wide_fact()
+    assert enum.on_demand_swap(fact.ftree, ["a", "b"]) is None  # supported
+    assert enum.on_demand_swap(fact.ftree, ["c", "b"]) is None  # two swaps
+    path = _make_tree([("a", [("b", [("c", [])])])])
+    assert enum.on_demand_swap(path, ["c"]) is None  # two levels below a
+    assert enum.on_demand_swap(path, ["a", "c", "b"]) == "c"
+
+
+@pytest.fixture(scope="module")
+def q12_database():
+    return build_workload_database(scale=0.25, seed=7)
+
+
+def test_q12_session_chooses_on_demand_only_when_the_limit_is_small(q12_database):
+    """Three LIMITs of one shape through one plan cache: the merge where
+    the limit is small against the swap's estimate, the eager swap where
+    it is not and where there is no LIMIT — the same answer as sqlite
+    every time."""
+    shape = "SELECT * FROM R2 ORDER BY date, package, item"
+    keys = ["date", "package", "item"]
+    with connect(q12_database) as session, connect(
+        q12_database, engine="sqlite", cache=False
+    ) as oracle:
+        for suffix, on_demand in (
+            (" LIMIT 10", True),
+            (" LIMIT 100000", False),
+            ("", False),
+        ):
+            sql = shape + suffix
+            for _ in range(2):  # computed, then from the result cache
+                result = session.sql(sql)
+                want = oracle.sql(sql)
+                assert _same_as_oracle(
+                    (result.schema, result.rows),
+                    (want.schema, want.rows),
+                    keys,
+                    bool(suffix),
+                )
+                assert ("χ↑date" not in result.trace.steps) is on_demand
+                assert result.trace.enumeration.startswith(
+                    "χ↑date on demand" if on_demand else "χ↑date eager"
+                )
+            assert ("on demand (merge of" in result.explain()) is on_demand
+        assert session.caches.plans.stats.misses == 3
+
+
 def test_unsupported_order_is_rejected():
+    # Two swaps away: more than the enumerator merges on demand.
     with pytest.raises(enum.EnumerationError):
-        iter_blocks(_wide_fact(), ["b", "a"])
+        iter_blocks(_wide_fact(), ["c", "b"])
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -363,15 +524,15 @@ def _wide_fact(groups: int = 500, left: int = 25, right: int = 20):
 def produced(monkeypatch):
     """Rows the block walk has produced so far, whoever consumes them."""
     counter = {"rows": 0, "largest": 0}
-    walk = enum._walk
+    blocks = enum._Walk.blocks
 
-    def counting(*args, **kwargs):
-        for block in walk(*args, **kwargs):
+    def counting(walk):
+        for block in blocks(walk):
             counter["rows"] += len(block)
             counter["largest"] = max(counter["largest"], len(block))
             yield block
 
-    monkeypatch.setattr(enum, "_walk", counting)
+    monkeypatch.setattr(enum._Walk, "blocks", counting)
     return counter
 
 

@@ -51,9 +51,12 @@ def _sample(database, query, repeats):
     return samples, result
 
 
-def _count(snapshot, name):
+def _count(name):
     return sum(
-        sample for _, sample in snapshot.get(name, {}).get("samples", [])
+        sample
+        for family in metrics().families()
+        if family.name == name
+        for _, sample in family.samples()
     )
 
 
@@ -83,11 +86,10 @@ def main(argv=None) -> int:
         query = WORKLOAD[name].query
 
         configure(enabled=False)
-        before = metrics().snapshot()
+        before = _count("repro_queries_total")
         disabled_samples, disabled_result = _sample(database, query, repeats)
         assert disabled_result.span is None, "disabled run recorded a span"
-        recorded = _count(metrics().snapshot(), "repro_queries_total")
-        assert recorded == _count(before, "repro_queries_total"), (
+        assert _count("repro_queries_total") == before, (
             "disabled run incremented repro_queries_total"
         )
 

@@ -5,9 +5,9 @@ Two halves behind one findings format (see
 
 - the **semantic verifier** (:mod:`repro.analysis.verifier`,
   :mod:`repro.analysis.typecheck`): f-tree invariants, f-plan operator
-  pre/post-conditions, shard merge-strategy soundness, and expression
-  type checks — available at prepare time behind the ``verify=True``
-  session knob, and in bulk via ``python -m repro analyze``;
+  pre/post-conditions, and expression type checks — available at
+  prepare time behind the ``verify=True`` session knob, and in bulk via
+  ``python -m repro analyze``;
 - the **codebase linter** (:mod:`repro.analysis.linter`): stdlib
   ``ast`` rules for the repo's concurrency discipline (lock guarding,
   copy-on-write relations, frozen/published immutability, async
@@ -27,7 +27,6 @@ from repro.analysis.verifier import (
     verify_artifact,
     verify_compiled,
     verify_ftree,
-    verify_merge_plan,
     verify_plan,
 )
 
@@ -45,6 +44,5 @@ __all__ = [
     "verify_artifact",
     "verify_compiled",
     "verify_ftree",
-    "verify_merge_plan",
     "verify_plan",
 ]

@@ -10,8 +10,7 @@ Three passes, each skippable:
 3. **Verify plans**: every FULL_WORKLOAD query is compiled (greedy
    and cost-based optimisers; ``--exhaustive`` adds the exhaustive
    one), its f-plan replayed under the operator pre/post-conditions,
-   its expression AST type-checked, and its shard merge strategy
-   validated.
+   and its expression AST type-checked.
 
 Exit status 0 when no error-severity findings; 1 otherwise (warnings
 are printed but do not fail the run).  ``--json PATH`` writes the full
@@ -44,15 +43,10 @@ def _lint_pass(args: argparse.Namespace, report: Report) -> None:
 
 def _verify_pass(args: argparse.Namespace, report: Report) -> None:
     from repro.analysis.typecheck import check_query_types
-    from repro.analysis.verifier import (
-        verify_compiled,
-        verify_ftree,
-        verify_merge_plan,
-    )
+    from repro.analysis.verifier import verify_compiled, verify_ftree
     from repro.core.engine import FDBEngine
     from repro.data.workloads import FULL_WORKLOAD, build_workload_database
     from repro.query import QueryError
-    from repro.shard.merge import plan_shards
 
     database = build_workload_database(scale=args.scale)
 
@@ -79,11 +73,6 @@ def _verify_pass(args: argparse.Namespace, report: Report) -> None:
         query = workload.query
         report.extend(
             check_query_types(query, database, subject=f"query:{key}")
-        )
-        report.extend(
-            verify_merge_plan(
-                query, plan_shards(query), subject=f"query:{key}"
-            )
         )
         for optimizer in optimizers:
             subject = f"plan:{key}:{optimizer}"

@@ -53,12 +53,12 @@ so this module checks them structurally:
 ``obs-allocation``
     Observability calls that allocate per call — ``.labels(...)``
     child resolution, ``metrics()``/``.counter(``/``.gauge(``/
-    ``.histogram(`` family construction, ``span(...)``/
-    ``remote_root(...)`` span creation, ``get_logger(...)`` — must not
-    run inside a lexical ``with self.<lock>:`` block.  The hot-path
-    discipline (see :mod:`repro.obs.metrics`) is to pre-bind children
-    at module import or ``__init__`` and call the allocation-free
-    ``inc``/``set``/``observe`` on them inside critical sections.
+    ``.histogram(`` family construction, ``span(...)`` span creation,
+    ``get_logger(...)`` — must not run inside a lexical
+    ``with self.<lock>:`` block.  The hot-path discipline (see
+    :mod:`repro.obs.metrics`) is to pre-bind children at module import
+    or ``__init__`` and call the allocation-free ``inc``/``set``/
+    ``observe`` on them inside critical sections.
 
 Findings are :class:`repro.analysis.findings.Finding` records;
 ``# repro: allow[rule]`` comments suppress them in place (see
@@ -129,7 +129,7 @@ ELEMENTWISE_WRAPPERS = frozenset({"enumerate", "zip", "reversed", "sorted"})
 OBS_ALLOCATING_CALLS = frozenset(
     {
         "labels", "counter", "gauge", "histogram",
-        "metrics", "span", "remote_root", "get_logger",
+        "metrics", "span", "get_logger",
     }
 )
 

@@ -1,12 +1,11 @@
-"""Semantic verification of f-trees, f-plans, and merge plans.
+"""Semantic verification of f-trees and f-plans.
 
 The paper's guarantees hold only over well-formed inputs: f-trees must
 satisfy the §2 normalisation invariants (the path constraint, key
 closure, attribute partitioning), every f-plan operator has pre- and
-post-conditions (§5), constant-delay enumeration needs the Theorem 1/2
-shape conditions (§4), and sharded execution is only sound under the
-merge-strategy contract of :mod:`repro.shard.merge`.  This module makes
-each of those invariants a machine-checkable rule producing a
+post-conditions (§5), and constant-delay enumeration needs the
+Theorem 1/2 shape conditions (§4).  This module makes each of those
+invariants a machine-checkable rule producing a
 :class:`repro.analysis.findings.Finding` that names the violation.
 
 Rule catalogue (severity ``error`` unless noted):
@@ -33,7 +32,6 @@ Rule catalogue (severity ``error`` unless noted):
                            engine restructures at run time, losing the
                            constant-delay guarantee)
 ``plan/order-prefix``      final tree misses Theorem 2 (*warning*, same)
-``shard/merge-strategy``   merge plan inconsistent with the query shape
 ======================== ==================================================
 """
 
@@ -42,7 +40,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Sequence
 
 from repro.analysis.findings import Finding
-from repro.core.engine import FDBCompiled, FDBEngine, expand_functions
+from repro.core.engine import FDBCompiled, FDBEngine
 from repro.core.enumerate import supports_grouping, supports_order
 from repro.core.fplan import (
     AbsorbStep,
@@ -59,14 +57,13 @@ from repro.core.fplan import (
 from repro.core.ftree import FNode, FTree, FTreeError
 from repro.query import Query, QueryError
 from repro.relational.sort import normalise_order
-from repro.shard.merge import HEAP_MERGE, MERGE_AGGREGATE, UNION, MergePlan
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.core.optimizer import PlanContext
     from repro.database import Database
 
 #: Aggregation components a γ step may carry: the partial functions the
-#: evaluator and the shard merge layer know how to combine.
+#: evaluator knows how to combine.
 GAMMA_FUNCTIONS = frozenset({"sum", "count", "min", "max"})
 
 
@@ -473,105 +470,6 @@ def _check_final_tree(
 
 
 # ---------------------------------------------------------------------------
-# Sharded merge-strategy soundness
-# ---------------------------------------------------------------------------
-def verify_merge_plan(
-    query: Query, merge: MergePlan, *, subject: str | None = None
-) -> list[Finding]:
-    """Check one :class:`MergePlan` against the query it must answer.
-
-    The strategy contract: aggregate queries need per-group partial
-    states (with combinable functions and ``__partial_i`` aliases, and
-    HAVING/ORDER/LIMIT deferred to the merge); order-only queries may
-    keep per-shard ORDER BY + LIMIT (per-shard top-k is a superset of
-    the global top-k); anything else is a plain union.
-    """
-
-    def finding(message: str) -> Finding:
-        return Finding("shard/merge-strategy", message, subject=subject)
-
-    findings: list[Finding] = []
-    expected = (
-        MERGE_AGGREGATE
-        if query.aggregates
-        else HEAP_MERGE if query.order_by else UNION
-    )
-    if merge.strategy != expected:
-        findings.append(
-            finding(
-                f"strategy {merge.strategy!r} does not match the query "
-                f"shape (expected {expected!r})"
-            )
-        )
-        return findings
-    shard = merge.shard_query
-    if merge.strategy == MERGE_AGGREGATE:
-        if shard.having or shard.order_by or shard.limit is not None:
-            findings.append(
-                finding(
-                    "shard query must defer HAVING/ORDER BY/LIMIT to "
-                    "the merge: per-shard filtering or truncation of "
-                    "partial states drops contributing groups"
-                )
-            )
-        expected_components = expand_functions(query.aggregates)
-        if tuple(merge.components) != tuple(expected_components):
-            findings.append(
-                finding(
-                    "merge components do not match the query's expanded "
-                    f"aggregate components ({[str(c) for c in merge.components]}"
-                    f" vs {[str(c) for c in expected_components]})"
-                )
-            )
-        aliases = [spec.alias for spec in shard.aggregates]
-        expected_aliases = [
-            f"__partial_{index}" for index in range(len(aliases))
-        ]
-        bad = [
-            spec
-            for spec in shard.aggregates
-            if spec.function not in GAMMA_FUNCTIONS
-        ]
-        if bad:
-            findings.append(
-                finding(
-                    "shard aggregates carry non-combinable function(s) "
-                    f"{{{', '.join(sorted({s.function for s in bad}))}}}"
-                )
-            )
-        if aliases != expected_aliases:
-            findings.append(
-                finding(
-                    f"partial aliases {aliases} must be positional "
-                    f"{expected_aliases}"
-                )
-            )
-        if tuple(shard.group_by) != tuple(query.group_by):
-            findings.append(
-                finding(
-                    "shard query must group exactly like the original "
-                    f"({shard.group_by} vs {query.group_by})"
-                )
-            )
-    elif merge.strategy == HEAP_MERGE:
-        if tuple(shard.order_by) != tuple(query.order_by):
-            findings.append(
-                finding(
-                    "heap merge needs shards sorted on the query's "
-                    "ORDER BY keys"
-                )
-            )
-        if shard.limit != query.limit:
-            findings.append(
-                finding(
-                    "heap merge expects the per-shard top-k limit to "
-                    "match the query's (a superset of the global top-k)"
-                )
-            )
-    return findings
-
-
-# ---------------------------------------------------------------------------
 # Artifact-level entry points (the prepare-time hook)
 # ---------------------------------------------------------------------------
 def verify_compiled(
@@ -583,9 +481,7 @@ def verify_compiled(
     """Verify one FDB plan artifact: input tree, replay, final shape."""
     engine = FDBEngine()
     try:
-        _, ftree, _, context = engine.planning_inputs(
-            compiled.query, database
-        )
+        context = engine.planning_inputs(compiled.query, database)[3]
     except QueryError as error:
         return [
             Finding(
@@ -594,13 +490,10 @@ def verify_compiled(
                 subject=subject,
             )
         ]
-    # A `.lite()` artifact drops its tree; the recomputed input shape is
-    # identical (both derive from the catalogue alone).
-    tree = compiled.ftree if compiled.ftree is not None else ftree
-    findings = verify_ftree(tree, subject=subject)
+    findings = verify_ftree(compiled.ftree, subject=subject)
     if findings:
         return findings
-    return verify_plan(compiled.plan, tree, context, subject=subject)
+    return verify_plan(compiled.plan, compiled.ftree, context, subject=subject)
 
 
 def verify_artifact(
@@ -613,9 +506,8 @@ def verify_artifact(
     """Verify whatever plan artifact a backend produced for ``query``.
 
     Type checking of the expression AST applies to every backend; the
-    structural plan checks dispatch on the artifact type (FDB plans,
-    sharded plans with their per-shard FDB plans and merge strategy).
-    This is the ``verify=True`` prepare-time hook.
+    structural plan checks apply to FDB plans.  This is the
+    ``verify=True`` prepare-time hook.
     """
     from repro.analysis.typecheck import check_query_types
 
@@ -623,21 +515,5 @@ def verify_artifact(
     if isinstance(artifact, FDBCompiled):
         findings.extend(
             verify_compiled(artifact, database, subject=subject)
-        )
-        return findings
-
-    # The sharded backend's artifact: verify the sequential fallback
-    # plan, or the merge strategy plus each per-shard compiled plan.
-    fallback = getattr(artifact, "fallback", None)
-    inner = getattr(artifact, "inner", None)
-    if isinstance(inner, FDBCompiled) and fallback is not None:
-        findings.extend(verify_compiled(inner, database, subject=subject))
-        return findings
-    shard_query = getattr(artifact, "shard_query", None)
-    if isinstance(shard_query, Query):
-        from repro.shard.merge import plan_shards
-
-        findings.extend(
-            verify_merge_plan(query, plan_shards(query), subject=subject)
         )
     return findings

@@ -15,7 +15,6 @@ registry name         backend
 ====================  ====================================================
 ``fdb``               factorised evaluation, flat output (the paper's FDB)
 ``fdb-factorised``    factorised evaluation, factorised output (FDB f/o)
-``fdb-parallel``      sharded parallel FDB with merge aggregation
 ``rdb``               flat baseline, sort-based grouping (SQLite model)
 ``rdb-hash``          flat baseline, hash grouping (PostgreSQL model)
 ``sqlite``            the real ``sqlite3``, fed generated SQL text
@@ -118,13 +117,12 @@ class Engine(ABC):
         default for backends whose prepared state the session cannot
         see.  Stateless backends (reading the database afresh per run)
         return True; the sqlite backend replays the row deltas on its
-        live connection, and the sharded backend routes each row to its
-        owning shard.
+        live connection.
         """
         return False
 
     def close(self) -> None:
-        """Release backend resources (worker pools, connections...).
+        """Release backend resources (connections...).
 
         A closed backend must still serve queries after the next
         :meth:`prepare`; sessions call this from
@@ -478,19 +476,8 @@ def available_engines() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def _sharded_factory(**options) -> Engine:
-    # Imported lazily: repro.shard.engine subclasses Engine from this
-    # module, so a top-level import would be circular.
-    from repro.shard.engine import ShardedFDBBackend
-
-    # Lets introspection (create_engine's error report) see the options.
-    _sharded_factory.__wrapped__ = ShardedFDBBackend
-    return ShardedFDBBackend(**options)
-
-
 register_engine("fdb", FDBBackend)
 register_engine("fdb-factorised", partial(FDBBackend, output="factorised"))
-register_engine("fdb-parallel", _sharded_factory)
 register_engine("rdb", RDBBackend)
 register_engine("rdb-hash", partial(RDBBackend, grouping="hash"))
 register_engine("sqlite", SQLiteBackend)

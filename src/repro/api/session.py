@@ -133,12 +133,10 @@ class Session:
         verified when stored and are not re-checked);
     engine_options:
         forwarded to the registry factory of the default engine
-        (e.g. ``optimizer="exhaustive"`` for FDB, or the
-        ``shards=``/``workers=`` knobs of ``fdb-parallel``).
+        (e.g. ``optimizer="exhaustive"`` for FDB).
 
     Sessions are context managers: backends may hold real resources
-    (the sqlite connection, the parallel engine's shard stores and
-    worker pools), and :meth:`close` releases them.  ``close`` is
+    (the sqlite connection), and :meth:`close` releases them.  ``close`` is
     idempotent and *final*: any later use raises
     :class:`SessionClosedError`.
     """
@@ -436,8 +434,8 @@ class Session:
         for the next lease (the handle itself becomes unusable — any
         later call raises :class:`SessionClosedError`).  A directly
         constructed session keeps the original semantics: every cached
-        backend's resources are released permanently (worker pools shut
-        down, connections close) and the session-owned caches clear.
+        backend's resources are released permanently (connections
+        close) and the session-owned caches clear.
         ``close`` is idempotent either way.
         """
         if self._closed or self._in_pool:

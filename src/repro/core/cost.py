@@ -9,15 +9,13 @@ path.  Summing over nodes gives an asymptotic bound on the number of
 singletons, and the maximal exponent s(T) governs the growth rate.
 
 The LP ``min Σ x_R  s.t.  Σ_{R ∋ a} x_R ≥ 1 for every path attribute a``
-is solved with ``scipy.optimize.linprog`` when scipy is importable and
-otherwise with an exact pure-Python solver that enumerates basic
-feasible solutions over ``Fraction`` arithmetic (the optimum of a
-bounded feasible LP is attained at a vertex, i.e. at some choice of
-``n`` linearly independent tight constraints).  Vertex enumeration is
-exponential in principle, so it is guarded by ``_PURE_COVER_LIMIT``;
-past the guard a greedy integral cover (still an upper bound, hence a
-sound size bound) is used.  ``REPRO_PURE_COVER=1`` forces the pure path
-even when scipy is present.  Solutions are memoised per attribute set.
+is solved exactly by enumerating basic feasible solutions over
+``Fraction`` arithmetic (the optimum of a bounded feasible LP is
+attained at a vertex, i.e. at some choice of ``n`` linearly independent
+tight constraints).  Vertex enumeration is exponential in principle, so
+it is guarded by ``_PURE_COVER_LIMIT``; past the guard a greedy integral
+cover (still an upper bound, hence a sound size bound) is used.
+Solutions are memoised per attribute set.
 
 Aggregate nodes contribute one singleton per parent context, so they
 are charged the exponent of the atomic attributes on their path — which
@@ -37,23 +35,11 @@ suite checks bound ≥ actual on randomised inputs.
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 from itertools import combinations
 from typing import Any, Iterable, Mapping, Sequence
 
-try:  # pragma: no cover - exercised via REPRO_PURE_COVER in tests
-    if os.environ.get("REPRO_PURE_COVER"):
-        raise ImportError("pure-python cover solver forced")
-    import numpy as _np
-    from scipy.optimize import linprog as _linprog
-except ImportError:  # scipy/numpy are optional dependencies
-    _np = None
-    _linprog = None
-
 from repro.core.ftree import FNode, FTree
-
-HAVE_SCIPY = _linprog is not None
 
 # Past this many candidate bases the exact pure-Python LP would be too
 # slow; fall back to a greedy integral cover (a sound upper bound).
@@ -88,7 +74,7 @@ def _pure_cover_solve(
     attrs: Sequence[str],
     edges: Mapping[str, frozenset],
 ) -> "tuple[float, dict[str, float]]":
-    """Exact covering-LP solution without scipy.
+    """Exact covering-LP solution.
 
     Enumerates every basis (n tight constraints among the m coverage
     rows and n nonnegativity rows), solves it over ``Fraction``, and
@@ -156,37 +142,6 @@ def _greedy_cover(
     return float(sum(weights.values())), weights
 
 
-def _scipy_cover_solve(
-    names: Sequence[str],
-    attrs: Sequence[str],
-    edges: Mapping[str, frozenset],
-) -> "tuple[float, dict[str, float]]":
-    incidence = _np.zeros((len(attrs), len(names)))
-    for j, name in enumerate(names):
-        edge = edges[name]
-        for i, attribute in enumerate(attrs):
-            if attribute in edge:
-                incidence[i, j] = 1.0
-    result = _linprog(
-        c=_np.ones(len(names)),
-        A_ub=-incidence,
-        b_ub=-_np.ones(len(attrs)),
-        bounds=[(0, None)] * len(names),
-        method="highs",
-    )
-    if not result.success:
-        raise RuntimeError(
-            f"fractional edge cover LP failed for {list(attrs)}: "
-            f"{result.message}"
-        )
-    weights = {
-        name: float(weight)
-        for name, weight in zip(names, result.x)
-        if weight > 1e-9
-    }
-    return float(result.fun), weights
-
-
 # Cover solutions shared across Hypergraph instances: planning builds
 # a fresh hypergraph per compile, but the (edges, attribute-set) pairs
 # repeat — one LP solve serves every later compile of the same query.
@@ -247,10 +202,7 @@ class Hypergraph:
         names = [
             name for name, edge in self.edges.items() if edge & relevant
         ]
-        if HAVE_SCIPY:
-            value, weights = _scipy_cover_solve(names, attrs, self.edges)
-        else:
-            value, weights = _pure_cover_solve(names, attrs, self.edges)
+        value, weights = _pure_cover_solve(names, attrs, self.edges)
         if len(_COVER_MEMO) >= _COVER_MEMO_LIMIT:
             _COVER_MEMO.clear()
         _COVER_MEMO[memo_key] = (value, weights)

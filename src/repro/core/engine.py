@@ -159,7 +159,7 @@ def _collector_paused():
 
 def _unpause_in_child() -> None:
     """A forked child runs no plan, whatever another thread of its
-    parent was running at the fork (shard workers, a forked server)."""
+    parent was running at the fork (a forked server)."""
     global _PAUSE_LOCK
     if _PAUSE_LOCK.locked() and _PAUSE["resume"]:
         gc.enable()
@@ -267,9 +267,9 @@ def finaliser(
     """``(component tuple, group values) -> the specs' values``: the one
     finalisation rule.
 
-    A spec whose own component is stored (``("sum", "price")``, or the
-    ``("sum", expr)`` partial states a shard merge combines) reads it;
-    every COUNT, ``COUNT(price)`` included, reads ``("count", None)``.
+    A spec whose own component (:func:`_component`) is stored reads it:
+    ``("sum", "price")``, a whole ``("min", expr)``, and for every COUNT,
+    ``COUNT(price)`` included, ``("count", None)``.
     A SUM otherwise assembles Σ cᵢ · Π gᵢ · componentᵢ over its terms
     (:func:`_terms`), the gᵢ read off the row's values of ``group``, and
     a MIN/MAX over grouping attributes alone evaluates its argument on
@@ -277,14 +277,7 @@ def finaliser(
     aggregate NULL, as in SQL.
     """
     at = {component: index for index, component in enumerate(functions)}
-    own = [
-        at.get(
-            ("count", None)
-            if spec.function == "count"
-            else (spec.function, spec.attribute)
-        )
-        for spec in specs
-    ]
+    own = [at.get(_component(spec)) for spec in specs]
     if None not in own:
         return lambda value, groups=(): tuple([value[index] for index in own])
     count = at.get(("count", None))
@@ -451,8 +444,7 @@ class FDBCompiled:
     It is *value-independent*: constant-selection values never enter
     the planning context, so one compiled plan serves every parameter
     binding of the same canonical query.  ``ftree``/``hypergraph``
-    exist for explain/simulation and may be stripped (``lite()``) when
-    the artifact crosses a process boundary.
+    exist for explain/simulation.
     """
 
     query: Query  # effective (projection-resolved), unbound form
@@ -465,15 +457,6 @@ class FDBCompiled:
     provenance: "dict | None" = None
     # The plan's order-only last χ and where it runs (see OrderSwap).
     order_swap: "OrderSwap | None" = None
-
-    def lite(self) -> "FDBCompiled":
-        """A copy without the explain-only payload (cheap to pickle)."""
-        return FDBCompiled(
-            self.query,
-            self.plan,
-            provenance=self.provenance,
-            order_swap=self.order_swap,
-        )
 
     @property
     def merged(self) -> str | None:
@@ -1276,10 +1259,10 @@ def expand_functions(
     """Query aggregates as γ components, avg expanded to sum+count.
 
     Components are deduplicated so shared counts are computed once
-    (Section 3.2.4).  Expression aggregates appear as components over
-    their expression tree (``("sum", col("a") * col("b"))``): the
-    spec-level partial states a shard merge combines.  The engine's own
-    γ reads the terms of such a component (:func:`_gamma_components`).
+    (Section 3.2.4).  Expression aggregates appear as one component over
+    their expression tree (``("sum", col("a") * col("b"))``); the
+    engine's own γ splits such a component into its terms
+    (:func:`_gamma_components`).
     """
     components: list[tuple[str, str | None]] = []
 
@@ -1288,14 +1271,20 @@ def expand_functions(
             components.append(component)
 
     for spec in specs:
-        if spec.function == "count":
-            want(("count", None))
-        elif spec.function == "avg":
+        if spec.function == "avg":
             want(("sum", spec.attribute))
             want(("count", None))
         else:
-            want((spec.function, spec.attribute))
+            want(_component(spec))
     return tuple(components)
+
+
+def _component(spec: AggregateSpec) -> tuple:
+    """The γ component holding ``spec``'s value whole: the one place a
+    COUNT — ``COUNT(price)`` included — becomes ``("count", None)``."""
+    if spec.function == "count":
+        return ("count", None)
+    return (spec.function, spec.attribute)
 
 
 def _distinct(rows: Iterable[tuple]) -> Iterator[tuple]:
@@ -1391,7 +1380,7 @@ def _final_leaf(
     """The aggregate leaf holding ``spec``'s final value — what ORDER BY
     its alias sorts on — in place of the components it is made of."""
     node = fact.ftree.node(node_name)
-    own = ((spec.function, spec.attribute),)
+    own = (_component(spec),)
     if node.aggregate.functions == own:
         return fact
     aggregate = AggregateAttribute(own, node.aggregate.over, node_name)

@@ -505,8 +505,8 @@ class CostBasedOptimizer(ExhaustiveOptimizer):
     Same search graph as :class:`ExhaustiveOptimizer` (Proposition 3's
     permissible-operator edges), but an edge costs the estimated
     singleton count of its output tree computed from live statistics
-    (``ctx.stats``): real cardinalities, distinct counts, and skew,
-    combined through the AGM/distinct-product bounds of
+    (``ctx.stats``): real cardinalities and distinct counts, combined
+    through the AGM/distinct-product bounds of
     :func:`repro.core.cost.estimated_tree_size`.  The fractional edge
     cover bound is retained as an admissible pruning heuristic — a
     candidate whose s-parameter exceeds the worst s-parameter along the

@@ -1,8 +1,8 @@
 """``repro.obs`` — metrics, hierarchical query tracing, logging.
 
-The unified observability layer: a process-merge-able metrics registry
-(:mod:`repro.obs.metrics`), hierarchical spans that survive thread and
-fork boundaries (:mod:`repro.obs.spans`), Prometheus text exposition
+The unified observability layer: a metrics registry
+(:mod:`repro.obs.metrics`), hierarchical spans that survive thread
+boundaries (:mod:`repro.obs.spans`), Prometheus text exposition
 (:mod:`repro.obs.export`), a slow-query ring buffer, the ``repro.*``
 logger hierarchy (:mod:`repro.obs.logs`), and the single monotonic
 clock (:mod:`repro.obs.clock`).
@@ -27,22 +27,8 @@ log at ``GET /debug/slow``.
 from repro.obs import clock
 from repro.obs.export import CONTENT_TYPE, parse_prometheus, render_prometheus
 from repro.obs.logs import get_logger
-from repro.obs.metrics import (
-    BUCKETS,
-    MetricsRegistry,
-    metrics,
-    snapshot_diff,
-)
-from repro.obs.spans import (
-    SlowLog,
-    Span,
-    SpanContext,
-    current_span,
-    remote_root,
-    slow_log,
-    span,
-    span_context,
-)
+from repro.obs.metrics import BUCKETS, MetricsRegistry, metrics
+from repro.obs.spans import SlowLog, Span, current_span, slow_log, span
 from repro.obs.state import configure, enabled
 
 __all__ = [
@@ -51,7 +37,6 @@ __all__ = [
     "MetricsRegistry",
     "SlowLog",
     "Span",
-    "SpanContext",
     "clock",
     "configure",
     "current_span",
@@ -59,10 +44,7 @@ __all__ = [
     "get_logger",
     "metrics",
     "parse_prometheus",
-    "remote_root",
     "render_prometheus",
     "slow_log",
-    "snapshot_diff",
     "span",
-    "span_context",
 ]

@@ -8,8 +8,7 @@ available resolution, immune to NTP adjustment (wall-clock
 clock steps).
 
 ``perf_counter`` values are process-local: they are only comparable to
-other readings from the same process.  Cross-process timings (forked
-shard workers) therefore travel as *durations*, never as timestamps.
+other readings from the same process.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""A thread-safe, process-merge-able metrics registry.
+"""A thread-safe metrics registry.
 
 Three instrument kinds — counters, gauges, histograms — organised as
 *families* (one metric name, a fixed tuple of label names) whose
@@ -12,12 +12,7 @@ linter (rule ``obs-allocation``) enforces this inside lock-guarded
 blocks.
 
 Histograms use **fixed exponential bucket bounds** (:data:`BUCKETS`,
-class-level constants), so histograms recorded in forked shard workers
-merge *exactly* into the parent registry: same bounds, bucket counts
-simply add.  Workers ship a :func:`snapshot_diff` of their registry
-around each task and the parent folds it in with
-:meth:`MetricsRegistry.merge`; gauges are point-in-time and are
-excluded from diffs.
+class-level constants), so every histogram buckets identically.
 """
 
 from __future__ import annotations
@@ -29,8 +24,7 @@ from typing import Any, Iterator, Sequence
 from repro.obs.state import STATE
 
 #: Exponential histogram bounds in seconds: 50µs · 2^i for i in 0..19
-#: (50µs … ~26s).  Fixed at class level so every histogram in every
-#: process buckets identically and cross-process merges are exact.
+#: (50µs … ~26s).
 BUCKETS: tuple[float, ...] = tuple(5e-05 * 2.0**i for i in range(20))
 
 
@@ -53,10 +47,6 @@ class Counter:
     def _sample(self) -> float:
         return self.value
 
-    def _merge(self, sample: float) -> None:
-        with self._lock:
-            self.value += sample
-
     def _reset(self) -> None:
         with self._lock:
             self.value = 0.0
@@ -67,7 +57,7 @@ class Gauge:
 
     A gauge whose value is expensive to compute can :meth:`track` a
     source instead of being ``set``: the source is read when the gauge
-    is sampled (scrape, snapshot), so the owner pays nothing on its own
+    is sampled (scrape), so the owner pays nothing on its own
     hot path.
     """
 
@@ -114,12 +104,6 @@ class Gauge:
                 self.value = value
         return self.value
 
-    def _merge(self, sample: float) -> None:
-        # Gauges are point-in-time observations; a merged snapshot's
-        # value simply overwrites (diffs exclude gauges entirely).
-        self._source = None
-        self.value = sample
-
     def _reset(self) -> None:
         self._source = None
         self.value = 0.0
@@ -161,17 +145,6 @@ class Histogram:
                 "sum": self.total,
                 "count": self.count,
             }
-
-    def _merge(self, sample: dict) -> None:
-        if tuple(sample["bounds"]) != self.bounds:
-            raise ValueError(
-                "cannot merge histograms with different bucket bounds"
-            )
-        with self._lock:
-            for index, extra in enumerate(sample["counts"]):
-                self.counts[index] += extra
-            self.total += sample["sum"]
-            self.count += sample["count"]
 
     def _reset(self) -> None:
         with self._lock:
@@ -244,7 +217,7 @@ class Family:
 
 
 class MetricsRegistry:
-    """The named-family table with snapshot/merge for process folding."""
+    """The named-family table."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -302,48 +275,6 @@ class MetricsRegistry:
             families = list(self._families.values())
         return iter(sorted(families, key=lambda f: f.name))
 
-    # ------------------------------------------------------------------
-    # Snapshot / merge (the cross-process protocol)
-    # ------------------------------------------------------------------
-    def snapshot(self) -> dict:
-        """A plain-data copy of every family: picklable, JSON-able."""
-        out: dict[str, dict] = {}
-        for family in self.families():
-            out[family.name] = {
-                "kind": family.kind,
-                "help": family.help,
-                "labelnames": list(family.labelnames),
-                "samples": [
-                    [list(key), sample] for key, sample in family.samples()
-                ],
-            }
-        return out
-
-    def merge(self, snapshot: dict) -> None:
-        """Fold a snapshot (typically a worker's diff) into this registry.
-
-        Counters and histogram buckets add exactly; gauges overwrite.
-        Merging ignores the enabled flag: a worker's already-recorded
-        delta is folded even if recording was disabled meanwhile.
-        """
-        for name, data in snapshot.items():
-            kind = data["kind"]
-            labelnames = tuple(data["labelnames"])
-            if kind == "counter":
-                family = self.counter(name, data.get("help", ""), labelnames)
-            elif kind == "gauge":
-                family = self.gauge(name, data.get("help", ""), labelnames)
-            else:
-                samples = data["samples"]
-                bounds = (
-                    tuple(samples[0][1]["bounds"]) if samples else BUCKETS
-                )
-                family = self.histogram(
-                    name, data.get("help", ""), labelnames, bounds
-                )
-            for key, sample in data["samples"]:
-                family.labels(*key)._merge(sample)
-
     def reset(self) -> None:
         """Zero every child **in place** (pre-bound references stay valid)."""
         for family in self.families():
@@ -351,57 +282,6 @@ class MetricsRegistry:
                 children = list(family._children.values())
             for child in children:
                 child._reset()
-
-
-def snapshot_diff(after: dict, before: dict) -> dict:
-    """The delta of two snapshots of the *same* registry.
-
-    Counters subtract; histogram bucket counts and sums subtract
-    element-wise; gauges are point-in-time and are dropped.  This is
-    what a forked shard worker returns per task so repeated tasks in a
-    long-lived worker are never double-counted.
-    """
-    out: dict[str, dict] = {}
-    for name, data in after.items():
-        if data["kind"] == "gauge":
-            continue
-        previous = {
-            tuple(key): sample
-            for key, sample in before.get(name, {}).get("samples", [])
-        }
-        samples = []
-        for key, sample in data["samples"]:
-            base = previous.get(tuple(key))
-            if data["kind"] == "counter":
-                delta = sample - (base or 0.0)
-                if delta:
-                    samples.append([key, delta])
-            else:
-                if base is None:
-                    base = {
-                        "bounds": sample["bounds"],
-                        "counts": [0] * len(sample["counts"]),
-                        "sum": 0.0,
-                        "count": 0,
-                    }
-                delta = {
-                    "bounds": sample["bounds"],
-                    "counts": [
-                        c - b for c, b in zip(sample["counts"], base["counts"])
-                    ],
-                    "sum": sample["sum"] - base["sum"],
-                    "count": sample["count"] - base["count"],
-                }
-                if delta["count"]:
-                    samples.append([key, delta])
-        if samples:
-            out[name] = {
-                "kind": data["kind"],
-                "help": data.get("help", ""),
-                "labelnames": data["labelnames"],
-                "samples": samples,
-            }
-    return out
 
 
 #: The process-global registry every layer instruments into.

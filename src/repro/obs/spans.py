@@ -1,8 +1,8 @@
-"""Hierarchical query spans with cross-thread and cross-process context.
+"""Hierarchical query spans with cross-thread context.
 
 A span is one timed region of a query's life; nesting gives the tree
-``session.query`` → ``plan``/``cache.lookup`` → ``engine.run`` →
-per-shard ``shard.run`` → ``merge``.  The current span travels in a
+``session.query`` → ``plan``/``cache.lookup`` → ``engine.run`` → the
+f-plan layers.  The current span travels in a
 :class:`contextvars.ContextVar`:
 
 - same thread: ``with span("plan"):`` picks up the enclosing span as
@@ -10,12 +10,7 @@ per-shard ``shard.run`` → ``merge``.  The current span travels in a
 - thread executors do **not** copy context — callers submit
   ``contextvars.copy_context().run(fn, ...)`` (one fresh copy per
   task), after which the child span attaches to the shared parent
-  ``Span`` object across threads (``list.append`` is atomic);
-- forked process pools receive a picklable :class:`SpanContext`
-  alongside the ``.lite()`` plan; the worker opens a
-  :func:`remote_root` span, returns it as a dict (durations only —
-  ``perf_counter`` timestamps do not compare across processes), and the
-  parent re-parents it with :meth:`Span.adopt`.
+  ``Span`` object across threads (``list.append`` is atomic).
 
 Finished root spans land in the process-global :class:`SlowLog` ring
 buffer (``GET /debug/slow`` and the slow-query WARN line read it).
@@ -28,7 +23,6 @@ import os
 import threading
 import uuid
 from collections import deque
-from dataclasses import dataclass
 from typing import Any
 
 from repro.obs import clock
@@ -47,14 +41,6 @@ _log = get_logger("obs.slow")
 
 def _new_id() -> str:
     return uuid.uuid4().hex[:16]
-
-
-@dataclass(frozen=True)
-class SpanContext:
-    """The picklable identity of a span: enough to re-parent remotely."""
-
-    trace_id: str
-    span_id: str
 
 
 class Span:
@@ -92,9 +78,6 @@ class Span:
         self._token: "contextvars.Token | None" = None
         self._root = root
 
-    def context(self) -> SpanContext:
-        return SpanContext(self.trace_id, self.span_id)
-
     # ------------------------------------------------------------------
     # Context-manager protocol
     # ------------------------------------------------------------------
@@ -122,7 +105,7 @@ class Span:
         return False
 
     # ------------------------------------------------------------------
-    # Serialisation and re-parenting
+    # Serialisation
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
         """JSON/pickle-safe tree: names, attributes, durations, children."""
@@ -135,38 +118,6 @@ class Span:
             "seconds": self.duration,
             "children": [child.to_dict() for child in self.children],
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Span":
-        span = cls(
-            payload["name"],
-            payload.get("trace_id", ""),
-            payload.get("parent_id"),
-            dict(payload.get("attributes", ())),
-        )
-        span.span_id = payload.get("span_id", span.span_id)
-        span.duration = payload.get("seconds")
-        span.children = [
-            cls.from_dict(child) for child in payload.get("children", ())
-        ]
-        return span
-
-    def adopt(self, payload: "dict | Span") -> "Span":
-        """Re-parent a (remotely recorded) span under this one.
-
-        The adopted subtree joins this span's trace: worker spans carry
-        the parent's trace id already (via :class:`SpanContext`), but a
-        span recorded with no context is rewritten to fit.
-        """
-        child = payload if isinstance(payload, Span) else Span.from_dict(payload)
-        child.parent_id = self.span_id
-        stack = [child]
-        while stack:
-            node = stack.pop()
-            node.trace_id = self.trace_id
-            stack.extend(node.children)
-        self.children.append(child)
-        return child
 
     # ------------------------------------------------------------------
     # Rendering
@@ -236,31 +187,9 @@ def span(name: str, **attributes: Any) -> "Span | _NoopSpan":
     return child
 
 
-def remote_root(
-    name: str, context: "SpanContext | None", **attributes: Any
-) -> "Span | _NoopSpan":
-    """Open a worker-side span parented on a pickled :class:`SpanContext`.
-
-    The span is *not* recorded to the worker's slow log — it returns to
-    the parent process (``to_dict()``) and is re-parented there with
-    :meth:`Span.adopt`.
-    """
-    if not STATE.enabled:
-        return _NOOP
-    if context is None:
-        return Span(name, _new_id(), attributes=attributes)
-    return Span(name, context.trace_id, context.span_id, attributes=attributes)
-
-
 def current_span() -> "Span | None":
     """The innermost open span of this context, if any."""
     return _CURRENT.get()
-
-
-def span_context() -> "SpanContext | None":
-    """The current span's picklable identity (for process boundaries)."""
-    current = _CURRENT.get()
-    return current.context() if current is not None else None
 
 
 class SlowLog:

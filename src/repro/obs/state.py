@@ -7,10 +7,6 @@ no-op fast path.  The initial value comes from ``REPRO_OBS`` (set to
 ``0``/``false``/``no``/``off`` to disable; default enabled);
 :func:`configure` flips it at runtime, which benchmarks use to measure
 both modes in one process.
-
-Forked shard workers inherit the flag by memory copy at fork time, so a
-``configure()`` call after the worker pool exists does not reach
-workers until the pool is rebuilt.
 """
 
 from __future__ import annotations

@@ -121,8 +121,8 @@ class PreparedQuery:
         self._plan_status = "miss"
         # Compilation is lazy: it happens on the first run's cache
         # miss, after the backend has been freshened — so a result
-        # cache hit does zero planning work, and store-owning backends
-        # (sharded, sqlite) prepare their data exactly once.
+        # cache hit does zero planning work, and a store-owning backend
+        # (sqlite) prepares its data exactly once.
         self.prepare_seconds = 0.0
 
     # ------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Cardinality statistics for cost-based f-tree optimisation.
 
 ``repro.stats`` collects per-relation / per-attribute statistics —
-cardinalities, distinct counts, a small-width histogram for skew — and
-caches them across prepares behind a drift-aware epoch scheme:
+cardinalities and distinct counts — and caches them across prepares
+behind a drift-aware epoch scheme:
 
 - **columnar seeding**: registered factorisations expose their value
   arrays (``CUnion.values``) directly, so exact distinct counts and
@@ -33,22 +33,15 @@ from repro.stats.collect import (
     stats_from_factorisation,
     stats_from_flat,
 )
-from repro.stats.model import (
-    HISTOGRAM_WIDTH,
-    AttributeStats,
-    RelationStats,
-    merge_relation_stats,
-)
+from repro.stats.model import AttributeStats, RelationStats
 
 __all__ = [
     "AttributeStats",
     "DRIFT_FRACTION",
     "DRIFT_MIN_ROWS",
     "FLAT_SAMPLE_LIMIT",
-    "HISTOGRAM_WIDTH",
     "RelationStats",
     "StatsCache",
-    "merge_relation_stats",
     "stats_cache",
     "stats_from_factorisation",
     "stats_from_flat",

@@ -21,7 +21,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from repro.obs.metrics import metrics
 from repro.stats.collect import (
@@ -43,15 +43,13 @@ CAPACITY = 64
 _STATS_EVENTS = metrics().counter(
     "repro_stats_cache_events_total",
     "Statistics cache traffic by event and source "
-    "(hit/miss/seed/invalidate × cache/columnar/flat/merged/drift/"
-    "schema).",
+    "(hit/miss/seed/invalidate × cache/columnar/flat/drift/schema).",
     ("event", "source"),
 )
 _HIT = _STATS_EVENTS.labels("hit", "cache")
 _MISS = _STATS_EVENTS.labels("miss", "cache")
 _SEED_COLUMNAR = _STATS_EVENTS.labels("seed", "columnar")
 _SEED_FLAT = _STATS_EVENTS.labels("seed", "flat")
-_SEED_MERGED = _STATS_EVENTS.labels("seed", "merged")
 _INVALIDATE_DRIFT = _STATS_EVENTS.labels("invalidate", "drift")
 _INVALIDATE_SCHEMA = _STATS_EVENTS.labels("invalidate", "schema")
 
@@ -61,12 +59,6 @@ _REOPT = metrics().counter(
     ("reason",),
 )
 _REOPT_DRIFT = _REOPT.labels("drift")
-
-_SEED_EVENTS = {
-    "columnar": _SEED_COLUMNAR,
-    "flat": _SEED_FLAT,
-    "merged": _SEED_MERGED,
-}
 
 
 def _origin(database):
@@ -143,16 +135,13 @@ class StatsCache:
     def _seed(self, database, name: str) -> "RelationStats | None":
         fact = getattr(database, "factorised", {}).get(name)
         if fact is not None:
-            stats = stats_from_factorisation(name, fact)
-        else:
-            relation = getattr(database, "relations", {}).get(name)
-            if relation is None:
-                return None
-            stats = stats_from_flat(name, relation)
-        counter = _SEED_EVENTS.get(stats.source)
-        if counter is not None:
-            counter.inc()
-        return stats
+            _SEED_COLUMNAR.inc()
+            return stats_from_factorisation(name, fact)
+        relation = getattr(database, "relations", {}).get(name)
+        if relation is None:
+            return None
+        _SEED_FLAT.inc()
+        return stats_from_flat(name, relation)
 
     def _store(self, database, key: tuple, stats, version: int) -> None:
         entry = _Entry(
@@ -203,18 +192,6 @@ class StatsCache:
             self._epochs[key] = self._epochs.get(key, 0) + 1
         _INVALIDATE_DRIFT.inc()
         _REOPT_DRIFT.inc()
-
-    # ------------------------------------------------------------------
-    # Priming (sharded backends inject merged global statistics)
-    # ------------------------------------------------------------------
-    def prime(self, database, stats_by_name: Mapping[str, RelationStats]) -> None:
-        """Install externally computed statistics (e.g. shard merges)."""
-        version = getattr(database, "version", 0)
-        for name, stats in stats_by_name.items():
-            self._store(database, _key(database, name), stats, version)
-            counter = _SEED_EVENTS.get(stats.source)
-            if counter is not None:
-                counter.inc()
 
     # ------------------------------------------------------------------
     # Validation helpers

@@ -2,11 +2,11 @@
 
 The cheap path reads resident factorised state: every union's value
 array is sorted and duplicate-free, so ``len(values)`` *is* the
-per-union distinct count and one dict pass over the arrays yields exact
-global distinct counts and context frequencies without enumerating a
-single tuple.  Cardinality comes from ``tuple_count()`` (a dynamic
-program over union lengths) and the footprint from ``size_info()`` —
-all structure walks, no data scan.
+per-union distinct count and one pass over the arrays yields exact
+global distinct counts without enumerating a single tuple.
+Cardinality comes from ``tuple_count()`` (a dynamic program over union
+lengths) and the footprint from ``size_info()`` — all structure walks,
+no data scan.
 
 Relations with no factorisation fall back to one bounded sampling pass
 over the flat rows.  Seeds are republished to the ``repro.obs``
@@ -15,17 +15,14 @@ registry for operators (``publish_stats``).
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.obs.metrics import metrics
 from repro.relational.relation import Relation
-from repro.stats.model import HISTOGRAM_WIDTH, AttributeStats, RelationStats
+from repro.stats.model import AttributeStats, RelationStats
 
 # Flat fallback: stride-sample at most this many rows in one pass.
 FLAT_SAMPLE_LIMIT = 4096
 
-# Gauges holding each relation's last seed, for operators; they cross
-# the shard fork boundary with the metrics merge protocol.
+# Gauges holding each relation's last seed, for operators.
 _STATS_ROWS = metrics().gauge(
     "repro_stats_relation_rows",
     "Cardinality recorded at the last statistics seed, per relation.",
@@ -43,20 +40,13 @@ _STATS_VERSION = metrics().gauge(
 )
 
 
-def _top_k(counts: "dict[Any, int]") -> "tuple[tuple, bool]":
-    """The histogram pair ``(top-K (value, count), complete)``."""
-    top = sorted(counts.items(), key=lambda item: (-item[1], repr(item[0])))
-    return tuple(top[:HISTOGRAM_WIDTH]), len(top) <= HISTOGRAM_WIDTH
-
-
 def stats_from_factorisation(name: str, fact) -> RelationStats:
     """Exact statistics from a resident factorisation — no data scan.
 
     Walks the union *structure* only: because values within a union are
-    sorted and distinct, the dict of value → context count built from
-    the value arrays gives exact global distinct counts (its length)
-    and a context-frequency histogram (how many parent contexts a value
-    appears under — the skew signal that drives selection placement).
+    sorted and distinct, the set of the value arrays' entries gives the
+    exact global distinct count, and their lengths sum to the number of
+    contexts the attribute's values appear under.
     """
     attributes: dict[str, AttributeStats] = {}
     nesting: dict[str, tuple] = {}
@@ -65,16 +55,12 @@ def stats_from_factorisation(name: str, fact) -> RelationStats:
         above += (node.name,)
         nesting.update(dict.fromkeys(node.attributes, above))
         if not node.is_aggregate and node.attributes:
-            counts: dict[Any, int] = {}
+            seen: set = set()
             for union in unions:
-                for value in union.values:
-                    counts[value] = counts.get(value, 0) + 1
-            histogram, complete = _top_k(counts)
+                seen.update(union.values)
             entry = AttributeStats(
-                distinct=len(counts),
-                total=sum(counts.values()),
-                histogram=histogram,
-                complete=complete,
+                distinct=len(seen),
+                total=sum(len(union.values) for union in unions),
             )
             for attribute in node.attributes:
                 attributes[attribute] = entry
@@ -104,26 +90,16 @@ def stats_from_flat(
     """One bounded sampling pass over a flat relation.
 
     Up to ``limit`` rows are visited (stride-sampled beyond that);
-    distinct counts observed in a strict sample are lower bounds and the
-    histogram is marked incomplete.
+    distinct counts observed in a strict sample are lower bounds.
     """
     rows = relation.rows
     stride = max(1, len(rows) // limit) if limit else 1
     sampled = rows[::stride] if stride > 1 else rows
-    exact = len(sampled) == len(rows)
-    per_column: "list[dict[Any, int]]" = [{} for _ in relation.schema]
-    for row in sampled:
-        for counts, value in zip(per_column, row):
-            counts[value] = counts.get(value, 0) + 1
-    attributes: dict[str, AttributeStats] = {}
-    for attribute, counts in zip(relation.schema, per_column):
-        histogram, covered = _top_k(counts)
-        attributes[attribute] = AttributeStats(
-            distinct=len(counts),
-            total=len(sampled),
-            histogram=histogram,
-            complete=exact and covered,
-        )
+    columns = zip(*sampled) if sampled else ([] for _ in relation.schema)
+    attributes = {
+        attribute: AttributeStats(distinct=len(set(values)), total=len(sampled))
+        for attribute, values in zip(relation.schema, columns)
+    }
     return RelationStats(
         name=name,
         rows=len(rows),

@@ -8,7 +8,6 @@ from repro.analysis import (
     PlanVerificationError,
     verify_compiled,
     verify_ftree,
-    verify_merge_plan,
     verify_plan,
 )
 from repro.core.cost import Hypergraph
@@ -265,56 +264,3 @@ class TestVerifyCompiled:
         assert error.findings == tuple(findings)
         with pytest.raises(ValueError):
             raise error
-
-
-# ---------------------------------------------------------------------------
-# Sharded merge-strategy soundness
-# ---------------------------------------------------------------------------
-class TestMergePlan:
-    def query(self):
-        from repro.query import AggregateSpec, Query
-
-        return Query(
-            relations=("R",),
-            group_by=("customer",),
-            aggregates=(AggregateSpec("sum", "price", "revenue"),),
-        )
-
-    def test_planner_output_is_clean(self):
-        from repro.shard.merge import plan_shards
-
-        assert verify_merge_plan(self.query(), plan_shards(self.query())) == []
-
-    def test_wrong_strategy(self):
-        from repro.shard.merge import UNION, MergePlan
-
-        merge = MergePlan(UNION, self.query())
-        findings = verify_merge_plan(self.query(), merge)
-        assert rules_of(findings) == ["shard/merge-strategy"]
-
-    def test_shard_query_must_defer_limit(self):
-        from dataclasses import replace
-
-        from repro.shard.merge import plan_shards
-
-        sound = plan_shards(self.query())
-        leaky = replace(
-            sound, shard_query=replace(sound.shard_query, limit=5)
-        )
-        findings = verify_merge_plan(self.query(), leaky)
-        assert "shard/merge-strategy" in rules_of(findings)
-        assert any("defer" in f.message for f in findings)
-
-    def test_heap_merge_limit_mismatch(self):
-        from dataclasses import replace
-
-        from repro.query import Query
-        from repro.shard.merge import plan_shards
-
-        query = Query(relations=("R",), order_by=("price",), limit=3)
-        sound = plan_shards(query)
-        broken = replace(
-            sound, shard_query=replace(sound.shard_query, limit=None)
-        )
-        findings = verify_merge_plan(query, broken)
-        assert "shard/merge-strategy" in rules_of(findings)

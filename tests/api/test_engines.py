@@ -19,6 +19,15 @@ def test_builtin_registry_names():
         assert expected in names
 
 
+def test_unknown_engine_error_lists_the_five_builtins(pizzeria):
+    with pytest.raises(ValueError, match="unknown engine 'fdb-parallel'") as info:
+        connect(pizzeria, engine="fdb-parallel").query("R").count("n").run()
+    listed = str(info.value).split("registered engines: ")[1]
+    names = listed.split(";")[0].split(", ")
+    builtins = [name for name in names if not name.endswith("-test")]
+    assert builtins == ["fdb", "fdb-factorised", "rdb", "rdb-hash", "sqlite"]
+
+
 def test_create_engine_unknown_name_suggests():
     with pytest.raises(ValueError, match="did you mean 'sqlite'"):
         create_engine("sqlight")
@@ -31,7 +40,6 @@ def test_create_engine_unknown_name_suggests():
     [
         ("fdb", "output, optimizer"),
         ("fdb-factorised", "output, optimizer"),
-        ("fdb-parallel", "shards, workers, key, optimizer"),
         ("rdb", "grouping, join_method"),
         ("sqlite", r"\(none\)"),
     ],
@@ -43,6 +51,18 @@ def test_unknown_engine_option_fails_with_a_reason(pizzeria, engine, accepted):
         ValueError,
         match=f"engine '{engine}' does not accept option 'layout'; "
         f"accepted options: {accepted}$",
+    ):
+        session.query("R").count("n").run()
+
+
+@pytest.mark.parametrize("option", ["shards", "workers", "key"])
+def test_partitioning_options_are_not_accepted(pizzeria, option):
+    """FDB runs one sequential plan: it takes no partitioning knobs."""
+    session = connect(pizzeria, engine="fdb", **{option: 2})
+    with pytest.raises(
+        ValueError,
+        match=f"engine 'fdb' does not accept option '{option}'; "
+        "accepted options: output, optimizer$",
     ):
         session.query("R").count("n").run()
 

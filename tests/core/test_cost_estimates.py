@@ -1,10 +1,10 @@
-"""Data-driven cost estimates and the scipy-free covering-LP path.
+"""Data-driven cost estimates and the exact covering-LP solver.
 
-The pure-Python vertex-enumeration solver must reproduce the scipy
-``linprog`` optimum exactly on the classical hypergraphs (the LP's
-optimal value is what :func:`fractional_edge_cover` pins elsewhere);
-the estimation layer combines the AGM bound with distinct-count
-products and falls back to the asymptotic ``scale`` without stats.
+The vertex-enumeration solver must reproduce the known optima of the
+classical hypergraphs, directly and through
+:meth:`Hypergraph.fractional_edge_cover`; the estimation layer
+combines the AGM bound with distinct-count products and falls back to
+the asymptotic ``scale`` without stats.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.cost import (
-    HAVE_SCIPY,
     Hypergraph,
     _greedy_cover,
     _pure_cover_solve,
@@ -57,13 +56,53 @@ def test_pure_cover_matches_known_optima(edges, attrs, expected):
         assert covering >= 1 - 1e-9
 
 
-@pytest.mark.skipif(not HAVE_SCIPY, reason="scipy not installed")
-@pytest.mark.parametrize("edges", [TRIANGLE, PATH3, STAR])
-def test_pure_cover_agrees_with_scipy(edges):
+CYCLE4 = _edges({"R": "ab", "S": "bc", "T": "cd", "U": "da"})
+CYCLE5 = _edges({"R": "ab", "S": "bc", "T": "cd", "U": "de", "V": "ea"})
+LOOMIS_WHITNEY4 = _edges({"R": "abc", "S": "abd", "T": "acd", "U": "bcd"})
+CLIQUE4 = _edges(
+    {"R": "ab", "S": "ac", "T": "ad", "U": "bc", "V": "bd", "W": "cd"}
+)
+DOMINATING = _edges({"R": "abc", "S": "ab", "T": "c"})
+
+
+@pytest.mark.parametrize(
+    "edges,expected",
+    [
+        (TRIANGLE, 1.5),
+        (PATH3, 2.0),
+        (STAR, 3.0),
+        (CYCLE4, 2.0),
+        (CYCLE5, 2.5),
+        (LOOMIS_WHITNEY4, 4 / 3),
+        (CLIQUE4, 2.0),
+        (DOMINATING, 1.0),
+    ],
+)
+def test_fractional_edge_cover_matches_known_optima(edges, expected):
+    attrs = sorted(set().union(*edges.values()))
+    cover = Hypergraph(edges).fractional_edge_cover(attrs)
+    assert cover == pytest.approx(expected)
+
+
+def test_cover_past_the_vertex_limit_is_a_greedy_upper_bound():
+    # A 12-cycle has C(24, 12) > _PURE_COVER_LIMIT candidate bases, so
+    # the exact solver hands over to the greedy integral cover: still a
+    # cover, and never below the true optimum ρ* = 6.
+    names = [f"R{i}" for i in range(12)]
+    edges = {
+        name: frozenset({f"v{i}", f"v{(i + 1) % 12}"})
+        for i, name in enumerate(names)
+    }
     attrs = sorted(set().union(*edges.values()))
     hypergraph = Hypergraph(edges)
-    rho, _ = _pure_cover_solve(sorted(edges), attrs, edges)
-    assert rho == pytest.approx(hypergraph.fractional_edge_cover(attrs))
+    assert hypergraph.fractional_edge_cover(attrs) >= 6.0
+    weights = hypergraph.cover_weights(attrs)
+    assert all(weight == 1.0 for weight in weights.values())
+    for attribute in attrs:
+        assert sum(
+            weight for name, weight in weights.items()
+            if attribute in edges[name]
+        ) >= 1
 
 
 def test_greedy_cover_is_an_upper_bound():

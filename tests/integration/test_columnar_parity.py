@@ -3,8 +3,8 @@
 The batch kernels (`repro.core.kernels`) must be observationally
 identical to the flat relational baseline (``rdb``) and to the real
 ``sqlite3``: same rows, in the same order wherever the query fixes one,
-across the full named workload, seeded random queries, IVM deltas
-spliced into the registered views, and sharded ``fdb-parallel`` runs.
+across the full named workload, seeded random queries, and IVM deltas
+spliced into the registered views.
 Every random source is seeded so failures replay exactly.
 """
 
@@ -16,7 +16,7 @@ import pytest
 from repro import connect
 from repro.core.engine import FDBEngine
 from repro.data.workloads import FULL_WORKLOAD, build_workload_database
-from tests.shard.test_random_parity import _assert_parity, _random_query
+from tests.integration.random_queries import assert_parity, random_query
 
 SEED = "columnar-parity/2013"
 
@@ -33,7 +33,7 @@ def _assert_same(query, reference, actual):
             schema=actual.schema,
             rows=[tuple(row[p] for p in picks) for row in reference.rows],
         )
-    _assert_parity(query, reference, actual)
+    assert_parity(query, reference, actual)
     if not query.order_by:
         return
     positions = [actual.schema.index(k.attribute) for k in query.order_by]
@@ -95,7 +95,7 @@ def test_seeded_random_queries_agree(db, reference):
     expected = connect(db, engine=reference)
     fdb = connect(db, engine="fdb")
     for _ in range(40):
-        query = _random_query(rng, db)
+        query = random_query(rng, db)
         _assert_same(query, expected.execute(query), fdb.execute(query))
 
 
@@ -117,42 +117,5 @@ def test_parity_after_ivm_deltas(reference):
             victim = rng.choice(database.flat("Orders").rows)
             fdb.delete("Orders", [victim])
         for _ in range(3):
-            query = _random_query(rng, database)
+            query = random_query(rng, database)
             _assert_same(query, expected.execute(query), fdb.execute(query))
-
-
-# ---------------------------------------------------------------------------
-# Sharded runs
-# ---------------------------------------------------------------------------
-@pytest.mark.parametrize("reference", REFERENCES)
-def test_sharded_parity_with_columnar_views(reference):
-    rng = random.Random(SEED + "/shards")
-    database = build_workload_database(scale=0.1, seed=7)
-    expected = connect(database, engine=reference)
-    parallel = connect(database, engine="fdb-parallel", shards=3, workers=0)
-    for _ in range(20):
-        query = _random_query(rng, database)
-        _assert_same(query, expected.execute(query), parallel.execute(query))
-
-
-@pytest.mark.parametrize("reference", REFERENCES)
-def test_sharded_parity_with_columnar_views_after_mutations(reference):
-    rng = random.Random(SEED + "/shard-deltas")
-    database = build_workload_database(scale=0.1, seed=23)
-    expected = connect(database, engine=reference)
-    parallel = connect(database, engine="fdb-parallel", shards=3, workers=0)
-    packages = sorted({row[2] for row in database.flat("Orders").rows})
-    for step in range(6):
-        if step % 2 == 0:
-            parallel.insert(
-                "Orders",
-                [(f"c{step:03d}", f"dSHC{step:05d}", rng.choice(packages))],
-            )
-        else:
-            victim = rng.choice(database.flat("Orders").rows)
-            parallel.delete("Orders", [victim])
-        for _ in range(3):
-            query = _random_query(rng, database)
-            _assert_same(
-                query, expected.execute(query), parallel.execute(query)
-            )

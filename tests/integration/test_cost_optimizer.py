@@ -2,9 +2,9 @@
 
 The cost-based strategy must be observationally identical to the static
 strategies (same rows, same ordering contracts) across the full named
-workload, after IVM deltas, and under the sharded backend — while on a
-skewed workload it must pick a measurably smaller f-tree than greedy
-and re-optimise when drift invalidates its statistics.
+workload and after IVM deltas — while on a skewed workload it must
+pick a measurably smaller f-tree than greedy and re-optimise when drift
+invalidates its statistics.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from repro.query import Equality, Query
 from repro.relational.relation import Relation
 from repro.stats import stats_cache
 from repro.stats.cache import _REOPT_DRIFT
-from tests.shard.test_random_parity import _assert_parity, _random_query
+from tests.integration.random_queries import assert_parity, random_query
 
 SEED = "cost-optimizer/2013"
 
@@ -48,7 +48,7 @@ def test_full_workload_parity_cost_vs_greedy(db, name):
     query = FULL_WORKLOAD[name].query
     greedy = connect(db, engine="fdb", optimizer="greedy").execute(query)
     cost = connect(db, engine="fdb", optimizer="cost").execute(query)
-    _assert_parity(query, greedy, cost)
+    assert_parity(query, greedy, cost)
 
 
 @pytest.mark.parametrize("name", ["Q1", "Q5", "Q8", "Q10", "Q13"])
@@ -58,7 +58,7 @@ def test_workload_parity_cost_vs_exhaustive(db, name):
         query
     )
     cost = connect(db, engine="fdb", optimizer="cost").execute(query)
-    _assert_parity(query, exhaustive, cost)
+    assert_parity(query, exhaustive, cost)
 
 
 def test_cost_explain_reports_strategy_and_estimate(db):
@@ -107,24 +107,8 @@ def test_parity_after_ivm_deltas():
         else:
             greedy.delete("Orders", [rng.choice(database.flat("Orders").rows)])
         for _ in range(3):
-            query = _random_query(rng, database)
-            _assert_parity(query, greedy.execute(query), cost.execute(query))
-
-
-# ---------------------------------------------------------------------------
-# Sharded backend with merged statistics
-# ---------------------------------------------------------------------------
-def test_sharded_parity_with_cost_optimizer(db):
-    rng = random.Random(SEED + "/shards")
-    reference = connect(db, engine="fdb", optimizer="greedy")
-    parallel = connect(
-        db, engine="fdb-parallel", shards=3, workers=0, optimizer="cost"
-    )
-    for _ in range(15):
-        query = _random_query(rng, db)
-        _assert_parity(
-            query, reference.execute(query), parallel.execute(query)
-        )
+            query = random_query(rng, database)
+            assert_parity(query, greedy.execute(query), cost.execute(query))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,8 @@
 """Cross-engine parity: empty-input aggregates, numeric literals, LIMIT 0.
 
-Every engine — fdb, fdb-factorised, rdb, rdb-hash, sqlite, and the
-sharded fdb-parallel — must agree on the SQL corner cases this PR
-fixes: ungrouped aggregates over zero rows yield one row (COUNT = 0,
-everything else NULL), grouped aggregates over zero rows yield zero
+Every engine — fdb, fdb-factorised, rdb, rdb-hash and sqlite — must
+agree on these SQL corner cases: ungrouped aggregates over zero rows
+yield one row (COUNT = 0, everything else NULL), grouped aggregates over zero rows yield zero
 rows, scientific-notation literals parse and round-trip, and LIMIT 0
 returns the empty result.
 """
@@ -17,7 +16,7 @@ from repro.sql import parse_query
 from repro.sql.generator import query_to_sql
 from repro.sql.lexer import SQLSyntaxError, tokenize
 
-ENGINES = ("fdb", "fdb-factorised", "rdb", "rdb-hash", "sqlite", "fdb-parallel")
+ENGINES = ("fdb", "fdb-factorised", "rdb", "rdb-hash", "sqlite")
 
 
 @pytest.fixture(scope="module")
@@ -31,8 +30,7 @@ def session():
 
 
 def _run(session, sql, engine):
-    options = {"shards": 3, "workers": 0} if engine == "fdb-parallel" else {}
-    with connect(session.database, engine=engine, **options) as other:
+    with connect(session.database, engine=engine) as other:
         return other.sql(sql)
 
 
@@ -106,10 +104,7 @@ def test_builder_empty_aggregates_match_across_engines(session):
         session.query("R").where("price", ">", 1000).avg("price", "mean")
     )
     for engine in ENGINES:
-        options = (
-            {"shards": 2, "workers": 0} if engine == "fdb-parallel" else {}
-        )
-        with connect(session.database, engine=engine, **options) as other:
+        with connect(session.database, engine=engine) as other:
             assert other.execute(builder.to_query()).rows == [(None,)], engine
 
 

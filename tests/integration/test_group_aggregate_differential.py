@@ -2,10 +2,13 @@
 
 Eight groupings × eleven aggregates (attribute, expression, extremum of
 an expression, quotient by a constant, COUNT of a column) × with and
-without a HAVING on the aggregate's alias: 176 statements at scale
-0.25, floats compared rounded.  ``SUM(price * price)`` grouped by ``customer`` once raised a
-CompositionError under the cost optimiser (a count aggregate swapped
-above ``price``).
+without a HAVING on the aggregate's alias, and ordered by that alias
+with and without a LIMIT: 352 statements at scale 0.25, floats
+compared rounded.  ``SUM(price * price)`` grouped by ``customer`` once
+raised a CompositionError under the cost optimiser (a count aggregate
+swapped above ``price``), and ``COUNT(price)`` ordered by its alias
+once raised an ExprError (its final leaf was keyed ``("count",
+"price")``, its γ component ``("count", None)``).
 """
 
 import pytest
@@ -71,3 +74,39 @@ def test_grouped_aggregates_match_sqlite(sessions, group, aggregate):
         want = _rounded(sessions["sqlite"].sql(sql).rows)
         for engine in ENGINES[:2]:
             assert _rounded(sessions[engine].sql(sql).rows) == want, (engine, sql)
+
+
+def _values(rows) -> list:
+    """The alias column in row order: ties may come in any order."""
+    return [round(row[-1], 6) if isinstance(row[-1], float) else row[-1]
+            for row in rows]
+
+
+@pytest.mark.parametrize("aggregate", AGGREGATES)
+@pytest.mark.parametrize("group", GROUPS)
+def test_ordered_by_alias_matches_sqlite(sessions, group, aggregate):
+    sql = _statement(group, aggregate, having=False) + " ORDER BY v"
+    want = sessions["sqlite"].sql(sql).rows
+    for engine in ENGINES[:2]:
+        got = sessions[engine].sql(sql).rows
+        assert _values(got) == _values(want), (engine, sql)
+        assert _rounded(got) == _rounded(want), (engine, sql)
+        top = sessions[engine].sql(sql + " LIMIT 3").rows
+        assert _values(top) == _values(want)[:3], (engine, sql)
+        assert set(_rounded(top)) <= set(_rounded(want)), (engine, sql)
+
+
+@pytest.mark.parametrize("engine", ENGINES[:2])
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT customer, COUNT(item) AS n FROM R1 GROUP BY customer "
+        "ORDER BY n",
+        "SELECT COUNT(item) AS n FROM R1 ORDER BY n",
+    ],
+)
+def test_count_of_a_text_column_ordered_by_alias(sessions, sql, engine):
+    want = sessions["sqlite"].sql(sql).rows
+    got = sessions[engine].sql(sql).rows
+    assert _values(got) == _values(want), sql
+    assert _rounded(got) == _rounded(want), sql

@@ -1,6 +1,6 @@
 """One union layout: every union of every view is a ``CUnion``, always.
 
-Registered views are built, maintained, rebuilt, sharded, persisted and
+Registered views are built, maintained, rebuilt, persisted and
 re-planned in the representation the kernels read — there is no second
 form to convert from — and ``Database.store_bytes()`` therefore counts
 everything resident.  Each state a view can reach is visited here.
@@ -12,8 +12,6 @@ from repro import connect
 from repro.core.frep import CUnion, Factorisation, FactorisationError
 from repro.core.io import load_view, save_view
 from repro.data.workloads import build_workload_database
-from repro.shard.partition import partition_relation
-from repro.shard.store import build_shard_factorisations
 
 SQL = "SELECT customer, SUM(price) AS total FROM R1 GROUP BY customer"
 
@@ -76,23 +74,6 @@ def test_path_fallback_rebuild():
         assert sorted(session.sql(SQL).rows) == sorted(
             session.sql(SQL, engine="sqlite").rows
         )
-
-
-def test_shard_slices_across_the_fork_boundary():
-    database = build_workload_database(scale=0.1, seed=7)
-    view = database.get_factorised("R1")
-    # "date" is not the root: slices break the tree's join dependencies
-    # and take the path fallback; "package" slices keep the tree.
-    for key in ("package", "date"):
-        parts = partition_relation(database.flat("R1"), key, 3)
-        jobs = [(part, view.ftree) for part in parts]
-        for built in (
-            build_shard_factorisations(jobs, workers=0),
-            build_shard_factorisations(jobs, workers=2),  # pickled back
-        ):
-            for part, fact in zip(parts, built):
-                _assert_single_layout(fact)
-                assert fact.tuple_count() == len(set(part.rows))
 
 
 def test_saved_view_round_trip(tmp_path):

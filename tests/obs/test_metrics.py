@@ -1,4 +1,4 @@
-"""The metrics registry: instruments, merging, exposition round-trips."""
+"""The metrics registry: instruments, reset, exposition round-trips."""
 
 from __future__ import annotations
 
@@ -6,12 +6,7 @@ import pytest
 
 from repro.obs import configure, enabled
 from repro.obs.export import parse_prometheus, render_prometheus
-from repro.obs.metrics import (
-    BUCKETS,
-    MetricsRegistry,
-    metrics,
-    snapshot_diff,
-)
+from repro.obs.metrics import BUCKETS, MetricsRegistry, metrics
 
 
 @pytest.fixture()
@@ -48,7 +43,8 @@ class TestInstruments:
         assert reads == []  # nothing is computed until the gauge is read
         assert size.samples() == [((), 7.0)]
         state["value"] = 9.0
-        assert registry.snapshot()["size_bytes"]["samples"] == [[[], 9.0]]
+        scraped = parse_prometheus(render_prometheus(registry))
+        assert scraped["size_bytes"]["samples"][("size_bytes", ())] == 9.0
         state["value"] = None  # the owner is gone: the last value stays
         assert size.samples() == [((), 9.0)]
         size.set(3)
@@ -104,52 +100,8 @@ class TestDisabled:
         assert histogram.count == 0
         assert gauge.value == 0.0
 
-    def test_merge_ignores_the_disabled_flag(self, registry):
-        # A worker's already-recorded delta folds in regardless.
-        registry.counter("c_total").labels().inc(5)
-        target = MetricsRegistry()
-        configure(enabled=False)
-        try:
-            target.merge(registry.snapshot())
-        finally:
-            configure(enabled=True)
-        assert target.counter("c_total").labels().value == 5.0
 
-
-class TestSnapshotMerge:
-    def test_counter_and_histogram_merge_exactly(self, registry):
-        registry.counter("c_total", "C.", ("k",)).labels("a").inc(5)
-        registry.histogram("h_seconds").labels().observe(0.01)
-        other = MetricsRegistry()
-        other.counter("c_total", "C.", ("k",)).labels("a").inc(2)
-        other.histogram("h_seconds").labels().observe(0.01)
-        other.merge(registry.snapshot())
-        assert other.counter("c_total", "C.", ("k",)).labels("a").value == 7.0
-        child = other.histogram("h_seconds").labels()
-        assert child.count == 2
-        assert child.total == pytest.approx(0.02)
-
-    def test_snapshot_diff_drops_gauges_and_zero_deltas(self, registry):
-        registry.gauge("g").labels().set(3)
-        counter = registry.counter("c_total").labels()
-        counter.inc(4)
-        before = registry.snapshot()
-        counter.inc(2)
-        delta = snapshot_diff(registry.snapshot(), before)
-        assert "g" not in delta
-        assert delta["c_total"]["samples"] == [[[], 2.0]]
-
-    def test_diff_merge_is_double_count_safe(self, registry):
-        # The worker protocol: diff per task, merge each diff — the
-        # parent total equals the worker's true total.
-        parent = MetricsRegistry()
-        child = registry.counter("c_total").labels()
-        for round_increments in (3, 2):
-            before = registry.snapshot()
-            child.inc(round_increments)
-            parent.merge(snapshot_diff(registry.snapshot(), before))
-        assert parent.counter("c_total").labels().value == 5.0
-
+class TestReset:
     def test_reset_zeroes_in_place(self, registry):
         family = registry.counter("c_total")
         bound = family.labels()

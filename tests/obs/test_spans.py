@@ -1,21 +1,12 @@
-"""Span trees: nesting, thread/process propagation, the slow log."""
+"""Span trees: nesting, thread propagation, the slow log."""
 
 from __future__ import annotations
 
 import contextvars
-import pickle
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.obs import configure
-from repro.obs.spans import (
-    Span,
-    SpanContext,
-    current_span,
-    remote_root,
-    slow_log,
-    span,
-    span_context,
-)
+from repro.obs.spans import current_span, slow_log, span
 
 
 class TestNesting:
@@ -58,9 +49,6 @@ class TestNesting:
         try:
             with span("q") as root:
                 assert root is None
-            assert remote_root("r", None) is not None  # the noop object
-            with remote_root("r", None) as remote:
-                assert remote is None
         finally:
             configure(enabled=True)
 
@@ -69,7 +57,7 @@ class TestThreadPropagation:
     def test_copied_context_attaches_across_threads(self):
         # The documented executor pattern: one fresh copy per task.
         def work(index):
-            with span("shard.run", shard=index):
+            with span("task", task=index):
                 return index
 
         with span("engine.run") as parent:
@@ -80,7 +68,7 @@ class TestThreadPropagation:
                 ]
                 [f.result() for f in futures]
         assert sorted(
-            c.attributes["shard"] for c in parent.children
+            c.attributes["task"] for c in parent.children
         ) == [0, 1, 2, 3]
         assert all(c.parent_id == parent.span_id for c in parent.children)
 
@@ -91,63 +79,15 @@ class TestThreadPropagation:
                 assert pool.submit(current_span).result() is None
 
 
-class TestProcessProtocol:
-    def test_span_context_pickles(self):
-        with span("session.query"):
-            context = span_context()
-        assert pickle.loads(pickle.dumps(context)) == context
-
-    def test_remote_root_carries_the_parent_identity(self):
-        context = SpanContext("trace-1", "span-1")
-        with remote_root("shard.run", context, shard=2) as remote:
-            pass
-        assert remote.trace_id == "trace-1"
-        assert remote.parent_id == "span-1"
-        assert remote.attributes == {"shard": 2}
-
-    def test_to_dict_from_dict_round_trip(self):
-        with span("q") as root:
-            with span("step", shard=0):
-                pass
-        clone = Span.from_dict(root.to_dict())
-        assert clone.name == "q"
-        assert clone.span_id == root.span_id
-        assert clone.children[0].attributes == {"shard": 0}
-        assert clone.children[0].duration == root.children[0].duration
-
-    def test_adopt_reparents_a_worker_payload(self):
-        context_holder = {}
-        with span("engine.run") as parent:
-            context_holder["ctx"] = span_context()
-        # "Worker side": record against the pickled context.
-        with remote_root(
-            "shard.run", context_holder["ctx"], shard=1
-        ) as worker:
-            pass
-        payload = pickle.loads(pickle.dumps(worker.to_dict()))
-        adopted = parent.adopt(payload)
-        assert adopted in parent.children
-        assert adopted.parent_id == parent.span_id
-        assert adopted.trace_id == parent.trace_id
-
-    def test_adopt_rewrites_an_orphan_subtree(self):
-        with remote_root("shard.run", None) as orphan:
-            pass
-        with span("engine.run") as parent:
-            pass
-        adopted = parent.adopt(orphan)
-        assert adopted.trace_id == parent.trace_id
-
-
 class TestRendering:
     def test_render_shows_tree_and_attributes(self):
         with span("session.query") as root:
-            with span("shard.run", shard=0, mode="fork"):
+            with span("task", task=0, mode="thread"):
                 pass
         text = root.render()
         lines = text.splitlines()
         assert lines[0].startswith("session.query")
-        assert "  shard.run [mode=fork, shard=0]" in lines[1]
+        assert "  task [mode=thread, task=0]" in lines[1]
         assert "ms" in lines[0]
 
 

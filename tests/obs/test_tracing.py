@@ -15,9 +15,6 @@ REVENUE = (
     "FROM Orders, Packages, Items GROUP BY customer"
 )
 
-# Single-relation aggregation over the registered view: shardable.
-SHARDABLE = "SELECT customer, SUM(price) AS revenue FROM R1 GROUP BY customer"
-
 
 @pytest.fixture(scope="module")
 def db():
@@ -145,54 +142,6 @@ class TestSingleEngine:
             assert "span tree" not in result.explain()
         finally:
             configure(enabled=True)
-
-
-class TestParallelEngine:
-    """The acceptance-criteria trace: per-shard spans re-parented."""
-
-    @pytest.mark.parametrize("workers", [0, 2])
-    def test_shard_spans_reparent_under_the_root(self, db, workers):
-        session = connect(
-            db, engine="fdb-parallel", shards=3, workers=workers
-        )
-        try:
-            result = session.sql(SHARDABLE)
-            tree = json.loads(result.trace_json())
-            names = _span_names(tree)
-            assert {"session.query", "engine.run", "merge"} <= names
-
-            def collect(node, name):
-                found = [node] if node["name"] == name else []
-                for child in node["children"]:
-                    found.extend(collect(child, name))
-                return found
-
-            shard_spans = collect(tree, "shard.run")
-            assert len(shard_spans) == 3
-            assert sorted(
-                s["attributes"]["shard"] for s in shard_spans
-            ) == [0, 1, 2]
-            # Every shard span is inside the root's trace (the fork
-            # path re-parents via Span.adopt, the local paths attach
-            # directly).
-            assert all(
-                s["trace_id"] == tree["trace_id"] for s in shard_spans
-            )
-            assert all(
-                s["seconds"] is not None for s in shard_spans
-            )
-        finally:
-            session.close()
-
-    def test_explain_shows_per_shard_lines(self, db):
-        session = connect(db, engine="fdb-parallel", shards=2, workers=0)
-        try:
-            result = session.sql(SHARDABLE)
-            text = result.explain()
-            assert text.count("shard.run") == 2
-            assert "merge" in text
-        finally:
-            session.close()
 
 
 class TestExplainAnalyze:

@@ -9,7 +9,7 @@ from repro.relational.relation import Relation
 from repro.sql import parse_query
 from repro.sql.lexer import SQLSyntaxError
 
-ENGINES = ("fdb", "fdb-factorised", "rdb", "rdb-hash", "sqlite", "fdb-parallel")
+ENGINES = ("fdb", "fdb-factorised", "rdb", "rdb-hash", "sqlite")
 
 
 @pytest.fixture()
@@ -190,8 +190,7 @@ def test_generated_sql_renders_placeholders_and_round_trips(session):
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("engine", ENGINES)
 def test_param_parity_across_engines(session, engine):
-    options = {"shards": 2, "workers": 0} if engine == "fdb-parallel" else {}
-    with connect(session.database, engine=engine, **options) as other:
+    with connect(session.database, engine=engine) as other:
         prepared = other.prepare(
             "SELECT g, SUM(price) AS rev FROM R WHERE price > :floor GROUP BY g"
         )
@@ -207,8 +206,7 @@ def test_param_parity_across_engines(session, engine):
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_string_params(session, engine):
-    options = {"shards": 2, "workers": 0} if engine == "fdb-parallel" else {}
-    with connect(session.database, engine=engine, **options) as other:
+    with connect(session.database, engine=engine) as other:
         prepared = other.prepare(
             "SELECT SUM(price) AS total FROM R WHERE g = :which"
         )

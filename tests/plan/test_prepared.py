@@ -7,7 +7,7 @@ from repro.core.build import factorise_path
 from repro.plan import PreparedQuery, canonical_key
 from repro.relational.relation import Relation
 
-ENGINES = ("fdb", "fdb-factorised", "rdb", "rdb-hash", "sqlite", "fdb-parallel")
+ENGINES = ("fdb", "fdb-factorised", "rdb", "rdb-hash", "sqlite")
 
 
 def _relation():
@@ -228,34 +228,12 @@ def test_prepared_explain_respects_closed_session(session):
     assert result.explain() == text  # the cached text survives
 
 
-def test_flipped_shard_fallback_decision_repairs_in_place():
-    from repro.shard.engine import ShardedPlan
-
-    with connect(_relation(), engine="fdb-parallel", shards=2, workers=0) as s:
-        backend = s._resolve(None)
-        query = s.query("R").group_by("g").sum("price", "rev").to_query()
-        good = backend.run_planned(
-            backend.plan(query, s.database), query, s.database
-        )
-        # A stale artifact that (wrongly) remembers a fallback decision.
-        stale = ShardedPlan(
-            query=query,
-            fallback="synthetic stale reason",
-            inner=backend._inner.compile(query, s.database),
-        )
-        repaired = backend.run_planned(stale, query, s.database)
-        assert sorted(repaired.relation.rows) == sorted(good.relation.rows)
-        assert stale.fallback is None  # repaired, not degraded forever
-        assert stale.shard_plans
-
-
 # ---------------------------------------------------------------------------
 # Prepared handles across engines
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("engine", ENGINES)
 def test_prepared_rerun_parity(session, engine):
-    options = {"shards": 2, "workers": 0} if engine == "fdb-parallel" else {}
-    with connect(session.database, engine=engine, **options) as other:
+    with connect(session.database, engine=engine) as other:
         prepared = other.prepare(
             "SELECT g, SUM(price) AS rev FROM R GROUP BY g ORDER BY rev DESC"
         )
@@ -277,25 +255,3 @@ def test_prepared_handle_introspection(session):
     assert prepared.cache_key == canonical_key(prepared.query)
     assert ":floor" in repr(prepared)
     assert "f-tree" in prepared.explain() or "query" in prepared.explain()
-
-
-def test_sharded_prepared_plans_survive_deltas():
-    """Per-shard plans recompile when a shard slice re-factorises."""
-    from repro.data.workloads import build_workload_database
-
-    database = build_workload_database(scale=0.1, seed=7)
-    with connect(database, engine="fdb-parallel", shards=3, workers=0) as s:
-        prepared = s.prepare(
-            "SELECT customer, SUM(price) AS revenue FROM R1 GROUP BY customer"
-        )
-        before = prepared.run()
-        assert before.rows  # the cold run returned data
-        s.insert("Orders", [("c000", "dSHRD001", "p00000")])
-        after = prepared.run()
-        assert after.lifecycle.result_cache == "miss"  # delta evicted it
-        with connect(database, cache=False) as cold:
-            expected = cold.execute(
-                "SELECT customer, SUM(price) AS revenue FROM R1 "
-                "GROUP BY customer"
-            )
-        assert sorted(after.rows) == sorted(expected.rows)

@@ -1,4 +1,4 @@
-"""The drift-aware statistics cache: hits, epochs, invalidation, merge.
+"""The drift-aware statistics cache: hits, epochs, invalidation.
 
 Drift thresholds follow ``max(DRIFT_MIN_ROWS, DRIFT_FRACTION × rows at
 seed time)``; epochs are monotone and survive both eviction and
@@ -13,14 +13,8 @@ import pytest
 
 from repro.database import Database
 from repro.relational.relation import Relation
-from repro.stats import (
-    DRIFT_FRACTION,
-    DRIFT_MIN_ROWS,
-    StatsCache,
-    merge_relation_stats,
-)
+from repro.stats import DRIFT_FRACTION, DRIFT_MIN_ROWS, StatsCache
 from repro.stats.cache import _HIT, _INVALIDATE_DRIFT, _REOPT_DRIFT
-from repro.stats.model import AttributeStats, RelationStats
 
 
 def _database(rows=None):
@@ -145,77 +139,3 @@ def test_lru_eviction_is_bounded():
     for relation in relations:
         cache.relation_stats(database, relation.name)
     assert len(cache) <= 64
-
-
-def test_prime_installs_external_stats():
-    database = _database()
-    cache = StatsCache()
-    merged = RelationStats(
-        name="R",
-        rows=123,
-        attributes={"k": AttributeStats(distinct=99, total=123)},
-        source="merged",
-    )
-    cache.prime(database, {"R": merged})
-    assert cache.relation_stats(database, "R") is merged
-
-
-# ---------------------------------------------------------------------------
-# Cross-shard merging
-# ---------------------------------------------------------------------------
-def _part(name, rows, distinct, histogram=(), complete=False):
-    return RelationStats(
-        name=name,
-        rows=rows,
-        attributes={
-            "k": AttributeStats(
-                distinct=distinct,
-                total=rows,
-                histogram=histogram,
-                complete=complete,
-            )
-        },
-        source="flat",
-        singletons=rows,
-        resident_bytes=rows * 8,
-    )
-
-
-def test_merge_sums_rows_and_caps_distincts():
-    merged = merge_relation_stats(
-        [_part("R", 10, 9), _part("R", 6, 6)]
-    )
-    assert merged.rows == 16
-    assert merged.source == "merged"
-    assert merged.attributes["k"].distinct == 15  # 9 + 6 < 16
-    capped = merge_relation_stats([_part("R", 3, 3), _part("R", 2, 2)])
-    assert capped.attributes["k"].distinct == 5
-    tight = merge_relation_stats([_part("R", 2, 2), _part("R", 1, 1)])
-    assert tight.attributes["k"].distinct == 3
-    over = merge_relation_stats([_part("R", 1, 4), _part("R", 1, 4)])
-    assert over.attributes["k"].distinct == 2  # capped by cardinality
-
-
-def test_merge_combines_histograms():
-    merged = merge_relation_stats(
-        [
-            _part("R", 4, 2, histogram=(("a", 3), ("b", 1)), complete=True),
-            _part("R", 4, 2, histogram=(("a", 1), ("c", 3)), complete=True),
-        ]
-    )
-    histogram = dict(merged.attributes["k"].histogram)
-    assert histogram == {"a": 4, "b": 1, "c": 3}
-    assert merged.attributes["k"].complete
-    assert merged.singletons == 8
-    assert merged.resident_bytes == 64
-
-
-def test_merge_single_part_relabels():
-    merged = merge_relation_stats([_part("R", 5, 5)])
-    assert merged.source == "merged"
-    assert merged.rows == 5
-
-
-def test_merge_requires_parts():
-    with pytest.raises(ValueError):
-        merge_relation_stats([])

@@ -19,7 +19,7 @@ from repro.stats import (
     stats_from_factorisation,
     stats_from_flat,
 )
-from repro.stats.cache import _SEED_EVENTS
+from repro.stats.cache import _SEED_COLUMNAR, _SEED_FLAT
 
 
 def _example_relation():
@@ -57,18 +57,16 @@ def test_factorised_stats_match_flat_truth():
     assert stats.resident_bytes == resident
 
 
-def test_factorised_histogram_exposes_skew():
-    # x alternates 0/1 within each a-branch: both values recur across
-    # every (j, a) context, so the context-frequency histogram is a
-    # complete 2-bucket table.
+def test_factorised_totals_count_contexts():
+    # x takes one of two values under each of the 12 (j, a) contexts:
+    # two distinct values over twelve union entries.
     relation = _example_relation()
     stats = stats_from_factorisation(
         "V", factorise(relation, _example_ftree(), check=True)
     )
     x = stats.attributes["x"]
-    assert x.complete
-    assert len(x.histogram) == 2
-    assert x.heavy_fraction == 0.5
+    assert x.distinct == 2
+    assert x.total == 12
 
 
 def test_resident_view_seeds_without_flat_scan():
@@ -78,13 +76,11 @@ def test_resident_view_seeds_without_flat_scan():
     database = Database([relation])
     database.add_factorised("V", factorise(relation, _example_ftree()))
     stats_cache().clear()
-    before = {
-        source: child._sample() for source, child in _SEED_EVENTS.items()
-    }
+    columnar, flat = _SEED_COLUMNAR._sample(), _SEED_FLAT._sample()
     stats = stats_cache().relation_stats(database, "V")
     assert stats is not None and stats.source == "columnar"
-    assert _SEED_EVENTS["columnar"]._sample() == before["columnar"] + 1
-    assert _SEED_EVENTS["flat"]._sample() == before["flat"]
+    assert _SEED_COLUMNAR._sample() == columnar + 1
+    assert _SEED_FLAT._sample() == flat
 
 
 def test_flat_sampling_is_exact_when_small():
@@ -104,8 +100,7 @@ def test_flat_sampling_is_bounded():
     assert stats.rows == 1000
     k = stats.attributes["k"]
     # A stride sample visits ~limit rows: observed distincts are a
-    # lower bound and the histogram cannot claim completeness.
+    # lower bound.
     assert k.total <= 2 * 100
     assert k.distinct <= 1000
-    assert not k.complete
     assert FLAT_SAMPLE_LIMIT >= 100

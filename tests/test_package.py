@@ -1,6 +1,9 @@
 """Package-level exports: lazy attributes, __dir__, star import."""
 
 import importlib
+import os
+import subprocess
+import sys
 
 
 def test_lazy_engine_attributes():
@@ -50,3 +53,27 @@ def test_session_api_reexports_match():
 
     assert repro.connect is connect
     assert repro.Session is Session
+
+
+def test_running_a_query_loads_no_numeric_stack():
+    """The covering LP is solved in pure Python: neither numpy nor scipy
+    is imported, even where they are installed."""
+    script = (
+        "import sys\n"
+        "from repro import connect\n"
+        "from repro.data.pizzeria import pizzeria_database\n"
+        "connect(pizzeria_database()).query('R').count('n').run()\n"
+        "loaded = {m.split('.')[0] for m in sys.modules}\n"
+        "print(sorted(loaded & {'numpy', 'scipy'}))\n"
+    )
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "[]"

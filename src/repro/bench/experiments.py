@@ -44,7 +44,6 @@ from repro.data.workloads import (
     section6_ftree,
 )
 from repro.database import Database
-from repro.relational.operators import multiway_join
 
 
 @dataclass
@@ -114,9 +113,8 @@ def run_sizes(scales: Sequence[float] | None = None, seed: int = 2013) -> Experi
     gap_series = Series("gap (flat/fact)")
     for scale in scales:
         data = generate(GeneratorConfig(scale=scale, seed=seed))
-        joined = multiway_join(list(data.relations()))
-        flat = len(joined) * len(joined.schema)
-        fact = factorise(joined, section6_ftree()).size()
+        view = factorise(list(data.relations()), section6_ftree())
+        flat, fact = view.tuple_count() * len(view.schema()), view.size()
         flat_series.add(scale, flat)
         fact_series.add(scale, fact)
         gap_series.add(scale, flat / fact)

@@ -8,8 +8,9 @@ The subpackage implements, bottom-up:
 - :mod:`repro.core.frep` — factorised representations over f-trees:
   sorted unions of singleton values with products across children
   (Definition 1);
-- :mod:`repro.core.build` — constructing the factorisation of a flat
-  relation over an f-tree (materialised views as factorisations);
+- :mod:`repro.core.build` — constructing the factorisation of a
+  relation, or of the natural join of several without forming it flat,
+  over an f-tree (materialised views as factorisations);
 - :mod:`repro.core.aggregates` — aggregate attributes and the recursive
   count/sum/min/max evaluation algorithms of Section 3.2, plus the
   composition rules of Proposition 2;

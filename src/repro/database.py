@@ -42,13 +42,13 @@ from __future__ import annotations
 
 import threading
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import count
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from repro.obs import clock
 from repro.obs.metrics import metrics
-from repro.relational.relation import Relation
+from repro.relational.relation import Relation, SchemaError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.core.frep import Factorisation
@@ -124,6 +124,29 @@ def _path_fallback_tree(ftree):
     return FTree([chained])
 
 
+def _derive_flat(
+    name: str,
+    fact: "Factorisation",
+    stale: "Relation | None",
+    order: Sequence[str],
+) -> Relation:
+    """A view's flat copy, derived from its factorisation.
+
+    The copy keeps the column order of the flat copy it replaces
+    (``stale``, when the attribute sets agree) and the view's declared
+    sort ``order``, if any.
+    """
+    from repro.relational.sort import sort_relation
+
+    derived = fact.to_relation(name)
+    if stale is not None and set(stale.schema) == set(derived.schema):
+        derived = derived.project(stale.schema, dedup=False)
+    if order:
+        derived = sort_relation(derived, order)
+    derived.name = name
+    return derived
+
+
 @dataclass(frozen=True)
 class LogRecord:
     """One applied change: the resolved base rows plus per-view deltas.
@@ -191,6 +214,7 @@ class _CatalogueState:
     relations: "dict[str, Relation]"
     factorised: "dict[str, Factorisation]"
     stale_flat: frozenset
+    flat_order: "dict[str, tuple[str, ...]]"
 
 
 class Snapshot:
@@ -274,21 +298,19 @@ class Snapshot:
         if cached is not None:
             return cached
         state = self._state
-        if name in state.stale_flat and name in state.factorised:
-            stale = state.relations.get(name)
-            refreshed = state.factorised[name].to_relation()
-            if stale is not None and set(stale.schema) == set(refreshed.schema):
-                refreshed = refreshed.project(stale.schema, dedup=False)
-            refreshed.name = name
-            self._flat_cache[name] = refreshed
-            return refreshed
+        if name in state.factorised and (
+            name in state.stale_flat or name not in state.relations
+        ):
+            derived = _derive_flat(
+                name,
+                state.factorised[name],
+                state.relations.get(name),
+                state.flat_order.get(name, ()),
+            )
+            self._flat_cache[name] = derived
+            return derived
         if name in state.relations:
             return state.relations[name]
-        if name in state.factorised:
-            flattened = state.factorised[name].to_relation()
-            flattened.name = name
-            self._flat_cache[name] = flattened
-            return flattened
         raise UnknownRelationError(name)
 
     def changes_since(self, version: int) -> "list[LogRecord] | None":
@@ -379,6 +401,8 @@ class Database:
         self._log: list[LogRecord] = []
         self._log_floor = 0  # versions ≤ this are no longer replayable
         self._stale_flat: set[str] = set()
+        #: Declared sort orders of deferred flat copies (copy-on-write).
+        self._flat_order: dict[str, tuple[str, ...]] = {}
         # Concurrency: _lock serialises writers (mutations and catalogue
         # registration); _log_lock guards the change log and the pin
         # registry, and is held only for short, non-blocking sections so
@@ -387,7 +411,7 @@ class Database:
         self._log_lock = threading.Lock()
         self._pins: dict[int, int] = {}  # version -> active pin count
         self._retained: dict[int, _CatalogueState] = {}
-        self._published = _CatalogueState(0, {}, {}, frozenset())
+        self._published = _CatalogueState(0, {}, {}, frozenset(), {})
         # The gauge outlives any one database: it samples through a weak
         # reference and keeps its last value once the database is gone.
         self._store_bytes: tuple[int, float] = (0, 0.0)
@@ -410,25 +434,47 @@ class Database:
             self._record_registration(name)
 
     def add_factorised(self, name: str, factorisation: "Factorisation") -> None:
-        """Register a factorised materialised view."""
+        """Register a factorised materialised view.
+
+        One factorisation may be registered under several names; a
+        base-relation change then maintains it once for all of them.
+        """
         with self._lock:
             self.factorised[name] = factorisation
             _STORE_BYTES.track(self._sample_store_bytes)
             self._record_registration(name)
 
+    def defer_flat(
+        self, name: str, schema: Sequence[str], order: Sequence[str] = ()
+    ) -> None:
+        """Register the flat copy of factorised view ``name`` as deferred.
+
+        Only its ``schema`` is recorded now; the rows are derived from
+        the factorisation on first :meth:`flat` and sorted by ``order``.
+        """
+        with self._lock:
+            if name not in self.factorised:
+                raise UnknownRelationError(name)
+            if set(schema) != set(self.factorised[name].schema()):
+                raise SchemaError(f"{tuple(schema)!r} is not the schema of {name!r}")
+            self.relations[name] = Relation.adopt(schema, [], name=name)
+            self._stale_flat.add(name)
+            self._flat_order = {**self._flat_order, name: tuple(order)}
+            self._record_registration(name)
+
     def store_bytes(self) -> float:
         """Resident container bytes across the registered factorised views.
 
-        What the ``repro_store_bytes`` gauge reports.  Walking every
-        view is too slow for the write path, so the total is computed
-        when it is read and kept until the catalogue's next version.
+        What the ``repro_store_bytes`` gauge reports.  A factorisation
+        registered under several names counts once.  Walking every view
+        is too slow for the write path, so the total is computed when it
+        is read and kept until the catalogue's next version.
         """
         state = self._published
         version, total = self._store_bytes
         if version != state.version:
-            total = float(
-                sum(fact.size_info()[1] for fact in state.factorised.values())
-            )
+            distinct = {id(fact): fact for fact in state.factorised.values()}
+            total = float(sum(fact.size_info()[1] for fact in distinct.values()))
             self._store_bytes = (state.version, total)
         return total
 
@@ -459,23 +505,17 @@ class Database:
             # lock in case a concurrent reader refreshed first.
             with self._lock:
                 if name in self._stale_flat and name in self.factorised:
-                    stale = self.relations.get(name)
-                    refreshed = self.factorised[name].to_relation()
-                    if stale is not None and set(stale.schema) == set(
-                        refreshed.schema
-                    ):
-                        refreshed = refreshed.project(
-                            stale.schema, dedup=False
-                        )
-                    refreshed.name = name
-                    self.relations[name] = refreshed
+                    self.relations[name] = _derive_flat(
+                        name,
+                        self.factorised[name],
+                        self.relations.get(name),
+                        self._flat_order.get(name, ()),
+                    )
                     self._stale_flat.discard(name)
         if name in self.relations:
             return self.relations[name]
         if name in self.factorised:
-            flattened = self.factorised[name].to_relation()
-            flattened.name = name
-            return flattened
+            return _derive_flat(name, self.factorised[name], None, ())
         raise UnknownRelationError(name)
 
     def get_factorised(self, name: str) -> "Factorisation | None":
@@ -637,6 +677,7 @@ class Database:
             dict(self.relations),
             dict(self.factorised),
             frozenset(self._stale_flat),
+            self._flat_order,
         )
 
     # ------------------------------------------------------------------
@@ -821,48 +862,55 @@ class Database:
             routed_insert,
         )
 
+        # A factorisation registered under several names is maintained
+        # once per change; every name gets the new object and its delta.
         view_deltas: "dict[str, ViewDelta]" = {}
+        maintained: "dict[int, tuple[Factorisation, ViewDelta]]" = {}
         for view_name, fact in list(self.factorised.items()):
             direct = view_name == name
             if not direct and name not in contributors(fact):
                 continue
-            splice = _Splice()
-            try:
-                if direct and kind == "insert":
-                    new_fact = direct_insert(fact, rows, schema, splice)
-                elif direct:
-                    new_fact = direct_delete(fact, rows, schema, splice)
-                elif kind == "insert":
-                    new_fact = routed_insert(
-                        fact, name, rows, schema, self, splice
+            done = maintained.get(id(fact))
+            if done is None:
+                splice = _Splice()
+                try:
+                    if direct and kind == "insert":
+                        new_fact = direct_insert(fact, rows, schema, splice)
+                    elif direct:
+                        new_fact = direct_delete(fact, rows, schema, splice)
+                    elif kind == "insert":
+                        new_fact = routed_insert(
+                            fact, name, rows, schema, self, splice
+                        )
+                    else:
+                        new_fact = routed_delete(
+                            fact, name, rows, schema, self, splice
+                        )
+                    self.maintenance.record_incremental(splice.nodes_touched)
+                    _IVM_SPLICE.inc()
+                    delta = ViewDelta(
+                        name=view_name,
+                        schema=tuple(new_fact.schema()),
+                        added=tuple(splice.added),
+                        removed=tuple(splice.removed),
+                        nodes_touched=splice.nodes_touched,
                     )
-                else:
-                    new_fact = routed_delete(
-                        fact, name, rows, schema, self, splice
+                except IndependenceViolation as violation:
+                    new_fact = self._rebuild_view(
+                        view_name, fact, direct, kind, rows, schema
                     )
-                self.factorised[view_name] = new_fact
-                self.maintenance.record_incremental(splice.nodes_touched)
-                _IVM_SPLICE.inc()
-                view_deltas[view_name] = ViewDelta(
-                    name=view_name,
-                    schema=tuple(new_fact.schema()),
-                    added=tuple(splice.added),
-                    removed=tuple(splice.removed),
-                    nodes_touched=splice.nodes_touched,
-                )
-            except IndependenceViolation as violation:
-                new_fact = self._rebuild_view(
-                    view_name, fact, direct, kind, rows, schema
-                )
-                self.factorised[view_name] = new_fact
-                self.maintenance.record_rebuild(violation.reason)
-                _IVM_REBUILD.inc()
-                view_deltas[view_name] = ViewDelta(
-                    name=view_name,
-                    schema=tuple(new_fact.schema()),
-                    rebuilt=True,
-                    reason=violation.reason,
-                )
+                    self.maintenance.record_rebuild(violation.reason)
+                    _IVM_REBUILD.inc()
+                    delta = ViewDelta(
+                        name=view_name,
+                        schema=tuple(new_fact.schema()),
+                        rebuilt=True,
+                        reason=violation.reason,
+                    )
+                done = maintained[id(fact)] = (new_fact, delta)
+            new_fact, delta = done
+            self.factorised[view_name] = new_fact
+            view_deltas[view_name] = replace(delta, name=view_name)
             if not direct and view_name in self.relations:
                 # The view's own flat copy is now stale; it refreshes
                 # from the maintained factorisation on next access.

@@ -54,7 +54,6 @@ from repro.core.frep import (
 )
 from repro.core.ftree import FNode, FTree
 from repro.ivm.delta import DeltaError
-from repro.relational.operators import multiway_join
 from repro.relational.relation import Relation
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
@@ -861,13 +860,14 @@ def _fragment_union(
 ) -> CUnion:
     """Build the exact fragment for ``node``'s subtree under ``bindings``.
 
-    Joins every contributing relation of the subtree (restricted to the
-    binding values on shared attributes), projects onto the subtree's
-    attributes and factorises over the subtree itself.
+    Restricts every contributing relation of the subtree to the binding
+    values on shared attributes, projects it onto the subtree's
+    attributes and factorises their join over the subtree itself.
     """
     keys: set[str] = set()
     for walk_node in node.walk():
         keys |= walk_node.keys
+    attributes = node.subtree_atomic_attributes()
     relations: list[Relation] = []
     for key in sorted(keys):
         if key.startswith("__dep_"):
@@ -881,18 +881,17 @@ def _fragment_union(
         for attribute, value in bindings.items():
             if attribute in base.schema:
                 base = base.select_eq(attribute, value)
-        relations.append(base)
-    joined = multiway_join(relations)
-    attributes = sorted(node.subtree_atomic_attributes())
-    for attribute in attributes:
-        if attribute not in joined.schema:
-            raise IndependenceViolation(
-                f"contributors of {node.label()!r} do not produce "
-                f"attribute {attribute!r}"
-            )
-    sub = joined.project(attributes)
-    if not sub.rows:
+        relations.append(
+            base.project([a for a in base.schema if a in attributes])
+        )
+    absent = attributes.difference(*(base.schema for base in relations))
+    if absent:
+        raise IndependenceViolation(
+            f"contributors of {node.label()!r} do not produce "
+            f"attribute {min(absent)!r}"
+        )
+    if not all(base.rows for base in relations):
         return empty_cunion(len(node.children))
-    fragment = factorise(sub, FTree([node]))
+    fragment = factorise(relations, FTree([node]))
     splice.nodes_touched += fragment.size()
     return fragment.roots[0]

@@ -102,6 +102,11 @@ class _DirectedValue:
         self.value = value
         self.descending = descending
 
+    def __eq__(self, other: object) -> bool:
+        # Tuple comparison skips equal leading keys by ``==``: without
+        # this, only the first key would ever be compared.
+        return isinstance(other, _DirectedValue) and self.value == other.value
+
     def __le__(self, other: "_DirectedValue") -> bool:
         if self.descending:
             return self.value >= other.value

@@ -105,3 +105,75 @@ def test_join_dependency_factorisation():
     assert fact.to_relation() == joined
     # b=1 context: 2 a's + 2 c's stored once each (4+1), b=2: 1+1+1.
     assert fact.size() == 2 + 2 + 2 + 1 + 1
+
+
+# ---------------------------------------------------------------------------
+# Factorised join: several inputs, never joined flat
+# ---------------------------------------------------------------------------
+def _signature(union):
+    """Values and child signatures, recursively: equal iff singleton-identical."""
+    return (
+        tuple(union.values),
+        tuple(tuple(_signature(child) for child in col) for col in union.children),
+    )
+
+
+def _assert_identical(left, right):
+    assert left.ftree is right.ftree
+    assert [_signature(r) for r in left.roots] == [_signature(r) for r in right.roots]
+
+
+@pytest.mark.parametrize("seed", [7, 23])
+@pytest.mark.parametrize("scale", [0.25, 1.0])
+def test_factorised_join_builds_r1_as_the_flat_join_does(scale, seed):
+    from repro.data.generator import GeneratorConfig, generate
+    from repro.data.workloads import section6_ftree
+
+    data = generate(GeneratorConfig(scale=scale, seed=seed))
+    inputs = [data.orders, data.packages, data.items]
+    tree = section6_ftree()
+    fact = factorise(inputs, tree)
+    _assert_identical(fact, factorise(multiway_join(inputs), tree))
+    fact.validate()
+
+
+def test_factorised_join_builds_pizzeria_t1(pizzeria_rels, t1):
+    inputs = list(pizzeria_rels)
+    fact = factorise(inputs, t1, check=True)
+    _assert_identical(fact, factorise(multiway_join(inputs), t1))
+    assert fact.size() == 26  # Figure 1
+
+
+def test_factorised_join_over_a_path_ftree():
+    relation = Relation(("a", "b", "c"), [(1, 2, 3), (1, 2, 4), (2, 1, 1), (2, 3, 1)])
+    tree = path_ftree(relation.schema, "R", ["b", "a", "c"])
+    _assert_identical(factorise([relation], tree), factorise(relation, tree))
+    # The join of two inputs over the path of its attributes.
+    r = Relation(("a", "b"), [(1, 1), (2, 1), (3, 2), (4, 5)], "R")
+    s = Relation(("b", "c"), [(1, 8), (1, 9), (2, 7), (6, 6)], "S")
+    path = path_ftree(("a", "b", "c"), "RS", ["b", "c", "a"])
+    fact = factorise([r, s], path, check=True)
+    _assert_identical(fact, factorise(multiway_join([r, s]), path))
+
+
+def test_factorised_join_drops_values_without_partners():
+    r = Relation(("a", "b"), [(1, 1), (2, 2)], "R")
+    s = Relation(("b", "c"), [(1, 8)], "S")
+    tree = build_ftree([("a", [("b", ["c"])])], keys={"a": {"R"}, "b": {"R", "S"}, "c": {"S"}})
+    fact = factorise([r, s], tree)
+    assert fact.roots[0].values == [1]  # a = 2 has no c below it
+    empty = factorise([r, Relation(("b", "c"), [], "S")], tree)
+    assert empty.roots[0].values == [] and empty.tuple_count() == 0
+
+
+def test_factorised_join_rejects_an_input_attribute_outside_the_ftree(pizzeria_rels, t1):
+    orders, pizzas, items = pizzeria_rels
+    extra = Relation(("item", "supplier"), [("ham", "acme")])
+    with pytest.raises(FactoriseError, match="do not match"):
+        factorise([orders, pizzas, items, extra], t1)
+
+
+def test_factorised_join_rejects_an_ftree_attribute_no_input_supplies(pizzeria_rels, t1):
+    orders, pizzas, _items = pizzeria_rels
+    with pytest.raises(FactoriseError, match="do not match"):
+        factorise([orders, pizzas], t1)

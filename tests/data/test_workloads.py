@@ -98,3 +98,47 @@ def test_expression_catalogue():
     sums = EXPRESSION_WORKLOAD["E1"].query.aggregates
     assert sums[0].is_expression
     assert sums[0].source_attributes == ("price",)
+
+
+def test_flat_r1_and_r2_are_derived_on_first_use(monkeypatch):
+    from repro import connect
+    from repro.core.frep import Factorisation
+    from repro.data import workloads
+    from repro.relational import operators
+    from repro.relational.sort import is_sorted_by
+
+    calls = []
+    to_relation = Factorisation.to_relation
+    join = operators.multiway_join
+    monkeypatch.setattr(
+        Factorisation,
+        "to_relation",
+        lambda self, name="": calls.append("to_relation") or to_relation(self, name),
+    )
+    monkeypatch.setattr(
+        operators,
+        "multiway_join",
+        lambda *args, **kwargs: calls.append("multiway_join") or join(*args, **kwargs),
+    )
+    monkeypatch.setattr(workloads, "multiway_join", operators.multiway_join)
+
+    database = build_workload_database(scale=0.1, seed=7)
+    assert calls == []
+    assert database.get_factorised("R1") is database.get_factorised("R2")
+    with connect(database) as session:  # FDB reads the factorisation only
+        session.sql("SELECT customer, SUM(price) AS s FROM R1 GROUP BY customer")
+    assert not database.relations["R1"].rows
+
+    r1 = database.flat("R1")
+    assert r1.schema == ("customer", "date", "package", "item", "price")
+    assert r1 == database.get_factorised("R1").to_relation()
+    assert r1 == join([database.flat(n) for n in ("Orders", "Packages", "Items")])
+    # A second customer on one (package, date): pre-order enumeration
+    # would now repeat that package's items, out of R2's declared order.
+    _customer, date, package = database.flat("Orders").rows[0]
+    database.insert("Orders", [("c_second", date, package)])
+    with database.snapshot() as snapshot:
+        pinned = snapshot.flat("R2")
+        assert is_sorted_by(pinned, ["package", "date", "item"])
+        assert pinned.schema == r1.schema
+        assert pinned.rows == database.flat("R2").rows

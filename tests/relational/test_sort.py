@@ -89,3 +89,10 @@ def test_sort_stability_beyond_keys(r):
     # Rows tied on the sort keys keep their input order (stable sorts).
     rows = sort_rows(r.rows, r.schema, ["a"])
     assert rows[0] == (1, "y", 2) and rows[1] == (1, "x", 3)
+
+
+def test_is_sorted_by_checks_every_key():
+    relation = Relation(("a", "b"), [(1, 2), (1, 1)])
+    assert is_sorted_by(relation, ["a"])
+    assert not is_sorted_by(relation, ["a", "b"])
+    assert is_sorted_by(relation, ["a", ("b", "desc")])

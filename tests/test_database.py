@@ -74,8 +74,9 @@ def test_store_bytes_gauge_is_computed_on_read_not_on_write(monkeypatch):
         return families["repro_store_bytes"]["samples"][("repro_store_bytes", ())]
 
     def resident() -> float:
-        views = [database.get_factorised(name) for name in ("R1", "R2", "R3")]
-        return float(sum(view.size_info()[1] for view in views))
+        # R1 and R2 share one factorisation, which the gauge counts once.
+        views = {id(view): view for view in database.factorised.values()}
+        return float(sum(view.size_info()[1] for view in views.values()))
 
     assert scraped() == resident()
     walks = []
@@ -92,3 +93,23 @@ def test_store_bytes_gauge_is_computed_on_read_not_on_write(monkeypatch):
     walks.clear()
     assert scraped() == database.store_bytes()
     assert walks == []  # unchanged catalogue: the total is kept
+
+
+def test_defer_flat_derives_rows_in_the_declared_order():
+    from repro.data.pizzeria import pizzeria_database
+    from repro.relational.relation import SchemaError
+    from repro.relational.sort import sort_relation
+
+    database = pizzeria_database()
+    registered = database.flat("R")
+    order = ["item", "customer"]
+    database.defer_flat("R", registered.schema, order)
+    assert not database.relations["R"].rows  # nothing derived yet
+    derived = database.flat("R")
+    assert derived.schema == registered.schema
+    assert derived.rows == sort_relation(derived, order).rows
+    assert derived == registered
+    with pytest.raises(UnknownRelationError):
+        database.defer_flat("Orders", database.schema("Orders"))
+    with pytest.raises(SchemaError):
+        database.defer_flat("R", ("customer", "date"))

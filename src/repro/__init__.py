@@ -13,8 +13,9 @@ The package provides:
 - :mod:`repro.sql` — a SQL front-end compiling to the shared query AST;
 - :mod:`repro.data` — the paper's example database and the synthetic
   scaled workload generator of Section 6;
-- :mod:`repro.bench` — the benchmark harness regenerating every figure
-  of the paper's evaluation.
+- :mod:`repro.bench` — the paper's evaluation tables (Figures 4–8, the
+  size and optimiser studies), timing engines from the registry
+  (``python -m repro experiments``).
 
 - :mod:`repro.api` — the unified session API: ``connect``/``Session``,
   the fluent ``QueryBuilder``, the engine registry, and the ``Result``

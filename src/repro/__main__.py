@@ -3,7 +3,9 @@
 Commands
 --------
 ``experiments``
-    Regenerate every evaluation figure (Section 6) and print the tables.
+    Regenerate every evaluation figure (Section 6) and print the tables
+    (``--quick``: scale 0.1, sweeps over 0.1 and 0.2, one repeat;
+    ``--output`` writes the measurements as CSV and JSON).
 ``sizes``
     The representation-size study only (fast).
 ``query SQL``
@@ -46,7 +48,8 @@ def _build_db(scale: float):
 def cmd_experiments(args: argparse.Namespace) -> int:
     from repro.bench import experiments
 
-    reports = experiments.run_all(print_tables=True)
+    quick = {"scale": 0.1, "scales": (0.1, 0.2), "repeats": 1}
+    reports = experiments.run_all(**(quick if args.quick else {}))
     if args.output:
         from repro.bench.reporting import save_reports
 
@@ -213,6 +216,11 @@ def main(argv: list[str] | None = None) -> int:
         "--output",
         default="",
         help="directory to write results.csv / results.json into",
+    )
+    experiments.add_argument(
+        "--quick",
+        action="store_true",
+        help="smoke run: scale 0.1, sweeps over 0.1 and 0.2, one repeat",
     )
 
     sizes = sub.add_parser("sizes", help="representation-size study")

@@ -1,41 +1,12 @@
-"""Benchmark harness regenerating the paper's evaluation (Section 6).
+"""The paper's evaluation (Section 6): ``python -m repro experiments``.
 
-- :mod:`repro.bench.engines` — uniform adapters for every competitor:
-  FDB (flat output), FDB f/o (factorised output), RDB-sort (the paper's
-  RDB baseline, modelling SQLite's sort-based grouping), RDB-hash
-  (modelling PostgreSQL's hash aggregation), the real ``sqlite3``, and
-  the eager-aggregation ("manually optimised") variants of Experiment 2;
-- :mod:`repro.bench.harness` — wall-clock timing and table rendering;
 - :mod:`repro.bench.experiments` — one entry point per figure
-  (``run_fig4`` ... ``run_fig8``), the representation-size study
-  (``run_sizes``), the optimiser study and the ablations.
+  (``run_fig4`` ... ``run_fig8``, each timing engines from the registry,
+  :func:`repro.api.create_engine`), the representation-size study
+  (``run_sizes``) and the optimiser study, each rendering its table;
+- :mod:`repro.bench.reporting` — CSV/JSON export of the measurements
+  (``python -m repro experiments --output DIR``).
 
-Scales are configurable through environment variables so the same code
-runs as a quick smoke test and as a fuller (slower) reproduction:
-
-- ``REPRO_BENCH_SCALE``  — the single-scale experiments (default 1.0);
-- ``REPRO_BENCH_SCALES`` — comma-separated sweep list for Figure 4 and
-  the size study (default "0.25,0.5,1,2").
+Throughput and per-layer latency of the engine under load are measured
+by ``perfbench/``, not here.
 """
-
-from repro.bench.engines import (
-    EngineAdapter,
-    FDBAdapter,
-    RDBAdapter,
-    RDBEagerAdapter,
-    SQLiteAdapter,
-    default_engines,
-)
-from repro.bench.harness import BenchResult, render_table, time_call
-
-__all__ = [
-    "BenchResult",
-    "EngineAdapter",
-    "FDBAdapter",
-    "RDBAdapter",
-    "RDBEagerAdapter",
-    "SQLiteAdapter",
-    "default_engines",
-    "render_table",
-    "time_call",
-]

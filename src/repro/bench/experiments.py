@@ -1,38 +1,29 @@
 """The experiments of Section 6, one entry point per figure.
 
-Each ``run_*`` function builds the workload database(s), times every
-engine on the relevant queries, prints a paper-style table and returns
-the raw measurements so tests and EXPERIMENTS.md generation can assert
-on the *shape* of the results (who wins, by what factor) without
-hard-coding absolute times.
+Each ``run_*`` function builds the workload database(s), times the
+registry's engines (:func:`repro.api.create_engine`) on the figure's
+queries, renders a paper-style table and returns the raw measurements,
+so tests can assert on the *shape* of the results (who wins, by what
+factor) without hard-coding absolute times.
+
+Engine rows, as in the paper: ``fdb`` (FDB) and ``fdb-factorised``
+(FDB f/o), both planned by the greedy optimiser, the paper's setting;
+``sqlite``; ``rdb`` (RDB-sort, SQLite's sort-based grouping) and
+``rdb-hash`` (RDB-hash, PostgreSQL's hash aggregation).  Figure 6 adds
+the "man" rows: the eager-aggregation rewrite fed to SQLite as SQL text
+and run by the flat baseline as a plan.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+import math
+import statistics
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Any, Callable, Mapping, Sequence
 
-from repro.bench.engines import (
-    EngineAdapter,
-    FDBAdapter,
-    RDBAdapter,
-    RDBEagerAdapter,
-    SQLiteAdapter,
-    SQLiteEagerAdapter,
-)
-from repro.bench.harness import (
-    BenchResult,
-    Series,
-    env_repeats,
-    env_scale,
-    env_scales,
-    fit_loglog_slope,
-    render_series,
-    render_table,
-    time_call,
-    time_call_stats,
-    write_bench_json,
-)
+from repro.api import create_engine
+from repro.api.engines import Engine
 from repro.core.build import factorise
 from repro.data.generator import GeneratorConfig, generate
 from repro.data.workloads import (
@@ -44,6 +35,53 @@ from repro.data.workloads import (
     section6_ftree,
 )
 from repro.database import Database
+from repro.obs import clock
+from repro.query import Query
+from repro.relational.plans import eager_aggregation
+from repro.sql.generator import eager_query_to_sql
+
+#: The single-scale experiments' scale, the sweeps' scales and the
+#: repeats per measurement when the caller does not choose them.
+SCALE = 1.0
+SCALES = (0.25, 0.5, 1.0, 2.0)
+REPEATS = 3
+
+#: One row of a figure: its label and a call running a query to the end
+#: and returning its row count.
+Runner = tuple[str, Callable[[Query], int]]
+
+
+# ---------------------------------------------------------------------------
+# Measurements and tables
+# ---------------------------------------------------------------------------
+@dataclass
+class BenchResult:
+    """One measured cell: engine × query (× scale).
+
+    ``seconds`` is best-of-N (the paper times warmed-up runs);
+    ``median`` is the median of the same N repeats.
+    """
+
+    engine: str
+    query: str
+    seconds: float
+    rows: int = 0
+    scale: float | None = None
+    median: float | None = None
+
+    def cell(self) -> str:
+        return f"{self.seconds:.4f}s"
+
+
+@dataclass
+class Series:
+    """A labelled series of (x, y) points (Figure 4-style plots)."""
+
+    label: str
+    points: list[tuple[float, float]] = field(default_factory=list)
+
+    def add(self, x: float, y: float) -> None:
+        self.points.append((x, y))
 
 
 @dataclass
@@ -62,25 +100,124 @@ class ExperimentReport:
         raise KeyError((engine, query))
 
 
+def time_call_stats(
+    call: Callable[[], Any], repeats: int = REPEATS
+) -> tuple[float, float, Any]:
+    """Best-of-N and median-of-N wall-clock times plus the last result."""
+    samples: list[float] = []
+    result: Any = None
+    for _ in range(max(1, repeats)):
+        start = clock.now()
+        result = call()
+        samples.append(clock.now() - start)
+    return min(samples), statistics.median(samples), result
+
+
+def render_table(
+    title: str,
+    row_labels: Sequence[str],
+    column_labels: Sequence[str],
+    cells: dict[tuple[str, str], str],
+    row_header: str = "",
+) -> str:
+    """ASCII table matching the paper's per-figure layout."""
+    widths = [max(len(row_header), *(len(r) for r in row_labels))]
+    for column in column_labels:
+        column_cells = [cells.get((row, column), "-") for row in row_labels]
+        widths.append(max(len(column), *(len(c) for c in column_cells)))
+    header = [row_header.ljust(widths[0])] + [
+        c.rjust(w) for c, w in zip(column_labels, widths[1:])
+    ]
+    lines = [title, "  " + " | ".join(header)]
+    lines.append("  " + "-+-".join("-" * w for w in widths))
+    for row in row_labels:
+        line = [row.ljust(widths[0])] + [
+            cells.get((row, column), "-").rjust(w)
+            for column, w in zip(column_labels, widths[1:])
+        ]
+        lines.append("  " + " | ".join(line))
+    return "\n".join(lines)
+
+
+def render_series(title: str, series: Sequence[Series], x_label: str) -> str:
+    """Numeric series table (stands in for the paper's log-log plots)."""
+    xs = sorted({x for s in series for x, _ in s.points})
+    cells = {}
+    for s in series:
+        lookup = dict(s.points)
+        for x in xs:
+            if x in lookup:
+                cells[(s.label, f"{x:g}")] = f"{lookup[x]:.4f}"
+    return render_table(
+        title,
+        [s.label for s in series],
+        [f"{x:g}" for x in xs],
+        cells,
+        row_header=x_label,
+    )
+
+
+def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> float:
+    """Least-squares slope of log(y) against log(x) (growth exponent)."""
+    xs = [math.log(x) for x, _ in points]
+    ys = [math.log(y) for _, y in points]
+    n = len(points)
+    mean_x = sum(xs) / n
+    mean_y = sum(ys) / n
+    numerator = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+    denominator = sum((x - mean_x) ** 2 for x in xs)
+    if denominator == 0:
+        return 0.0
+    return numerator / denominator
+
+
+# ---------------------------------------------------------------------------
+# Engines
+# ---------------------------------------------------------------------------
+def _count(engine: Engine, database: Database, query: Query) -> int:
+    """Run ``query`` to the end: its row count or, for FDB f/o (whose
+    timings exclude enumeration, as in the paper), its singleton count."""
+    run = engine.run(query, database)
+    if run.factorised is not None:
+        return run.factorised.size()
+    return len(run.relation)
+
+
+def _prepared(name: str, database: Database) -> Engine:
+    """A registry engine loaded with ``database`` (loading is excluded
+    from timings, as the paper excludes data import)."""
+    options = {"optimizer": "greedy"} if name.startswith("fdb") else {}
+    engine = create_engine(name, **options)
+    engine.prepare(database)
+    return engine
+
+
+def _engines(database: Database, *names: str) -> list[Runner]:
+    runners = []
+    for name in names:
+        engine = _prepared(name, database)
+        runners.append((engine.name, partial(_count, engine, database)))
+    return runners
+
+
+def _workload(names: Sequence[str]) -> dict[str, Query]:
+    return {name: WORKLOAD[name].query for name in names}
+
+
 def _measure(
-    engines: Sequence[EngineAdapter],
-    database: Database,
-    query_names: Sequence[str],
+    runners: Sequence[Runner],
+    queries: Mapping[str, Query],
     repeats: int,
-    scale: float | None = None,
+    scale: float,
 ) -> list[BenchResult]:
     results = []
-    for engine in engines:
-        engine.prepare(database)
-        for name in query_names:
-            query = WORKLOAD[name].query
+    for label, run in runners:
+        for name, query in queries.items():
             seconds, median, rows = time_call_stats(
-                lambda: engine.run(query), repeats
+                partial(run, query), repeats
             )
             results.append(
-                BenchResult(
-                    engine.name, name, seconds, rows or 0, scale, median
-                )
+                BenchResult(label, name, seconds, rows, scale, median)
             )
     return results
 
@@ -96,7 +233,9 @@ def _table(report: ExperimentReport, queries: Sequence[str], title: str) -> None
 # ---------------------------------------------------------------------------
 # Representation sizes (Section 6, text): s^4 vs s^3 growth claim
 # ---------------------------------------------------------------------------
-def run_sizes(scales: Sequence[float] | None = None, seed: int = 2013) -> ExperimentReport:
+def run_sizes(
+    scales: Sequence[float] = SCALES, seed: int = 2013
+) -> ExperimentReport:
     """Singleton counts of flat vs factorised R1 across scales.
 
     The paper reports the join growing as s^4 against s^3 for its
@@ -106,7 +245,6 @@ def run_sizes(scales: Sequence[float] | None = None, seed: int = 2013) -> Experi
     so the shape claim — polynomially growing gap — is checked, not
     assumed.
     """
-    scales = list(scales or env_scales())
     report = ExperimentReport("sizes")
     flat_series = Series("flat singletons")
     fact_series = Series("factorised singletons")
@@ -137,22 +275,19 @@ def run_sizes(scales: Sequence[float] | None = None, seed: int = 2013) -> Experi
 # Experiment 1 / Figure 4: dataset scale vs performance (Q2, Q3)
 # ---------------------------------------------------------------------------
 def run_fig4(
-    scales: Sequence[float] | None = None, repeats: int | None = None
+    scales: Sequence[float] = SCALES, repeats: int = REPEATS
 ) -> ExperimentReport:
     """Wall-clock of Q2 and Q3 on the factorised view across scales."""
-    scales = list(scales or env_scales())
-    repeats = repeats or env_repeats()
     report = ExperimentReport("fig4")
-    engines = [
-        FDBAdapter(output="flat"),
-        SQLiteAdapter(),
-        RDBAdapter(grouping="sort"),
-        RDBAdapter(grouping="hash"),
-    ]
     series: dict[str, Series] = {}
     for scale in scales:
         database = build_workload_database(scale=scale)
-        results = _measure(engines, database, ("Q2", "Q3"), repeats, scale)
+        results = _measure(
+            _engines(database, "fdb", "sqlite", "rdb", "rdb-hash"),
+            _workload(("Q2", "Q3")),
+            repeats,
+            scale,
+        )
         report.results.extend(results)
         for result in results:
             label = f"{result.engine}: {result.query}"
@@ -169,22 +304,14 @@ def run_fig4(
 # ---------------------------------------------------------------------------
 # Experiment 1 / Figure 5: AGG queries on the factorised view
 # ---------------------------------------------------------------------------
-def run_fig5(
-    scale: float | None = None, repeats: int | None = None
-) -> ExperimentReport:
+def run_fig5(scale: float = SCALE, repeats: int = REPEATS) -> ExperimentReport:
     """AGG Q1-Q5 on the materialised (factorised) view R1."""
-    scale = scale if scale is not None else env_scale()
-    repeats = repeats or env_repeats()
     database = build_workload_database(scale=scale)
-    engines = [
-        FDBAdapter(output="factorised"),
-        FDBAdapter(output="flat"),
-        SQLiteAdapter(),
-        RDBAdapter(grouping="sort"),
-        RDBAdapter(grouping="hash"),
-    ]
+    runners = _engines(
+        database, "fdb-factorised", "fdb", "sqlite", "rdb", "rdb-hash"
+    )
     report = ExperimentReport("fig5")
-    report.results = _measure(engines, database, AGG_QUERIES, repeats, scale)
+    report.results = _measure(runners, _workload(AGG_QUERIES), repeats, scale)
     _table(
         report,
         AGG_QUERIES,
@@ -196,44 +323,37 @@ def run_fig5(
 # ---------------------------------------------------------------------------
 # Experiment 2 / Figure 6: AGG queries on flat input (± manual plans)
 # ---------------------------------------------------------------------------
-def run_fig6(
-    scale: float | None = None, repeats: int | None = None
-) -> ExperimentReport:
+def run_fig6(scale: float = SCALE, repeats: int = REPEATS) -> ExperimentReport:
     """AGG Q1-Q5 computed from the flat base relations.
 
     The multi-relation form of each query (natural join of the three
     base relations) replaces the view reference, as in the paper's
-    Experiment 2; "man" engines use eager aggregation.
+    Experiment 2; the "man" rows run the eager-aggregation rewrite.
     """
-    scale = scale if scale is not None else env_scale()
-    repeats = repeats or env_repeats()
     database = build_workload_database(scale=scale, materialise_views=False)
-    from dataclasses import replace
+    queries = {
+        name: replace(query, relations=("Orders", "Packages", "Items"))
+        for name, query in _workload(AGG_QUERIES).items()
+    }
+    sqlite = _prepared("sqlite", database)
 
-    flat_queries = {}
-    for name in AGG_QUERIES:
-        query = WORKLOAD[name].query
-        flat_queries[name] = replace(
-            query, relations=("Orders", "Packages", "Items")
-        )
-    engines = [
-        FDBAdapter(output="factorised"),
-        FDBAdapter(output="flat"),
-        SQLiteAdapter(),
-        SQLiteEagerAdapter(),
-        RDBAdapter(grouping="hash"),
-        RDBEagerAdapter(grouping="hash"),
+    def sqlite_man(query: Query) -> int:
+        sql = eager_query_to_sql(query, database)
+        return len(sqlite.connection.execute(sql).fetchall())
+
+    def rdb_hash_man(query: Query) -> int:
+        plan = eager_aggregation(query, database, grouping="hash")
+        return len(plan.execute(database))
+
+    runners = [
+        *_engines(database, "fdb-factorised", "fdb"),
+        (sqlite.name, partial(_count, sqlite, database)),
+        ("SQLite man", sqlite_man),
+        *_engines(database, "rdb-hash"),
+        ("RDB-hash man", rdb_hash_man),
     ]
     report = ExperimentReport("fig6")
-    for engine in engines:
-        engine.prepare(database)
-        for name in AGG_QUERIES:
-            seconds, rows = time_call(
-                lambda: engine.run(flat_queries[name]), repeats
-            )
-            report.results.append(
-                BenchResult(engine.name, name, seconds, rows or 0, scale)
-            )
+    report.results = _measure(runners, queries, repeats, scale)
     _table(
         report,
         AGG_QUERIES,
@@ -246,26 +366,20 @@ def run_fig6(
 # ---------------------------------------------------------------------------
 # Experiment 3 / Figure 7: AGG+ORD queries on the factorised view
 # ---------------------------------------------------------------------------
-def run_fig7(
-    scale: float | None = None, repeats: int | None = None
-) -> ExperimentReport:
+def run_fig7(scale: float = SCALE, repeats: int = REPEATS) -> ExperimentReport:
     """Q6-Q9: order-by on top of the aggregate queries."""
-    scale = scale if scale is not None else env_scale()
-    repeats = repeats or env_repeats()
     database = build_workload_database(scale=scale)
-    engines = [
-        FDBAdapter(output="flat"),
-        SQLiteAdapter(),
-        RDBAdapter(grouping="sort"),
-        RDBAdapter(grouping="hash"),
-    ]
+    names = AGG_QUERIES[1:3] + AGG_ORD_QUERIES
     report = ExperimentReport("fig7")
     report.results = _measure(
-        engines, database, AGG_QUERIES[1:3] + AGG_ORD_QUERIES, repeats, scale
+        _engines(database, "fdb", "sqlite", "rdb", "rdb-hash"),
+        _workload(names),
+        repeats,
+        scale,
     )
     _table(
         report,
-        AGG_QUERIES[1:3] + AGG_ORD_QUERIES,
+        names,
         f"Figure 7 — AGG+ORD queries on factorised view R1 (scale {scale:g}) "
         "(Q2/Q3 shown for the no-order baseline)",
     )
@@ -275,32 +389,17 @@ def run_fig7(
 # ---------------------------------------------------------------------------
 # Experiment 4 / Figure 8: ORD queries, with and without LIMIT 10
 # ---------------------------------------------------------------------------
-def run_fig8(
-    scale: float | None = None, repeats: int | None = None
-) -> ExperimentReport:
+def run_fig8(scale: float = SCALE, repeats: int = REPEATS) -> ExperimentReport:
     """Q10-Q13 on the sorted views, plus their LIMIT-10 variants."""
-    scale = scale if scale is not None else env_scale()
-    repeats = repeats or env_repeats()
     database = build_workload_database(scale=scale)
-    engines = [
-        FDBAdapter(output="flat"),
-        SQLiteAdapter(),
-        RDBAdapter(grouping="sort"),
-    ]
+    queries = _workload(ORD_QUERIES)
+    limited = {name: query.with_limit(10) for name, query in queries.items()}
     report = ExperimentReport("fig8")
-    for engine in engines:
-        engine.prepare(database)
-        for name in ORD_QUERIES:
-            query = WORKLOAD[name].query
-            seconds, _ = time_call(lambda: engine.run(query), repeats)
-            report.results.append(
-                BenchResult(engine.name, name, seconds, 0, scale)
-            )
-            limited = query.with_limit(10)
-            seconds, _ = time_call(lambda: engine.run(limited), repeats)
-            report.results.append(
-                BenchResult(f"{engine.name} lim", name, seconds, 0, scale)
-            )
+    for label, run in _engines(database, "fdb", "sqlite", "rdb"):
+        report.results += _measure([(label, run)], queries, repeats, scale)
+        report.results += _measure(
+            [(f"{label} lim", run)], limited, repeats, scale
+        )
     _table(
         report,
         ORD_QUERIES,
@@ -393,28 +492,25 @@ def run_optimizer_study(scale: float = 0.25) -> ExperimentReport:
     return report
 
 
-def run_all(print_tables: bool = True) -> dict[str, ExperimentReport]:
-    """Run every experiment; used to regenerate EXPERIMENTS.md numbers."""
+def run_all(
+    scale: float = SCALE,
+    scales: Sequence[float] = SCALES,
+    repeats: int = REPEATS,
+    print_tables: bool = True,
+) -> dict[str, ExperimentReport]:
+    """Run every experiment: the sweeps at ``scales``, the single-scale
+    figures at ``scale``, each measurement best of ``repeats``."""
     reports = {
-        "sizes": run_sizes(),
-        "fig4": run_fig4(),
-        "fig5": run_fig5(),
-        "fig6": run_fig6(),
-        "fig7": run_fig7(),
-        "fig8": run_fig8(),
+        "sizes": run_sizes(scales),
+        "fig4": run_fig4(scales, repeats),
+        "fig5": run_fig5(scale, repeats),
+        "fig6": run_fig6(scale, repeats),
+        "fig7": run_fig7(scale, repeats),
+        "fig8": run_fig8(scale, repeats),
         "optimizer": run_optimizer_study(),
     }
     if print_tables:
         for report in reports.values():
             print(report.table)
             print()
-    write_bench_json(
-        (name, result)
-        for name, report in reports.items()
-        for result in report.results
-    )
     return reports
-
-
-if __name__ == "__main__":
-    run_all()

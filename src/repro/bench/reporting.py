@@ -2,7 +2,8 @@
 
 The `run_*` experiments return :class:`repro.bench.experiments.ExperimentReport`
 objects; this module flattens them into rows and writes machine-readable
-files, so EXPERIMENTS.md numbers can be regenerated and diffed.
+files, so runs can be diffed.  ``seconds`` is best of N, ``median`` the
+median of the same N runs.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from typing import IO, Mapping
 
 from repro.bench.experiments import ExperimentReport
 
-CSV_COLUMNS = ("experiment", "engine", "query", "scale", "seconds", "rows")
+CSV_COLUMNS = (
+    "experiment", "engine", "query", "scale", "seconds", "median", "rows"
+)
 
 
 def report_rows(report: ExperimentReport) -> list[dict]:
@@ -25,6 +28,7 @@ def report_rows(report: ExperimentReport) -> list[dict]:
             "query": result.query,
             "scale": result.scale,
             "seconds": result.seconds,
+            "median": result.median,
             "rows": result.rows,
         }
         for result in report.results

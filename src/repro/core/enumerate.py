@@ -44,9 +44,8 @@ Public surface:
 - :func:`group_expansion` — the order in which a group-by region is
   expanded and the fragments left hanging below it, which the engine
   folds into one aggregate leaf per group before enumerating blocks;
-- :func:`restructure_for_order` / :func:`restructure_for_grouping` —
-  the swap sequences of Section 4.2 that make an arbitrary f-tree
-  enumerable for a given order/grouping.
+- :func:`restructure_for_order` — the swap sequence of Section 4.2
+  that makes an arbitrary f-tree enumerable for a given order.
 """
 
 from __future__ import annotations
@@ -114,33 +113,6 @@ def supports_order(ftree: FTree, order: Sequence) -> bool:
 # ---------------------------------------------------------------------------
 # Restructuring (Section 4.2)
 # ---------------------------------------------------------------------------
-def restructure_for_grouping(ftree: FTree, group: Sequence[str]) -> list[str]:
-    """Swap sequence (child names, in order) establishing Theorem 1.
-
-    Pushes every group attribute above all non-group attributes; each
-    entry of the returned list is an argument for one swap χ.  The input
-    tree is not modified; callers replay the swaps on the factorisation.
-    """
-    swaps: list[str] = []
-    group_set = set(group)
-    current = ftree
-    changed = True
-    while changed:
-        changed = False
-        for attribute in group:
-            node = current.node(attribute)
-            parent = current.parent(node)
-            if parent is None or (set(parent.all_names) & group_set):
-                continue
-            from repro.core.operators import swap_tree
-
-            current = swap_tree(current, node.name)
-            swaps.append(node.name)
-            changed = True
-            break
-    return swaps
-
-
 def restructure_for_order(ftree: FTree, order: Sequence) -> list[str]:
     """Swap sequence establishing Theorem 2 for the given order list."""
     keys = normalise_order(order)

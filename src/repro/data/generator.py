@@ -17,8 +17,8 @@ Scaling parameter ``s`` follows the paper's description:
 
 The natural join R1 = Orders ⋈ Packages ⋈ Items therefore grows by an
 extra ``√s`` factor (≈ items per package) over its factorisation: the
-paper's succinctness gap, whose measured exponents the sizes benchmark
-reports (see EXPERIMENTS.md for paper-vs-measured exponents).
+paper's succinctness gap, whose fitted exponents ``python -m repro
+sizes`` reports.
 
 Generation is deterministic per (scale, seed).
 """

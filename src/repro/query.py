@@ -16,7 +16,7 @@ Three executors consume this AST:
 
 - :class:`repro.core.engine.FDBEngine` (factorised evaluation),
 - :class:`repro.relational.engine.RDBEngine` (flat evaluation),
-- :mod:`repro.bench.engines` (translation to SQL text for ``sqlite3``).
+- :mod:`repro.sql.generator` (translation to SQL text for ``sqlite3``).
 
 Attribute names must be globally unique across the input relations, as
 in the paper's formulation; joins are expressed as explicit equality

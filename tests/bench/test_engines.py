@@ -1,69 +1,44 @@
-"""Tests for the benchmark engine adapters."""
+"""Tests for the engine rows of the experiments: registry engines plus
+Figure 6's two eager-aggregation ("man") rows."""
 
 import pytest
 
-from repro.bench.engines import (
-    FDBAdapter,
-    RDBAdapter,
-    RDBEagerAdapter,
-    SQLiteAdapter,
-    SQLiteEagerAdapter,
-    default_engines,
-    prepare_all,
-)
-from repro.data.workloads import WORKLOAD
+from repro.api import create_engine
+from repro.bench.experiments import _prepared, run_fig5, run_fig6
+from repro.data.workloads import AGG_QUERIES, WORKLOAD, build_workload_database
 
 
-@pytest.fixture(scope="module")
-def db():
-    from repro.data.workloads import build_workload_database
-
-    return build_workload_database(scale=0.1, seed=7)
-
-
-def test_adapters_agree_on_row_counts(db):
-    engines = default_engines()
-    prepare_all(engines, db)
+def test_fo_row_reports_singletons():
+    report = run_fig5(scale=0.1, repeats=1)
+    rows = {(r.engine, r.query): r.rows for r in report.results}
+    # FDB f/o counts the singletons of its factorised result.
+    engine = create_engine("fdb-factorised", optimizer="greedy")
     query = WORKLOAD["Q2"].query
-    counts = {engine.name: engine.run(query) for engine in engines}
-    # FDB f/o reports singletons, everyone else row counts.
-    flat_counts = {
-        name: count
-        for name, count in counts.items()
-        if name != "FDB f/o"
-    }
-    assert len(set(flat_counts.values())) == 1
+    run = engine.run(query, build_workload_database(scale=0.1))
+    assert rows["FDB f/o", "Q2"] == run.factorised.size() > 0
 
 
-def test_fo_adapter_reports_singletons(db):
-    adapter = FDBAdapter(output="factorised")
-    adapter.prepare(db)
-    assert adapter.run(WORKLOAD["Q2"].query) > 0
-    assert adapter.name == "FDB f/o"
+def test_fdb_rows_are_planned_by_the_greedy_optimiser():
+    database = build_workload_database(scale=0.1)
+    query = WORKLOAD["Q2"].query
+    for name in ("fdb", "fdb-factorised"):
+        explain = _prepared(name, database).explain(query, database)
+        assert "optimizer: greedy" in explain, name
 
 
-def test_eager_adapters(db):
-    from dataclasses import replace
-
-    query = replace(
-        WORKLOAD["Q2"].query, relations=("Orders", "Packages", "Items")
-    )
-    reference = RDBAdapter("hash")
-    reference.prepare(db)
-    expected = reference.run(query)
-    for adapter in (RDBEagerAdapter("hash"), SQLiteEagerAdapter()):
-        adapter.prepare(db)
-        assert adapter.run(query) == expected
+def test_eager_adapters():
+    # Over Orders ⋈ Packages ⋈ Items the "man" rows (SQLite fed the
+    # eager SQL text, RDB running the eager plan) agree with rdb-hash.
+    report = run_fig6(scale=0.1, repeats=1)
+    rows = {(r.engine, r.query): r.rows for r in report.results}
+    for name in AGG_QUERIES:
+        expected = rows["RDB-hash", name]
+        assert expected > 0
+        assert rows["SQLite man", name] == expected, name
+        assert rows["RDB-hash man", name] == expected, name
 
 
 def test_sqlite_requires_prepare():
-    adapter = SQLiteAdapter()
+    # The "SQLite man" row reads the backend's connection directly.
     with pytest.raises(RuntimeError):
-        adapter.run(WORKLOAD["Q2"].query)
-
-
-def test_default_engines_flags():
-    names = [e.name for e in default_engines(include_eager=True)]
-    assert "SQLite man" in names and "RDB-hash man (PSQL-sim)" in names
-    no_fo = [e.name for e in default_engines(include_fo=False)]
-    assert "FDB f/o" not in no_fo
+        create_engine("sqlite").connection

@@ -1,19 +1,15 @@
-"""Unit tests for the timing/reporting harness utilities."""
-
-import os
+"""Unit tests for the timing and table utilities of the experiments."""
 
 import pytest
 
-from repro.bench.harness import (
+from repro.bench.experiments import (
+    REPEATS,
     BenchResult,
     Series,
-    env_repeats,
-    env_scale,
-    env_scales,
     fit_loglog_slope,
     render_series,
     render_table,
-    time_call,
+    time_call_stats,
 )
 
 
@@ -24,14 +20,14 @@ def test_time_call_returns_best_and_result():
         calls.append(1)
         return "out"
 
-    seconds, result = time_call(work, repeats=3)
+    seconds, _, result = time_call_stats(work)
     assert result == "out"
-    assert len(calls) == 3
+    assert len(calls) == REPEATS
     assert seconds >= 0
 
 
 def test_time_call_at_least_once():
-    seconds, result = time_call(lambda: 7, repeats=0)
+    _, _, result = time_call_stats(lambda: 7, repeats=0)
     assert result == 7
 
 
@@ -68,24 +64,6 @@ def test_render_series_table():
     assert "flat" in text and "10.0000" in text and "40.0000" in text
 
 
-def test_env_parsing(monkeypatch):
-    monkeypatch.setenv("REPRO_BENCH_SCALE", "2.5")
-    monkeypatch.setenv("REPRO_BENCH_SCALES", "0.5, 1 ,2")
-    monkeypatch.setenv("REPRO_BENCH_REPEATS", "7")
-    assert env_scale() == 2.5
-    assert env_scales() == [0.5, 1.0, 2.0]
-    assert env_repeats() == 7
-
-
-def test_env_defaults(monkeypatch):
-    monkeypatch.delenv("REPRO_BENCH_SCALE", raising=False)
-    monkeypatch.delenv("REPRO_BENCH_SCALES", raising=False)
-    monkeypatch.delenv("REPRO_BENCH_REPEATS", raising=False)
-    assert env_scale(3.0) == 3.0
-    assert env_scales("1,2") == [1.0, 2.0]
-    assert env_repeats(5) == 5
-
-
 def test_fit_loglog_slope_linear():
     assert fit_loglog_slope([(1, 3), (2, 6), (4, 12)]) == pytest.approx(1.0)
 
@@ -95,8 +73,6 @@ def test_fit_loglog_slope_degenerate():
 
 
 def test_time_call_stats_returns_best_and_median():
-    from repro.bench.harness import time_call_stats
-
     calls = []
 
     def work():
@@ -109,40 +85,29 @@ def test_time_call_stats_returns_best_and_median():
     assert 0 <= best <= median
 
 
-def test_write_bench_json(tmp_path):
-    import json
+def test_time_call_stats_best_and_median_of_the_samples(monkeypatch):
+    # Scripted clock: three calls taking 3, 1 and 2 ticks.
+    from repro.bench import experiments
 
-    from repro.bench.harness import BenchResult, write_bench_json
+    ticks = iter([0, 3, 10, 11, 20, 22])
 
-    results = [
-        ("fig5", BenchResult("FDB", "Q2", 0.5, rows=10, scale=1.0, median=0.6)),
-        ("fig5", BenchResult("SQLite", "Q2", 1.5, rows=10, scale=1.0)),
+    class FakeClock:
+        @staticmethod
+        def now():
+            return next(ticks)
+
+    monkeypatch.setattr(experiments, "clock", FakeClock)
+    best, median, result = time_call_stats(lambda: "r", repeats=3)
+    assert (best, median, result) == (1, 2, "r")
+
+
+def test_measure_records_rows_scale_and_median():
+    from repro.bench.experiments import _measure
+
+    runners = [("A", lambda query: 4), ("B", lambda query: 5)]
+    results = _measure(runners, {"Q1": None, "Q2": None}, repeats=2, scale=0.5)
+    assert [(r.engine, r.query, r.rows) for r in results] == [
+        ("A", "Q1", 4), ("A", "Q2", 4), ("B", "Q1", 5), ("B", "Q2", 5)
     ]
-    path = write_bench_json(results, tmp_path / "BENCH_PR2.json")
-    records = json.loads(path.read_text())
-    assert records == [
-        {
-            "benchmark": "fig5",
-            "name": "Q2",
-            "engine": "FDB",
-            "scale": 1.0,
-            "median_seconds": 0.6,
-            "best_seconds": 0.5,
-            "rows": 10,
-        },
-        {
-            "benchmark": "fig5",
-            "name": "Q2",
-            "engine": "SQLite",
-            "scale": 1.0,
-            "median_seconds": 1.5,  # falls back to best-of-N
-            "best_seconds": 1.5,
-            "rows": 10,
-        },
-    ]
-
-
-def test_bench_json_default_name():
-    from repro.bench.harness import BENCH_JSON_NAME
-
-    assert BENCH_JSON_NAME == "BENCH_PR2.json"
+    assert all(r.scale == 0.5 for r in results)
+    assert all(0 <= r.seconds <= r.median for r in results)

@@ -9,7 +9,6 @@ from repro.core.enumerate import (
     EnumerationError,
     group_expansion,
     iter_tuples,
-    restructure_for_grouping,
     restructure_for_order,
     supports_grouping,
     supports_order,
@@ -137,14 +136,6 @@ def test_restructure_for_order_example2(pizza_fact):
 
 def test_restructure_noop_when_supported(pizza_fact):
     assert restructure_for_order(pizza_fact.ftree, ["pizza", "date"]) == []
-
-
-def test_restructure_for_grouping(pizza_fact):
-    swaps = restructure_for_grouping(pizza_fact.ftree, ["customer"])
-    current = pizza_fact
-    for child in swaps:
-        current = ops.swap(current, child)
-    assert supports_grouping(current.ftree, ["customer"])
 
 
 def test_q12_single_swap(tiny_workload_db):

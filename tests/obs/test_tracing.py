@@ -143,6 +143,28 @@ class TestSingleEngine:
         finally:
             configure(enabled=True)
 
+    def test_disabled_runs_leave_the_query_counter(self, db):
+        from repro.obs import metrics
+
+        def queries_total() -> float:
+            return sum(
+                value
+                for family in metrics().families()
+                if family.name == "repro_queries_total"
+                for _, value in family.samples()
+            )
+
+        session = connect(db, engine="fdb", cache=False)
+        configure(enabled=False)
+        try:
+            before = queries_total()
+            session.sql(REVENUE)
+            assert queries_total() == before
+        finally:
+            configure(enabled=True)
+        session.sql(REVENUE)
+        assert queries_total() == before + 1
+
 
 class TestExplainAnalyze:
     def test_fplan_steps_carry_wall_times(self, db):

@@ -88,9 +88,7 @@ def _verify_pass(args: argparse.Namespace, report: Report) -> None:
                     )
                 )
                 continue
-            report.extend(
-                verify_compiled(compiled, database, subject=subject)
-            )
+            report.extend(verify_compiled(compiled, subject=subject))
             checked += 1
     print(
         f"verify: {checked} plan(s) over {len(FULL_WORKLOAD)} workload "

@@ -40,7 +40,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Sequence
 
 from repro.analysis.findings import Finding
-from repro.core.engine import FDBCompiled, FDBEngine
+from repro.core.engine import FDBCompiled
 from repro.core.enumerate import supports_grouping, supports_order
 from repro.core.fplan import (
     AbsorbStep,
@@ -473,27 +473,16 @@ def _check_final_tree(
 # Artifact-level entry points (the prepare-time hook)
 # ---------------------------------------------------------------------------
 def verify_compiled(
-    compiled: FDBCompiled,
-    database: "Database",
-    *,
-    subject: str | None = None,
+    compiled: FDBCompiled, *, subject: str | None = None
 ) -> list[Finding]:
-    """Verify one FDB plan artifact: input tree, replay, final shape."""
-    engine = FDBEngine()
-    try:
-        context = engine.planning_inputs(compiled.query, database)[3]
-    except QueryError as error:
-        return [
-            Finding(
-                "plan/step-failed",
-                f"could not rebuild the planning inputs: {error}",
-                subject=subject,
-            )
-        ]
+    """Verify one FDB plan artifact: input tree, replay, final shape —
+    under the planning context the artifact was compiled with."""
     findings = verify_ftree(compiled.ftree, subject=subject)
     if findings:
         return findings
-    return verify_plan(compiled.plan, compiled.ftree, context, subject=subject)
+    return verify_plan(
+        compiled.plan, compiled.ftree, compiled.context, subject=subject
+    )
 
 
 def verify_artifact(
@@ -513,7 +502,5 @@ def verify_artifact(
 
     findings = check_query_types(query, database, subject=subject)
     if isinstance(artifact, FDBCompiled):
-        findings.extend(
-            verify_compiled(artifact, database, subject=subject)
-        )
+        findings.extend(verify_compiled(artifact, subject=subject))
     return findings

@@ -36,7 +36,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
-from repro.core.engine import FactorisedResult, FDBCompiled, FDBEngine
+from repro.core.engine import FDBCompiled, FDBEngine
+from repro.core.output import FactorisedResult
 from repro.query import Query
 from repro.relational.engine import RDBEngine
 from repro.relational.relation import Relation

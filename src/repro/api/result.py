@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
-from repro.core.engine import FactorisedResult
+from repro.core.output import FactorisedResult
 from repro.relational.relation import Relation
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -59,7 +59,7 @@ class Result:
     trace:
         the per-step :class:`~repro.core.fplan.ExecutionTrace`, if any;
     factorised:
-        the :class:`~repro.core.engine.FactorisedResult` when the engine
+        the :class:`~repro.core.output.FactorisedResult` when the engine
         produced factorised output, else ``None``;
     lifecycle:
         the :class:`repro.plan.prepared.LifecycleInfo` of the execution

@@ -420,7 +420,7 @@ def run_optimizer_study(scale: float = 0.25) -> ExperimentReport:
     """
     from repro.core.cost import Hypergraph, plan_cost, s_parameter
     from repro.core.optimizer import ExhaustiveOptimizer, GreedyOptimizer, PlanContext
-    from repro.core.engine import expand_functions
+    from repro.core.output import expand_functions
 
     database = build_workload_database(scale=scale)
     fact = database.get_factorised("R1")

@@ -22,9 +22,16 @@ The subpackage implements, bottom-up:
 - :mod:`repro.core.cost` — fractional edge-cover size bounds used as the
   optimisation cost metric (Section 2.1);
 - :mod:`repro.core.fplan` — f-plan step representation and execution;
-- :mod:`repro.core.optimizer` — the greedy heuristic of Section 5.2 and
-  the exhaustive Dijkstra search of Section 5.1;
-- :mod:`repro.core.engine` — the FDB query engine facade.
+- :mod:`repro.core.kernels` — the column passes the operators run level
+  by level;
+- :mod:`repro.core.optimizer` — the greedy heuristic of Section 5.2, the
+  exhaustive Dijkstra search of Section 5.1 and the cost-based search
+  over statistics;
+- :mod:`repro.core.engine` — the FDB query engine: plans once from the
+  catalogue (:class:`repro.core.engine.FDBCompiled`), then runs the plan
+  on the current data;
+- :mod:`repro.core.output` — the output stage: flat rows or a
+  factorised result from the plan's output (Sections 3.2 and 4).
 """
 
 from repro.core.ftree import AggregateAttribute, FNode, FTree, PathConstraintError

@@ -403,7 +403,7 @@ def planner_components(
 ) -> tuple[tuple[str, str | None], ...]:
     """Attribute-level γ components the optimiser may materialise.
 
-    For classical specs this matches :func:`repro.core.engine.
+    For classical specs this matches :func:`repro.core.output.
     expand_functions`; expression aggregates contribute per-attribute
     partial sums (one per linear factor occurrence) plus a shared
     count, which is exactly what the final expression evaluation can

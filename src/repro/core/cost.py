@@ -398,22 +398,35 @@ def estimated_tree_size(
     across the many candidate trees of one optimisation run, which
     mostly differ in a few nodes.
     """
-    total = 0.0
     memo = node_memo if node_memo is not None else {}
-
-    def walk(node: FNode, path_attrs: frozenset[str]) -> None:
-        nonlocal total
-        here = path_attrs | frozenset(node.attributes)
-        count = memo.get(here)
-        if count is None:
-            count = estimated_node_count(hypergraph, here, stats, scale)
-            memo[here] = count
-        total += count
-        for child in node.children:
-            walk(child, here)
-
+    total = 0.0
     for root in ftree.roots:
-        walk(root, frozenset())
+        total = _add_subtree_size(
+            total, root, frozenset(), hypergraph, stats, scale, memo
+        )
+    return total
+
+
+def _add_subtree_size(
+    total: float,
+    node: FNode,
+    path_attrs: frozenset[str],
+    hypergraph: Hypergraph,
+    stats: "Mapping[str, Any]",
+    scale: float,
+    memo: dict,
+) -> float:
+    """``total`` plus the estimated size of ``node``'s subtree, summed in
+    preorder (a module function: a self-calling closure is a cycle)."""
+    here = path_attrs | frozenset(node.attributes)
+    count = memo.get(here)
+    if count is None:
+        count = memo[here] = estimated_node_count(hypergraph, here, stats, scale)
+    total += count
+    for child in node.children:
+        total = _add_subtree_size(
+            total, child, here, hypergraph, stats, scale, memo
+        )
     return total
 
 

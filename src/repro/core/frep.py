@@ -115,6 +115,21 @@ def iter_entries(union: CUnion) -> Iterator[tuple[Any, tuple]]:
             yield value, tuple(col[i] for col in cols)
 
 
+def _tuple_count(union: CUnion) -> int:
+    """Tuples under ``union`` (a module function: a self-calling closure
+    is a reference cycle)."""
+    cols = union.children
+    if not cols:
+        return len(union.values)
+    total = 0
+    for i in range(len(union.values)):
+        entry_total = 1
+        for col in cols:
+            entry_total *= _tuple_count(col[i])
+        total += entry_total
+    return total
+
+
 def _value_tuple(node: FNode, value: Any) -> tuple:
     """The output values one entry contributes (class attrs repeated)."""
     if node.is_aggregate:
@@ -225,22 +240,9 @@ class Factorisation:
         singletons count as one tuple each (their relational reading is
         used only by the aggregation algorithms).
         """
-
-        def count_of(union: CUnion) -> int:
-            cols = union.children
-            if not cols:
-                return len(union.values)
-            total = 0
-            for i in range(len(union.values)):
-                entry_total = 1
-                for col in cols:
-                    entry_total *= count_of(col[i])
-                total += entry_total
-            return total
-
         product = 1
         for union in self.roots:
-            product *= count_of(union)
+            product *= _tuple_count(union)
         return product
 
     def is_empty(self) -> bool:

@@ -331,36 +331,14 @@ class FTree:
         of the forest is shared.
         """
         target = self.node(name)
-
-        def rebuild(node: FNode) -> list[FNode]:
-            if node is target:
-                return list(builder(node))
-            new_children: list[FNode] = []
-            changed = False
-            for child in node.children:
-                replacement = rebuild(child)
-                if len(replacement) != 1 or replacement[0] is not child:
-                    changed = True
-                new_children.extend(replacement)
-            if not changed:
-                return [node]
-            return [node.with_children(new_children)]
-
         new_roots: list[FNode] = []
         for root in self.roots:
-            new_roots.extend(rebuild(root))
+            new_roots.extend(_replaced(root, target, builder))
         return FTree(new_roots)
 
     def map_nodes(self, mapper: Callable[[FNode], FNode]) -> "FTree":
         """New tree with ``mapper`` applied to every node (bottom-up)."""
-
-        def rebuild(node: FNode) -> FNode:
-            children = [rebuild(child) for child in node.children]
-            if any(new is not old for new, old in zip(children, node.children)):
-                node = node.with_children(children)
-            return mapper(node)
-
-        return FTree([rebuild(root) for root in self.roots])
+        return FTree([_mapped(root, mapper) for root in self.roots])
 
     # ------------------------------------------------------------------
     # Display
@@ -383,6 +361,32 @@ class FTree:
 
     def __str__(self) -> str:
         return self.pretty()
+
+
+# Module functions, not closures: a self-calling closure is a reference
+# cycle, left to the collector with every node it reached.
+def _replaced(
+    node: FNode, target: FNode, builder: Callable[[FNode], Sequence[FNode]]
+) -> list[FNode]:
+    if node is target:
+        return list(builder(node))
+    new_children: list[FNode] = []
+    changed = False
+    for child in node.children:
+        replacement = _replaced(child, target, builder)
+        if len(replacement) != 1 or replacement[0] is not child:
+            changed = True
+        new_children.extend(replacement)
+    if not changed:
+        return [node]
+    return [node.with_children(new_children)]
+
+
+def _mapped(node: FNode, mapper: Callable[[FNode], FNode]) -> FNode:
+    children = [_mapped(child, mapper) for child in node.children]
+    if any(new is not old for new, old in zip(children, node.children)):
+        node = node.with_children(children)
+    return mapper(node)
 
 
 def path_ftree(

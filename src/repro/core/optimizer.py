@@ -601,26 +601,26 @@ def _signature(tree: FTree, memo: "dict | None" = None):
     the search — computes each subtree's signature once.
     """
     memo = {} if memo is None else memo
+    return tuple(sorted(_node_signature(root, memo) for root in tree.roots))
 
-    def node_sig(node: FNode):
-        got = memo.get(node)
-        if got is None:
-            # Aggregate names are freshly minted per step, so the
-            # signature identifies aggregates by content (functions +
-            # source attrs) to let Dijkstra recognise equivalent states.
-            label = (
-                (
-                    "agg",
-                    node.aggregate.functions,
-                    tuple(sorted(map(str, node.aggregate.over))),
-                )
-                if node.aggregate is not None
-                else ("atom", tuple(sorted(node.attributes)))
-            )
-            got = memo[node] = (
-                label,
-                tuple(sorted(node_sig(child) for child in node.children)),
-            )
-        return got
 
-    return tuple(sorted(node_sig(root) for root in tree.roots))
+def _node_signature(node: FNode, memo: dict):
+    got = memo.get(node)
+    if got is None:
+        # Aggregate names are freshly minted per step, so the signature
+        # identifies aggregates by content (functions + source attrs) to
+        # let Dijkstra recognise equivalent states.
+        label = (
+            (
+                "agg",
+                node.aggregate.functions,
+                tuple(sorted(map(str, node.aggregate.over))),
+            )
+            if node.aggregate is not None
+            else ("atom", tuple(sorted(node.attributes)))
+        )
+        got = memo[node] = (
+            label,
+            tuple(sorted(_node_signature(child, memo) for child in node.children)),
+        )
+    return got

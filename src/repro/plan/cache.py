@@ -90,23 +90,23 @@ def ftree_signature(ftree: "FTree") -> tuple:
     Captures everything plan validity depends on: attribute classes,
     aggregate labels, dependency keys, and child structure.
     """
+    return tuple(_node_signature(root) for root in ftree.roots)
 
-    def node_signature(node: "FNode") -> tuple:
-        if node.aggregate is not None:
-            label: tuple = (
-                "γ",
-                node.aggregate.name,
-                tuple(str(f) for f in node.aggregate.functions),
-            )
-        else:
-            label = tuple(node.attributes)
-        return (
-            label,
-            tuple(sorted(node.keys)),
-            tuple(node_signature(child) for child in node.children),
+
+def _node_signature(node: "FNode") -> tuple:
+    if node.aggregate is not None:
+        label: tuple = (
+            "γ",
+            node.aggregate.name,
+            tuple(str(f) for f in node.aggregate.functions),
         )
-
-    return tuple(node_signature(root) for root in ftree.roots)
+    else:
+        label = tuple(node.attributes)
+    return (
+        label,
+        tuple(sorted(node.keys)),
+        tuple(_node_signature(child) for child in node.children),
+    )
 
 
 def catalogue_fingerprint(

@@ -50,28 +50,8 @@ def stats_from_factorisation(name: str, fact) -> RelationStats:
     """
     attributes: dict[str, AttributeStats] = {}
     nesting: dict[str, tuple] = {}
-
-    def walk(node, unions: list, above: tuple = ()) -> None:
-        above += (node.name,)
-        nesting.update(dict.fromkeys(node.attributes, above))
-        if not node.is_aggregate and node.attributes:
-            seen: set = set()
-            for union in unions:
-                seen.update(union.values)
-            entry = AttributeStats(
-                distinct=len(seen),
-                total=sum(len(union.values) for union in unions),
-            )
-            for attribute in node.attributes:
-                attributes[attribute] = entry
-        for index, child in enumerate(node.children):
-            gathered: list = []
-            for union in unions:
-                gathered.extend(union.children[index])
-            walk(child, gathered, above)
-
     for node, union in zip(fact.ftree.roots, fact.roots):
-        walk(node, [union])
+        _walk(node, [union], (), attributes, nesting)
     singletons, resident_bytes = fact.size_info()
     return RelationStats(
         name=name,
@@ -82,6 +62,30 @@ def stats_from_factorisation(name: str, fact) -> RelationStats:
         resident_bytes=resident_bytes,
         nesting=nesting,
     )
+
+
+def _walk(
+    node, unions: list, above: tuple, attributes: dict, nesting: dict
+) -> None:
+    """Record ``node``'s subtree over all its ``unions`` (a module
+    function: a self-calling closure is a reference cycle)."""
+    above += (node.name,)
+    nesting.update(dict.fromkeys(node.attributes, above))
+    if not node.is_aggregate and node.attributes:
+        seen: set = set()
+        for union in unions:
+            seen.update(union.values)
+        entry = AttributeStats(
+            distinct=len(seen),
+            total=sum(len(union.values) for union in unions),
+        )
+        for attribute in node.attributes:
+            attributes[attribute] = entry
+    for index, child in enumerate(node.children):
+        gathered: list = []
+        for union in unions:
+            gathered.extend(union.children[index])
+        _walk(child, gathered, above, attributes, nesting)
 
 
 def stats_from_flat(

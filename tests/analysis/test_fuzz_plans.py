@@ -30,7 +30,7 @@ def test_workload_plans_verify_clean(key, optimizer, tiny_workload_db):
     engine = FDBEngine(optimizer=optimizer)
     query = FULL_WORKLOAD[key].query
     compiled = engine.compile(query, tiny_workload_db)
-    findings = verify_compiled(compiled, tiny_workload_db)
+    findings = verify_compiled(compiled)
     assert errors_of(findings) == [], "\n".join(
         f.describe() for f in findings
     )
@@ -69,7 +69,7 @@ def test_shuffled_variants_verify_clean(tiny_workload_db):
             if variant is query:
                 continue
             compiled = engine.compile(variant, tiny_workload_db)
-            findings = verify_compiled(compiled, tiny_workload_db)
+            findings = verify_compiled(compiled)
             assert errors_of(findings) == [], "\n".join(
                 f.describe() for f in findings
             )

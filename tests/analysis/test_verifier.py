@@ -253,7 +253,7 @@ class TestVerifyCompiled:
             aggregates=(AggregateSpec("sum", "price", "revenue"),),
         )
         compiled = engine.compile(query, database)
-        findings = verify_compiled(compiled, database)
+        findings = verify_compiled(compiled)
         assert errors_of(findings) == []
 
     def test_error_findings_raise_with_rule_name(self):

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.engine import FactorisedResult, FDBEngine
+from repro.core.engine import FDBEngine
+from repro.core.output import FactorisedResult
 from repro.database import Database
 from repro.query import Comparison, Equality, Having, Query, QueryError, aggregate
 from repro.relational.engine import RDBEngine

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core import operators as ops
 from repro.core.build import factorise, factorise_path
-from repro.core.engine import FDBEngine
 from repro.core.enumerate import (
     EnumerationError,
     group_expansion,
@@ -13,6 +12,7 @@ from repro.core.enumerate import (
     supports_grouping,
     supports_order,
 )
+from repro.core.output import flat_aggregate_output
 from repro.query import Query, aggregate
 from repro.relational.operators import multiway_join
 from repro.relational.relation import Relation
@@ -161,7 +161,7 @@ def _group_rows(fact, group, order=()):
         aggregates=(aggregate("count", None, "n"),),
         order_by=tuple(SortKey(a, d == "desc") for a, d in order),
     )
-    return FDBEngine()._flat_aggregate_output(query, fact).rows
+    return flat_aggregate_output(query, fact).rows
 
 
 def _names(nodes):

@@ -17,7 +17,7 @@ from repro import connect
 from repro.core import aggregates as agg
 from repro.core import enumerate as enum
 from repro.core import operators as ops
-from repro.core.engine import FDBEngine, expand_functions
+from repro.core.engine import FDBEngine, build_inputs
 from repro.core.enumerate import (
     iter_blocks,
     iter_tuples,
@@ -27,6 +27,11 @@ from repro.core.enumerate import (
 from repro.core.fplan import ExecutionTrace, FPlan, SelectStep
 from repro.core.frep import CUnion, Factorisation
 from repro.core.ftree import FNode, FTree
+from repro.core.output import (
+    expand_functions,
+    finalised_result,
+    flat_aggregate_output,
+)
 from repro.data.workloads import FULL_WORKLOAD, build_workload_database
 from repro.database import Database
 from repro.query import Query, aggregate, target_attributes
@@ -126,7 +131,7 @@ def ref_iter_group_contexts(fact: Factorisation, group, order=()):
 
 
 def ref_flat_aggregate_rows(query, fact: Factorisation) -> list[tuple]:
-    """``FDBEngine._flat_aggregate_output`` as it was: one evaluator
+    """``repro.core.output.flat_aggregate_output`` as it was: one evaluator
     call per group context."""
     functions = list(expand_functions(query.aggregates))
     schema = query.output_schema
@@ -467,7 +472,6 @@ def test_group_output_matches_reference_contexts(seed):
     nesting the region into one path — against one evaluator call per
     context, position by position."""
     rng = random.Random(5000 + seed)
-    engine = FDBEngine()
     for _ in range(6):
         fact = random_fact(rng)
         group = random_group(rng, fact.ftree)
@@ -494,7 +498,7 @@ def test_group_output_matches_reference_contexts(seed):
             order_by=tuple(normalise_order(order)),
         )
         expected = ref_flat_aggregate_rows(query, fact)
-        assert engine._flat_aggregate_output(query, fact).rows == expected
+        assert flat_aggregate_output(query, fact).rows == expected
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +656,7 @@ def _aggregate_queries():
 def _planned_fact(engine: FDBEngine, query, database):
     """The factorisation ``execute_planned`` hands to the output stage."""
     compiled = engine.compile(query, database)
-    fact, _, _ = engine._prepare_inputs(compiled.query, database)
+    fact = build_inputs(compiled.inputs, compiled.query, database)
     trace = ExecutionTrace()
     selects = [c for c in compiled.query.comparisons if not c.is_expression]
     fact = FPlan([SelectStep(c) for c in selects]).execute(fact, trace)
@@ -668,12 +672,12 @@ def test_group_output_matches_old_loop(tiny_workload_db, name, query):
         pytest.skip("ordered by an alias: not the flat group-output path")
     engine = FDBEngine()
     effective, fact = _planned_fact(engine, query, tiny_workload_db)
-    got = engine._flat_aggregate_output(effective, fact)
+    got = flat_aggregate_output(effective, fact)
     assert got.rows == ref_flat_aggregate_rows(effective, fact)
     assert got.schema == tuple(effective.output_schema)
     # The factorised engine shares the enumerator: same rows, same order
     # whenever the query fixes one.
-    finalised = FDBEngine(output="factorised")._finalised_result(effective, fact)
+    finalised = finalised_result(effective, fact)
     rows = finalised.to_relation().rows
     assert list(finalised.iter_tuples()) == rows
     if len(query.order_by) == len(query.group_by):

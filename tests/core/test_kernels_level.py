@@ -16,7 +16,6 @@ from bisect import bisect_left
 import pytest
 
 from repro.core import aggregates as agg
-from repro.core.engine import _gamma_components, expand_functions, finaliser
 from repro.core import kernels
 from repro.core import operators as ops
 from repro.core.frep import (
@@ -27,6 +26,7 @@ from repro.core.frep import (
     splice_level,
 )
 from repro.core.ftree import AggregateAttribute, FNode, FTree
+from repro.core.output import expand_functions, finaliser, gamma_components
 from repro.expr import col
 from repro.query import Comparison, aggregate
 
@@ -651,7 +651,7 @@ def test_expression_aggregates_take_the_scalar_fallback(seed):
         aggregate("sum", col("c") * 2 + 1, "s"),
         aggregate("avg", col("c") * col("d"), "m"),
     )
-    functions, _ = _gamma_components(specs, ())
+    functions, _ = gamma_components(specs, ())
     got = ops.apply_aggregation(fact, "a", ["b"], functions, "out")
     want = ref_aggregate(fact, "a", ["b"], expand_functions(specs), "out")
 
@@ -713,7 +713,7 @@ def test_random_expression_specs_through_the_one_gamma_equal_the_oracle(seed):
 
     for parent, children in (("a", ["b"]), (None, ["a"])):
         got = finals(
-            ops.apply_aggregation, parent, children, _gamma_components(specs, ())[0]
+            ops.apply_aggregation, parent, children, gamma_components(specs, ())[0]
         )
         want = finals(ref_aggregate, parent, children, expand_functions(specs))
         assert got == want, specs

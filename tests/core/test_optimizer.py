@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.build import factorise, factorise_path
 from repro.core.cost import Hypergraph, s_parameter
-from repro.core.engine import expand_functions
+from repro.core.output import expand_functions
 from repro.core.fplan import AggregateStep, MergeStep, SwapStep
 from repro.core.optimizer import (
     ExhaustiveOptimizer,

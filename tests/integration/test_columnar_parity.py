@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro import connect
-from repro.core.engine import FDBEngine
+from repro.core.engine import FDBEngine, build_inputs
 from repro.data.workloads import FULL_WORKLOAD, build_workload_database
 from tests.integration.random_queries import assert_parity, random_query
 
@@ -66,8 +66,9 @@ def test_trace_size_accounting_matches(db, name):
     bytes are always accounted (> 0)."""
     query = FULL_WORKLOAD[name].query
     engine = FDBEngine(output="flat")
-    _, plan, trace = engine.execute_traced(query, db)
-    fact, _, _ = engine._prepare_inputs(query, db)
+    compiled = engine.compile(query, db)
+    _, plan, trace = engine.execute_planned(compiled, query, db)
+    fact = build_inputs(compiled.inputs, query, db)
     sizes = []
     for step in plan:
         fact = step.apply(fact)

@@ -10,6 +10,7 @@ factorisation alive in a reference cycle after its query returned.
 from __future__ import annotations
 
 import gc
+from types import FunctionType
 
 import pytest
 
@@ -90,6 +91,18 @@ def test_no_union_is_left_to_the_collector(
     gc.collect()
     leaked = [obj for obj in saved_garbage if type(obj) is CUnion]
     assert not leaked, f"{len(leaked)} unions in cyclic garbage after {name}"
+    if not prepared:
+        # Planning, too, leaves no self-referencing closure behind
+        # (pytest's own are not ours to count).
+        functions = [
+            obj
+            for obj in saved_garbage
+            if isinstance(obj, FunctionType) and obj.__module__.startswith("repro")
+        ]
+        assert not functions, (
+            f"{len(functions)} functions in cyclic garbage after {name}: "
+            f"{sorted({f.__qualname__ for f in functions})}"
+        )
 
 
 def test_abandoned_factorised_enumeration_leaves_no_union(database, saved_garbage):

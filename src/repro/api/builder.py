@@ -137,9 +137,10 @@ class QueryBuilder:
 
         The two-argument form ``where(target, value)`` means equality.
         ``target`` may be an attribute name or a scalar expression —
-        ``where(col("price") * col("qty"), ">", 100)`` — which engines
-        evaluate row-wise.  Attribute-to-attribute equalities are
-        spelled :meth:`on`.
+        ``where(col("price") * col("qty"), ">", 100)``; the FDB engines
+        test it on the factorisation like a plain attribute, the flat
+        ones per row.  Attribute-to-attribute equalities are spelled
+        :meth:`on`.
         """
         if len(args) == 1:
             op, value = "=", args[0]

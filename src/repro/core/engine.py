@@ -5,10 +5,11 @@ the catalogue alone, exactly once (:meth:`FDBEngine.planning_inputs`):
 
 1. *inputs* — registered factorised views are used directly; flat
    relations are factorised over path f-trees (with join attributes
-   near the root).  Multiple inputs are combined with the product
-   operator; natural joins over shared attribute names are
-   canonicalised into explicit equality selections with renames, as in
-   the paper's formulation (Section 5.1);
+   near the root).  Where an expression selection reads independent
+   branches of a view, a χ prefix puts them on one path.  Multiple
+   inputs are combined with the product operator; natural joins over
+   shared attribute names are canonicalised into explicit equality
+   selections with renames, as in the paper's formulation (Section 5.1);
 2. *f-plan* — the optimiser (Section 5) compiles equality selections,
    partial aggregation and restructuring into a plan over the input
    f-tree; the plan never reads a value.
@@ -17,7 +18,7 @@ The :class:`FDBCompiled` artifact carries those inputs and the planning
 context to :meth:`FDBEngine.execute_planned`, :meth:`FDBEngine.explain`
 and the plan verifier (:mod:`repro.analysis.verifier`).  A run builds
 the input factorisation from the current data (:func:`build_inputs`),
-evaluates the constant selections in one traversal each, replays the
+evaluates every selection (constant or expression) in one traversal, replays the
 plan operator by operator, and hands the result to the output stage
 (:mod:`repro.core.output`).
 
@@ -54,12 +55,12 @@ from repro.core.optimizer import (
     ExhaustiveOptimizer,
     GreedyOptimizer,
     PlanContext,
+    _push_up_steps,
 )
 from repro.core.output import shape_output
 from repro.obs.metrics import metrics
 from repro.obs.state import STATE
 from repro.query import Query, QueryError, natural_equalities
-from repro.relational.relation import Relation
 
 if TYPE_CHECKING:  # pragma: no cover - circular import guard
     from repro.database import Database
@@ -152,7 +153,7 @@ class PlannedInput:
     mapping: dict  # rename map (natural-join disambiguation)
     registered: bool  # the registered factorised view is used
     order: tuple[str, ...]  # path order, join attributes first
-    selections: tuple[int, ...]  # its expression selections, by position
+    swaps: tuple[SwapStep, ...]  # χ prefix for its expression selections
 
 
 @dataclass(frozen=True)
@@ -367,10 +368,10 @@ class FDBEngine:
 
         Returns ``(effective_query, inputs, ftree, context)``: the
         projection-normalised query; per input relation its rename map,
-        whether its registered factorisation is used (an expression
-        selection forces the flat path), its path order (join
-        attributes near the root) and the expression selections it
-        owns; the input f-tree; and the optimiser's
+        whether it is a registered view, its path order (join attributes
+        near the root) and the χ prefix that puts each of its expression
+        selections on one root-to-leaf path; the input f-tree (after the
+        χ prefixes); and the optimiser's
         :class:`repro.core.optimizer.PlanContext` (hypergraph, kept
         attributes, aggregation components, γ coupling/protection
         constraints, and statistics for the cost-based optimiser).
@@ -378,30 +379,50 @@ class FDBEngine:
         query = _with_effective_projection(query, database)
         schemas = {name: database.schema(name) for name in query.relations}
         renames, natural = natural_equalities(schemas, query.relations)
-        selections = _assign_expression_selections(query, schemas, renames)
         equalities = tuple(natural) + tuple(query.equalities)
         join_attrs = {a for eq in equalities for a in (eq.left, eq.right)}
 
         inputs: list[PlannedInput] = []
         roots: list = []
         hyperedges: dict[str, set[str]] = {}
+        pending = [c for c in query.comparisons if c.is_expression]
         for name in query.relations:
             mapping = renames[name]
             schema = tuple(mapping.get(a, a) for a in schemas[name])
             order = tuple(
                 sorted(schema, key=lambda a: (a not in join_attrs, schema.index(a)))
             )
-            view = None if name in selections else database.get_factorised(name)
+            view = database.get_factorised(name)
             if view is not None:
                 tree = view.ftree
                 for old, new in mapping.items():
                     tree = ops.rename_tree(tree, old, new)
             else:
                 tree = path_ftree(order, name)
+            # An expression selection is tested on one root-to-leaf path
+            # of its input's f-tree (a χ prefix puts its attributes there)
+            # and makes the nodes it reads dependent.
+            swaps: tuple = ()
+            for condition in [c for c in pending if set(c.attributes) <= set(schema)]:
+                attrs = condition.attributes
+                for attribute in attrs:
+                    more, tree = _push_up_steps(
+                        tree, attribute, lambda t: t.on_one_path(attrs)
+                    )
+                    swaps += tuple(more)
+                if tree.on_one_path(attrs):
+                    tree = ops.select_tree(tree, condition)
+                    pending.remove(condition)
             roots.extend(tree.roots)
-            owned = tuple(selections.get(name, ()))
-            inputs.append(PlannedInput(name, mapping, view is not None, order, owned))
+            inputs.append(PlannedInput(name, mapping, view is not None, order, swaps))
             hyperedges[name] = set(schema)
+        if pending:
+            raise QueryError(
+                f"expression selection {pending[0]} references attributes "
+                "of more than one input relation (or unknown attributes, or "
+                "independent trees of one input); the FDB engine evaluates "
+                "expression selections on one path of one input relation"
+            )
 
         ftree = FTree(roots)
         classes = _equivalence_classes(equalities)
@@ -425,7 +446,7 @@ class FDBEngine:
         """
         if query.projection != compiled.query.projection:
             query = replace(query, projection=compiled.query.projection)
-        fact = build_inputs(compiled.inputs, query, database)
+        fact = build_inputs(compiled.inputs, database)
         trace = ExecutionTrace()
         stats = agg.ExpressionStats()
         trace.expression_stats = stats
@@ -434,12 +455,8 @@ class FDBEngine:
         if order_swap is not None:
             trace.enumeration = order_swap.describe()
 
-        # Constant selections first (Section 5.1: evaluated in one
-        # pass); expression selections were applied to their inputs by
-        # ``build_inputs``.
-        select_plan = FPlan(
-            [SelectStep(c) for c in query.comparisons if not c.is_expression]
-        )
+        # Selections first (Section 5.1: evaluated in one pass each).
+        select_plan = FPlan([SelectStep(c) for c in query.comparisons])
         fact = select_plan.execute(fact, trace)
         merged = compiled.merged
         plan = FPlan(compiled.plan.steps[:-1]) if merged else compiled.plan
@@ -487,15 +504,12 @@ class FDBEngine:
                 for name, (source, rows) in provenance["stats"].items()
             )
             lines.append(f"statistics: {rendered}")
-        expression_selects = [c for c in query.comparisons if c.is_expression]
-        if expression_selects:
-            conditions = " ∧ ".join(str(c) for c in expression_selects)
-            lines.append(f"σ[{conditions}]  (row-wise on the owning input relation)")
+        for planned in filter(lambda planned: planned.swaps, compiled.inputs):
+            lines.append(f"{planned.name}: {FPlan(planned.swaps)}  (one path per σ)")
         lines.append("input f-tree:")
         lines.extend("  " + line for line in ftree.pretty().splitlines())
-        simple_selects = [c for c in query.comparisons if not c.is_expression]
-        if simple_selects:
-            conditions = " ∧ ".join(str(c) for c in simple_selects)
+        if query.comparisons:
+            conditions = " ∧ ".join(str(c) for c in query.comparisons)
             lines.append(f"σ[{conditions}]  (one traversal)")
         hypergraph = compiled.context.hypergraph
         for step, tree in zip(plan, plan.simulate(ftree)[1:]):
@@ -606,7 +620,8 @@ class FDBEngine:
             for column in query.computed:
                 kept |= set(column.source_attributes)
             functions = ()
-        for attribute in kept | {k.attribute for k in order}:
+        selected = {a for c in query.comparisons for a in c.attributes}
+        for attribute in kept | selected | {k.attribute for k in order}:
             if attribute not in ftree:
                 raise QueryError(f"query references unknown attribute {attribute!r}")
         return PlanContext(
@@ -623,15 +638,12 @@ class FDBEngine:
 # ---------------------------------------------------------------------------
 # Helpers
 # ---------------------------------------------------------------------------
-def build_inputs(
-    inputs: Sequence[PlannedInput], query: Query, database: "Database"
-) -> Factorisation:
+def build_inputs(inputs: Sequence[PlannedInput], database: "Database") -> Factorisation:
     """The input factorisation of a compiled plan, from the current data.
 
-    A registered view is renamed as planned; a flat relation is renamed,
-    filtered row-wise by the expression selections it owns (taken from
-    ``query``, the bound form) and factorised over its planned path.
-    The inputs are combined with the product operator.
+    A registered view is renamed as planned, a flat relation renamed and
+    factorised over its planned path; then each input's χ prefix runs,
+    and the inputs are combined with the product operator.
     """
     facts = []
     for planned in inputs:
@@ -643,65 +655,12 @@ def build_inputs(
             relation = database.flat(planned.name)
             if planned.mapping:
                 relation = relation.rename(planned.mapping)
-            for position in planned.selections:
-                relation = _selected(relation, query.comparisons[position])
             fact = factorise_path(relation, key=planned.name, order=list(planned.order))
-        facts.append(fact)
+        facts.append(FPlan(planned.swaps).execute(fact))
     fact = facts[0]
     for other in facts[1:]:
         fact = ops.product(fact, other)
     return fact
-
-
-def _selected(relation: Relation, condition) -> Relation:
-    """An expression selection evaluated row-wise — a localised filter,
-    since the condition's attributes all live in this one input."""
-    expression = condition.attribute
-    positions = [(a, relation.position(a)) for a in expression.attributes()]
-    return Relation(
-        relation.schema,
-        [
-            row
-            for row in relation.rows
-            if condition.test(expression.evaluate({a: row[p] for a, p in positions}))
-        ],
-        name=relation.name,
-    )
-
-
-def _assign_expression_selections(
-    query: Query,
-    schemas: dict[str, Sequence[str]],
-    renames: dict[str, dict[str, str]],
-) -> dict[str, list[int]]:
-    """Map each expression selection, by its position in
-    ``query.comparisons``, to the one input relation owning all its
-    attributes (post-rename names).
-
-    The FDB engine evaluates these row-wise on that input before
-    factorisation — a localised filter.  A condition whose attributes
-    span inputs has no single carrier and is rejected.
-    """
-    conditions = [(i, c) for i, c in enumerate(query.comparisons) if c.is_expression]
-    if not conditions:
-        return {}
-    post_rename = {
-        name: {renames[name].get(a, a) for a in schemas[name]}
-        for name in query.relations
-    }
-    assigned: dict[str, list] = {}
-    for position, condition in conditions:
-        attrs = set(condition.attributes)
-        owners = [name for name in query.relations if attrs <= post_rename[name]]
-        if not owners:
-            raise QueryError(
-                f"expression selection {condition} references attributes "
-                "of more than one input relation (or unknown attributes); "
-                "the FDB engine evaluates expression selections per input "
-                "relation"
-            )
-        assigned.setdefault(owners[0], []).append(position)
-    return assigned
 
 
 def _with_effective_projection(query: Query, database: "Database") -> Query:

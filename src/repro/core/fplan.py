@@ -92,7 +92,7 @@ class SelectStep(Step):
     condition: Comparison
 
     def apply_tree(self, ftree: FTree) -> FTree:
-        return ftree  # shape unchanged
+        return ops.select_tree(ftree, self.condition)
 
     def apply(self, fact: Factorisation) -> Factorisation:
         return ops.select_constant(fact, self.condition)

@@ -7,12 +7,13 @@ equal by selections — or *aggregate* — a single
 :class:`AggregateAttribute` produced by the γ operator of Section 3.
 
 Dependencies are tracked with opaque *keys*: every input relation
-contributes one key to the nodes holding its attributes, and projection
-or aggregation mint fresh keys to record the new dependencies they
-introduce (Section 3, "the aggregation operator introduces new
-dependencies").  Two nodes are *dependent* iff their key sets intersect,
-and the **path constraint** (Proposition 1) requires dependent nodes to
-lie along the same root-to-leaf path.
+contributes one key to the nodes holding its attributes, and projection,
+aggregation or a selection over an expression of several nodes mint
+fresh keys to record the new dependencies they introduce (Section 3,
+"the aggregation operator introduces new dependencies").  Two nodes are
+*dependent* iff their key sets intersect, and the **path constraint**
+(Proposition 1) requires dependent nodes to lie along the same
+root-to-leaf path.
 
 Trees are immutable: every structural operator builds a new tree, which
 keeps factorised views shareable across queries.
@@ -298,6 +299,13 @@ class FTree:
             first is second
             or self.is_ancestor(first, second)
             or self.is_ancestor(second, first)
+        )
+
+    def on_one_path(self, names: Iterable[str]) -> bool:
+        """Whether the nodes holding ``names`` lie on one root-to-leaf path."""
+        nodes = [self.node(name) for name in names]
+        return all(
+            self.on_same_path(a, b) for a, b in itertools.combinations(nodes, 2)
         )
 
     # ------------------------------------------------------------------

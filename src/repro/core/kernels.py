@@ -280,6 +280,19 @@ def keep_matching(test: Callable, keeps_suffix: "bool | None") -> LevelKernel:
     return kernel
 
 
+def keep_bound(test: Callable, depths: Sequence[int]) -> LevelKernel:
+    """σ over one root-to-leaf path: the entries of the level whose
+    context passes ``test``, called with the values at ``depths`` of the
+    entry's path (root first, its own last; see
+    :func:`repro.core.frep.map_cunion_level` with ``contexts``)."""
+
+    def kernel(_: FNode, unions: list[CUnion], contexts: list) -> Sequence[CUnion]:
+        live = [bool(test([path[d] for d in depths])) for path in contexts]
+        return splice_level(unions, live=live)
+
+    return kernel
+
+
 # ---------------------------------------------------------------------------
 # nesting independent fragments (group-path linearisation)
 # ---------------------------------------------------------------------------

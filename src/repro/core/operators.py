@@ -34,7 +34,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core import kernels
-from repro.core.frep import CUnion, Factorisation, map_cunion_level, splice_level
+from repro.core.frep import CUnion, Factorisation, empty_cunion, map_cunion_level
+from repro.core.frep import splice_level
 from repro.core.ftree import (
     AggregateAttribute,
     FNode,
@@ -282,9 +283,15 @@ def select_constant(fact: Factorisation, condition: Comparison) -> Factorisation
 
     The unions are sorted (Section 4.1), so the survivors of an order
     comparison are a prefix or a suffix of each and can be found by
-    bisection.
+    bisection.  An expression is tested at the deepest node it reads:
+    once per distinct value if that is the only one, else per entry
+    with its ancestors' values bound from its path, which must hold
+    every node read (the planner's χ puts them on one path).  One that
+    reads no attribute is tested once: false empties every root.
     """
     ftree = fact.ftree
+    if condition.is_expression:
+        return _select_expression(fact, condition)
     node = ftree.node(condition.attribute)
     test = condition.test
     # Which end of a sorted union an order comparison keeps.
@@ -297,6 +304,42 @@ def select_constant(fact: Factorisation, condition: Comparison) -> Factorisation
     return map_cunion_level(
         fact, root_index, steps, kernels.keep_matching(test, keeps_suffix), ftree
     )
+
+
+def select_tree(ftree: FTree, condition: Comparison) -> FTree:
+    """Tree-level σ: the shape is unchanged, but the nodes an expression
+    reads become dependent (a fresh shared key) if there are several."""
+    if not condition.is_expression:
+        return ftree
+    names = {ftree.node(a).name for a in condition.attributes}
+    if len(names) < 2:
+        return ftree
+    fresh = _fresh_dependency_key()
+    return ftree.map_nodes(
+        lambda n: n.with_keys(n.keys | {fresh}) if n.name in names else n
+    )
+
+
+def _select_expression(fact: Factorisation, condition: Comparison) -> Factorisation:
+    ftree, expression = fact.ftree, condition.attribute
+    names = expression.attributes()
+    if not names:
+        if condition.test(expression.evaluate({})):
+            return fact
+        return Factorisation(ftree, [empty_cunion(len(u.children)) for u in fact.roots])
+    if not ftree.on_one_path(names):
+        raise OperatorError(f"σ[{condition}] reads independent branches")
+    depths = [ftree.depth(ftree.node(name)) for name in names]
+    deepest = ftree.node(names[depths.index(max(depths))])
+    test = lambda values: condition.test(expression.evaluate(dict(zip(names, values))))
+    several = len(set(depths)) > 1
+    if several:
+        kernel = kernels.keep_bound(test, depths)
+    else:
+        kernel = kernels.keep_matching(lambda value: test([value] * len(names)), None)
+    root_index, steps = ftree.path_to(deepest.name)
+    new_ftree = select_tree(ftree, condition)
+    return map_cunion_level(fact, root_index, steps, kernel, new_ftree, several)
 
 
 def _scalar_component(aggregate: AggregateAttribute) -> int:
@@ -344,12 +387,9 @@ def remove_leaf(fact: Factorisation, name: str) -> Factorisation:
 
     if parent is None:
         index = next(i for i, n in enumerate(ftree.roots) if n is node)
-        if not fact.roots[index]:
-            # Removing an empty root would silently turn ∅ into non-empty.
-            raise OperatorError(
-                "cannot project away the only empty fragment of ∅"
-            )
         roots = [u for i, u in enumerate(fact.roots) if i != index]
+        if not fact.roots[index]:  # ∅ stays ∅: the other roots empty too
+            roots = [empty_cunion(len(u.children)) for u in roots]
         return Factorisation(new_ftree, roots)
 
     index = next(i for i, n in enumerate(parent.children) if n is node)

@@ -226,13 +226,16 @@ class BinOp(Expr):
     def evaluate(self, binding: Mapping[str, Any]) -> Any:
         left = self.left.evaluate(binding)
         right = self.right.evaluate(binding)
-        if self.op == "+":
-            return left + right
-        if self.op == "-":
-            return left - right
-        if self.op == "*":
-            return left * right
-        return left / right  # true division in every engine
+        try:
+            if self.op == "+":
+                return left + right
+            if self.op == "-":
+                return left - right
+            if self.op == "*":
+                return left * right
+            return left / right  # true division in every engine
+        except (TypeError, ZeroDivisionError) as error:
+            raise ExprError(f"cannot evaluate {self}: {error}") from None
 
     def _precedence(self) -> int:
         return _PRECEDENCE[self.op]

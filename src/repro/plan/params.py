@@ -5,7 +5,7 @@ A :class:`repro.expr.Param` may appear
 - as the *value* of a constant selection (``where("price", ">",
   param("floor"))``, SQL ``WHERE price > :floor``),
 - inside the expression on the *left* of a selection
-  (``price * :rate > 100`` — evaluated row-wise on the owning input),
+  (``price * :rate > 100`` — tested on the owning input's factorisation),
 - as a HAVING comparison value, and
 - inside a computed output column (``SELECT price * :rate AS gross``).
 

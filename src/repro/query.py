@@ -26,6 +26,7 @@ natural joins over same-named attributes.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from typing import Any, Iterable, Sequence
 
@@ -33,7 +34,15 @@ from repro.expr import Attr, Expr, Param, UnboundParamError, as_expr
 from repro.relational.sort import SortKey, normalise_order
 
 AGGREGATE_FUNCTIONS = ("sum", "count", "min", "max", "avg")
-COMPARISON_OPS = ("=", "!=", "<", "<=", ">", ">=")
+_TESTS = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+COMPARISON_OPS = tuple(_TESTS)
 
 
 class QueryError(ValueError):
@@ -73,7 +82,9 @@ class Comparison:
 
     ``attribute`` is an attribute name in the classical case; it may
     also be a scalar :class:`repro.expr.Expr` (``col("price") *
-    col("qty") > 100``), which engines evaluate row-wise.
+    col("qty") > 100``).  The FDB engine tests either kind in one pass
+    over the factorisation, at the deepest node the condition reads;
+    the flat engines test it per row.
     """
 
     attribute: "str | Expr"
@@ -105,18 +116,10 @@ class Comparison:
                 f"parameter :{self.value.name} is unbound; bind it "
                 "through a prepared query before executing"
             )
-        op = self.op
-        if op == "=":
-            return value == self.value
-        if op == "!=":
-            return value != self.value
-        if op == "<":
-            return value < self.value
-        if op == "<=":
-            return value <= self.value
-        if op == ">":
-            return value > self.value
-        return value >= self.value
+        try:
+            return _TESTS[self.op](value, self.value)
+        except TypeError as error:
+            raise QueryError(f"cannot evaluate {self}: {error}") from None
 
     def __str__(self) -> str:
         return f"{self.attribute} {self.op} {self.value!r}"

@@ -656,9 +656,9 @@ def _aggregate_queries():
 def _planned_fact(engine: FDBEngine, query, database):
     """The factorisation ``execute_planned`` hands to the output stage."""
     compiled = engine.compile(query, database)
-    fact = build_inputs(compiled.inputs, compiled.query, database)
+    fact = build_inputs(compiled.inputs, database)
     trace = ExecutionTrace()
-    selects = [c for c in compiled.query.comparisons if not c.is_expression]
+    selects = compiled.query.comparisons
     fact = FPlan([SelectStep(c) for c in selects]).execute(fact, trace)
     return compiled.query, compiled.plan.execute(fact, trace)
 

@@ -7,15 +7,21 @@ flattening only occurs where an expression genuinely needs joint
 values (min/max over arithmetic, opaque quotients).
 """
 
+import re
+
 import pytest
 
+from repro import connect
 from repro.core import aggregates as agg
+from repro.core.build import factorise
 from repro.core.engine import FDBEngine
+from repro.core.ftree import build_ftree
 from repro.database import Database
-from repro.expr import col
+from repro.expr import ExprError, col
 from repro.query import Comparison, Having, Query, QueryError, aggregate
 from repro.relational.engine import RDBEngine
 from repro.relational.relation import Relation
+from repro.sql import parse_query
 
 
 @pytest.fixture()
@@ -277,3 +283,144 @@ def test_count_of_a_column_is_the_count(branch_db, output):
         result = FDBEngine(output=output).execute(query, branch_db)
         got = sorted(result.iter_tuples() if output == "factorised" else result.rows)
         assert got == sorted(RDBEngine().execute(query, branch_db).rows)
+
+
+# ---------------------------------------------------------------------------
+# Expression selections run on the factorisation
+# ---------------------------------------------------------------------------
+@pytest.fixture()
+def view_db(branch_db):
+    """branch_db plus V = S ⋈ T registered over k → (price, qty): the
+    attributes of ``price * qty`` sit on independent branches."""
+    tree = build_ftree(
+        [("k", ["price", "qty"])],
+        keys={"k": {"S", "T"}, "price": {"S"}, "qty": {"T"}},
+    )
+    inputs = [branch_db.flat("S"), branch_db.flat("T")]
+    branch_db.add_factorised("V", factorise(inputs, tree, check=True))
+    branch_db.defer_flat("V", ("k", "price", "qty"))
+    return branch_db
+
+
+def _rows(database, sql: str, engine: str) -> list:
+    with connect(database, engine=engine) as session:
+        return [tuple(row) for row in session.sql(sql).rows]
+
+
+def _assert_as_sqlite(database, sql: str, engine: str) -> None:
+    got, want = _rows(database, sql, engine), _rows(database, sql, "sqlite")
+    if "ORDER BY" not in sql:
+        got, want = sorted(got), sorted(want)
+    assert got == want
+
+
+VIEW_SHAPES = [
+    "SELECT k, price, qty FROM V WHERE price * qty > 25",
+    "SELECT k, SUM(price) AS s FROM V WHERE price * qty > 25 GROUP BY k",
+    "SELECT k, SUM(price * qty) AS s FROM V WHERE price * qty > 25 GROUP BY k",
+    "SELECT COUNT(*) AS n FROM V WHERE price * qty > 25",
+    "SELECT k, price, qty FROM V WHERE price * qty > 25 ORDER BY qty LIMIT 1",
+]
+
+
+@pytest.mark.parametrize("engine", ["fdb", "fdb-factorised"])
+@pytest.mark.parametrize("sql", VIEW_SHAPES)
+def test_expression_selection_across_view_branches(view_db, sql, engine):
+    (planned,) = FDBEngine().compile(parse_query(sql), view_db).inputs
+    assert planned.registered
+    assert [str(step) for step in planned.swaps] == ["χ↑price"]
+    _assert_as_sqlite(view_db, sql, engine)
+
+
+def test_expression_selection_reads_the_view_not_its_flat_copy(view_db):
+    sql = VIEW_SHAPES[0]
+    with connect(view_db) as session:
+        got = sorted(session.sql(sql).rows)
+    assert not view_db.relations["V"].rows  # flat V never derived
+    assert got == sorted(_rows(view_db, sql, "sqlite"))
+
+
+@pytest.mark.parametrize("engine", ["fdb", "fdb-factorised"])
+def test_expression_selection_on_one_path_of_a_flat_input(engine):
+    orders = Relation(
+        ("customer", "price", "qty"),
+        [("a", 10, 20), ("a", 50, 1), ("b", 30, 4), ("b", 60, 2), ("c", 5, 5)],
+        "Orders",
+    )
+    database = Database([orders])
+    for sql in (
+        "SELECT customer, price, qty FROM Orders WHERE price * qty > 100",
+        "SELECT customer, SUM(qty) AS q FROM Orders WHERE price * qty > 100 "
+        "GROUP BY customer",
+    ):
+        _assert_as_sqlite(database, sql, engine)
+
+
+@pytest.mark.parametrize("engine", ["fdb", "fdb-factorised"])
+@pytest.mark.parametrize("condition", ["2 * 3 > 1", "2 * 3 < 1"])
+def test_attribute_free_selection(view_db, engine, condition):
+    for source in ("V", "S"):
+        sql = f"SELECT COUNT(*) AS n FROM {source} WHERE {condition}"
+        _assert_as_sqlite(view_db, sql, engine)
+
+
+def test_e5_keeps_the_flat_copy_of_r1_underived():
+    from repro.data.workloads import FULL_WORKLOAD, build_workload_database
+
+    database = build_workload_database(scale=0.25, seed=7)
+    query = FULL_WORKLOAD["E5"].query
+    with connect(database) as session:
+        got = session.execute(query).rows
+    assert not database.relations["R1"].rows
+    with connect(database, engine="sqlite") as oracle:
+        assert sorted(got) == sorted(oracle.execute(query).rows)
+
+
+# Each bad selection, and the condition or expression its error names.
+BAD_ARITHMETIC = [
+    ("SELECT item FROM R WHERE price > 'abc'", QueryError, "price > 'abc'"),
+    ("SELECT item FROM R WHERE price + item > 1", ExprError, "price + item"),
+    ("SELECT item FROM R WHERE price / 0 > 1", ExprError, "price / 0"),
+]
+
+
+@pytest.mark.parametrize("engine", ["fdb", "fdb-factorised", "rdb"])
+@pytest.mark.parametrize("sql,error,named", BAD_ARITHMETIC)
+def test_bad_arithmetic_in_a_selection_names_it(pizzeria, sql, error, named, engine):
+    with connect(pizzeria, engine=engine) as session:
+        with pytest.raises(error, match=re.escape(f"cannot evaluate {named}")):
+            session.sql(sql)
+
+
+def test_bad_arithmetic_over_http_is_a_bad_request(pizzeria):
+    from repro.server import Client, Server, ServerError
+
+    with Server(pizzeria, port=0, pool_size=1) as server:
+        with Client(port=server.port) as client:
+            with pytest.raises(ServerError) as raised:
+                client.query(BAD_ARITHMETIC[2][0])
+    assert raised.value.status == 400
+    assert "price / 0" in str(raised.value)
+
+
+def test_unknown_attribute_in_a_constant_selection_fails_prepare(pizzeria):
+    with connect(pizzeria) as session:
+        prepared = session.prepare("SELECT customer FROM R WHERE nosuch > 1")
+        for compile_or_run in (prepared.explain, prepared.run):
+            with pytest.raises(QueryError, match="unknown attribute 'nosuch'"):
+                compile_or_run()
+
+
+@pytest.mark.parametrize("engine", ["fdb", "fdb-factorised"])
+@pytest.mark.parametrize("condition", ["2 * 3 < 1", "c > 100", "c * 2 > 100"])
+def test_emptied_one_attribute_input_projects_to_nothing(engine, condition):
+    # Projecting away an emptied single-node root keeps ∅ empty.
+    database = Database(
+        [
+            Relation(("a", "b"), [(1, 2), (3, 4)], "A"),
+            Relation(("c",), [(5,), (6,)], "B"),
+        ]
+    )
+    for select in ("a", "c"):
+        sql = f"SELECT {select} FROM A, B WHERE {condition}"
+        assert _rows(database, sql, engine) == _rows(database, sql, "sqlite") == []

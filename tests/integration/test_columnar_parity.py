@@ -68,7 +68,7 @@ def test_trace_size_accounting_matches(db, name):
     engine = FDBEngine(output="flat")
     compiled = engine.compile(query, db)
     _, plan, trace = engine.execute_planned(compiled, query, db)
-    fact = build_inputs(compiled.inputs, query, db)
+    fact = build_inputs(compiled.inputs, db)
     sizes = []
     for step in plan:
         fact = step.apply(fact)

@@ -255,11 +255,15 @@ def _check_step(
         return []
 
     if isinstance(step, SelectStep):
-        condition = step.condition
-        if condition.is_expression:
-            names = tuple(sorted(condition.attribute.attributes()))
-        else:
-            names = (condition.attribute,)
+        names = [
+            name
+            for condition in step.conditions
+            for name in (
+                sorted(condition.attribute.attributes())
+                if condition.is_expression
+                else (condition.attribute,)
+            )
+        ]
         return unknown(*names)
 
     if isinstance(step, RenameStep):

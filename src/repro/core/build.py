@@ -24,9 +24,9 @@ is reproduced.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Sequence
+from operator import itemgetter
+from typing import Callable, Sequence
 
-from repro.core.enumerate import _picker
 from repro.core.frep import CUnion, Factorisation, empty_cunion
 from repro.core.ftree import FNode, FTree, path_ftree
 from repro.relational.relation import Relation
@@ -96,6 +96,14 @@ def factorise(
 # block that does not depend on the parent's value (its input does not
 # hold the parent's class) reaches the node once per value, so it
 # carries a memo for its grouping and its projections, keyed by node.
+
+
+def _picker(indexes: Sequence[int]) -> Callable[[tuple], tuple]:
+    """``row -> tuple(row[i] for i in indexes)`` at C speed where possible."""
+    if len(indexes) > 1:
+        return itemgetter(*indexes)
+    (index,) = indexes
+    return lambda row: (row[index],)
 
 
 def _cut(attrs: tuple, node: FNode) -> tuple | None:

@@ -47,7 +47,7 @@ from repro.core.cost import (
     s_parameter,
 )
 from repro.core.enumerate import merge_steps, on_demand_swap
-from repro.core.fplan import ExecutionTrace, FPlan, SelectStep, SwapStep
+from repro.core.fplan import ExecutionTrace, FPlan, SwapStep, select_steps
 from repro.core.frep import Factorisation
 from repro.core.ftree import FTree, path_ftree
 from repro.core.optimizer import (
@@ -456,7 +456,7 @@ class FDBEngine:
             trace.enumeration = order_swap.describe()
 
         # Selections first (Section 5.1: evaluated in one pass each).
-        select_plan = FPlan([SelectStep(c) for c in query.comparisons])
+        select_plan = FPlan(select_steps(query.comparisons, fact.ftree))
         fact = select_plan.execute(fact, trace)
         merged = compiled.merged
         plan = FPlan(compiled.plan.steps[:-1]) if merged else compiled.plan
@@ -508,9 +508,8 @@ class FDBEngine:
             lines.append(f"{planned.name}: {FPlan(planned.swaps)}  (one path per σ)")
         lines.append("input f-tree:")
         lines.extend("  " + line for line in ftree.pretty().splitlines())
-        if query.comparisons:
-            conditions = " ∧ ".join(str(c) for c in query.comparisons)
-            lines.append(f"σ[{conditions}]  (one traversal)")
+        for select in select_steps(query.comparisons, ftree):
+            lines.append(f"{select}  (one traversal)")
         hypergraph = compiled.context.hypergraph
         for step, tree in zip(plan, plan.simulate(ftree)[1:]):
             exponent = s_parameter(tree, hypergraph)

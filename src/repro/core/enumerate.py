@@ -1,46 +1,36 @@
 """Enumeration of factorised query results (Section 4).
 
-Because every union is kept sorted (Section 4.1), *ordered* enumeration
-comes for free whenever the order-by list is compatible with the f-tree
-in the sense of Theorem 2, and descending directions are served by
-reading unions backwards.
+Every union is kept sorted (Section 4.1), so *ordered* enumeration comes
+for free whenever the order-by list is compatible with the f-tree in the
+sense of Theorem 2; ``DESC`` reads unions backwards.
 
-The enumerator works block-wise.  Which f-tree node is expanded next
-depends only on the tree and the order keys, so the *expansion order*
-is derived once per call (:func:`_expansion`); rows are then produced
-with one Python-level step per union rather than per value:
-
-- the last node with children and every leaf after it form the
-  *kernel*: one generator expression per union produces its rows
-  (``reversed`` serves ``DESC``), drawn a block at a time;
-- a suffix of the expansion order that does not depend on the entries
-  of the loop around it — an independent sibling branch — is
-  enumerated once per context and, when its rows fit one block, kept
-  and combined with every later prefix as ``prefix + row`` instead of
-  being re-enumerated under every value;
-- blocks are yielded lazily and hold at most ``_BLOCK_ROWS`` rows: a
-  block is filled from the innermost unions below one union of the
-  level above them (many small innermost unions share blocks) and cut
-  where that exceeds the limit, so a consumer that stops after ``k``
-  rows pays for ``k`` rows plus one block — constant delay, amortised
-  per block — and streaming holds one block (and at most one block per
-  kept branch) at a time.  With several leaves under one node a step
-  first reads the leaf unions of one entry (``itertools.product``);
-- rows are built in expansion layout and permuted to the requested
-  columns once per block with :func:`operator.itemgetter`;
-- an order one swap away (:func:`on_demand_swap`) is served without
-  the swap: the key node and its parent are expanded jointly, from a
-  heap over the key node's unions under the parent's entries, so a
-  consumer that stops early reads only the unions its rows reach.
+Which f-tree node is expanded next depends only on the tree and the
+order keys, so the *expansion order* is derived once per call
+(:func:`_expansion`); the rows are the nested loops over it.  They are
+built a level at a time, never a row at a time: the unions of the next
+position below a block of rows are one level — their values,
+concatenated, are its column; a parent-index array repeats every other
+column once per entry (a slice where each union holds one); the child
+columns of the entries are the unions of the positions below; and the
+requested columns, zipped, are the rows.  Levels are cut so that no
+block exceeds ``_BLOCK_ROWS`` rows: a consumer that stops after ``k``
+rows pays for at most one block more, and streaming holds one block
+per level.  A position whose unions hold one entry each is expanded as
+soon as its parent is, and rows sharing every pending union (an
+independent branch) share what is expanded below them, tiled.  An order
+one swap away (:func:`on_demand_swap`) is served without the swap: the
+key node and its parent are expanded jointly from a heap over the key
+node's unions, so an early stop reads only the unions its rows reach.
 
 Public surface:
 
 - :func:`supports_grouping` / :func:`supports_order` — the Theorem 1 and
   Theorem 2 characterisations of f-trees;
-- :func:`iter_blocks` / :func:`iter_tuples` — enumeration in an order
-  satisfying Theorem 2, or one merge away from it (or no particular
-  order); :func:`on_demand_swap` / :func:`merge_steps` — which orders
-  the merge serves and what it costs;
+- :func:`iter_blocks` / :func:`iter_columns` / :func:`iter_tuples` —
+  enumeration in an order satisfying Theorem 2, or one merge away from
+  it; :func:`on_demand_swap` / :func:`merge_steps` — which orders the
+  merge serves and what it costs; :func:`fragment_rows` — the rows of
+  one fragment, for maintenance deltas;
 - :func:`group_expansion` — the order in which a group-by region is
   expanded and the fragments left hanging below it, which the engine
   folds into one aggregate leaf per group before enumerating blocks;
@@ -50,13 +40,16 @@ Public surface:
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from dataclasses import dataclass
+from functools import lru_cache
 from heapq import merge
-from itertools import chain, islice, product, repeat
-from math import ceil, log2
-from operator import attrgetter, itemgetter
-from typing import Callable, Iterator, Sequence
+from itertools import accumulate, chain, compress, islice, pairwise, repeat
+from math import ceil, log2, prod
+from operator import attrgetter, getitem, is_not, itemgetter, neg
+from typing import Iterator, Sequence
 
-from repro.core.frep import Factorisation
+from repro.core.frep import CUnion, Factorisation
 from repro.core.ftree import FNode, FTree
 from repro.core.operators import swap_tree
 from repro.relational.sort import SortKey, normalise_order
@@ -69,6 +62,8 @@ from repro.relational.sort import SortKey, normalise_order
 _BLOCK_ROWS = 1024
 
 _VALUES = attrgetter("values")
+_CHILDREN = attrgetter("children")
+_FIRST = itemgetter(0)
 
 
 class EnumerationError(ValueError):
@@ -126,8 +121,6 @@ def restructure_for_order(ftree: FTree, order: Sequence) -> list[str]:
             node = current.node(key.attribute)
             parent = current.parent(node)
             if parent is not None and not (set(parent.all_names) & seen):
-                from repro.core.operators import swap_tree
-
                 current = swap_tree(current, node.name)
                 swaps.append(node.name)
                 changed = True
@@ -207,165 +200,283 @@ def _directions(sequence: Sequence[FNode], keys: Sequence[SortKey]) -> list[bool
     return [bool(down.intersection(node.all_names)) for node in sequence]
 
 
-def _picker(indexes: Sequence[int]) -> Callable[[tuple], tuple]:
-    """``row -> tuple(row[i] for i in indexes)`` at C speed where possible."""
-    if len(indexes) > 1:
-        return itemgetter(*indexes)
-    if not indexes:
-        return lambda row: ()
-    (index,) = indexes
-    return lambda row: (row[index],)
-
-
 # ---------------------------------------------------------------------------
-# The block walk
+# The level-at-a-time expander
 # ---------------------------------------------------------------------------
-def _chunks(rows: Iterator[tuple]) -> Iterator[list[tuple]]:
-    """``rows`` as lists of at most ``_BLOCK_ROWS``, drawn on demand."""
-    return iter(lambda: list(islice(rows, _BLOCK_ROWS)), [])
+@dataclass(slots=True)
+class _Plan:
+    """How :func:`_walk` expands a forest, one *position* per node of
+    the expansion order (the merged pair of an on-demand χ shares one).
 
-
-class _Walk:
-    """Blocks of rows in expansion layout: one value per position.
-
-    Positions are expanded in order; ``parent[q]``/``column[q]`` say
-    which entry of which earlier position binds ``unions[q]`` (``-1``:
-    a root, bound by the caller).
-
-    ``merged`` is ``(m, under, down)`` when position ``m`` expands a
-    key node K and its parent P jointly (an on-demand χ, see
-    :func:`on_demand_swap`): ``unions[m]`` is P's union, ``under`` K's
-    column in it, ``down`` P's direction.  Its entries are the
-    (K value, P entry) pairs in K-then-P order, drawn from a heap over
-    the K unions of P's entries; each appends both values to the row.
-    Positions below it take their union from P's entry (``column[q]``)
-    or from K's entry (``~column[q]``).
-
-    The walk is an object rather than a nest of closures so that no
-    reference cycle holds the unions: once the consumer drops the
-    blocks, reference counting frees what the walk was reading.
+    ``kids[t]`` lists ``(x, c)`` per later position ``x`` whose union
+    sits in child column ``c`` of position ``t``'s entries (``~c``: of
+    the key node's entries, at the merged position); ``roots`` lists
+    the root positions, in the order of the forest's roots.  ``slot[t]``
+    is where position ``t``'s value sits in the expansion layout (the
+    merged position fills two slots: the key node's, then its
+    parent's); ``picks`` are the slots of the requested columns, and
+    ``wanted`` the set of them.  ``merged`` is ``(t, key node's column
+    in the parent's union, the parent's direction)``.
     """
 
-    def __init__(
-        self,
-        parent: Sequence[int],
-        column: Sequence[int],
-        unions: list,
-        descending: Sequence[bool],
-        merged: "tuple[int, int, bool] | None" = None,
-    ) -> None:
-        count = len(parent)
-        self.column = column
-        self.unions = unions
-        self.descending = descending
-        self.merged = merged
-        self.fused = merged[0] if merged is not None else -1
-        self.kids: list[list[tuple[int, int]]] = [[] for _ in range(count)]
-        for q, p in enumerate(parent):
-            if p >= 0:
-                self.kids[p].append((q, column[q]))
-        # The kernel sits at the last position with children in the
-        # sequence (or the merged one, which is no leaf either);
-        # everything after it is a leaf.
-        inner = self.inner = max(0, max(parent), self.fused)
-        self.tail = range(inner + 1, count)
-        self.parent = parent
-        # tops[j]: the latest position whose entry the suffix from j on
-        # depends on.  When that is not the loop right around j, the
-        # suffix is the same for every entry of the loops in between: an
-        # independent branch, whose rows are kept (see ``keep``) until
-        # tops[j] moves to its next entry.
-        tops = [
-            max(p for q, p in enumerate(parent) if p < j <= q)
-            for j in range(inner + 1)
-        ]
-        self.hoisted = [j > 0 and tops[j] < j - 1 for j in range(inner + 1)]
-        self.clears = [
-            [j for j in range(inner + 1) if self.hoisted[j] and tops[j] == p]
-            for p in range(inner + 1)
-        ]
-        self.cache: list = [None] * (inner + 1)
+    kids: list[list[tuple[int, int]]]
+    roots: list[int]
+    slot: list[int]
+    descending: list[bool]
+    merged: "tuple[int, int, bool] | None"
+    picks: list[int]
+    wanted: set[int]
 
-    def blocks(self) -> Iterator[list[tuple]]:
-        return self.enter(0, ())
 
-    def kernel(self, _: int, prefix: tuple) -> Iterator[list[tuple]]:
-        return _chunks(self.kernel_rows(prefix))
+def _plan(
+    roots: Sequence[FNode],
+    sequence: Sequence[FNode],
+    descending: list[bool],
+    picks: list[int],
+    merged: str | None = None,
+) -> _Plan:
+    """The :class:`_Plan` expanding the forest ``roots`` in the order
+    ``sequence``, reading the columns at slots ``picks``.
 
-    def kernel_rows(self, prefix: tuple) -> Iterator[tuple]:
-        inner = self.inner
-        parent, column, descending = self.parent, self.column, self.descending
-        union = self.unions[inner]
-        down = descending[inner]
-        heads = reversed(union.values) if down else union.values
-        # Per leaf position, the value list to read under each head.
-        leaves: list = []
-        for q in self.tail:
-            if parent[q] == inner:
-                col = union.children[column[q]]
-                held = map(_VALUES, reversed(col) if down else col)
-            else:
-                held = repeat(self.unions[q].values)
-            leaves.append(map(reversed, held) if descending[q] else held)
-        if not leaves:
-            rows = (prefix + (x,) for x in heads)
-        elif len(leaves) == 1:
-            rows = (prefix + (x, y) for x, ys in zip(heads, leaves[0]) for y in ys)
+    ``sequence`` may be the expansion of an f-tree in which ``merged``
+    was swapped above its parent (its successor in ``sequence``); the
+    pair then shares one position, and every binding is read off the
+    stored tree, where that parent still holds the merged node's unions.
+    """
+    owner = {
+        child.name: (node.name, c)
+        for root in roots
+        for node in root.walk()
+        for c, child in enumerate(node.children)
+    }
+    names = [node.name for node in sequence]
+    fused = names.index(merged) if merged is not None else len(names)
+    position = {name: j - (j > fused) for j, name in enumerate(names)}
+    count = len(names) - (merged is not None)
+    kids: list[list[tuple[int, int]]] = [[] for _ in range(count)]
+    for name in names:
+        if name in owner and name != merged:
+            above, c = owner[name]
+            kids[position[above]].append((position[name], ~c if above == merged else c))
+    pair = None
+    if merged is not None:
+        # The merged position reads the key node's direction; its
+        # parent's goes with the pair.
+        pair = (fused, owner[merged][1], descending.pop(fused + 1))
+    return _Plan(
+        kids,
+        [position[node.name] for node in roots],
+        [t + (t > fused) for t in range(count)],
+        descending,
+        pair,
+        picks,
+        set(picks),
+    )
+
+
+def _walk(plan: _Plan, unions: Sequence) -> Iterator[tuple[int, list[list]]]:
+    """``(rows, columns)`` blocks of at most ``_BLOCK_ROWS`` rows of the
+    forest whose roots hold ``unions``: the values at ``plan.picks``,
+    one list per requested column."""
+    roots = {t: [union] for t, union in zip(plan.roots, unions)}
+    blocks = _expand(plan, tuple(range(len(plan.kids))), 1, {}, roots, tuple(roots))
+    picks = plan.picks
+    return ((n, [held[s] for s in picks]) for n, held in blocks)
+
+
+def _expand(
+    plan: _Plan, rest: tuple, n: int, held: dict, pending: dict, fresh=()
+) -> Iterator[tuple[int, dict]]:
+    """Expand positions ``rest`` below ``n`` rows of the positions before,
+    a level at a time (see the module docstring).
+
+    ``held`` maps each requested slot filled so far to its column,
+    ``pending`` each position whose parent is expanded to its unions,
+    one per row (``fresh``: those that just became pending).  Blocks
+    come out as ``(rows, slot -> column)``.
+    """
+    if fresh:
+        rest = _absorb(plan, rest, held, pending, fresh)
+    if not rest:
+        yield n, held
+        return
+    t = rest[0]
+    if plan.merged is not None and t == plan.merged[0]:
+        yield from _expand_merged(plan, rest, held, pending)
+        return
+    bounds = _runs(pending, n)
+    if bounds is not None:
+        yield from _expand_runs(plan, rest, held, pending, bounds)
+        return
+    others = {x: array for x, array in pending.items() if x != t}
+    down = plan.descending[t]
+    kids = plan.kids[t]
+    fresh = tuple(x for x, _ in kids)
+    slot = plan.slot[t] if plan.slot[t] in plan.wanted else None
+    for lo, unions, lists, sizes in _groups(pending[t], down):
+        rows = _parents(sizes, lo)
+        if type(rows) is slice:  # one entry per union
+            values = list(map(_FIRST, lists))
         else:
-            rows = (
-                prefix + (x,) + rest
-                for x, rests in zip(heads, map(product, *leaves))
-                for rest in rests
-            )
-        return rows
+            values = list(chain.from_iterable(map(reversed, lists) if down else lists))
+        if not values:
+            continue
+        below = _read(others, rows)
+        for x, c in kids:
+            cols = map(itemgetter(c), map(_CHILDREN, unions))
+            below[x] = list(chain.from_iterable(map(reversed, cols) if down else cols))
+        columns = _read(held, rows)
+        if slot is not None:
+            columns[slot] = values
+        yield from _expand(plan, rest[1:], len(values), columns, below, fresh)
 
-    def leaf_rows(self, prefix: tuple) -> Iterator[tuple]:
-        """The rows of the leaves after a merged position that is the
-        last one with children: their product under ``prefix``."""
-        unions, descending = self.unions, self.descending
-        leaves = [
-            reversed(unions[q].values) if descending[q] else unions[q].values
-            for q in self.tail
-        ]
-        return map(prefix.__add__, product(*leaves))
 
-    def entries(self, j: int, prefix: tuple) -> Iterator[tuple]:
-        """Enter each entry of position ``j`` in turn: bind the unions
-        below it and yield its prefix."""
-        unions, cache = self.unions, self.cache
-        union = unions[j]
-        values = union.values
-        cols = union.children
-        bound = self.kids[j]
-        stale = self.clears[j]
+def _parents(sizes: list[int], lo: int):
+    """The row (``lo`` on) each entry of unions of ``sizes`` entries
+    belongs to: a slice when each union holds one entry, else a list."""
+    if sizes.count(1) == len(sizes):
+        return slice(lo, lo + len(sizes))
+    return list(chain.from_iterable(map(repeat, range(lo, lo + len(sizes)), sizes)))
 
-        def bind(i: int) -> tuple:
-            for q, c in bound:
-                unions[q] = cols[c][i]
-            for h in stale:
-                cache[h] = None
-            return prefix + (values[i],)
 
-        indexes = range(len(values))
-        return map(bind, reversed(indexes) if self.descending[j] else indexes)
+def _runs(pending: dict, n: int) -> "list[int] | None":
+    """Bounds of the runs of rows that share every pending union, when
+    sharing pays: a run costs a few dozen steps, while each row of it
+    after the first repeats at least one step per row below it."""
+    if n < 2 or any(array[0] is not array[1] for array in pending.values()):
+        return None
+    width = prod(len(array[0].values) for array in pending.values())
+    if width < 4:
+        return None  # too little below a row to share
+    starts: set[int] = set()
+    for array in pending.values():
+        starts.update(compress(range(1, n), map(is_not, array[1:], array[:-1])))
+    return [0, *sorted(starts), n] if (n - len(starts)) * width >= 64 * len(starts) else None
 
-    def merged_entries(self, j: int, prefix: tuple) -> Iterator[tuple]:
-        """:meth:`entries` of the merged position: one heap over the K
-        unions of P's entries yields the pairs in K-then-P order."""
-        unions, cache = self.unions, self.cache
-        _, under, down_p = self.merged
-        union = unions[j]
-        values = union.values
-        cols = union.children
-        subs = cols[under]
-        down = self.descending[j]
-        from_p = [(q, c) for q, c in self.kids[j] if c >= 0]
-        from_k = [(q, ~c) for q, c in self.kids[j] if c < 0]
-        stale = self.clears[j]
-        # Heap items are (K value, rank of P's entry, K's entry): the
-        # rank (± P's entry) makes every item distinct, so ties on the K
-        # value come out in P's direction and nothing past it is compared.
-        sign = 1 if down == down_p else -1
+
+def _absorb(plan: _Plan, rest: tuple, held: dict, pending: dict, fresh) -> tuple:
+    """Expand the ``fresh`` positions whose unions hold one entry each
+    (and so on below them), in place; returns the positions left.
+
+    Such a position does not branch, so expanding it early leaves the
+    rows and their order as they are, and it costs one step per row
+    here rather than one per row of every position expanded before it.
+    """
+    merged = plan.merged[0] if plan.merged is not None else -1
+    todo = list(fresh)
+    done = set()
+    while todo:
+        x = todo.pop()
+        if x == merged or x == next(y for y in rest if y not in done):
+            continue  # the next position is expanded next anyway
+        unions = pending[x]
+        lists = list(map(_VALUES, unions))
+        if list(map(len, lists)).count(1) != len(lists):
+            continue
+        del pending[x]
+        done.add(x)
+        if plan.slot[x] in plan.wanted:
+            held[plan.slot[x]] = list(map(_FIRST, lists))
+        for y, c in plan.kids[x]:
+            pending[y] = list(map(_FIRST, map(itemgetter(c), map(_CHILDREN, unions))))
+            todo.append(y)
+    return tuple(x for x in rest if x not in done) if done else rest
+
+
+def _expand_runs(
+    plan: _Plan, rest: tuple, held: dict, pending: dict, bounds: list
+) -> Iterator[tuple[int, dict]]:
+    """:func:`_expand` for rows that come in runs sharing every pending
+    union (an independent branch below an earlier position): per run,
+    the rows below are expanded once and combined with each row of the
+    run — tiled, while they fit one block, else expanded again per row."""
+    for lo, hi in pairwise(bounds):
+        shared = {x: [array[lo]] for x, array in pending.items()}
+        below = _expand(plan, rest, 1, {}, shared)
+        first = next(below, None)
+        if first is None:
+            continue
+        second = next(below, None)
+        if second is None:
+            m, columns = first
+            step = max(1, _BLOCK_ROWS // m)
+            for top in range(lo, hi, step):
+                end = min(top + step, hi)
+                out = {
+                    s: list(chain.from_iterable(zip(*[array[top:end]] * m)))
+                    if m > 1
+                    else array[top:end]
+                    for s, array in held.items()
+                }
+                for s, array in columns.items():
+                    out[s] = array * (end - top)
+                yield m * (end - top), out
+            continue
+        for row in range(lo, hi):
+            if row > lo:
+                below = _expand(plan, rest, 1, {}, shared)
+            for m, columns in chain((first, second), below) if row == lo else below:
+                yield m, {**_repeat(held, row, m), **columns}
+
+
+def _groups(unions: list, down: bool) -> Iterator[tuple[int, list, list, list]]:
+    """``(first row, unions, their value lists, their sizes)`` per range
+    of consecutive rows whose unions hold at most ``_BLOCK_ROWS``
+    entries together; a union that alone holds more comes a block of
+    entries at a time."""
+    lists = list(map(_VALUES, unions))
+    sizes = list(map(len, lists))
+    if sum(sizes) <= _BLOCK_ROWS:
+        yield 0, unions, lists, sizes
+        return
+    ends = list(accumulate(sizes))
+    lo = base = 0
+    while lo < len(sizes):
+        hi = max(bisect_right(ends, base + _BLOCK_ROWS, lo), lo + 1)
+        if sizes[lo] <= _BLOCK_ROWS:
+            yield lo, unions[lo:hi], lists[lo:hi], sizes[lo:hi]
+        else:
+            union, size = unions[lo], sizes[lo]
+            starts = range(0, size, _BLOCK_ROWS)
+            for a in reversed(starts) if down else starts:
+                b = min(a + _BLOCK_ROWS, size)
+                window = CUnion(lists[lo][a:b], tuple(col[a:b] for col in union.children))
+                yield lo, [window], [window.values], [b - a]
+        base = ends[hi - 1]
+        lo = hi
+
+
+def _read(arrays: dict, rows) -> dict:
+    """Each list of ``arrays`` read at ``rows`` (see :func:`_parents`)."""
+    if type(rows) is slice:
+        return {key: array[rows] for key, array in arrays.items()}
+    return {key: list(map(array.__getitem__, rows)) for key, array in arrays.items()}
+
+
+def _repeat(arrays: dict, row: int, times: int) -> dict:
+    """Each list of ``arrays`` reduced to its ``row``, ``times`` over."""
+    return {key: [array[row]] * times for key, array in arrays.items()}
+
+
+def _expand_merged(
+    plan: _Plan, rest: tuple, held: dict, pending: dict
+) -> Iterator[tuple[int, dict]]:
+    """:func:`_expand` of the merged position: per row, one heap over
+    the key node's unions under the parent's entries yields the (key
+    value, parent entry) pairs in key-then-parent order, a block of
+    pairs at a time."""
+    t, under, down_p = plan.merged
+    down = plan.descending[t]
+    others = {x: array for x, array in pending.items() if x != t}
+    slots = (plan.slot[t], plan.slot[t] + 1)
+    fresh = tuple(x for x, _ in plan.kids[t])
+    # Heap items are (key value, rank of the parent's entry, key entry):
+    # the rank (± the parent's entry) makes every item distinct, so ties
+    # on the key come out in the parent's direction and nothing past it
+    # is compared.
+    sign = 1 if down == down_p else -1
+    for row, union in enumerate(pending[t]):
+        subs = union.children[under]
         streams = [
             zip(
                 reversed(sub.values) if down else sub.values,
@@ -374,94 +485,50 @@ class _Walk:
             )
             for i, sub in enumerate(subs)
         ]
-
-        def bind(item: tuple) -> tuple:
-            value, rank, at = item
-            i = sign * rank
-            below = subs[i].children
-            for q, c in from_p:
-                unions[q] = cols[c][i]
-            for q, c in from_k:
-                unions[q] = below[c][at]
-            for h in stale:
-                cache[h] = None
-            return prefix + (value, values[i])
-
-        return map(bind, merge(*streams, reverse=down))
-
-    def expand(self, j: int, prefix: tuple) -> Iterator[list[tuple]]:
-        if j == self.fused:
-            entries = self.merged_entries(j, prefix)
-            if j == self.inner:
-                return _chunks(chain.from_iterable(map(self.leaf_rows, entries)))
-        else:
-            entries = self.entries(j, prefix)
-        inner = self.inner
-        if j + 1 == inner != self.fused and not self.hoisted[inner]:
-            # Right above the kernel the rows of successive entries
-            # stream into shared blocks: a level of many small innermost
-            # unions costs one step per union, not one block (and all a
-            # block costs downstream) per union.
-            return _chunks(chain.from_iterable(map(self.kernel_rows, entries)))
-        enter = self.enter
-        return chain.from_iterable(enter(j + 1, entered) for entered in entries)
-
-    def keep(self, j: int, prefix: tuple, below) -> Iterator[list[tuple]]:
-        # Stream the branch under its first prefix, keeping its rows for
-        # the prefixes to come while they fit one block; a larger branch
-        # is enumerated again under each prefix, in constant memory.
-        kept: list | None = []
-        for block in below(j, ()):
-            if kept is not None:
-                kept += block
-                if len(kept) > _BLOCK_ROWS:
-                    kept = None
-            yield list(map(prefix.__add__, block))
-        self.cache[j] = kept
-
-    def enter(self, j: int, prefix: tuple) -> Iterator[list[tuple]]:
-        below = self.kernel if j == self.inner != self.fused else self.expand
-        if not self.hoisted[j]:
-            return below(j, prefix)
-        kept = self.cache[j]
-        if kept is None:
-            return self.keep(j, prefix, below)
-        return iter((list(map(prefix.__add__, kept)),) if kept else ())
+        pairs = merge(*streams, reverse=down)
+        # Each pair is a heap step and has rows below it: a chunk
+        # doubles from a few pairs up to a block, so that a LIMIT
+        # met early draws few of them.
+        size = 32
+        while chunk := list(islice(pairs, size)):
+            size = min(2 * size, _BLOCK_ROWS)
+            keys, ranks, ats = zip(*chunk)
+            entries = list(ranks) if sign == 1 else list(map(neg, ranks))
+            m = len(chunk)
+            below = _repeat(others, row, m)
+            for x, c in plan.kids[t]:
+                if c >= 0:
+                    below[x] = list(map(union.children[c].__getitem__, entries))
+                else:
+                    cols = map(itemgetter(~c), map(_CHILDREN, map(subs.__getitem__, entries)))
+                    below[x] = list(map(getitem, cols, ats))
+            columns = _repeat(held, row, m)
+            for s, array in zip(slots, (keys, map(union.values.__getitem__, entries))):
+                if s in plan.wanted:
+                    columns[s] = list(array)
+            yield from _expand(plan, rest[1:], m, columns, below, fresh)
 
 
-def _layout(
-    fact: Factorisation, sequence: Sequence[FNode], merged: str | None = None
-) -> tuple[list[int], list[int], list, "tuple[int, int] | None"]:
-    """Binding tables and root bindings of ``sequence`` for :class:`_Walk`.
+def _rows(block: tuple[int, list[list]]) -> list[tuple]:
+    count, columns = block
+    return list(zip(*columns)) if columns else [()] * count
 
-    ``sequence`` may be the expansion of an f-tree in which ``merged``
-    was swapped above its parent (its successor in ``sequence``); the
-    pair then shares one position, and every binding is read off the
-    stored tree, where that parent still holds the merged node's unions.
-    The last item is then (that position, the merged node's column
-    under its parent).
-    """
-    owner = {
-        child.name: (node.name, c)
-        for node in fact.ftree.nodes()
-        for c, child in enumerate(node.children)
-    }
-    names = [node.name for node in sequence]
-    fused = names.index(merged) if merged is not None else len(names)
-    position = {name: j - (j > fused) for j, name in enumerate(names)}
-    count = len(names) - (merged is not None)
-    parent = [-1] * count
-    column = [0] * count
-    for name in names:
-        if name in owner and name != merged:
-            above, c = owner[name]
-            parent[position[name]] = position[above]
-            column[position[name]] = ~c if above == merged else c
-    unions: list = [None] * count
-    for node, union in zip(fact.ftree.roots, fact.roots):
-        unions[position[node.name]] = union
-    pair = (fused, owner[merged][1]) if merged is not None else None
-    return parent, column, unions, pair
+
+def fragment_rows(nodes: Sequence[FNode], unions: Sequence) -> list[tuple]:
+    """The rows of the forest ``nodes`` whose roots hold ``unions``:
+    over its names in pre-order (an attribute class repeats its value
+    per attribute), listed in that order."""
+    return list(chain.from_iterable(map(_rows, _walk(_preorder(tuple(nodes)), unions))))
+
+
+@lru_cache(maxsize=256)
+def _preorder(nodes: tuple[FNode, ...]) -> _Plan:
+    """The :class:`_Plan` of :func:`fragment_rows` (nodes are immutable,
+    and maintenance enumerates the fragments of a few nodes again and
+    again)."""
+    sequence = [node for root in nodes for node in root.walk()]
+    picks = [j for j, node in enumerate(sequence) for _ in node.all_names]
+    return _plan(nodes, sequence, [False] * len(sequence), picks)
 
 
 def _merge_plan(
@@ -505,7 +572,7 @@ def on_demand_swap(ftree: FTree, order: Sequence) -> str | None:
 def merge_steps(fanout: float, limit: int) -> int:
     """Heap steps of an on-demand χ over ``fanout`` unions for the first
     ``limit`` rows: building the heap, then one sift per entry drawn —
-    at most one per row, and rows are drawn a whole block at a time."""
+    at most one per row, and entries are drawn up to a block at a time."""
     depth = max(1, ceil(log2(max(fanout, 1.0))))
     return ceil(fanout + max(limit, _BLOCK_ROWS)) * depth
 
@@ -526,6 +593,22 @@ def iter_blocks(
     of the swapped factorisation, but only the unions the rows drawn
     reach are read.
     """
+    return map(_rows, _blocks(fact, order, columns))
+
+
+def iter_columns(
+    fact: Factorisation,
+    order: Sequence = (),
+    columns: Sequence[str] | None = None,
+) -> Iterator[list[list]]:
+    """:func:`iter_blocks` a column at a time: per block, one list of
+    values per entry of ``columns`` (at least one), in row order."""
+    return map(itemgetter(1), _blocks(fact, order, columns))
+
+
+def _blocks(
+    fact: Factorisation, order: Sequence, columns: Sequence[str] | None
+) -> Iterator[tuple[int, list[list]]]:
     keys = normalise_order(order)
     merged = None
     if keys and not supports_order(fact.ftree, keys):
@@ -536,23 +619,14 @@ def iter_blocks(
     else:
         sequence, _ = _expansion(fact.ftree.roots, keys)
     if not sequence:
-        return iter(([()],))  # the relation over no attributes: one row
-    count = len(sequence)
-    descending = _directions(sequence, keys)
-    parent, column, unions, pair = _layout(fact, sequence, merged)
-    if pair is not None:
-        # The merged pair's position reads the key node's direction;
-        # its parent's goes with the pair.
-        pair = (*pair, descending.pop(pair[0] + 1))
-    blocks = _Walk(parent, column, unions, descending, pair).blocks()
+        return iter(((1, []),))  # the relation over no attributes: one row
     slot = {
         name: j for j, node in enumerate(sequence) for name in node.all_names
     }
     picks = [slot[name] for name in (fact.schema() if columns is None else columns)]
-    if picks == list(range(count)):
-        return blocks
-    pick = _picker(picks)
-    return (list(map(pick, block)) for block in blocks)
+    descending = _directions(sequence, keys)
+    plan = _plan(fact.ftree.roots, sequence, descending, picks, merged)
+    return _walk(plan, fact.roots)
 
 
 def iter_tuples(

@@ -87,18 +87,39 @@ class AbsorbStep(Step):
 
 @dataclass(frozen=True)
 class SelectStep(Step):
-    """Constant selection σ_{AθC}."""
+    """Constant selection σ_{AθC}; ``more`` are further constant
+    comparisons on A's node, tested in the same traversal."""
 
     condition: Comparison
+    more: tuple[Comparison, ...] = ()
+
+    @property
+    def conditions(self) -> tuple[Comparison, ...]:
+        return (self.condition, *self.more)
 
     def apply_tree(self, ftree: FTree) -> FTree:
         return ops.select_tree(ftree, self.condition)
 
     def apply(self, fact: Factorisation) -> Factorisation:
-        return ops.select_constant(fact, self.condition)
+        return ops.select_constant(fact, *self.conditions)
 
     def __str__(self) -> str:
-        return f"σ[{self.condition}]"
+        return f"σ[{' ∧ '.join(map(str, self.conditions))}]"
+
+
+def select_steps(comparisons: Sequence[Comparison], ftree: FTree) -> list[SelectStep]:
+    """The selections of ``comparisons`` over ``ftree``: one step per
+    node that constant comparisons read, so that a range on one
+    attribute cuts its level once, and one per expression comparison."""
+    steps: dict = {}
+    for comparison in comparisons:
+        key = (
+            id(comparison)
+            if comparison.is_expression
+            else ftree.node(comparison.attribute).name
+        )
+        steps.setdefault(key, []).append(comparison)
+    return [SelectStep(first, tuple(more)) for first, *more in steps.values()]
 
 
 @dataclass(frozen=True)

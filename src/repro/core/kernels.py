@@ -20,6 +20,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from functools import wraps
 from itertools import accumulate, chain, compress, cycle, pairwise, repeat
+from operator import sub
 from typing import Any, Callable, Sequence
 
 from repro.core import aggregates as agg
@@ -250,30 +251,44 @@ def match_descendant(rel_steps: Sequence[int], desc_arity: int) -> LevelKernel:
 # ---------------------------------------------------------------------------
 # constant selection
 # ---------------------------------------------------------------------------
-def keep_matching(test: Callable, keeps_suffix: "bool | None") -> LevelKernel:
-    """σ_{AθC}: the entries of A's level whose value passes ``test``.
+def keep_matching(tests: Sequence[tuple[Callable, "bool | None"]]) -> LevelKernel:
+    """σ_{Aθ₁C₁ ∧ Aθ₂C₂ …}: the entries of A's level whose value passes
+    every test.
 
-    The condition is tested once per distinct value of the level — or,
-    when ``keeps_suffix`` says which end of a sorted union an order
-    comparison keeps (``None``: not an order comparison), probed by
-    bisection: the survivors of each union are a prefix or a suffix.
+    Each test comes with which end of a sorted union its order
+    comparison keeps (``None``: not an order comparison).  The
+    conjunction is tested once per distinct value of the level — or,
+    when every test is an order comparison, probed by bisection: the
+    survivors of each union are one run, cut at both ends.
     """
+    bounded = all(keeps is not None for _, keeps in tests)
+
+    def passes(value) -> bool:
+        return all(test(value) for test, _ in tests)
 
     def kernel(_: FNode, unions: list[CUnion]) -> Sequence[CUnion]:
         values = level_values(unions)
         probes = len(unions) * (len(values) // max(len(unions), 1)).bit_length()
-        if keeps_suffix is None or probes >= len(values):
+        if not bounded or probes * len(tests) >= len(values):
             # First-seen order keeps the tests on neighbouring objects.
-            verdict = {
-                value: bool(test(value)) for value in dict.fromkeys(values)
-            }
+            verdict = {value: passes(value) for value in dict.fromkeys(values)}
             return splice_level(unions, live=[verdict[v] for v in values])
-        # Fewer probes than values: find where each union's run ends.
-        falls = test if keeps_suffix else (lambda value: not test(value))
-        cuts = [bisect_left(union.values, True, key=falls) for union in unions]
-        rests = [len(union.values) - cut for union, cut in zip(unions, cuts)]
-        runs = chain.from_iterable(zip(cuts, rests))
-        flags = cycle((not keeps_suffix, keeps_suffix))
+        # Fewer probes than values: find where each union's run starts
+        # (the last suffix cut) and stops (the first prefix cut).
+        sizes = [len(union.values) for union in unions]
+        starts, stops = [0] * len(unions), sizes
+        for test, keeps_suffix in tests:
+            falls = test if keeps_suffix else (lambda value, test=test: not test(value))
+            cuts = [bisect_left(union.values, True, key=falls) for union in unions]
+            if keeps_suffix:
+                starts = list(map(max, starts, cuts))
+            else:
+                stops = list(map(min, stops, cuts))
+        stops = list(map(max, stops, starts))
+        runs = chain.from_iterable(
+            zip(starts, map(sub, stops, starts), map(sub, sizes, stops))
+        )
+        flags = cycle((False, True, False))
         live = list(chain.from_iterable(map(repeat, flags, runs)))
         return splice_level(unions, live=live)
 

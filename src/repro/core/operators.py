@@ -278,31 +278,42 @@ def absorb(
 # constant selection
 # ---------------------------------------------------------------------------
 @kernels.timed("select")
-def select_constant(fact: Factorisation, condition: Comparison) -> Factorisation:
+def select_constant(
+    fact: Factorisation, condition: Comparison, *more: Comparison
+) -> Factorisation:
     """σ_{AθC}: one filter pass cuts every union of A's level.
 
-    The unions are sorted (Section 4.1), so the survivors of an order
-    comparison are a prefix or a suffix of each and can be found by
-    bisection.  An expression is tested at the deepest node it reads:
+    ``more`` are further constant comparisons on A's node, tested in the
+    same pass (a range ``lo <= A < hi`` is one traversal, not two).
+    The unions are sorted (Section 4.1), so the survivors of order
+    comparisons are a run of each and can be found by bisection.  An
+    expression is tested at the deepest node it reads:
     once per distinct value if that is the only one, else per entry
     with its ancestors' values bound from its path, which must hold
     every node read (the planner's χ puts them on one path).  One that
     reads no attribute is tested once: false empties every root.
     """
     ftree = fact.ftree
+    if any(each.is_expression for each in more):
+        raise OperatorError("only constant comparisons share one σ")
     if condition.is_expression:
         return _select_expression(fact, condition)
     node = ftree.node(condition.attribute)
-    test = condition.test
-    # Which end of a sorted union an order comparison keeps.
-    keeps_suffix = {">": True, ">=": True, "<": False, "<=": False}.get(condition.op)
-    if node.is_aggregate:
-        component = _scalar_component(node.aggregate)
-        test = lambda value: condition.test(value[component])  # noqa: E731
-        keeps_suffix = None  # component tuples sort as tuples
+    tests = []
+    for each in (condition, *more):
+        if ftree.node(each.attribute) is not node:
+            raise OperatorError(f"σ[{each}] is not on the node of {node.name!r}")
+        test = each.test
+        # Which end of a sorted union an order comparison keeps.
+        keeps_suffix = {">": True, ">=": True, "<": False, "<=": False}.get(each.op)
+        if node.is_aggregate:
+            component = _scalar_component(node.aggregate)
+            test = lambda value, test=test: test(value[component])  # noqa: E731
+            keeps_suffix = None  # component tuples sort as tuples
+        tests.append((test, keeps_suffix))
     root_index, steps = ftree.path_to(node.name)
     return map_cunion_level(
-        fact, root_index, steps, kernels.keep_matching(test, keeps_suffix), ftree
+        fact, root_index, steps, kernels.keep_matching(tests), ftree
     )
 
 
@@ -336,7 +347,7 @@ def _select_expression(fact: Factorisation, condition: Comparison) -> Factorisat
     if several:
         kernel = kernels.keep_bound(test, depths)
     else:
-        kernel = kernels.keep_matching(lambda value: test([value] * len(names)), None)
+        kernel = kernels.keep_matching([(lambda value: test([value] * len(names)), None)])
     root_index, steps = ftree.path_to(deepest.name)
     new_ftree = select_tree(ftree, condition)
     return map_cunion_level(fact, root_index, steps, kernel, new_ftree, several)

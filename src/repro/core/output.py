@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from itertools import chain, islice, repeat
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.core import aggregates as agg
@@ -28,6 +29,7 @@ from repro.core import operators as ops
 from repro.core.enumerate import (
     group_expansion,
     iter_blocks,
+    iter_columns,
     restructure_for_order,
     supports_order,
 )
@@ -94,19 +96,20 @@ class FactorisedResult:
         if self.aggregate_node is None:
             return iter_blocks(fact, order, self.output_schema)
         # Group attributes, then the aliases read off the aggregate
-        # node's component tuple (the node may itself carry an alias).
+        # node's component tuples, finalised a column at a time (the
+        # node may itself carry an alias).
         cut = len(self.output_schema) - len(self.specs)
-        finalise = finaliser(
+        finish = finaliser(
             self.specs,
             fact.ftree.node(self.aggregate_node).aggregate.functions,
             self.output_schema[:cut],
         )
-        blocks = iter_blocks(
+        blocks = iter_columns(
             fact, order, self.output_schema[:cut] + (self.aggregate_node,)
         )
         return (
-            [(head := row[:cut]) + finalise(row[cut], head) for row in block]
-            for block in blocks
+            list(zip(*columns[:cut], *finish(columns[cut], columns[:cut])))
+            for columns in blocks
         )
 
     def iter_tuples(self) -> Iterator[tuple]:
@@ -138,9 +141,9 @@ def finaliser(
     specs: Sequence[AggregateSpec],
     functions: Sequence[tuple],
     group: Sequence[str] = (),
-) -> Callable[..., tuple]:
-    """``(component tuple, group values) -> the specs' values``: the one
-    finalisation rule.
+) -> Callable[..., list[list]]:
+    """``(component tuples, columns of group values) -> one column per
+    spec``: the one finalisation rule, a column at a time.
 
     A spec whose own component (:func:`_component`) is stored reads it:
     ``("sum", "price")``, a whole ``("min", expr)``, and for every COUNT,
@@ -153,8 +156,6 @@ def finaliser(
     """
     at = {component: index for index, component in enumerate(functions)}
     own = [at.get(_component(spec)) for spec in specs]
-    if None not in own:
-        return lambda value, groups=(): tuple([value[index] for index in own])
     count = at.get(("count", None))
 
     def total(target) -> Callable:
@@ -189,14 +190,23 @@ def finaliser(
     picks = []
     for spec, index in zip(specs, own):
         if index is not None:
-            picks.append(lambda value, groups, index=index: value[index])
+            picks.append(itemgetter(index))
         elif spec.function == "avg":
             picks.append(average(total(spec.attribute)))
         elif spec.function == "sum":
             picks.append(total(spec.attribute))
         else:
             picks.append(of_group(spec.attribute))
-    return lambda value, groups=(): tuple([pick(value, groups) for pick in picks])
+
+    def finish(values: list, groups: Sequence[list] = ()) -> list[list]:
+        return [
+            list(map(pick, values))
+            if index is not None
+            else list(map(pick, values, zip(*groups) if groups else repeat(())))
+            for pick, index in zip(picks, own)
+        ]
+
+    return finish
 
 
 def _terms(target, group: Sequence[str]) -> list[tuple]:
@@ -559,18 +569,13 @@ def _on_leaf(
     values come with each entry."""
     leaf = fact.ftree.node(node_name)
     reads = [g for g in group if g in spec.source_attributes]
-    finalise = finaliser((spec,), leaf.aggregate.functions, reads)
+    finish = finaliser((spec,), leaf.aggregate.functions, reads)
     above = [node.all_names for node in reversed(fact.ftree.ancestors(leaf))]
     depths = [next(d for d, names in enumerate(above) if g in names) for g in reads]
 
     def kernel(_: FNode, unions: list, contexts: "list | None" = None):
-        groups = repeat(()) if contexts is None else [
-            tuple([path[d] for d in depths]) for path in contexts
-        ]
-        finals = [
-            finalise(value, values)[0]
-            for value, values in zip(level_values(unions), groups)
-        ]
+        groups = [list(map(itemgetter(d), contexts)) for d in depths]
+        (finals,) = finish(level_values(unions), groups)
         return apply(unions, finals)
 
     root_index, steps = fact.ftree.path_to(node_name)

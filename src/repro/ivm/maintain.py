@@ -41,12 +41,14 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import product as iter_product
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.core.build import factorise
+from repro.core.enumerate import fragment_rows
 from repro.core.frep import (
     CUnion,
     Factorisation,
+    _tuple_count,
     _value_tuple,
     empty_cunion,
     iter_entries,
@@ -187,93 +189,22 @@ def _u_make(entries: Sequence[tuple], arity: int) -> CUnion:
 
 
 # ---------------------------------------------------------------------------
-# Enumeration helpers (local deltas are exact row sets)
+# Local deltas are exact row sets, enumerated by the read path's expander
+# (:func:`repro.core.enumerate.fragment_rows`)
 # ---------------------------------------------------------------------------
-def _iter_union(node: FNode, union) -> Iterator[Row]:
-    for value, children in iter_entries(union):
-        yield from _iter_parts(node, value, children)
-
-
-def _iter_parts(node: FNode, value: Any, children: Sequence) -> Iterator[Row]:
-    values = _value_tuple(node, value)
-    for rest in _iter_children(node.children, children):
-        yield values + rest
-
-
-def _iter_children(
-    nodes: Sequence[FNode], unions: Sequence
-) -> Iterator[Row]:
-    if not nodes:
-        yield ()
-        return
-    for head in _iter_union(nodes[0], unions[0]):
-        for rest in _iter_children(nodes[1:], unions[1:]):
-            yield head + rest
-
-
-def _union_count(node: FNode, union) -> int:
-    """Tuples represented by one union (|⟦fragment⟧|)."""
-    return sum(
-        _parts_count(node, children) for _, children in iter_entries(union)
-    )
-
-
-def _parts_count(node: FNode, children: Sequence) -> int:
-    total = 1
-    for child_node, child_union in zip(node.children, children):
-        total *= _union_count(child_node, child_union)
-    return total
-
-
-def _expand_below(
-    node: FNode,
-    value: Any,
-    children: Sequence,
-    branch: int,
-    delta_rows: Sequence[Row],
+def _cross(
+    prefix: Row, parts: Sequence[tuple[FNode, Any]], at: int, rows: Sequence[Row]
 ) -> list[Row]:
-    """Entry-level delta rows: the branch delta × the sibling fragments."""
-    if not delta_rows:
+    """Delta rows of a product: ``prefix``, then ``rows`` for part
+    ``at`` crossed with every other part's fragment (an entry's sibling
+    branches, or a forest's other roots)."""
+    if not rows:
         return []
-    values = _value_tuple(node, value)
-    per_child: list[list[Row]] = []
-    for index, (child_node, child_union) in enumerate(
-        zip(node.children, children)
-    ):
-        if index == branch:
-            per_child.append(list(delta_rows))
-        else:
-            per_child.append(list(_iter_union(child_node, child_union)))
-    out: list[Row] = []
-    for combo in iter_product(*per_child):
-        row = values
-        for part in combo:
-            row = row + part
-        out.append(row)
-    return out
-
-
-def _expand_forest(
-    items: Sequence[tuple[FNode, Any]],
-    index: int,
-    local_rows: Sequence[Row],
-) -> list[Row]:
-    """Forest-level delta rows: one root's delta × the other roots."""
-    if not local_rows:
-        return []
-    per_root: list[list[Row]] = []
-    for position, (node, union) in enumerate(items):
-        if position == index:
-            per_root.append(list(local_rows))
-        else:
-            per_root.append(list(_iter_union(node, union)))
-    out: list[Row] = []
-    for combo in iter_product(*per_root):
-        row: Row = ()
-        for part in combo:
-            row = row + part
-        out.append(row)
-    return out
+    expanded = [
+        rows if index == at else fragment_rows((node,), (union,))
+        for index, (node, union) in enumerate(parts)
+    ]
+    return [sum(combo, prefix) for combo in iter_product(*expanded)]
 
 
 def _find(union: CUnion, value: Any) -> int | None:
@@ -350,6 +281,20 @@ def _check_maintainable(fact: Factorisation) -> None:
             )
 
 
+def _direct_columns(fact: Factorisation, columns: Sequence[str], verb: str) -> tuple:
+    """``(column positions, view schema)`` of a direct change's rows."""
+    _check_maintainable(fact)
+    positions = _positions(columns)
+    schema = fact.schema()
+    missing = [name for name in schema if name not in positions]
+    if missing:
+        raise DeltaError(
+            f"{verb} rows miss view attribute {missing[0]!r} "
+            f"(columns: {tuple(columns)!r})"
+        )
+    return positions, schema
+
+
 def direct_insert(
     fact: Factorisation,
     rows: Sequence[Row],
@@ -357,15 +302,7 @@ def direct_insert(
     splice: _Splice,
 ) -> Factorisation:
     """Splice ``rows`` (over ``columns``) into the represented relation."""
-    _check_maintainable(fact)
-    positions = _positions(columns)
-    schema = fact.schema()
-    for name in schema:
-        if name not in positions:
-            raise DeltaError(
-                f"insert rows miss view attribute {name!r} "
-                f"(columns: {tuple(columns)!r})"
-            )
+    positions, schema = _direct_columns(fact, columns, "insert")
     roots = list(fact.roots)
     for raw in rows:
         view = _RowView(positions, raw)
@@ -391,14 +328,8 @@ def _direct_insert_row(
     changed = [i for i, (_, added, _) in enumerate(results) if added]
     if not changed:
         return roots, False
-    _require_rectangular(
-        "insert",
-        changed,
-        results,
-        list(zip(ftree.roots, roots)),
-    )
-    new_roots = [result[0] for result in results]
-    return new_roots, True
+    _require_rectangular("insert", changed, results, list(zip(ftree.roots, roots)))
+    return [result[0] for result in results], True
 
 
 def _require_rectangular(
@@ -428,11 +359,11 @@ def _require_rectangular(
         )
     branch = changed[0]
     for index, (node, union) in enumerate(siblings):
-        if index != branch and _union_count(node, union) != 1:
+        if index != branch and _tuple_count(union) != 1:
             raise IndependenceViolation(
                 f"one-row {verb} at branch "
                 f"{siblings[branch][0].label()!r} cross-multiplies with "
-                f"sibling {node.label()!r} ({_union_count(node, union)} "
+                f"sibling {node.label()!r} ({_tuple_count(union)} "
                 "tuples)"
             )
 
@@ -481,15 +412,7 @@ def direct_delete(
     splice: _Splice,
 ) -> Factorisation:
     """Remove ``rows`` (over ``columns``) from the represented relation."""
-    _check_maintainable(fact)
-    positions = _positions(columns)
-    schema = fact.schema()
-    for name in schema:
-        if name not in positions:
-            raise DeltaError(
-                f"delete rows miss view attribute {name!r} "
-                f"(columns: {tuple(columns)!r})"
-            )
+    positions, schema = _direct_columns(fact, columns, "delete")
     roots = list(fact.roots)
     for raw in rows:
         view = _RowView(positions, raw)
@@ -522,13 +445,10 @@ def _direct_delete_row(
     ftree: FTree, roots: list, view: _RowView, splice: _Splice
 ) -> list:
     items = list(zip(ftree.roots, roots))
-    total = 1
-    for node, union in items:
-        total *= _union_count(node, union)
-    if total == 1:
+    big = [i for i, union in enumerate(roots) if _tuple_count(union) > 1]
+    if not big:  # the row is the whole relation
         splice.nodes_touched += len(roots)
         return [empty_cunion(len(union.children)) for union in roots]
-    big = [i for i, (node, union) in enumerate(items) if _union_count(node, union) > 1]
     if len(big) != 1:
         raise IndependenceViolation(
             "one-row delete would leave a non-product remainder across "
@@ -549,10 +469,10 @@ def _direct_prune_union(
     value = union.values[index]
     children = _u_children(union, index)
     splice.nodes_touched += 1
-    if _parts_count(node, children) == 1:
+    if all(_tuple_count(child) == 1 for child in children):
         return _u_remove(union, index)
     items = list(zip(node.children, children))
-    big = [i for i, (child, child_union) in enumerate(items) if _union_count(child, child_union) > 1]
+    big = [i for i, (_, child_union) in enumerate(items) if _tuple_count(child_union) > 1]
     if len(big) != 1:
         raise IndependenceViolation(
             f"one-row delete below {node.label()!r}={value!r} would "
@@ -667,8 +587,8 @@ def _routed(
             continue  # the row never joins into this view
         if union is None:
             continue  # no-op for this row
-        expanded_added = _expand_forest(forest(), route.root_index, added)
-        expanded_removed = _expand_forest(forest(), route.root_index, removed)
+        expanded_added = _cross((), forest(), route.root_index, added)
+        expanded_removed = _cross((), forest(), route.root_index, removed)
         roots[route.root_index] = union
         splice.added.extend(expanded_added)
         splice.removed.extend(expanded_removed)
@@ -716,11 +636,8 @@ def _routed_walk(
         if index is None:
             return None, [], []  # row never contributed
         if last:
-            removed = list(
-                _iter_parts(
-                    node, union.values[index], _u_children(union, index)
-                )
-            )
+            entry = singleton_cunion(union.values[index], _u_children(union, index))
+            removed = fragment_rows((node,), (entry,))
             splice.nodes_touched += 1
             return _u_remove(union, index), [], removed
         return _routed_descend(
@@ -782,8 +699,9 @@ def _routed_entry(
     )
     if new_child is None:
         return _UNCHANGED, [], []
-    added = _expand_below(node, value, children, branch, child_added)
-    removed = _expand_below(node, value, children, branch, child_removed)
+    prefix, parts = _value_tuple(node, value), list(zip(node.children, children))
+    added = _cross(prefix, parts, branch, child_added)
+    removed = _cross(prefix, parts, branch, child_removed)
     splice.nodes_touched += 1
     if not new_child.values:
         # ∅ absorption: an empty fragment kills the entry; everything
@@ -838,17 +756,16 @@ def _routed_fresh(
     which entries belong here.
     """
     fragment = _fragment_union(node, bindings, database, splice)
-    added: list[Row] = []
     new_union = union
-    changed = False
+    fresh = []
     for value, children in iter_entries(fragment):
         if _find(new_union, value) is None:
             at = bisect_left(new_union.values, value)
             new_union = _u_insert(new_union, at, value, children)
-            added.extend(_iter_parts(node, value, children))
-            changed = True
-    if not changed:
+            fresh.append((value, children))
+    if not fresh:
         return None, [], []
+    added = fragment_rows((node,), (_u_make(fresh, len(node.children)),))
     return new_union, added, []
 
 

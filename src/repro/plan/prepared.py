@@ -50,7 +50,8 @@ def _isolate(payload: "EngineRun") -> "EngineRun":
     Cached payloads are shared across executions; ``Result.rows``
     exposes a mutable list, so both the stored snapshot and every hit
     get their own row list (factorised payloads are safe as-is —
-    enumeration materialises fresh rows per Result).
+    enumeration materialises fresh rows per Result).  Rows are tuples,
+    so a copy of the list is the whole snapshot.
     """
     if payload.relation is None:
         return payload
@@ -58,7 +59,7 @@ def _isolate(payload: "EngineRun") -> "EngineRun":
 
     relation = payload.relation
     return EngineRun(
-        relation=Relation(relation.schema, relation.rows, name=relation.name),
+        relation=Relation.adopt(relation.schema, list(relation.rows), relation.name),
         plan=payload.plan,
         trace=payload.trace,
     )
@@ -336,11 +337,12 @@ class PreparedQuery:
                 artifact, bound, database, params=values
             )
         run_seconds = clock.now() - start
-        # Store a snapshot: the caller owns `payload` and may mutate
-        # its rows; the cache entry must stay pristine.
-        results.store(
-            result_key, _isolate(payload), database, self._query.relations
-        )
+        if results.capacity:
+            # Store a snapshot: the caller owns `payload` and may mutate
+            # its rows; the cache entry must stay pristine.
+            results.store(
+                result_key, _isolate(payload), database, self._query.relations
+            )
         info = LifecycleInfo(
             plan_cache=self._plan_status,
             result_cache="miss" if results.capacity else "off",

@@ -515,17 +515,17 @@ def _wide_fact(groups: int = 500, left: int = 25, right: int = 20):
 
 @pytest.fixture()
 def produced(monkeypatch):
-    """Rows the block walk has produced so far, whoever consumes them."""
+    """Rows the expander has produced so far, whoever consumes them."""
     counter = {"rows": 0, "largest": 0}
-    blocks = enum._Walk.blocks
+    walk = enum._walk
 
-    def counting(walk):
-        for block in blocks(walk):
-            counter["rows"] += len(block)
-            counter["largest"] = max(counter["largest"], len(block))
-            yield block
+    def counting(plan, unions):
+        for rows, columns in walk(plan, unions):
+            counter["rows"] += rows
+            counter["largest"] = max(counter["largest"], rows)
+            yield rows, columns
 
-    monkeypatch.setattr(enum._Walk, "blocks", counting)
+    monkeypatch.setattr(enum, "_walk", counting)
     return counter
 
 
@@ -622,8 +622,170 @@ def test_independent_branch_is_enumerated_once(monkeypatch):
     rows = list(iter_tuples(fact, order))
     assert rows == list(ref_iter_tuples(fact, order))
     assert len(rows) == 2 * 60 * 8
-    # One pass over c's child column per entry of ``a``; 60 each without the cache.
-    assert reads["c"] == 2
+    # At most one pass over c's child column per entry of ``a`` (both
+    # entries share c, so their rows may share one); 60 each if the
+    # branch were expanded again below every value of ``b``.
+    assert reads["c"] <= 2
+
+
+class Tripwire(CUnion):
+    """A union whose entries fail when read."""
+
+    __slots__ = ()
+
+    def __init__(self) -> None:
+        CUnion.children.__set__(self, ())
+
+    @property
+    def values(self):
+        raise AssertionError("a union past the first block was read")
+
+
+def test_limit_never_reads_unions_past_the_first_block(produced):
+    """Rows past the first block are not built, and neither are the
+    unions under them read: a LIMIT stops the expansion there."""
+    tree = _make_tree([("a", [("b", [("c", [])])])])
+    pair = CUnion([0, 1], ())
+    below = [CUnion(list(range(100)), ([pair] * 100,)) for _ in range(40)]
+    trap = below[30].children[0]
+    below[30] = CUnion(below[30].values, (trap[:50] + [Tripwire()] + trap[51:],))
+    fact = Factorisation(tree, [CUnion(list(range(40)), (below,))])
+    for limit in (1, 1000, 2047):
+        rows = list(iter_tuples(fact, ["a", "b", ("c", "desc")], limit))
+        assert rows[-1] == ((limit - 1) // 200, (limit - 1) % 200 // 2, 1 - (limit - 1) % 2)
+        assert produced["rows"] < limit + enum._BLOCK_ROWS
+        produced["rows"] = 0
+    with pytest.raises(AssertionError, match="past the first block"):
+        list(iter_tuples(fact, ["a", "b", "c"]))
+
+
+# ---------------------------------------------------------------------------
+# The seeded sweep: the workload f-trees under every order they support
+# ---------------------------------------------------------------------------
+def theorem2_orders(tree: FTree) -> list[list[str]]:
+    """Every order list ``tree`` supports (Theorem 2), one name per node."""
+    out: list[list[str]] = []
+
+    def extend(order: list[str], available: list) -> None:
+        out.append(order)
+        for index, node in enumerate(available):
+            rest = available[:index] + available[index + 1 :] + list(node.children)
+            extend(order + [node.name], rest)
+
+    extend([], list(tree.roots))
+    return out
+
+
+@pytest.fixture(scope="module")
+def sweep_facts():
+    """R1, R2 and R3 as the workload stores them, and a product of two
+    roots: R3 beside a small two-level tree."""
+    facts = dict(build_workload_database(scale=0.25, seed=11).factorised)
+    r3 = facts["R3"]
+    side = CUnion([0, 1, 2, 3], ([CUnion([5, 6, 7], ())] * 4,))
+    tree = FTree([*r3.ftree.roots, *_make_tree([("x", [("y", [])])]).roots])
+    facts["product"] = Factorisation(tree, [*r3.roots, side])
+    return facts
+
+
+SWEEP = ["R1", "R2", "R3", "product"]
+
+
+@pytest.mark.parametrize("name", SWEEP)
+def test_sweep_every_supported_order(sweep_facts, name):
+    """Each order list with all keys ascending and with a seeded mix of
+    directions, each with a seeded subset and permutation of columns:
+    the rows and their order are the reference generator's."""
+    rng = random.Random(f"sweep-{name}")
+    fact = sweep_facts[name]
+    schema = fact.schema()
+    for names in theorem2_orders(fact.ftree):
+        for mixed in (False, True):
+            order = [(n, "desc" if mixed and rng.random() < 0.5 else "asc") for n in names]
+            expected = list(ref_iter_tuples(fact, order))
+            columns = rng.sample(schema, rng.randrange(1, len(schema) + 1))
+            picks = [schema.index(column) for column in columns]
+            blocks = list(iter_blocks(fact, order, columns))
+            assert all(0 < len(block) <= enum._BLOCK_ROWS for block in blocks)
+            assert list(chain.from_iterable(blocks)) == [
+                tuple(row[p] for p in picks) for row in expected
+            ]
+
+
+@pytest.mark.parametrize("limit", [1, 1023, 1024, 1025])
+def test_sweep_limits_draw_at_most_one_block_more(sweep_facts, produced, limit):
+    rng = random.Random(limit)
+    assert sweep_facts["R1"].tuple_count() > 2 * limit
+    for name in SWEEP:
+        fact = sweep_facts[name]
+        orders = theorem2_orders(fact.ftree)
+        for names in rng.sample(orders, min(6, len(orders))):
+            order = [(n, rng.choice(["asc", "desc"])) for n in names]
+            produced["rows"] = produced["largest"] = 0
+            rows = list(iter_tuples(fact, order, limit))
+            assert rows == list(ref_iter_tuples(fact, order, limit))
+            assert produced["rows"] < limit + enum._BLOCK_ROWS
+            assert produced["largest"] <= enum._BLOCK_ROWS
+
+
+@pytest.mark.parametrize("name", SWEEP)
+def test_sweep_on_demand_orders(sweep_facts, name):
+    """Orders one swap away on the workload trees: the merge yields the
+    swapped factorisation's rows, position by position."""
+    rng = random.Random(f"merge-{name}")
+    fact = sweep_facts[name]
+    checked = 0
+    for _ in range(12):
+        order = random_merge_order(rng, fact.ftree)
+        if order is None:
+            continue
+        swapped = ops.swap(fact, enum.on_demand_swap(fact.ftree, order))
+        columns = swapped.schema()
+        expected = list(ref_iter_tuples(swapped, order))
+        for limit in (1, 1023, 1024, 1025, None):
+            rows = chain.from_iterable(iter_blocks(fact, order, columns))
+            assert list(islice(rows, limit)) == expected[:limit]
+        checked += 1
+    assert checked
+
+
+def test_empty_and_zero_attribute_relations():
+    tree = _make_tree([("a", [("b", [])]), ("c", [])])
+    empty = Factorisation(tree, [CUnion([], ([],)), CUnion([1, 2], ())])
+    for order in ([], ["a"], [("c", "desc"), "a", "b"]):
+        assert list(iter_blocks(empty, order)) == []
+        assert list(iter_tuples(empty, order, 5)) == []
+    nothing = Factorisation(FTree([]), [])
+    assert list(iter_blocks(nothing)) == [[()]]
+    assert list(iter_tuples(nothing, (), 3)) == [()]
+
+
+AGGREGATE_SWEEP = [
+    "SELECT package, SUM(price) AS s FROM R1 GROUP BY package ORDER BY package DESC",
+    "SELECT date, package, SUM(price) AS s, COUNT(*) AS c, AVG(price) AS a "
+    "FROM R1 GROUP BY date, package ORDER BY date, package",
+    "SELECT customer, AVG(price) AS a FROM R1 GROUP BY customer "
+    "HAVING a > 5 ORDER BY customer",
+    "SELECT package, date, COUNT(*) AS c, MIN(price) AS lo, AVG(price) AS a "
+    "FROM R1 GROUP BY package, date HAVING c > 2 ORDER BY package DESC, date "
+    "LIMIT 50",
+    "SELECT customer, SUM(price) AS s FROM R1 GROUP BY customer "
+    "ORDER BY s DESC LIMIT 3",
+]
+
+
+@pytest.mark.parametrize("engine", ["fdb", "fdb-factorised"])
+@pytest.mark.parametrize("sql", AGGREGATE_SWEEP)
+def test_sweep_aggregate_outputs_match_sqlite(sweep_db, engine, sql):
+    with connect(sweep_db, engine=engine, cache=False) as session, connect(
+        sweep_db, engine="sqlite", cache=False
+    ) as oracle:
+        assert session.sql(sql).rows == oracle.sql(sql).rows
+
+
+@pytest.fixture(scope="module")
+def sweep_db():
+    return build_workload_database(scale=0.25, seed=11)
 
 
 # ---------------------------------------------------------------------------

@@ -659,7 +659,7 @@ def test_expression_aggregates_take_the_scalar_fallback(seed):
         finalise = finaliser(specs, functions)
         root = result.roots[0]
         return root.values, [
-            [finalise(value) for value in leaf.values] for leaf in root.children[0]
+            list(zip(*finalise(leaf.values))) for leaf in root.children[0]
         ]
 
     assert finals(got, functions) == finals(want, expand_functions(specs))
@@ -705,8 +705,8 @@ def test_random_expression_specs_through_the_one_gamma_equal_the_oracle(seed):
             level = level_column(level, step)
         return [
             [
-                tuple(round(v, 9) if isinstance(v, float) else v for v in finalise(value))
-                for value in union.values
+                tuple(round(v, 9) if isinstance(v, float) else v for v in row)
+                for row in zip(*finalise(union.values))
             ]
             for union in level
         ]

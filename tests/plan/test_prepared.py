@@ -166,6 +166,35 @@ def test_cached_results_are_isolated_from_caller_mutation(session):
     assert first is not second is not third  # fresh Result per execution
 
 
+def test_uncached_runs_make_no_row_copy(monkeypatch):
+    """Without a result cache nothing is stored, so nothing is copied:
+    the rows the engine produced are the rows the caller gets."""
+    import repro.plan.prepared as prepared
+
+    copies = []
+    isolate = prepared._isolate
+    monkeypatch.setattr(
+        prepared, "_isolate", lambda payload: copies.append(1) or isolate(payload)
+    )
+    session = connect(_relation(), cache=False)
+    handle = session.prepare("SELECT g, price FROM R WHERE price > :f ORDER BY g")
+    for floor in (0, 4, 0):
+        assert handle.run(f=floor).lifecycle.result_cache == "off"
+    assert copies == []
+
+
+def test_cached_prepared_hits_are_isolated_from_caller_mutation(session):
+    handle = session.prepare("SELECT g, price FROM R WHERE price > :f ORDER BY g")
+    first = handle.run(f=0)
+    pristine = list(first.rows)
+    first.rows.append(("z", 0))
+    hit = handle.run(f=0)
+    assert hit.lifecycle.result_cache == "hit"
+    assert hit.rows == pristine
+    hit.rows[0] = ("mutated", -1)
+    assert handle.run(f=0).rows == pristine
+
+
 def test_unknown_params_rejected_even_without_declared_params(session):
     from repro.plan import ParameterError
 

@@ -223,10 +223,11 @@ class Result:
 
         The engine stamps the trace with the optimiser's provenance
         (strategy, estimated result size in singletons, statistics
-        sources); the trace's per-step sizes give the observed side.
-        Engines whose explain text already names the optimiser and the
-        statistics sources (the FDB compile describe) contribute only
-        the estimated-vs-observed line here.
+        sources, the search's fallback); the trace's per-step sizes give
+        the observed side.  Engines whose explain text already names the
+        optimiser, the statistics sources and the fallback (the FDB
+        compile describe) contribute only the estimated-vs-observed line
+        here.
         """
         provenance = getattr(self.trace, "provenance", None)
         if not provenance:
@@ -250,6 +251,9 @@ class Result:
                 for name, (source, rows) in sources.items()
             )
             lines.append(f"statistics: {rendered}")
+        fallback = provenance.get("fallback")
+        if fallback and "fallback:" not in existing:
+            lines.append(f"fallback: {fallback}")
         return lines
 
     def _expression_provenance(self) -> list[str]:

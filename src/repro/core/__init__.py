@@ -24,9 +24,9 @@ The subpackage implements, bottom-up:
 - :mod:`repro.core.fplan` — f-plan step representation and execution;
 - :mod:`repro.core.kernels` — the column passes the operators run level
   by level;
-- :mod:`repro.core.optimizer` — the greedy heuristic of Section 5.2, the
-  exhaustive Dijkstra search of Section 5.1 and the cost-based search
-  over statistics;
+- :mod:`repro.core.optimizer` — the greedy heuristic of Section 5.2 and
+  the Dijkstra search of Section 5.1, priced by the size bound or, over
+  statistics, by estimated sizes;
 - :mod:`repro.core.engine` — the FDB query engine: plans once from the
   catalogue (:class:`repro.core.engine.FDBCompiled`), then runs the plan
   on the current data;

@@ -429,17 +429,3 @@ def _add_subtree_size(
         )
     return total
 
-
-def estimated_plan_cost(
-    trees: Sequence[FTree],
-    hypergraph: Hypergraph,
-    stats: "Mapping[str, Any]",
-    scale: float = 1024.0,
-) -> float:
-    """Data-driven analogue of :func:`plan_cost`."""
-    return float(
-        sum(
-            estimated_tree_size(tree, hypergraph, stats, scale)
-            for tree in trees
-        )
-    )

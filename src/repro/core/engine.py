@@ -39,13 +39,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 from repro.core import aggregates as agg
 from repro.core import operators as ops
 from repro.core.build import factorise_path
-from repro.core.cost import (
-    Hypergraph,
-    estimated_node_count,
-    estimated_tree_size,
-    ftree_cost,
-    s_parameter,
-)
+from repro.core.cost import Hypergraph, estimated_node_count, s_parameter
 from repro.core.enumerate import merge_steps, on_demand_swap
 from repro.core.fplan import ExecutionTrace, FPlan, SwapStep, select_steps
 from repro.core.frep import Factorisation
@@ -56,6 +50,7 @@ from repro.core.optimizer import (
     GreedyOptimizer,
     PlanContext,
     _push_up_steps,
+    tree_pricer,
 )
 from repro.core.output import shape_output
 from repro.obs.metrics import metrics
@@ -65,16 +60,18 @@ from repro.query import Query, QueryError, natural_equalities
 if TYPE_CHECKING:  # pragma: no cover - circular import guard
     from repro.database import Database
 
+_OPTIMIZERS = {
+    "greedy": GreedyOptimizer,
+    "exhaustive": ExhaustiveOptimizer,
+    "cost": CostBasedOptimizer,
+}
+
 _OPTIMIZER_SECONDS = metrics().histogram(
     "repro_optimizer_seconds",
     "Time spent choosing an f-plan, per optimiser strategy.",
     ("strategy",),
 )
-_OPTIMIZER_TIMERS = {
-    "greedy": _OPTIMIZER_SECONDS.labels("greedy"),
-    "exhaustive": _OPTIMIZER_SECONDS.labels("exhaustive"),
-    "cost": _OPTIMIZER_SECONDS.labels("cost"),
-}
+_OPTIMIZER_TIMERS = {name: _OPTIMIZER_SECONDS.labels(name) for name in _OPTIMIZERS}
 
 _ESTIMATE_QERROR_FAMILY = metrics().histogram(
     "repro_estimate_qerror",
@@ -84,7 +81,7 @@ _ESTIMATE_QERROR_FAMILY = metrics().histogram(
     bounds=(1.05, 1.25, 1.5, 2.0, 3.0, 5.0, 10.0, 30.0, 100.0, 1000.0),
 )
 _ESTIMATE_QERROR = {
-    name: _ESTIMATE_QERROR_FAMILY.labels(name) for name in _OPTIMIZER_TIMERS
+    name: _ESTIMATE_QERROR_FAMILY.labels(name) for name in _OPTIMIZERS
 }
 
 _PAUSE_LOCK = threading.Lock()
@@ -135,12 +132,6 @@ def _unpause_in_child() -> None:
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_unpause_in_child)
-
-_OPTIMIZERS = {
-    "greedy": GreedyOptimizer,
-    "exhaustive": ExhaustiveOptimizer,
-    "cost": CostBasedOptimizer,
-}
 
 
 @dataclass(frozen=True)
@@ -198,9 +189,9 @@ class FDBCompiled:
     ftree: FTree
     inputs: tuple[PlannedInput, ...]
     context: PlanContext
-    # Optimiser provenance: strategy, estimated final-tree size, and
-    # the statistics sources the estimate was computed from (None for
-    # plans costed purely asymptotically).
+    # Optimiser provenance: strategy, estimated final-tree size, the
+    # statistics sources the estimate was computed from (None for plans
+    # costed purely asymptotically) and the search's fallback, if any.
     provenance: dict
     # The plan's order-only last χ and where it runs (see OrderSwap).
     order_swap: "OrderSwap | None" = None
@@ -230,9 +221,9 @@ class FDBEngine:
         ``"factorised"`` returns a
         :class:`repro.core.output.FactorisedResult` (FDB f/o).
     optimizer:
-        ``"greedy"`` (Section 5.2), ``"exhaustive"`` (Section 5.1), or
-        ``"cost"`` (data-driven search over ``repro.stats`` estimates,
-        falling back to exhaustive when no statistics are available).
+        ``"greedy"`` (Section 5.2), ``"exhaustive"`` (Section 5.1,
+        priced by the size bound), or ``"cost"`` (the same search, priced
+        by estimates from ``repro.stats`` where statistics exist).
     """
 
     name = "FDB"
@@ -264,53 +255,41 @@ class FDBEngine:
         f-trees over the schemas of flat inputs, the registered tree of
         factorised views), so compilation stays valid until the
         catalogue changes shape — data mutations never stale a plan.
+        The provenance prices every tree the plan builds with the price
+        the search used (:func:`repro.core.optimizer.tree_pricer`).
         """
         query, inputs, ftree, ctx = self.planning_inputs(query, database)
         started = time.perf_counter()
         plan = self.optimizer.plan(ftree, ctx)
         _OPTIMIZER_TIMERS[self.optimizer_name].observe(time.perf_counter() - started)
-        provenance = self._provenance(plan, ftree, ctx)
-        order_swap = self._order_swap(query, plan, ftree, ctx, provenance)
+        trees = plan.simulate(ftree)
+        estimated = list(map(tree_pricer(ctx), trees))
+        order_swap = self._order_swap(query, plan, trees, ctx, estimated[-1])
         if order_swap is not None and order_swap.on_demand:
             # Estimated against what the executor builds.
-            provenance = self._provenance(FPlan(plan.steps[:-1]), ftree, ctx)
-        return FDBCompiled(query, plan, ftree, inputs, ctx, provenance, order_swap)
-
-    def _provenance(self, plan: FPlan, ftree: FTree, ctx: PlanContext) -> dict:
-        """Optimiser provenance for explain: strategy + estimated cost
-        (of the final tree, and of every intermediate one)."""
-        trees = plan.simulate(ftree)
+            estimated.pop()
+        sources = None
         if ctx.stats:
-            node_memo: dict = {}
-            estimated = [
-                estimated_tree_size(
-                    tree, ctx.hypergraph, ctx.stats, ctx.scale, node_memo
-                )
-                for tree in trees
-            ]
             sources = {
                 name: (record.source, record.rows)
                 for name, record in sorted(ctx.stats.items())
             }
-        else:
-            estimated = [
-                ftree_cost(tree, ctx.hypergraph, ctx.scale) for tree in trees
-            ]
-            sources = None
-        return {
+        provenance = {
             "strategy": self.optimizer_name,
             "estimated_size": estimated[-1],
             "estimated_sizes": estimated[1:],
             "stats": sources,
+            "fallback": plan.fallback,
         }
+        return FDBCompiled(query, plan, ftree, inputs, ctx, provenance, order_swap)
 
     def _order_swap(
         self,
         query: Query,
         plan: FPlan,
-        ftree: FTree,
+        trees: "list[FTree]",
         ctx: PlanContext,
-        provenance: dict,
+        estimate: float,
     ) -> "OrderSwap | None":
         """Where the plan's order-only last χ runs (see :class:`OrderSwap`).
 
@@ -318,7 +297,8 @@ class FDBEngine:
         the plan's output as they are and that χ is the one swap
         :func:`repro.core.enumerate.on_demand_swap` can merge.  The
         choice depends only on the query and the statistics, so it is
-        made once here and retained with the plan.
+        made once here and retained with the plan.  ``trees`` are the
+        plan's simulated trees and ``estimate`` the size of the last.
         """
         if (
             self.output != "flat"
@@ -329,7 +309,7 @@ class FDBEngine:
         ):
             return None
         child = plan.steps[-1].child
-        before = plan.simulate(ftree)[-2]
+        before = trees[-2]
         if query.projection is not None and not set(
             before.attribute_names()
         ) <= set(query.projection):
@@ -347,7 +327,6 @@ class FDBEngine:
             ctx.hypergraph, path | set(parent.attributes), ctx.stats, ctx.scale
         ) / estimated_node_count(ctx.hypergraph, path, ctx.stats, ctx.scale)
         merge = merge_steps(fanout, query.limit)
-        estimate = provenance["estimated_sizes"][-1]
         if merge < estimate:
             return OrderSwap(
                 child,
@@ -504,6 +483,8 @@ class FDBEngine:
                 for name, (source, rows) in provenance["stats"].items()
             )
             lines.append(f"statistics: {rendered}")
+        if provenance["fallback"]:
+            lines.append(f"fallback: {provenance['fallback']}")
         for planned in filter(lambda planned: planned.swaps, compiled.inputs):
             lines.append(f"{planned.name}: {FPlan(planned.swaps)}  (one path per σ)")
         lines.append("input f-tree:")

@@ -251,7 +251,13 @@ class ExecutionTrace:
 
 
 class FPlan:
-    """An executable sequence of f-plan steps."""
+    """An executable sequence of f-plan steps.
+
+    ``fallback`` says why an optimiser returned this plan in place of
+    the one it searched for (``None``: it did not fall back).
+    """
+
+    fallback: "str | None" = None
 
     def __init__(self, steps: Sequence[Step]) -> None:
         self.steps: tuple[Step, ...] = tuple(steps)

@@ -1,7 +1,8 @@
 """Query optimisation over f-plans (Section 5).
 
-Two strategies are provided, both subsuming the select-project-join
-techniques of earlier work [5]:
+The search space is one graph: its nodes are f-trees and its edges the
+permissible operators (Proposition 3).  Three strategies walk it, all
+subsuming the select-project-join techniques of earlier work [5]:
 
 - :class:`GreedyOptimizer` — the polynomial-time heuristic of Section
   5.2, step for step: (1) apply permissible selections (preferring
@@ -11,21 +12,27 @@ techniques of earlier work [5]:
   is cheapest, (4) push group-by attributes above all others, (5) make
   the order-by list compatible with the tree (Theorem 2), (6) stop.
 
-- :class:`ExhaustiveOptimizer` — Dijkstra over the graph whose nodes
-  are f-trees and whose edges are permissible operators (Proposition
-  3), with edge costs given by the size bound of the operator's output
-  f-tree (Section 5.1).  Exponential in general; bounded by a state cap
-  with fallback to the greedy plan.
+- :class:`ExhaustiveOptimizer` — Dijkstra over the graph (Section
+  5.1), every edge priced by :func:`tree_pricer`: the size bound of the
+  operator's output f-tree.  Exponential in general; bounded by a
+  state cap past which it returns the greedy plan, marked with
+  :attr:`FPlan.fallback` and counted in ``repro_fallback_total``.
 
-Both produce :class:`repro.core.fplan.FPlan` objects; the engine runs
-the plan and handles output shaping (enumeration or finalisation).
+- :class:`CostBasedOptimizer` — the same search.  It differs only in
+  its input: the engine attaches statistics to the planning context,
+  and :func:`tree_pricer` then prices by estimated factorisation size.
+
+The greedy plan and the search share their candidate steps
+(:func:`_selection_step`, :func:`_gamma_options`).  All produce
+:class:`repro.core.fplan.FPlan` objects; the engine runs the plan and
+handles output shaping (enumeration or finalisation).
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from repro.core import aggregates as agg
 from repro.core.cost import (
@@ -43,6 +50,7 @@ from repro.core.fplan import (
     SwapStep,
 )
 from repro.core.ftree import FNode, FTree, fresh_aggregate_name
+from repro.obs.metrics import metrics
 from repro.query import Equality
 from repro.relational.sort import SortKey, normalise_order
 
@@ -71,9 +79,9 @@ class PlanContext:
 
     ``stats`` optionally maps input names to :class:`repro.stats`
     relation records (duck-typed: ``rows`` plus per-attribute
-    ``distinct`` counts); when present, :class:`CostBasedOptimizer`
-    prices candidate trees by estimated factorisation size instead of
-    the asymptotic ``scale``-based bound.
+    ``distinct`` counts); when present, :func:`tree_pricer` prices
+    candidate trees by estimated factorisation size instead of the
+    asymptotic ``scale``-based bound.
     """
 
     hypergraph: Hypergraph
@@ -91,6 +99,43 @@ class PlanContext:
 
 
 MAX_GREEDY_ITERATIONS = 10_000
+
+_FALLBACKS = metrics().counter(
+    "repro_fallback_total",
+    "Degraded paths taken in place of the requested one, by layer and reason.",
+    ("layer", "reason"),
+)
+_STATE_CAP_FALLBACK = _FALLBACKS.labels("optimizer", "state_cap")
+
+
+def tree_pricer(ctx: PlanContext) -> Callable[..., float]:
+    """The price of an f-tree under ``ctx``: ``price(tree, signature=None)``.
+
+    With statistics it is the estimated singleton count
+    (:func:`repro.core.cost.estimated_tree_size`), memoised per path
+    attribute set and, given a state ``signature``, per state across
+    the many candidate trees of one search, which mostly differ in a
+    few nodes.  Without statistics it is the asymptotic size bound
+    (:func:`repro.core.cost.ftree_cost`).
+    """
+    if not ctx.stats:
+        return lambda tree, signature=None: ftree_cost(
+            tree, ctx.hypergraph, ctx.scale
+        )
+    node_memo: dict = {}
+    sizes: dict = {}
+
+    def price(tree: FTree, signature=None) -> float:
+        size = sizes.get(signature)
+        if size is None:
+            size = estimated_tree_size(
+                tree, ctx.hypergraph, ctx.stats, ctx.scale, node_memo
+            )
+            if signature is not None:
+                sizes[signature] = size
+        return size
+
+    return price
 
 
 class GreedyOptimizer:
@@ -113,33 +158,22 @@ class GreedyOptimizer:
                 pending = [eq for eq in pending if not _same_node(tree, eq)]
                 continue
             # (2) permissible aggregation operators, maximal subtree.
-            if ctx.functions:
-                gamma = _best_aggregation(tree, ctx, pending)
-                if gamma is not None:
-                    steps.append(gamma)
-                    tree = gamma.apply_tree(tree)
-                    continue
+            gamma = _best_aggregation(tree, ctx, pending) if ctx.functions else None
+            if gamma is not None:
+                more = [gamma]
             # (3) restructure for a remaining selection, cheapest push.
-            if pending:
-                push = _cheapest_push(tree, pending[0], ctx)
-                steps.extend(push)
-                for step in push:
-                    tree = step.apply_tree(tree)
-                continue
-            # (4) push group-by attributes above non-group attributes.
-            swap_up = _grouping_swap(tree, ctx)
-            if swap_up is not None:
-                steps.append(swap_up)
-                tree = swap_up.apply_tree(tree)
-                continue
-            # (5) establish the Theorem 2 order condition.
-            order_swap = _order_swap(tree, ctx)
-            if order_swap is not None:
-                steps.append(order_swap)
-                tree = order_swap.apply_tree(tree)
-                continue
-            # (6) done.
-            return FPlan(steps)
+            elif pending:
+                more = _cheapest_push(tree, pending[0], ctx)
+            else:
+                # (4) push group-by attributes above non-group attributes,
+                # then (5) establish the Theorem 2 order condition.
+                swap = _grouping_swap(tree, ctx) or _order_swap(tree, ctx)
+                if swap is None:
+                    return FPlan(steps)  # (6) done.
+                more = [swap]
+            steps.extend(more)
+            for step in more:
+                tree = step.apply_tree(tree)
         raise OptimizerError("greedy optimiser did not converge")
 
 
@@ -154,24 +188,33 @@ def _same_node(tree: FTree, equality: Equality) -> bool:
     )
 
 
+def _selection_step(tree: FTree, equality: Equality) -> Step | None:
+    """The merge (siblings) or absorb (one path) that applies
+    ``equality`` to ``tree``; ``None`` when its nodes are neither."""
+    node_a = tree.node(equality.left)
+    node_b = tree.node(equality.right)
+    if tree.parent(node_a) is tree.parent(node_b) and node_a is not node_b:
+        return MergeStep(node_a.name, node_b.name)
+    if tree.is_ancestor(node_a, node_b):
+        return AbsorbStep(node_a.name, node_b.name)
+    if tree.is_ancestor(node_b, node_a):
+        return AbsorbStep(node_b.name, node_a.name)
+    return None
+
+
 def _permissible_selection(
     tree: FTree, pending: Sequence[Equality]
 ) -> tuple[Step, Equality] | None:
     """The applicable merge/absorb involving the highest-placed node."""
     best: tuple[int, Step, Equality] | None = None
     for equality in pending:
-        node_a = tree.node(equality.left)
-        node_b = tree.node(equality.right)
-        step: Step | None = None
-        if tree.parent(node_a) is tree.parent(node_b) and node_a is not node_b:
-            step = MergeStep(node_a.name, node_b.name)
-        elif tree.is_ancestor(node_a, node_b):
-            step = AbsorbStep(node_a.name, node_b.name)
-        elif tree.is_ancestor(node_b, node_a):
-            step = AbsorbStep(node_b.name, node_a.name)
+        step = _selection_step(tree, equality)
         if step is None:
             continue
-        height = min(tree.depth(node_a), tree.depth(node_b))
+        height = min(
+            tree.depth(tree.node(equality.left)),
+            tree.depth(tree.node(equality.right)),
+        )
         if best is None or height < best[0]:
             best = (height, step, equality)
     if best is None:
@@ -284,20 +327,29 @@ def _gamma_step(
     )
 
 
+def _gamma_options(
+    tree: FTree, ctx: PlanContext, pending: Sequence[Equality]
+) -> Iterator[tuple[FNode | None, list[FNode]]]:
+    """Per parent (``None``: the roots), every child one γ may aggregate
+    away, wherever aggregating them all makes progress."""
+    for parent in [None, *tree.nodes()]:
+        children = _eligible_children(tree, parent, ctx, pending)
+        if children and _makes_progress(children):
+            yield parent, children
+
+
 def _best_aggregation(
     tree: FTree, ctx: PlanContext, pending: Sequence[Equality]
 ) -> AggregateStep | None:
-    """The permissible γ with the largest subtree union, if any."""
-    best: tuple[int, AggregateStep] | None = None
-    parents: list[FNode | None] = [None] + [node for node in tree.nodes()]
-    for parent in parents:
-        children = _eligible_children(tree, parent, ctx, pending)
-        if not children or not _makes_progress(children):
-            continue
-        weight = sum(len(list(child.walk())) for child in children)
-        if best is None or weight > best[0]:
-            best = (weight, _gamma_step(tree, parent, children, ctx))
-    return best[1] if best is not None else None
+    """The permissible γ with the largest subtree union (the first of
+    equal ones), if any."""
+    options = list(_gamma_options(tree, ctx, pending))
+    if not options:
+        return None
+    parent, children = max(
+        options, key=lambda option: sum(len(list(c.walk())) for c in option[1])
+    )
+    return _gamma_step(tree, parent, children, ctx)
 
 
 def _push_up_steps(tree: FTree, name: str, stop) -> tuple[list[Step], FTree]:
@@ -320,13 +372,9 @@ def _cheapest_push(
     """Option (a)/(b)/(c) of step 3, ranked by summed size bounds."""
 
     def mergeable(candidate: FTree) -> bool:
-        node_a = candidate.node(equality.left)
-        node_b = candidate.node(equality.right)
         return (
-            node_a is node_b
-            or candidate.parent(node_a) is candidate.parent(node_b)
-            or candidate.is_ancestor(node_a, node_b)
-            or candidate.is_ancestor(node_b, node_a)
+            _same_node(candidate, equality)
+            or _selection_step(candidate, equality) is not None
         )
 
     options: list[tuple[float, list[Step]]] = []
@@ -385,28 +433,48 @@ def _order_swap(tree: FTree, ctx: PlanContext) -> SwapStep | None:
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive search (Section 5.1)
+# The search (Section 5.1)
 # ---------------------------------------------------------------------------
 class ExhaustiveOptimizer:
     """Dijkstra in the graph of f-trees connected by permissible operators.
 
-    Finds the minimum-cost f-plan under the size-bound metric; falls back
-    to the greedy plan when the state cap is exceeded.
+    Finds the minimum-cost f-plan, each edge priced by
+    :func:`tree_pricer`: the size bound of its output tree, or its
+    estimated size when ``ctx.stats`` is set.  With statistics over more
+    than one input, the fractional edge cover bound also prunes: a
+    candidate whose s-parameter exceeds the worst s-parameter along the
+    greedy plan cannot win asymptotically and is discarded.  Past the
+    state cap it returns the greedy plan, with the reason in
+    :attr:`FPlan.fallback`.
     """
 
     def __init__(self, max_states: int = 4000) -> None:
         self.max_states = max_states
 
     def plan(self, ftree: FTree, ctx: PlanContext) -> FPlan:
+        price = tree_pricer(ctx)
+        # Over a single input every path is covered by its one
+        # hyperedge (s ≡ 1): the bound can prune nothing there.
+        prune = bool(ctx.stats) and len(ctx.hypergraph.edges) > 1
+        greedy = budget = None
+        if prune:
+            greedy = GreedyOptimizer().plan(ftree, ctx)
+            budget = max(
+                (s_parameter(tree, ctx.hypergraph) for tree in greedy.simulate(ftree)),
+                default=0.0,
+            )
+        # Candidate trees share the subtrees a step left alone, so the
+        # memos (keyed by node, or by state) compute each part once.
+        sig_memo: dict = {}
+        s_memo: dict = {}
         start_pending = tuple(
             eq for eq in ctx.equalities if not _same_node(ftree, eq)
         )
-        start = (_signature(ftree), start_pending)
-        heap: list[tuple[float, int, FTree, tuple[Equality, ...], tuple[Step, ...]]] = []
-        counter = 0
-        heapq.heappush(heap, (0.0, counter, ftree, start_pending, ()))
-        seen: set = {start}
-        expanded = 0
+        heap: list[
+            tuple[float, int, FTree, tuple[Equality, ...], tuple[Step, ...]]
+        ] = [(0.0, 0, ftree, start_pending, ())]
+        seen: set = {(_signature(ftree, sig_memo), start_pending)}
+        counter = expanded = 0
         while heap:
             cost, _, tree, pending, steps = heapq.heappop(heap)
             if self._is_goal(tree, pending, ctx):
@@ -416,17 +484,25 @@ class ExhaustiveOptimizer:
                 break
             for step, new_pending in self._edges(tree, pending, ctx):
                 new_tree = step.apply_tree(tree)
-                state = (_signature(new_tree), tuple(new_pending))
+                signature = _signature(new_tree, sig_memo)
+                state = (signature, new_pending)
                 if state in seen:
                     continue
+                if prune:
+                    if signature not in s_memo:
+                        s_memo[signature] = s_parameter(new_tree, ctx.hypergraph)
+                    if s_memo[signature] > budget + 1e-9:
+                        continue
                 seen.add(state)
                 counter += 1
-                edge = ftree_cost(new_tree, ctx.hypergraph, ctx.scale)
+                edge = price(new_tree, signature)
                 heapq.heappush(
-                    heap,
-                    (cost + edge, counter, new_tree, tuple(new_pending), steps + (step,)),
+                    heap, (cost + edge, counter, new_tree, new_pending, steps + (step,))
                 )
-        return GreedyOptimizer().plan(ftree, ctx)
+        fallback = greedy if greedy is not None else GreedyOptimizer().plan(ftree, ctx)
+        fallback.fallback = f"state cap {self.max_states} → greedy plan"
+        _STATE_CAP_FALLBACK.inc()
+        return fallback
 
     def _is_goal(
         self, tree: FTree, pending: tuple[Equality, ...], ctx: PlanContext
@@ -461,44 +537,26 @@ class ExhaustiveOptimizer:
 
     def _edges(
         self, tree: FTree, pending: tuple[Equality, ...], ctx: PlanContext
-    ) -> Iterator[tuple[Step, list[Equality]]]:
+    ) -> Iterator[tuple[Step, tuple[Equality, ...]]]:
         # Selections (merge/absorb) for every applicable pending equality.
         for equality in pending:
-            node_a = tree.node(equality.left)
-            node_b = tree.node(equality.right)
-            remaining = [eq for eq in pending if eq is not equality]
-            if (
-                tree.parent(node_a) is tree.parent(node_b)
-                and node_a is not node_b
-            ):
-                yield MergeStep(node_a.name, node_b.name), remaining
-            elif tree.is_ancestor(node_a, node_b):
-                yield AbsorbStep(node_a.name, node_b.name), remaining
-            elif tree.is_ancestor(node_b, node_a):
-                yield AbsorbStep(node_b.name, node_a.name), remaining
+            step = _selection_step(tree, equality)
+            if step is not None:
+                yield step, tuple(eq for eq in pending if eq is not equality)
         # Aggregations: maximal per parent plus each single subtree.
         if ctx.functions:
-            parents: list[FNode | None] = [None] + list(tree.nodes())
-            for parent in parents:
-                children = _eligible_children(tree, parent, ctx, pending)
-                if children and _makes_progress(children):
-                    yield _gamma_step(tree, parent, children, ctx), list(pending)
+            for parent, children in _gamma_options(tree, ctx, pending):
+                yield _gamma_step(tree, parent, children, ctx), pending
                 if len(children) > 1:
                     for child in children:
                         if _makes_progress([child]):
-                            yield (
-                                _gamma_step(tree, parent, [child], ctx),
-                                list(pending),
-                            )
+                            yield _gamma_step(tree, parent, [child], ctx), pending
         # Swaps: any non-root node can be promoted.
         for node in tree.nodes():
             if tree.parent(node) is not None:
-                yield SwapStep(node.name), list(pending)
+                yield SwapStep(node.name), pending
 
 
-# ---------------------------------------------------------------------------
-# Cost-based search (data-driven estimates, cover-bound pruning)
-# ---------------------------------------------------------------------------
 class CostBasedOptimizer(ExhaustiveOptimizer):
     """Dijkstra over f-trees priced by *estimated* factorisation size.
 
@@ -517,90 +575,14 @@ class CostBasedOptimizer(ExhaustiveOptimizer):
     past the state cap it falls back to the greedy plan.
     """
 
-    def plan(self, ftree: FTree, ctx: PlanContext) -> FPlan:
-        if not ctx.stats:
-            return super().plan(ftree, ctx)
-        # Over a single input every path is covered by its one
-        # hyperedge (s ≡ 1): the bound can prune nothing there.
-        prune = len(ctx.hypergraph.edges) > 1
-        budget = 0.0
-        if prune:
-            greedy_trees = GreedyOptimizer().plan(ftree, ctx).simulate(ftree)
-            budget = max(
-                (s_parameter(tree, ctx.hypergraph) for tree in greedy_trees),
-                default=0.0,
-            )
-        size_memo: dict = {}
-        s_memo: dict = {}
-        sig_memo: dict = {}
-        # Shared across candidate trees: most differ in very few nodes,
-        # so their per-path estimates are overwhelmingly repeats.
-        node_memo: dict = {}
 
-        def tree_size(signature, tree: FTree) -> float:
-            cached = size_memo.get(signature)
-            if cached is None:
-                cached = estimated_tree_size(
-                    tree, ctx.hypergraph, ctx.stats, ctx.scale, node_memo
-                )
-                size_memo[signature] = cached
-            return cached
-
-        def tree_s(signature, tree: FTree) -> float:
-            cached = s_memo.get(signature)
-            if cached is None:
-                cached = s_parameter(tree, ctx.hypergraph)
-                s_memo[signature] = cached
-            return cached
-
-        start_pending = tuple(
-            eq for eq in ctx.equalities if not _same_node(ftree, eq)
-        )
-        heap: list[
-            tuple[float, int, FTree, tuple[Equality, ...], tuple[Step, ...]]
-        ] = []
-        counter = 0
-        heapq.heappush(heap, (0.0, counter, ftree, start_pending, ()))
-        seen: set = {(_signature(ftree, sig_memo), start_pending)}
-        expanded = 0
-        while heap:
-            cost, _, tree, pending, steps = heapq.heappop(heap)
-            if self._is_goal(tree, pending, ctx):
-                return FPlan(steps)
-            expanded += 1
-            if expanded > self.max_states:
-                break
-            for step, new_pending in self._edges(tree, pending, ctx):
-                new_tree = step.apply_tree(tree)
-                signature = _signature(new_tree, sig_memo)
-                state = (signature, tuple(new_pending))
-                if state in seen:
-                    continue
-                if prune and tree_s(signature, new_tree) > budget + 1e-9:
-                    continue
-                seen.add(state)
-                counter += 1
-                heapq.heappush(
-                    heap,
-                    (
-                        cost + tree_size(signature, new_tree),
-                        counter,
-                        new_tree,
-                        tuple(new_pending),
-                        steps + (step,),
-                    ),
-                )
-        return GreedyOptimizer().plan(ftree, ctx)
-
-
-def _signature(tree: FTree, memo: "dict | None" = None):
+def _signature(tree: FTree, memo: dict):
     """Structural state signature (order-insensitive among siblings).
 
     Candidate trees of one search share the subtrees a step left alone
     (the same node objects), so ``memo`` — node → signature, kept for
     the search — computes each subtree's signature once.
     """
-    memo = {} if memo is None else memo
     return tuple(sorted(_node_signature(root, memo) for root in tree.roots))
 
 

@@ -16,7 +16,6 @@ from repro.core.cost import (
     _greedy_cover,
     _pure_cover_solve,
     estimated_node_count,
-    estimated_plan_cost,
     estimated_tree_size,
 )
 from repro.core.ftree import build_ftree
@@ -162,17 +161,6 @@ def test_estimated_tree_size_rewards_small_side_roots():
     assert estimated_tree_size(
         x_up, hypergraph, stats
     ) > estimated_tree_size(y_up, hypergraph, stats)
-
-
-def test_estimated_plan_cost_sums_trees():
-    edges = _edges({"V": "jxy"})
-    hypergraph = Hypergraph(edges)
-    stats = _stats(V=(1000, {"j": 10, "x": 500, "y": 5}))
-    tree = build_ftree([("j", ["x", "y"])])
-    single = estimated_tree_size(tree, hypergraph, stats)
-    assert estimated_plan_cost(
-        [tree, tree], hypergraph, stats
-    ) == pytest.approx(2 * single)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from repro.core.optimizer import (
 from repro.data.workloads import WORKLOAD, section6_ftree
 from repro.query import Equality
 from repro.relational.operators import multiway_join
+from repro.stats.model import AttributeStats, RelationStats
 
 
 HYPERGRAPH = Hypergraph(
@@ -167,11 +168,43 @@ def test_exhaustive_small_join_plan():
     assert any(isinstance(step, MergeStep) for step in plan)
 
 
-def test_exhaustive_falls_back_when_capped():
+def _stats(**relations):
+    return {
+        name: RelationStats(
+            name=name,
+            rows=rows,
+            attributes={
+                attribute: AttributeStats(distinct=distinct, total=rows)
+                for attribute, distinct in distincts.items()
+            },
+        )
+        for name, (rows, distincts) in relations.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "stats",
+    [
+        None,
+        _stats(
+            Orders=(400, {"customer": 20, "date": 30, "package": 8}),
+            Packages=(40, {"package": 8, "item": 12}),
+            Items=(12, {"item": 12, "price": 10}),
+        ),
+    ],
+    ids=["size-bound", "statistics"],
+)
+def test_exhaustive_falls_back_when_capped(stats):
+    """Past the state cap the search returns the greedy plan and says
+    so, whether it prices by the size bound or by estimates (which also
+    prune by the greedy plan's s-bound over these three inputs)."""
     ctx = _context(WORKLOAD["Q2"].query)
+    ctx.stats = stats
     tight = ExhaustiveOptimizer(max_states=1)
     plan = tight.plan(section6_ftree(), ctx)  # falls back to greedy
     greedy = GreedyOptimizer().plan(section6_ftree(), ctx)
+    assert plan.fallback == "state cap 1 → greedy plan"
+    assert greedy.fallback is None
 
     def shape(steps):
         # Aggregate names are freshly minted, so compare shapes only.

@@ -129,3 +129,34 @@ def test_a_retained_plan_applies_each_runs_selections(database):
             runs.append(got)
     assert runs[1].lifecycle.plan_cache == "hit"
     assert sorted(runs[0].rows) != sorted(runs[1].rows)
+
+
+def test_the_search_reports_and_counts_its_fallback(database):
+    """Past its state cap the search returns the greedy plan: compile's
+    provenance, ``explain()``, the result's explain and
+    ``repro_fallback_total`` all say so."""
+    from repro.api.engines import FDBBackend
+    from repro.obs.export import parse_prometheus, render_prometheus
+
+    def fallbacks() -> float:
+        samples = parse_prometheus(render_prometheus())["repro_fallback_total"]
+        key = (("layer", "optimizer"), ("reason", "state_cap"))
+        return samples["samples"][("repro_fallback_total", key)]
+
+    line = "fallback: state cap 1 → greedy plan"
+    sql = "SELECT customer, SUM(price) AS revenue FROM R1 GROUP BY customer"
+    query = parse_query(sql)
+    before = fallbacks()
+    backend = FDBBackend()
+    backend._engine.optimizer.max_states = 1
+    compiled = backend.plan(query, database)
+    assert compiled.provenance["fallback"] == "state cap 1 → greedy plan"
+    assert fallbacks() == before + 1
+    assert line in backend.explain(query, database).splitlines()
+    with connect(database, cache=False) as session:
+        result = session.execute(sql, engine=backend)
+        assert result.explain().splitlines().count(line) == 1
+        assert sorted(result.rows) == sorted(session.sql(sql, engine="sqlite").rows)
+    searched = FDBEngine().compile(query, database)
+    assert searched.provenance["fallback"] is None
+    assert "fallback:" not in FDBEngine().explain(query, database)

@@ -112,19 +112,25 @@ def test_collected_database_never_lends_its_statistics():
     cache.clear()
     rounds = 120
     tokens, addresses = set(), set()
-    for round_ in range(rounds):
-        width = 2 + round_ % 3
-        schema = tuple(f"c{i}" for i in range(width))
-        rows = [tuple(range(j, j + width)) for j in range(width * 5)]
-        database = Database([Relation(schema, rows, name="R")])
-        stats = cache.relation_stats(database, "R")
-        assert tuple(stats.attributes) == schema
-        assert stats.rows == len(rows)
-        assert all(entry.total for entry in stats.attributes.values())
-        tokens.add(database.token)
-        addresses.add(id(database))
-        del database, stats
-        gc.collect()
+    # Each round's full collection frees the dead database; with the
+    # session's heap frozen it walks only what this loop allocated.
+    gc.freeze()
+    try:
+        for round_ in range(rounds):
+            width = 2 + round_ % 3
+            schema = tuple(f"c{i}" for i in range(width))
+            rows = [tuple(range(j, j + width)) for j in range(width * 5)]
+            database = Database([Relation(schema, rows, name="R")])
+            stats = cache.relation_stats(database, "R")
+            assert tuple(stats.attributes) == schema
+            assert stats.rows == len(rows)
+            assert all(entry.total for entry in stats.attributes.values())
+            tokens.add(database.token)
+            addresses.add(id(database))
+            del database, stats
+            gc.collect()
+    finally:
+        gc.unfreeze()
     assert len(tokens) == rounds
     if len(addresses) == rounds:
         pytest.skip("the allocator reused no address: scenario not exercised")

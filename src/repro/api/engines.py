@@ -74,8 +74,14 @@ class Engine(ABC):
     def run(self, query: Query, database: "Database") -> EngineRun:
         """Execute ``query`` against ``database`` (one-shot plan+run)."""
 
-    def explain(self, query: Query, database: "Database") -> str:
-        """Describe the evaluation strategy without executing."""
+    def explain(
+        self, query: Query, database: "Database", artifact: Any = None
+    ) -> str:
+        """Describe the evaluation strategy without executing.
+
+        ``artifact`` is the retained :meth:`plan` output a run executed
+        ``query`` with, when there was one: a backend that can render it
+        describes that plan instead of planning again."""
         return f"{self.name}: {query}"
 
     # ------------------------------------------------------------------
@@ -170,7 +176,11 @@ class FDBBackend(Engine):
             *self._engine.execute_planned(artifact, query, database)
         )
 
-    def explain(self, query: Query, database: "Database") -> str:
+    def explain(
+        self, query: Query, database: "Database", artifact: Any = None
+    ) -> str:
+        if isinstance(artifact, FDBCompiled):
+            return self._engine.render(artifact, query)
         return self._engine.explain(query, database)
 
     def forward(
@@ -244,7 +254,9 @@ class RDBBackend(Engine):
             stages.append(f"λ{query.limit}")
         return tuple(stages)
 
-    def explain(self, query: Query, database: "Database") -> str:
+    def explain(
+        self, query: Query, database: "Database", artifact: Any = None
+    ) -> str:
         engine = self._engine
         lines = [
             f"query: {query}",
@@ -399,7 +411,9 @@ class SQLiteBackend(Engine):
         relation = Relation(schema, rows, name=query.name or "result")
         return EngineRun(relation=relation)
 
-    def explain(self, query: Query, database: "Database") -> str:
+    def explain(
+        self, query: Query, database: "Database", artifact: Any = None
+    ) -> str:
         from repro.plan.params import collect_params
 
         connection = self._ensure(database)

@@ -420,7 +420,7 @@ def run_optimizer_study(scale: float = 0.25) -> ExperimentReport:
     """
     from repro.core.cost import Hypergraph, plan_cost, s_parameter
     from repro.core.optimizer import ExhaustiveOptimizer, GreedyOptimizer, PlanContext
-    from repro.core.output import expand_functions
+    from repro.core.aggregates import planner_components
 
     database = build_workload_database(scale=scale)
     fact = database.get_factorised("R1")
@@ -440,7 +440,7 @@ def run_optimizer_study(scale: float = 0.25) -> ExperimentReport:
         ctx = PlanContext(
             hypergraph=hypergraph,
             kept=frozenset(query.group_by),
-            functions=expand_functions(query.aggregates),
+            functions=planner_components(query.aggregates),
             order=tuple(
                 k for k in query.order_by if k.attribute not in aliases
             ),

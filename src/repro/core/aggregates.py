@@ -3,12 +3,11 @@
 The recursion itself — count, sum and min/max over the relation
 *represented* by a factorisation fragment, in time linear in the size
 of the fragment — is the level-batched γ of :mod:`repro.core.kernels`.
-This module holds what it looks up on the way: which node carries an
-aggregate's attribute (an atomic node's values, or a partial component
-of an aggregate node), how a product of factors splits over a node and
-its children, the localised-flattening enumerator for factors that need
-joint values, and the Proposition 2 composition predicates used by the
-optimiser.
+This module holds what it looks up on the way: how a product of
+factors splits over a node (its own values, or a stored partial of an
+aggregate node) and its children, the localised-flattening enumerator
+for factors that need joint values, and the Proposition 2 composition
+predicates used by the optimiser.
 
 Aggregate attributes are interpreted as pre-aggregated relations
 (Example 6): a ⟨count(X): c⟩ singleton counts as ``c`` tuples, and a
@@ -81,45 +80,8 @@ def empty_aggregate_row(specs: Sequence) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Attribute location helpers
+# Products of factors over a product of fragments
 # ---------------------------------------------------------------------------
-def subtree_carries(node: FNode, attribute: str, function: str) -> bool:
-    """Whether ``node``'s subtree can supply ``function`` over ``attribute``.
-
-    True if the subtree holds the atomic attribute or an aggregate
-    attribute with a matching partial component.  An aggregate attribute
-    that merely *covers* the attribute (aggregated it away without
-    keeping the right component) makes a later evaluation illegal; that
-    is reported by the evaluators, not here.
-    """
-    for current in node.walk():
-        if attribute in current.attributes:
-            return True
-        if current.aggregate is not None:
-            partial = "sum" if function == "sum" else function
-            if current.aggregate.component(partial, attribute) is not None:
-                return True
-            if current.aggregate.covers(attribute):
-                return True
-    return False
-
-
-def _locate_nodes(
-    nodes: Sequence[FNode], attribute: str, function: str
-) -> int:
-    carriers = [
-        index
-        for index, node in enumerate(nodes)
-        if subtree_carries(node, attribute, function)
-    ]
-    if len(carriers) != 1:
-        raise CompositionError(
-            f"attribute {attribute!r} must occur in exactly one fragment of "
-            f"a product; found {len(carriers)}"
-        )
-    return carriers[0]
-
-
 def _available_attributes(node: FNode) -> set[str]:
     """Attributes a fragment can speak about: atomic or aggregated-over."""
     attrs: set[str] = set()
@@ -130,9 +92,6 @@ def _available_attributes(node: FNode) -> set[str]:
     return attrs
 
 
-# ---------------------------------------------------------------------------
-# Products of factors over a product of fragments
-# ---------------------------------------------------------------------------
 def assign_factors(
     factors: Sequence[Expr], nodes: Sequence[FNode]
 ) -> "tuple[tuple[Expr, ...], ...] | None":
@@ -159,16 +118,17 @@ def assign_factors(
 
 
 def split_term(
-    factors: Sequence[Expr], node: FNode
+    function: str, factors: Sequence[Expr], node: FNode
 ) -> tuple[int, "int | None", "int | None", "tuple | None"]:
-    """How Σ Π ``factors`` decomposes at ``node``: ``(power, lift,
-    weight, below)``.
+    """How ⊕ Π ``factors`` decomposes at ``node``, ⊕ being ``function``
+    (``sum``, ``min`` or ``max``): ``(power, lift, weight, below)``.
 
     On an atomic node, ``power`` factors are the node's own attribute:
     each value enters to that power.  On an aggregate node, the stored
-    partial sum ``lift`` stands for the one factor it aggregated, or,
-    when it aggregated none, the count component ``weight`` multiplies
-    in (Example 6).  ``below`` assigns the other factors to the children
+    partial ``lift`` of ``function`` stands for the one factor it
+    aggregated, or, when it aggregated none, the count component
+    ``weight`` multiplies into a sum (Example 6; extrema ignore counts).
+    ``below`` assigns the other factors to the children
     (:func:`assign_factors`); ``None`` when a factor needs this node's
     and a child's values jointly, or two children's.
     """
@@ -181,14 +141,15 @@ def split_term(
             return 0, None, None, None
         return len(here), None, None, assign_factors(rest, node.children)
     if not here:
-        return 0, None, _count_component(node), assign_factors(rest, node.children)
+        weight = _count_component(node) if function == "sum" else None
+        return 0, None, weight, assign_factors(rest, node.children)
     lift = None
     if len(here) == 1 and isinstance(here[0], Attr):
-        lift = aggregate.sum_component(here[0].name)
+        lift = aggregate.component(function, here[0].name)
     if lift is None:
         raise CompositionError(
-            f"cannot sum {' * '.join(map(str, here))} over aggregate "
-            f"attribute {aggregate}: it keeps no partial sum of it "
+            f"cannot {function} {' * '.join(map(str, here))} over aggregate "
+            f"attribute {aggregate}: it keeps no partial {function} of it "
             "(illegal composition, Prop. 2)"
         )
     return 0, lift, None, assign_factors(rest, node.children)
@@ -231,54 +192,23 @@ class ExpressionStats:
         )
 
 
-def flatten_sum(
+def flatten(
+    function: str,
     factors: Sequence[Expr],
     items: Sequence[FragmentItem],
     count: Counter,
     stats: ExpressionStats | None = None,
     binding: "dict | None" = None,
 ) -> Any:
-    """Σ Π ``factors`` over a product of fragments, by localised
-    flattening: the fragments holding the factors' attributes are
-    enumerated down to those attributes, the others weigh in with their
-    counts.  ``binding`` fixes attributes from outside the fragments."""
+    """⊕ Π ``factors`` over a product of fragments by localised
+    flattening, ⊕ being ``function`` (``sum``, ``min`` or ``max``): the
+    fragments holding the factors' attributes are enumerated down to
+    those attributes.  Under a sum each row weighs in with its
+    multiplicity and every other fragment with its count; extrema do
+    not distribute over arithmetic and ignore multiplicities.
+    ``binding`` fixes attributes from outside the fragments."""
     binding = binding or {}
     needed = {a for factor in factors for a in factor.attributes()} - set(binding)
-    weight = 1
-    for node, union in items:
-        if not _available_attributes(node) & needed:
-            weight *= count(node, union)
-    involved = [item for item in items if _available_attributes(item[0]) & needed]
-    total: Any = 0
-    rows = 0
-    for row, multiplicity in _iter_forest_bindings(involved, needed, count):
-        row.update(binding)
-        value: Any = multiplicity
-        for factor in factors:
-            value *= factor.evaluate(row)
-        total += value
-        rows += 1
-    if stats is not None:
-        stats.record_flatten(rows)
-    return total * weight
-
-
-def flatten_extremum(
-    function: str,
-    expr: Expr,
-    items: Sequence[FragmentItem],
-    count: Counter,
-    stats: ExpressionStats | None = None,
-    binding: "dict | None" = None,
-) -> Any:
-    """min/max of a scalar expression over a product of fragments.
-
-    Extrema do not distribute over arithmetic, so the involved
-    fragments are enumerated (weights — multiplicities — are
-    irrelevant for extrema); independent fragments are ignored.
-    """
-    binding = binding or {}
-    needed = set(expr.attributes()) - set(binding)
     involved = [item for item in items if _available_attributes(item[0]) & needed]
     covered = set().union(*[_available_attributes(node) for node, _ in involved])
     if needed - covered:
@@ -286,12 +216,22 @@ def flatten_extremum(
             f"expression attributes {sorted(needed - covered)} are not "
             "available in the fragment forest"
         )
-    found = [
-        expr.evaluate({**row, **binding})
-        for row, _ in _iter_forest_bindings(involved, needed, count)
-    ]
-    if stats is not None and needed:
+    weighted = function == "sum"
+    found = []
+    for row, multiplicity in _iter_forest_bindings(involved, needed, count):
+        row.update(binding)
+        value: Any = multiplicity if weighted else 1
+        for factor in factors:
+            value *= factor.evaluate(row)
+        found.append(value)
+    if stats is not None:
         stats.record_flatten(len(found))
+    if weighted:
+        weight = 1
+        for node, union in items:
+            if not _available_attributes(node) & needed:
+                weight *= count(node, union)
+        return sum(found) * weight
     if not found:
         raise EmptyAggregateError(f"{function} over an empty fragment")
     return min(found) if function == "min" else max(found)
@@ -403,11 +343,12 @@ def planner_components(
 ) -> tuple[tuple[str, str | None], ...]:
     """Attribute-level γ components the optimiser may materialise.
 
-    For classical specs this matches :func:`repro.core.output.
-    expand_functions`; expression aggregates contribute per-attribute
-    partial sums (one per linear factor occurrence) plus a shared
-    count, which is exactly what the final expression evaluation can
-    compose (Σ a·b over independent branches = Σa · Σb).
+    A classical spec contributes its own component (AVG a sum and a
+    count, every COUNT ``("count", None)``); expression aggregates
+    contribute per-attribute partial sums (one per linear factor
+    occurrence) plus a shared count, which is exactly what the final
+    expression evaluation can compose (Σ a·b over independent branches
+    = Σa · Σb).
     """
     components: dict[tuple[str, str | None], None] = {}
     want = components.setdefault  # ordered, deduplicated

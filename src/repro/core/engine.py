@@ -463,14 +463,23 @@ class FDBEngine:
         return self.execute_planned(self.compile(query, database), query, database)
 
     def explain(self, query: Query, database: "Database") -> str:
-        """Compile the query and describe the plan without executing it.
+        """Compile the query and describe the plan (:meth:`render`)."""
+        return self.render(self.compile(query, database))
 
+    def render(self, compiled: FDBCompiled, query: "Query | None" = None) -> str:
+        """Describe the compiled plan without executing or planning it.
+
+        ``query`` is the runtime (parameter-bound) form it runs with, as
+        for :meth:`execute_planned`; by default ``compiled.query``.
         Shows the input f-tree, each f-plan step with the size-bound
         exponent of its output (the optimisation metric of Section 5),
         and the output shaping the engine would apply.
         """
-        compiled = self.compile(query, database)
-        query, plan, ftree = compiled.query, compiled.plan, compiled.ftree
+        if query is None:
+            query = compiled.query
+        else:
+            query = replace(query, projection=compiled.query.projection)
+        plan, ftree = compiled.plan, compiled.ftree
         provenance = compiled.provenance
         lines = [f"query: {query}"]
         lines.append(

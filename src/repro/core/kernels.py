@@ -499,64 +499,55 @@ def _live_col(node: FNode, col: Sequence[CUnion], memo: dict) -> list[bool]:
     return [not _memo_is_empty(node, sub, memo) for sub in col]
 
 
-def _carrier_meta(
-    function: str, attribute: str, node: FNode, memo: dict
-) -> tuple:
-    """Carrier decision for ``function(attribute)`` at ``node``, once per
-    node, not per fragment visit: ``("here", stored component or None)``
-    or ``("below", index of the carrying child)``."""
-
-    def meta() -> tuple:
-        if attribute in node.attributes:
-            return "here", None
-        if node.aggregate is not None:
-            component = node.aggregate.component(function, attribute)
-            if component is not None:
-                return "here", component
-            if node.aggregate.covers(attribute):
-                raise agg.CompositionError(
-                    f"aggregate attribute {node.aggregate} covers {attribute!r} "
-                    f"but retains no {function} component (illegal composition)"
-                )
-        return "below", _carrier(node.children, attribute, function, memo)
-
-    return _once(memo, ("cm", function, attribute, id(node)), meta)
+#: How a union folds the values of its entries (COUNT is a sum).
+_FOLDS = {"sum": sum, "min": min, "max": max}
 
 
-def _sum_col(
+def _fold_col(
+    function: str,
     factors: tuple,
     node: FNode,
     col: Sequence[CUnion],
     memo: dict,
     stats: "agg.ExpressionStats | None" = None,
 ) -> list:
-    """Σ Π ``factors`` over each fragment of a column: the one recursion
-    of Section 3.2, a level at a time.
+    """⊕ Π ``factors`` over each fragment of a column, ⊕ being ``sum``,
+    ``min`` or ``max``: the one recursion of Section 3.2, a level at a
+    time.
 
-    COUNT is the empty product and SUM(A) the product of one factor.
-    Factors that are this node's attribute lift its values (``price ·
-    price`` ↦ v·v), an aggregate node's stored partial sum stands for
-    the factor it aggregated and its count weighs in otherwise, each
-    other factor recurses into the one child holding it, and every
-    other child contributes its count.  Factors that need joint values
-    flatten locally, one fragment at a time.
+    COUNT is the sum of the empty product, SUM(A) the sum of one factor
+    and MIN/MAX(A) the extremum of one.  Factors that are this node's
+    attribute lift its values (``price · price`` ↦ v·v; a sorted leaf's
+    extremum is at an end), an aggregate node's stored partial of the
+    same function stands for the factor it aggregated, and under a sum
+    its count weighs in otherwise.  Each other factor recurses into the
+    one child holding it; under a sum every other child contributes its
+    count, while an extremum skips the children holding none of its
+    factors (multiplicities do not move it).  Factors that need joint
+    values flatten locally, one fragment at a time.
     """
     if not col:
         return []
-    if not factors and _plain_leaf(node):
-        return [len(sub.values) for sub in col]
-    power, lift, weight, below = _term_plan(factors, node, memo)
+    extremum = function != "sum"
+    if extremum and not all([sub.values for sub in col]):
+        raise agg.EmptyAggregateError(f"{function} over an empty fragment")
+    if _plain_leaf(node) and (extremum or not factors):
+        if not factors:
+            return [len(sub.values) for sub in col]
+        return [sub.values[0 if function == "min" else -1] for sub in col]
+    power, lift, weight, below = _term_plan(function, factors, node, memo)
     if below is None:
         count = _counter(memo)
         return [
-            agg.flatten_sum(factors, [(node, sub)], count, stats) for sub in col
+            agg.flatten(function, factors, [(node, sub)], count, stats) for sub in col
         ]
+    fold = _FOLDS[function]
     if not node.children:
         if lift is not None or weight is not None:
-            return _component_col(col, weight if lift is None else lift, memo)
+            return _component_col(col, weight if lift is None else lift, memo, fold)
         if power == 1:
-            return [sum(sub.values) for sub in col]
-        return [sum(_powers(sub.values, power)) for sub in col]
+            return [fold(sub.values) for sub in col]
+        return [fold(_powers(sub.values, power)) for sub in col]
 
     def entries(unions: Sequence[CUnion]) -> list:
         values = level_values(unions)
@@ -566,15 +557,17 @@ def _sum_col(
         elif power:
             acc = _powers(values, power)
         for index, child in enumerate(node.children):
-            got = _sum_col(
-                below[index], child, level_column(unions, index), memo, stats
+            if extremum and not below[index]:
+                continue
+            got = _fold_col(
+                function, below[index], child, level_column(unions, index), memo, stats
             )
             acc = got if acc is None else [a * k for a, k in zip(acc, got)]
         if weight is not None:
             acc = [a * value[weight] for a, value in zip(acc, values)]
         return acc
 
-    return _per_union(col, entries, sum)
+    return _per_union(col, entries, fold)
 
 
 def _powers(values: list, power: int) -> list:
@@ -585,44 +578,15 @@ def _powers(values: list, power: int) -> list:
     return out
 
 
-def _term_plan(factors: tuple, node: FNode, memo: dict) -> tuple:
+def _term_plan(function: str, factors: tuple, node: FNode, memo: dict) -> tuple:
     """:func:`repro.core.aggregates.split_term`, once per node."""
-    return _once(memo, ("tp", factors, id(node)), lambda: agg.split_term(factors, node))
+    key = ("tp", function, factors, id(node))
+    return _once(memo, key, lambda: agg.split_term(function, factors, node))
 
 
 def _counter(memo: dict) -> agg.Counter:
     """Counts of single fragments for the flattening enumerator."""
-    return lambda node, union: _sum_col((), node, [union], memo)[0]
-
-
-def _extremum_col(
-    function: str, attribute: str, node: FNode, col: Sequence[CUnion], memo: dict
-) -> list:
-    """min/max ``attribute`` of each fragment of a column, a level at a
-    time (multiplicities do not matter; sortedness gives a leaf's)."""
-    if not col:
-        return []
-    if not all([sub.values for sub in col]):
-        raise agg.EmptyAggregateError(f"{function} over an empty fragment")
-    if _plain_leaf(node):
-        # Sorted union: the extremum is at an end.
-        end = 0 if function == "min" else -1
-        return [sub.values[end] for sub in col]
-    pick = min if function == "min" else max
-    carrier, where = _carrier_meta(function, attribute, node, memo)
-    if _agg_leaf(node)[0]:
-        return _component_col(col, where, memo, pick)
-
-    def entries(unions: Sequence[CUnion]) -> list:
-        if carrier == "below":
-            return _extremum_col(
-                function, attribute, node.children[where],
-                level_column(unions, where), memo,
-            )
-        values = level_values(unions)
-        return values if where is None else [value[where] for value in values]
-
-    return _per_union(col, entries, pick)
+    return lambda node, union: _fold_col("sum", (), node, [union], memo)[0]
 
 
 def _memo_is_empty(node: FNode, union: CUnion, memo: dict) -> bool:
@@ -653,15 +617,6 @@ def _memo_is_empty(node: FNode, union: CUnion, memo: dict) -> bool:
     return got
 
 
-def _carrier(
-    nodes: Sequence[FNode], attribute: str, function: str, memo: dict
-) -> int:
-    """Which of ``nodes`` carries ``attribute`` — the subtree walk of
-    ``_locate_nodes`` resolved once per node list, not per level."""
-    key = ("lc", function, attribute, *map(id, nodes))
-    return _once(memo, key, lambda: agg._locate_nodes(nodes, attribute, function))
-
-
 def _batch_components(
     functions: Sequence[agg.Component],
     nodes: Sequence[FNode],
@@ -674,61 +629,55 @@ def _batch_components(
     """Component tuples of a level's contexts, one array pass per component.
 
     ``cols[c][i]`` is the fragment of aggregated child ``c`` in context
-    ``i`` (of a whole level).  A count or sum is the product over the
-    children of Σ Π (the factors that child holds): each child's column
-    is folded once and shared, so an AVG's sum reuses its count's
-    columns (Section 3.2.4).  ``memo`` carries what one operator
-    application resolves once: per-node term plans and carriers,
-    component columns, emptiness of shared fragments.  What needs joint
-    values — an extremum of an expression, a factor straddling children
-    or reading an attribute in ``fixed`` — is flattened locally per
-    context, with that context's ``bindings``.
+    ``i`` (of a whole level).  Every component is ⊕ Π of its factors
+    (:func:`_fold_col`): a count or sum is the product over the
+    children of the sums each child holds, each child's column folded
+    once and shared, so an AVG's sum reuses its count's columns
+    (Section 3.2.4); an extremum is that of the one child holding its
+    attribute.  ``memo`` carries what one operator application resolves
+    once: per-node term plans, component columns, emptiness of shared
+    fragments.  What needs joint values — an extremum of an expression,
+    a factor straddling children or reading an attribute in ``fixed`` —
+    is flattened locally per context, with that context's ``bindings``.
     """
     folded: dict = {}
     count = _counter(memo)
     columns: list[list] = []
     for function, target in functions:
-        if function in ("min", "max") and isinstance(target, str):
-            carrier = _carrier(nodes, target, function, memo)
-            columns.append(
-                _extremum_col(function, target, nodes[carrier], cols[carrier], memo)
-            )
-            continue
-        if function in ("min", "max"):
-            columns.append([
-                agg.flatten_extremum(
-                    function, target, list(zip(nodes, subs)), count, stats,
-                    bindings and bindings[i],
-                )
-                for i, subs in enumerate(zip(*cols))
-            ])
-            continue
-        if function not in ("count", "sum"):
+        if function not in ("count", "sum", "min", "max"):
             raise agg.CompositionError(f"unknown aggregation function {function!r}")
+        fold = "sum" if function == "count" else function
         factors = (
             () if function == "count"
             else (Attr(target),) if isinstance(target, str)
-            else target
+            else target if function == "sum"
+            else (target,)
         )
         held = None
-        if not any(fixed.intersection(f.attributes()) for f in factors):
+        # An extremum of an expression is flattened whole, per context.
+        whole = fold != "sum" and not isinstance(target, str)
+        if not whole and not any(fixed.intersection(f.attributes()) for f in factors):
             held = _assignment(factors, nodes, memo)
         if held is None:
             columns.append([
-                agg.flatten_sum(
-                    factors, list(zip(nodes, subs)), count, stats,
+                agg.flatten(
+                    fold, factors, list(zip(nodes, subs)), count, stats,
                     bindings and bindings[i],
                 )
                 for i, subs in enumerate(zip(*cols))
             ])
             continue
-        if factors and stats is not None:
+        if factors and stats is not None and fold == "sum":
             stats.native_terms += 1
         acc = None
         for c, mine in enumerate(held):
-            got = folded.get((c, mine))
+            if fold != "sum" and not mine:
+                continue
+            got = folded.get((fold, c, mine))
             if got is None:
-                got = folded[c, mine] = _sum_col(mine, nodes[c], cols[c], memo, stats)
+                got = folded[fold, c, mine] = _fold_col(
+                    fold, mine, nodes[c], cols[c], memo, stats
+                )
             acc = got if acc is None else [a * k for a, k in zip(acc, got)]
         columns.append(acc)
     return list(zip(*columns))

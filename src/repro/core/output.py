@@ -237,8 +237,8 @@ def gamma_components(
     """The final γ's components for ``specs`` grouped by ``group``, and
     whether one of them reads a grouping attribute jointly with others.
 
-    Attribute aggregates keep their own component, as in
-    :func:`expand_functions`; a SUM/AVG argument contributes one
+    Attribute aggregates keep their own component (:func:`_component`);
+    a SUM/AVG argument contributes one
     component per term (:func:`_terms`), and an expression's the count
     its NULL rule reads; a MIN/MAX of an expression stays whole; an
     argument over grouping attributes alone needs nothing but the row.
@@ -325,40 +325,12 @@ def flat_aggregate_output(
 ) -> Relation:
     """Fold the partial aggregates into one leaf per group (one γ),
     then enumerate the groups."""
-    group = query.group_by
-    functions, bound = gamma_components(query.aggregates, group)
-    schema = query.output_schema
-    order = [key for key in query.order_by if key.attribute in group]
-    path = None if bound else _join_path(fact.ftree, group)
-    if path is None:
-        # One path through the group region, in the order the
-        # enumerator expands it: rows and row order stay those of
-        # the region as it stands.
-        sequence, _ = group_expansion(fact.ftree, group, order)
-        names = [node.name for node in sequence]
-        fact = _linearise_group(fact, names)
-        path = _group_path(fact.ftree, names)
-    fact, leaf = _fold_partials(fact, group, path, functions, stats, bound)
-    rows: Iterable[tuple]
-    if not group and not fact.roots[0].values:
-        # SQL: ungrouped aggregates over zero input rows still yield
-        # one row — COUNT is 0, every other aggregate NULL (matching
-        # sqlite).
-        rows = [agg.empty_aggregate_row(query.aggregates)]
-    else:
-        result = FactorisedResult(fact, schema, leaf, query.aggregates, order)
-        rows = result.iter_tuples()
-    if query.having:
-        # SQL NULL semantics: a None value satisfies nothing.
-        tests = [(schema.index(h.target), h.test) for h in query.having]
-        rows = (
-            row
-            for row in rows
-            if all(row[at] is not None and test(row[at]) for at, test in tests)
-        )
-    if query.limit is not None:
-        rows = islice(rows, query.limit)
-    return Relation.adopt(schema, _drain(rows), name=query.name or "result")
+    order = [key for key in query.order_by if key.attribute in query.group_by]
+    fact, leaf = _aggregate_leaf(query, fact, stats, order)
+    result = FactorisedResult(
+        fact, query.output_schema, leaf, query.aggregates, order, query.limit
+    )
+    return result.to_relation(query.name)
 
 
 def finalised_result(
@@ -368,22 +340,10 @@ def finalised_result(
 ) -> FactorisedResult:
     """Fold the partial aggregates into a single aggregate node at
     the end of the linearised group path."""
-    functions, bound = gamma_components(query.aggregates, query.group_by)
-    aliases = {spec.alias for spec in query.aggregates}
-    group_order = _group_path_order(query)
-    fact = _linearise_group(fact, group_order)
-    path = _group_path(fact.ftree, group_order)
-    fact, node_name = _fold_partials(fact, group_order, path, functions, stats, bound)
-    if not group_order and not fact.roots[0].values:
-        # Ungrouped aggregates over zero rows: NULL components
-        # (counts stay 0) per SQL semantics.
-        empty = agg.empty_aggregate_components(functions)
-        fact = Factorisation(fact.ftree, [CUnion([empty], ())])
-    if query.having:
-        fact = _apply_having_factorised(query, fact, node_name)
-
+    fact, node_name = _aggregate_leaf(query, fact, stats)
     # Ordering: group-attribute keys are honoured by the linearised
     # path; an alias key requires promoting the aggregate node.
+    aliases = {spec.alias for spec in query.aggregates}
     order = tuple(query.order_by)
     if any(key.attribute in aliases for key in order):
         if len(query.aggregates) > 1:
@@ -409,11 +369,44 @@ def finalised_result(
     )
 
 
-def _apply_having_factorised(
-    query: Query, fact: Factorisation, node_name: str
-) -> Factorisation:
+def _aggregate_leaf(
+    query: Query,
+    fact: Factorisation,
+    stats: "agg.ExpressionStats | None" = None,
+    order: "Sequence[SortKey] | None" = None,
+) -> tuple[Factorisation, str]:
+    """The query's one aggregate leaf below its groups, and its name:
+    γ folds the partial aggregates into it (:func:`_fold_partials`),
+    the ungrouped leaf over zero rows holds SQL's empty components
+    (COUNT 0, every other aggregate NULL) and HAVING keeps the groups
+    whose leaf passes.
+
+    The factorised result's groups are linearised in
+    :func:`_group_path_order`.  The flat output's (``order``: its group
+    keys) are folded where they stand when one union sees every partial
+    and nothing reads a grouping attribute at the leaf; otherwise they
+    are linearised in the order the enumerator expands them, so rows
+    and row order stay those of the region as it stands.
+    """
+    group = query.group_by
+    functions, bound = gamma_components(query.aggregates, group)
+    path = None
+    if order is not None and not (bound or query.having):
+        path = _join_path(fact.ftree, group)
+    if path is None:
+        names = (
+            _group_path_order(query)
+            if order is None
+            else [node.name for node in group_expansion(fact.ftree, group, order)[0]]
+        )
+        fact = _linearise_group(fact, names)
+        path = _group_path(fact.ftree, names)
+    fact, leaf = _fold_partials(fact, group, path, functions, stats, bound)
+    if not group and not fact.roots[0].values:
+        empty = agg.empty_aggregate_components(functions)
+        fact = Factorisation(fact.ftree, [CUnion([empty], ())])
     for condition in query.having:
-        if condition.target in query.group_by:
+        if condition.target in group:
             # HAVING over a grouping attribute is a plain selection.
             fact = ops.select_constant(
                 fact, Comparison(condition.target, condition.op, condition.value)
@@ -423,9 +416,9 @@ def _apply_having_factorised(
         # SQL NULL semantics: a None aggregate satisfies no condition.
         fact = _on_leaf(
             fact,
-            node_name,
+            leaf,
             spec,
-            query.group_by,
+            group,
             lambda unions, finals: splice_level(
                 unions,
                 live=[
@@ -434,7 +427,7 @@ def _apply_having_factorised(
                 ],
             ),
         )
-    return fact
+    return fact, leaf
 
 
 def _spj_output(
@@ -508,32 +501,6 @@ def _spj_output(
     if query.limit is not None:
         rows = islice(rows, query.limit)
     return Relation.adopt(out_schema, _drain(rows), name=query.name or "result")
-
-
-def expand_functions(
-    specs: Sequence[AggregateSpec],
-) -> tuple[tuple[str, "str | None"], ...]:
-    """Query aggregates as γ components, avg expanded to sum+count.
-
-    Components are deduplicated so shared counts are computed once
-    (Section 3.2.4).  Expression aggregates appear as one component over
-    their expression tree (``("sum", col("a") * col("b"))``); the
-    engine's own γ splits such a component into its terms
-    (:func:`gamma_components`).
-    """
-    components: list[tuple[str, str | None]] = []
-
-    def want(component: tuple[str, str | None]) -> None:
-        if component not in components:
-            components.append(component)
-
-    for spec in specs:
-        if spec.function == "avg":
-            want(("sum", spec.attribute))
-            want(("count", None))
-        else:
-            want(_component(spec))
-    return tuple(components)
 
 
 def _component(spec: AggregateSpec) -> tuple:

@@ -329,7 +329,10 @@ class PreparedQuery:
                 parameters=self._parameters,
             )
             self._observe(root, backend.name, "hit", run_seconds)
-            return self._wrap(bound, backend, payload, info)
+            # What a hit serves was computed with the plan this handle
+            # retains, if it has run one.
+            retained = None if self._artifact is MISS else self._artifact
+            return self._wrap(bound, backend, payload, info, retained)
         backend = session._resolve(self._engine)
         artifact = self._current_artifact(backend, database)
         with spans.span("engine.run", engine=backend.name):
@@ -359,7 +362,7 @@ class PreparedQuery:
         # The retained plan serves every later run of this handle: from
         # now on optimisation is skipped, which is what "hit" reports.
         self._plan_status = "hit"
-        return self._wrap(bound, backend, payload, info)
+        return self._wrap(bound, backend, payload, info, artifact)
 
     def _observe(
         self, root, engine: str, result_cache: str, run_seconds: float
@@ -379,13 +382,16 @@ class PreparedQuery:
         backend: "Engine",
         payload: "EngineRun",
         info: LifecycleInfo,
+        artifact: Any,
     ) -> "Result":
+        """The run's Result; its explain renders ``artifact``, the plan
+        the run executed (``None``: the backend plans ``bound`` again)."""
         from repro.api.result import Result
 
         database = self._session.database  # keep the Result from
         # pinning the session (and its caches): the closure captures
-        # only the backend and the database, as a Result may outlive
-        # the session that produced it.
+        # only the backend, the database and the artifact, as a Result
+        # may outlive the session that produced it.
         return Result(
             bound,
             backend.name,
@@ -393,7 +399,7 @@ class PreparedQuery:
             factorised=payload.factorised,
             plan=payload.plan,
             trace=payload.trace,
-            explain_fn=lambda: backend.explain(bound, database),
+            explain_fn=lambda: backend.explain(bound, database, artifact),
             seconds=info.run_seconds,
             lifecycle=info,
         )

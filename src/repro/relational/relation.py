@@ -12,6 +12,7 @@ for both interpretations are provided.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 Tuple_ = tuple
@@ -50,7 +51,9 @@ class Relation:
                     f"row arity {len(row)} does not match schema arity "
                     f"{len(schema)} in relation {self.name!r}"
                 )
-        self._index: dict[Any, Any] = {}
+        # Per attribute position, value -> rows (None: selected on
+        # once, not indexed yet); built by select_eq.
+        self._index: dict[int, "dict[Any, list[Row]] | None"] = {}
 
     @classmethod
     def adopt(
@@ -157,10 +160,28 @@ class Relation:
         return Relation(schema, kept, name=f"σ({self.name})")
 
     def select_eq(self, attribute: str, value: Any) -> "Relation":
-        """Selection σ_{attribute = value} (the common fast path)."""
+        """Selection σ_{attribute = value} (the common fast path).
+
+        The first selection on an attribute scans the rows; the second
+        indexes the attribute's values (one pass), and every later one
+        is a lookup — so a relation selected on once, as a written
+        relation is before its next write, pays no index.  Catalogue
+        relations are replaced, not changed, on every write, and
+        :meth:`extend` drops the index, so it never outlives the rows it
+        was built on.
+        """
         pos = self.position(attribute)
-        kept = [row for row in self.rows if row[pos] == value]
-        return Relation(self.schema, kept, name=f"σ({self.name})")
+        index = self._index.get(pos)
+        if index is None and pos in self._index:
+            index = self._index[pos] = defaultdict(list)
+            for row in self.rows:
+                index[row[pos]].append(row)
+        if index is None:
+            self._index[pos] = None  # the next selection on it indexes
+            kept = [row for row in self.rows if row[pos] == value]
+        else:
+            kept = list(index.get(value, ()))
+        return Relation.adopt(self.schema, kept, name=f"σ({self.name})")
 
     def rename(self, mapping: dict[str, str]) -> "Relation":
         """Rename attributes according to ``mapping`` (missing keys kept)."""
@@ -175,6 +196,7 @@ class Relation:
 
     def extend(self, rows: Iterable[Sequence[Any]]) -> None:
         """Append rows in place (generator/loader support)."""
+        self._index = {}
         for row in rows:
             row = tuple(row)
             if len(row) != len(self.schema):

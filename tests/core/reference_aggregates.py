@@ -20,14 +20,71 @@ from repro.core.aggregates import (
     EmptyAggregateError,
     ExpressionStats,
     _available_attributes,
-    _locate_nodes,
-    subtree_carries,
 )
 from repro.core.frep import CUnion, iter_entries, singleton_cunion
 from repro.core.ftree import FNode
 from repro.expr import Attr, Expr, Term, linearise
 
 FragmentItem = tuple[FNode, CUnion]
+
+
+def subtree_carries(node: FNode, attribute: str, function: str) -> bool:
+    """Whether ``node``'s subtree can supply ``function`` over ``attribute``.
+
+    True if the subtree holds the atomic attribute or an aggregate
+    attribute with a matching partial component.  An aggregate attribute
+    that merely *covers* the attribute (aggregated it away without
+    keeping the right component) makes a later evaluation illegal; that
+    is reported by the evaluators, not here.
+    """
+    for current in node.walk():
+        if attribute in current.attributes:
+            return True
+        if current.aggregate is not None:
+            partial = "sum" if function == "sum" else function
+            if current.aggregate.component(partial, attribute) is not None:
+                return True
+            if current.aggregate.covers(attribute):
+                return True
+    return False
+
+
+def _locate_nodes(
+    nodes: Sequence[FNode], attribute: str, function: str
+) -> int:
+    carriers = [
+        index
+        for index, node in enumerate(nodes)
+        if subtree_carries(node, attribute, function)
+    ]
+    if len(carriers) != 1:
+        raise CompositionError(
+            f"attribute {attribute!r} must occur in exactly one fragment of "
+            f"a product; found {len(carriers)}"
+        )
+    return carriers[0]
+
+
+def expand_functions(specs: Sequence) -> tuple[tuple[str, "str | None"], ...]:
+    """Query aggregates as γ components, avg expanded to sum+count.
+
+    Components are deduplicated so shared counts are computed once
+    (Section 3.2.4); every COUNT is ``("count", None)``.  Expression
+    aggregates appear as one component over their expression tree
+    (``("sum", col("a") * col("b"))``), which the oracles evaluate
+    whole; the engine's own γ splits it into its terms
+    (:func:`repro.core.output.gamma_components`).
+    """
+    components: dict[tuple, None] = {}
+    for spec in specs:
+        if spec.function == "avg":
+            components.setdefault(("sum", spec.attribute))
+            components.setdefault(("count", None))
+        elif spec.function == "count":
+            components.setdefault(("count", None))
+        else:
+            components.setdefault((spec.function, spec.attribute))
+    return tuple(components)
 
 
 def _carries(node: FNode, attribute: str, function: str) -> str:

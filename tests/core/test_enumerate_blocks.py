@@ -27,11 +27,7 @@ from repro.core.enumerate import (
 from repro.core.fplan import ExecutionTrace, FPlan, SelectStep
 from repro.core.frep import CUnion, Factorisation
 from repro.core.ftree import FNode, FTree
-from repro.core.output import (
-    expand_functions,
-    finalised_result,
-    flat_aggregate_output,
-)
+from repro.core.output import finalised_result, flat_aggregate_output
 from repro.data.workloads import FULL_WORKLOAD, build_workload_database
 from repro.database import Database
 from repro.query import Query, aggregate, target_attributes
@@ -40,6 +36,7 @@ from repro.relational.sort import normalise_order
 from repro.sql import parse_query
 
 from tests.core import reference_aggregates as ref
+from tests.core.reference_aggregates import expand_functions
 
 
 # ---------------------------------------------------------------------------

@@ -26,11 +26,12 @@ from repro.core.frep import (
     splice_level,
 )
 from repro.core.ftree import AggregateAttribute, FNode, FTree
-from repro.core.output import expand_functions, finaliser, gamma_components
+from repro.core.output import finaliser, gamma_components
 from repro.expr import col
 from repro.query import Comparison, aggregate
 
 from tests.core import reference_aggregates as ref
+from tests.core.reference_aggregates import expand_functions
 
 
 # ---------------------------------------------------------------------------
@@ -729,6 +730,42 @@ def test_a_term_below_a_count_node_is_weighted_by_its_count():
     functions = (("sum", (col("p"), col("p"))), ("sum", "p"), ("count", None))
     got = ops.apply_aggregation(fact, "a", ["n"], functions, "out")
     assert shape(got.roots[0]) == ([0], [[([(2 * 17 + 3 * 25, 25, 7)], [])]])
+
+
+def test_extrema_lift_the_stored_partial_of_an_aggregate_node():
+    """An aggregate node keeping min/max of ``p`` stands for ``p`` in a
+    later MIN/MAX, below an entry (a γ swapped above ``q``) and as a
+    leaf; its counts weigh in a sum, never an extremum; keeping only a
+    sum of ``p`` refuses the extremum (Prop. 2)."""
+    kept = (("min", "p"), ("max", "p"), ("count", None))
+    m = AggregateAttribute(kept, frozenset({"p"}), "m")
+    tree = FTree([FNode(("a",), (FNode(m, (leaf("q"),), ("k",)),), ("k",))])
+    m_union = CUnion([(1, 4, 1), (3, 9, 2)], ([CUnion([5, 7], ()), CUnion([2], ())],))
+    fact = Factorisation(tree, [CUnion([0], ([m_union],))])
+    functions = (
+        ("min", "p"), ("max", "p"), ("min", "q"), ("max", "q"),
+        ("count", None), ("sum", "q"),
+    )
+    got = ops.apply_aggregation(fact, "a", ["m"], functions, "out")
+    want = (1, 9, 2, 7, 1 * 2 + 2 * 1, 1 * (5 + 7) + 2 * 2)
+    assert shape(got.roots[0]) == ([0], [[([want], [])]])
+    assert_same(got, ref_aggregate(fact, "a", ["m"], functions, "out"))
+
+    flat = FTree([FNode(("a",), (FNode(m, (), ("k",)),), ("k",))])
+    leaves = [CUnion([(2, 8, 1), (5, 6, 3)], ()), CUnion([(4, 4, 1)], ())]
+    fact = Factorisation(flat, [CUnion([0, 1], (leaves,))])
+    functions = (("max", "p"), ("count", None), ("min", "p"))
+    got = ops.apply_aggregation(fact, "a", ["m"], functions, "out")
+    assert shape(got.roots[0]) == ([0, 1], [[([(8, 4, 2)], []), ([(4, 1, 4)], [])]])
+    assert_same(got, ref_aggregate(fact, "a", ["m"], functions, "out"))
+
+    sums = AggregateAttribute((("sum", "p"), ("count", None)), frozenset({"p"}), "m")
+    only_sums = FTree([FNode(("a",), (FNode(sums, (), ("k",)),), ("k",))])
+    fact = Factorisation(only_sums, [CUnion([0], ([CUnion([(7, 2)], ())],))])
+    for function in ("min", "max"):
+        check_gamma(fact, "a", ["m"], ((function, "p"),), "out")
+        with pytest.raises(agg.CompositionError):
+            ops.apply_aggregation(fact, "a", ["m"], ((function, "p"),), "out")
 
 
 def test_extrema_over_an_empty_fragment_still_raise():

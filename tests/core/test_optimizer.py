@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.build import factorise, factorise_path
 from repro.core.cost import Hypergraph, s_parameter
-from repro.core.output import expand_functions
 from repro.core.fplan import AggregateStep, MergeStep, SwapStep
 from repro.core.optimizer import (
     ExhaustiveOptimizer,
@@ -15,6 +14,8 @@ from repro.data.workloads import WORKLOAD, section6_ftree
 from repro.query import Equality
 from repro.relational.operators import multiway_join
 from repro.stats.model import AttributeStats, RelationStats
+
+from tests.core.reference_aggregates import expand_functions
 
 
 HYPERGRAPH = Hypergraph(

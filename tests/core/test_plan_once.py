@@ -134,7 +134,8 @@ def test_a_retained_plan_applies_each_runs_selections(database):
 def test_the_search_reports_and_counts_its_fallback(database):
     """Past its state cap the search returns the greedy plan: compile's
     provenance, ``explain()``, the result's explain and
-    ``repro_fallback_total`` all say so."""
+    ``repro_fallback_total`` all say so, once per compile — the result's
+    explain renders the executed plan and compiles nothing."""
     from repro.api.engines import FDBBackend
     from repro.obs.export import parse_prometheus, render_prometheus
 
@@ -155,7 +156,10 @@ def test_the_search_reports_and_counts_its_fallback(database):
     assert line in backend.explain(query, database).splitlines()
     with connect(database, cache=False) as session:
         result = session.execute(sql, engine=backend)
+        ran = fallbacks()
+        assert ran == before + 3  # compile, explain, the execute's compile
         assert result.explain().splitlines().count(line) == 1
+        assert fallbacks() == ran  # the result renders the plan that ran
         assert sorted(result.rows) == sorted(session.sql(sql, engine="sqlite").rows)
     searched = FDBEngine().compile(query, database)
     assert searched.provenance["fallback"] is None

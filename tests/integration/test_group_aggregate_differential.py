@@ -8,7 +8,10 @@ compared rounded.  ``SUM(price * price)`` grouped by ``customer`` once
 raised a CompositionError under the cost optimiser (a count aggregate
 swapped above ``price``), and ``COUNT(price)`` ordered by its alias
 once raised an ExprError (its final leaf was keyed ``("count",
-"price")``, its γ component ``("count", None)``).
+"price")``, its γ component ``("count", None)``).  Over a zero-row
+input (``WHERE price > 1000000``) the ungrouped statements yield SQL's
+one row (COUNT 0, every other aggregate NULL), which HAVING filters
+like any group's.
 """
 
 import pytest
@@ -51,9 +54,9 @@ def sessions():
         session.close()
 
 
-def _statement(group: str, aggregate: str, having: bool) -> str:
+def _statement(group: str, aggregate: str, having: bool, where: str = "") -> str:
     select = f"{group}, " if group else ""
-    sql = f"SELECT {select}{aggregate} AS v FROM R1"
+    sql = f"SELECT {select}{aggregate} AS v FROM R1{where}"
     if group:
         sql += f" GROUP BY {group}"
     return sql + (" HAVING v > 100" if having else "")
@@ -72,6 +75,18 @@ def test_grouped_aggregates_match_sqlite(sessions, group, aggregate):
     for having in (False, True):
         sql = _statement(group, aggregate, having)
         want = _rounded(sessions["sqlite"].sql(sql).rows)
+        for engine in ENGINES[:2]:
+            assert _rounded(sessions[engine].sql(sql).rows) == want, (engine, sql)
+
+
+@pytest.mark.parametrize("aggregate", AGGREGATES)
+@pytest.mark.parametrize("group", ["", "customer"])
+def test_aggregates_over_zero_rows_match_sqlite(sessions, group, aggregate):
+    kept = "COUNT" in aggregate  # 0 passes ``v < 100``; NULL passes nothing
+    for having, rows in (("", 1), (" HAVING v > 100", 0), (" HAVING v < 100", kept)):
+        sql = _statement(group, aggregate, False, " WHERE price > 1000000") + having
+        want = _rounded(sessions["sqlite"].sql(sql).rows)
+        assert len(want) == (0 if group else rows), sql
         for engine in ENGINES[:2]:
             assert _rounded(sessions[engine].sql(sql).rows) == want, (engine, sql)
 

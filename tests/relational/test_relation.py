@@ -70,6 +70,22 @@ def test_select_eq(r):
     assert r.select_eq("b", "y").rows == [(2, "y")]
 
 
+def test_select_eq_keeps_row_order_and_owns_its_rows(r):
+    kept = r.select_eq("a", 1)
+    assert kept.rows == [(1, "x"), (1, "z")]
+    kept.rows.append((1, "q"))  # the caller's list, not the index's
+    assert r.select_eq("a", 1).rows == [(1, "x"), (1, "z")]
+    assert r.select_eq("a", 9).rows == []
+
+
+def test_select_eq_sees_a_row_appended_by_extend(r):
+    assert r.select_eq("a", 3).rows == []  # scans a
+    assert r.select_eq("a", 3).rows == []  # indexes a
+    r.extend([(3, "w"), (1, "v")])
+    assert r.select_eq("a", 3).rows == [(3, "w")]
+    assert r.select_eq("a", 1).rows == [(1, "x"), (1, "z"), (1, "v")]
+
+
 def test_rename(r):
     renamed = r.rename({"a": "alpha"})
     assert renamed.schema == ("alpha", "b")

@@ -70,15 +70,6 @@ def empty_aggregate_components(functions: Sequence[Component]) -> tuple:
     )
 
 
-def empty_aggregate_row(specs: Sequence) -> tuple:
-    """The single output row of ungrouped aggregates over zero rows.
-
-    ``specs`` are :class:`repro.query.AggregateSpec`-likes; same SQL
-    rule as :func:`empty_aggregate_components`, keyed by spec function.
-    """
-    return empty_aggregate_components([(spec.function, None) for spec in specs])
-
-
 # ---------------------------------------------------------------------------
 # Products of factors over a product of fragments
 # ---------------------------------------------------------------------------

@@ -29,8 +29,7 @@ Public surface:
 - :func:`iter_blocks` / :func:`iter_columns` / :func:`iter_tuples` —
   enumeration in an order satisfying Theorem 2, or one merge away from
   it; :func:`on_demand_swap` / :func:`merge_steps` — which orders the
-  merge serves and what it costs; :func:`fragment_rows` — the rows of
-  one fragment, for maintenance deltas;
+  merge serves and what it costs;
 - :func:`group_expansion` — the order in which a group-by region is
   expanded and the fragments left hanging below it, which the engine
   folds into one aggregate leaf per group before enumerating blocks;
@@ -42,7 +41,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from heapq import merge
 from itertools import accumulate, chain, compress, islice, pairwise, repeat
 from math import ceil, log2, prod
@@ -512,23 +510,6 @@ def _expand_merged(
 def _rows(block: tuple[int, list[list]]) -> list[tuple]:
     count, columns = block
     return list(zip(*columns)) if columns else [()] * count
-
-
-def fragment_rows(nodes: Sequence[FNode], unions: Sequence) -> list[tuple]:
-    """The rows of the forest ``nodes`` whose roots hold ``unions``:
-    over its names in pre-order (an attribute class repeats its value
-    per attribute), listed in that order."""
-    return list(chain.from_iterable(map(_rows, _walk(_preorder(tuple(nodes)), unions))))
-
-
-@lru_cache(maxsize=256)
-def _preorder(nodes: tuple[FNode, ...]) -> _Plan:
-    """The :class:`_Plan` of :func:`fragment_rows` (nodes are immutable,
-    and maintenance enumerates the fragments of a few nodes again and
-    again)."""
-    sequence = [node for root in nodes for node in root.walk()]
-    picks = [j for j, node in enumerate(sequence) for _ in node.all_names]
-    return _plan(nodes, sequence, [False] * len(sequence), picks)
 
 
 def _merge_plan(

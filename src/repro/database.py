@@ -719,11 +719,10 @@ class Database:
                 )
 
     def _apply_change(self, change) -> LogRecord:
+        """Apply one change that :meth:`_validate_change` accepted."""
         from repro.ivm.delta import Insertion
 
         name = change.relation
-        if name not in self:
-            raise UnknownRelationError(name)
         schema = self.schema(name)
         if isinstance(change, Insertion):
             rows = self._resolve_insert(change, schema)
@@ -783,30 +782,11 @@ class Database:
         return record
 
     def _resolve_insert(self, change, schema: Sequence[str]) -> list[tuple]:
-        from repro.ivm.delta import DeltaError
-
         columns = change.columns or tuple(schema)
-        unknown = [c for c in columns if c not in schema]
-        if unknown:
-            raise DeltaError(
-                f"unknown columns {unknown!r} for relation "
-                f"{change.relation!r} (schema: {tuple(schema)!r})"
-            )
-        missing = [c for c in schema if c not in columns]
-        if missing:
-            raise DeltaError(
-                f"insert into {change.relation!r} misses columns "
-                f"{missing!r}; partial rows are not supported"
-            )
         positions = [columns.index(c) for c in schema]
         current = set(self._current_rows(change.relation, schema))
         out: list[tuple] = []
         for row in change.rows:
-            if len(row) != len(columns):
-                raise DeltaError(
-                    f"row arity {len(row)} does not match columns "
-                    f"{tuple(columns)!r}"
-                )
             ordered = tuple(row[p] for p in positions)
             if ordered in current:
                 continue  # set semantics: already present
@@ -815,20 +795,12 @@ class Database:
         return out
 
     def _resolve_delete(self, change, schema: Sequence[str]) -> list[tuple]:
-        from repro.ivm.delta import DeltaError
-
         current = self._current_rows(change.relation, schema)
         present = set(current)
         if change.rows is not None:
             out: list[tuple] = []
             seen: set[tuple] = set()
             for row in change.rows:
-                if len(row) != len(schema):
-                    raise DeltaError(
-                        f"row arity {len(row)} does not match schema "
-                        f"{tuple(schema)!r} of {change.relation!r}"
-                    )
-                row = tuple(row)
                 if row in present and row not in seen:
                     seen.add(row)
                     out.append(row)
@@ -891,8 +863,8 @@ class Database:
                     delta = ViewDelta(
                         name=view_name,
                         schema=tuple(new_fact.schema()),
-                        added=tuple(splice.added),
-                        removed=tuple(splice.removed),
+                        inserted=tuple(splice.inserted),
+                        deleted=tuple(splice.deleted),
                         nodes_touched=splice.nodes_touched,
                     )
                 except IndependenceViolation as violation:
@@ -928,9 +900,9 @@ class Database:
     ) -> "Factorisation":
         """Fall back to re-factorising a view after a failed splice."""
         from repro.core.build import factorise
+        from repro.core.ftree import path_ftree
         from repro.ivm.delta import DeltaError
         from repro.ivm.maintain import contributors
-        from repro.relational.operators import multiway_join
 
         if any(node.is_aggregate for node in fact.ftree.nodes()):
             raise DeltaError(
@@ -980,15 +952,25 @@ class Database:
                 f"view {view_name!r} needs a rebuild but its contributors "
                 f"{missing!r} are not in the catalogue"
             )
-        names = sorted(contributors(fact))
-        joined = multiway_join([self.flat(key) for key in names])
-        absent = [a for a in attributes if a not in joined.schema]
+        inputs = [self.flat(key) for key in sorted(contributors(fact))]
+        produced = [a for relation in inputs for a in relation.schema]
+        absent = [a for a in attributes if a not in produced]
         if absent:
             raise DeltaError(
                 f"view {view_name!r} cannot be rebuilt: its contributors "
                 f"do not produce attributes {absent!r}"
             )
-        return factorise(joined.project(attributes), fact.ftree)
+        # The join of the contributors' projections onto the view is the
+        # projection of their join, unless the view drops an attribute
+        # joining two of them: that join is then factorised over a path
+        # (valid for any join) and projected.
+        dropped = {a for a in produced if a not in attributes and produced.count(a) > 1}
+        kept = set(attributes) | dropped
+        projected = [r.project([a for a in r.schema if a in kept]) for r in inputs]
+        if not dropped:
+            return factorise(projected, fact.ftree)
+        joined = factorise(projected, path_ftree(sorted(kept), view_name))
+        return factorise(joined.to_relation().project(attributes), fact.ftree)
 
     def _append_log(self, record: LogRecord) -> None:
         """Append one record, truncating with respect for pinned readers.

@@ -5,9 +5,13 @@ immutable :class:`Delta` batches (:mod:`repro.ivm.delta`); registered
 factorisations are kept fresh by routing each delta to the f-tree
 branches owned by the touched relation and splicing the sorted unions
 locally (:mod:`repro.ivm.maintain`), falling back to a recorded rebuild
-when a change genuinely violates the f-tree's independence assumptions;
-and :class:`LiveView` (:mod:`repro.ivm.view`) maintains aggregate query
-results additively on top of the database's change log.
+when a change genuinely violates the f-tree's independence assumptions.
+Each change is logged per view as a :class:`ViewDelta`: its inserted
+and deleted halves as factorisations sharing the view's fragments,
+whose rows are enumerated only when a consumer reads them.
+:class:`LiveView` (:mod:`repro.ivm.view`) maintains aggregate query
+results on top of the database's change log, folding each change's γ
+components — from the engine's own plan — into its groups.
 
 Quickstart::
 

@@ -26,9 +26,14 @@ Two maintenance modes exist:
   assumptions and :class:`IndependenceViolation` is raised with the
   reason — the caller falls back to re-factorising and records it.
 
-Both modes report the exact view-level delta (rows added and removed,
-in the factorisation's schema order) so that downstream consumers —
-live aggregate views, forwarded SQL backends — can update additively.
+Both modes report the exact view-level delta as factorised halves over
+the view's f-tree (:class:`ViewDelta`): what a change inserted and what
+it deleted, kept apart because subtraction is not a union.  A routed
+row contributes its anchor path with the changed branch cut to what
+changed, sharing the sibling branches and the other roots with the
+view; a direct row contributes itself as a one-row factorisation.
+Nothing is enumerated unless a consumer — a forwarded SQL backend, a
+live view — reads the rows.
 
 A splice edits the view the kernels read, in its own representation:
 the value array and every child column of a touched
@@ -40,16 +45,15 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import product as iter_product
+from functools import cached_property
+from itertools import chain
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.core.build import factorise
-from repro.core.enumerate import fragment_rows
 from repro.core.frep import (
     CUnion,
     Factorisation,
     _tuple_count,
-    _value_tuple,
     empty_cunion,
     iter_entries,
     singleton_cunion,
@@ -80,31 +84,42 @@ class IndependenceViolation(Exception):
 class ViewDelta:
     """The effect of one change on one maintained view.
 
-    ``added``/``removed`` are exact row-level deltas over ``schema``
-    when the maintenance was incremental; a ``rebuilt`` delta carries
-    no rows (consumers must recompute).
+    When the maintenance was incremental, ``inserted``/``deleted`` are
+    the exact halves of the change as factorisations over the view's
+    f-tree (sharing its fragments): disjoint, and together the rows the
+    change added and removed.  ``added``/``removed`` are those rows over
+    ``schema``, enumerated on first use.  A ``rebuilt`` delta carries
+    nothing (consumers must recompute).
     """
 
     name: str
     schema: tuple[str, ...]
-    added: tuple[Row, ...] = ()
-    removed: tuple[Row, ...] = ()
+    inserted: tuple[Factorisation, ...] = ()
+    deleted: tuple[Factorisation, ...] = ()
     rebuilt: bool = False
     reason: str | None = None
     nodes_touched: int = 0
+
+    @cached_property
+    def added(self) -> tuple[Row, ...]:
+        return tuple(chain.from_iterable(f.iter_tuples() for f in self.inserted))
+
+    @cached_property
+    def removed(self) -> tuple[Row, ...]:
+        return tuple(chain.from_iterable(f.iter_tuples() for f in self.deleted))
 
 
 def drift_magnitude(delta: ViewDelta, view_rows: int = 0) -> float:
     """Changed-row magnitude of one delta for statistics drift.
 
-    Incremental deltas report their exact row churn; a rebuild carries
-    no rows, so the caller passes the view's current cardinality and
-    the whole view counts as changed (its statistics are wholesale
-    stale either way).
+    Incremental deltas report their exact row churn, counted on the
+    factorised halves; a rebuild carries no rows, so the caller passes
+    the view's current cardinality and the whole view counts as changed
+    (its statistics are wholesale stale either way).
     """
     if delta.rebuilt:
         return float(max(view_rows, 1))
-    return float(len(delta.added) + len(delta.removed))
+    return float(sum(f.tuple_count() for f in delta.inserted + delta.deleted))
 
 
 @dataclass
@@ -112,8 +127,8 @@ class _Splice:
     """Mutable bookkeeping threaded through one maintenance operation."""
 
     nodes_touched: int = 0
-    added: list[Row] = field(default_factory=list)
-    removed: list[Row] = field(default_factory=list)
+    inserted: list[Factorisation] = field(default_factory=list)
+    deleted: list[Factorisation] = field(default_factory=list)
 
 
 def contributors(fact: Factorisation) -> frozenset[str]:
@@ -188,25 +203,6 @@ def _u_make(entries: Sequence[tuple], arity: int) -> CUnion:
     )
 
 
-# ---------------------------------------------------------------------------
-# Local deltas are exact row sets, enumerated by the read path's expander
-# (:func:`repro.core.enumerate.fragment_rows`)
-# ---------------------------------------------------------------------------
-def _cross(
-    prefix: Row, parts: Sequence[tuple[FNode, Any]], at: int, rows: Sequence[Row]
-) -> list[Row]:
-    """Delta rows of a product: ``prefix``, then ``rows`` for part
-    ``at`` crossed with every other part's fragment (an entry's sibling
-    branches, or a forest's other roots)."""
-    if not rows:
-        return []
-    expanded = [
-        rows if index == at else fragment_rows((node,), (union,))
-        for index, (node, union) in enumerate(parts)
-    ]
-    return [sum(combo, prefix) for combo in iter_product(*expanded)]
-
-
 def _find(union: CUnion, value: Any) -> int | None:
     """Index of ``value`` in a sorted union, or None."""
     try:
@@ -236,9 +232,6 @@ class _RowView:
     def __contains__(self, attribute: str) -> bool:
         return attribute in self.positions
 
-    def get(self, attribute: str) -> Any:
-        return self.row[self.positions[attribute]]
-
     def node_value(self, node: FNode) -> Any:
         """The row's value for an atomic node (class-consistent)."""
         held = [a for a in node.attributes if a in self.positions]
@@ -265,10 +258,6 @@ def _positions(columns: Sequence[str]) -> dict[str, int]:
     return {name: index for index, name in enumerate(columns)}
 
 
-def _reorder(row_view: _RowView, schema: Sequence[str]) -> Row:
-    return tuple(row_view.get(name) for name in schema)
-
-
 # ---------------------------------------------------------------------------
 # Direct maintenance: the delta targets the represented relation
 # ---------------------------------------------------------------------------
@@ -281,18 +270,28 @@ def _check_maintainable(fact: Factorisation) -> None:
             )
 
 
-def _direct_columns(fact: Factorisation, columns: Sequence[str], verb: str) -> tuple:
-    """``(column positions, view schema)`` of a direct change's rows."""
+def _direct_columns(fact: Factorisation, columns: Sequence[str], verb: str) -> dict:
+    """The column positions of a direct change's rows."""
     _check_maintainable(fact)
     positions = _positions(columns)
-    schema = fact.schema()
-    missing = [name for name in schema if name not in positions]
+    missing = [name for name in fact.schema() if name not in positions]
     if missing:
         raise DeltaError(
             f"{verb} rows miss view attribute {missing[0]!r} "
             f"(columns: {tuple(columns)!r})"
         )
-    return positions, schema
+    return positions
+
+
+def _row_union(node: FNode, view: _RowView) -> CUnion:
+    """A one-entry union representing exactly the row's subtree projection."""
+    subs = [_row_union(child, view) for child in node.children]
+    return singleton_cunion(view.node_value(node), subs)
+
+
+def _row_fact(ftree: FTree, view: _RowView) -> Factorisation:
+    """The row as a one-row factorisation over ``ftree``."""
+    return Factorisation(ftree, [_row_union(node, view) for node in ftree.roots])
 
 
 def direct_insert(
@@ -302,7 +301,7 @@ def direct_insert(
     splice: _Splice,
 ) -> Factorisation:
     """Splice ``rows`` (over ``columns``) into the represented relation."""
-    positions, schema = _direct_columns(fact, columns, "insert")
+    positions = _direct_columns(fact, columns, "insert")
     roots = list(fact.roots)
     for raw in rows:
         view = _RowView(positions, raw)
@@ -314,7 +313,7 @@ def direct_insert(
                 f"class {mismatch.node.label()!r}"
             ) from None
         if added:
-            splice.added.append(_reorder(view, schema))
+            splice.inserted.append(_row_fact(fact.ftree, view))
     return Factorisation(fact.ftree, roots)
 
 
@@ -375,10 +374,8 @@ def _direct_splice_union(
     value = view.node_value(node)
     index = _find(union, value)
     if index is None:
-        splice.nodes_touched += 1
-        subs = tuple(
-            _fresh_union(child, view, splice) for child in node.children
-        )
+        splice.nodes_touched += sum(1 for _ in node.walk())
+        subs = tuple(_row_union(child, view) for child in node.children)
         at = bisect_left(union.values, value)
         return _u_insert(union, at, value, subs), True, True
     children = _u_children(union, index)
@@ -397,14 +394,6 @@ def _direct_splice_union(
     return _u_replace(union, index, value, new_children), True, True
 
 
-def _fresh_union(node: FNode, view: _RowView, splice: _Splice) -> CUnion:
-    """A one-entry union representing exactly the row's subtree projection."""
-    splice.nodes_touched += 1
-    value = view.node_value(node)
-    subs = [_fresh_union(child, view, splice) for child in node.children]
-    return singleton_cunion(value, subs)
-
-
 def direct_delete(
     fact: Factorisation,
     rows: Sequence[Row],
@@ -412,7 +401,7 @@ def direct_delete(
     splice: _Splice,
 ) -> Factorisation:
     """Remove ``rows`` (over ``columns``) from the represented relation."""
-    positions, schema = _direct_columns(fact, columns, "delete")
+    positions = _direct_columns(fact, columns, "delete")
     roots = list(fact.roots)
     for raw in rows:
         view = _RowView(positions, raw)
@@ -426,7 +415,7 @@ def direct_delete(
         if not contained:
             continue
         roots = _direct_delete_row(fact.ftree, roots, view, splice)
-        splice.removed.append(_reorder(view, schema))
+        splice.deleted.append(_row_fact(fact.ftree, view))
     return Factorisation(fact.ftree, roots)
 
 
@@ -575,23 +564,25 @@ def _routed(
     route = _resolve_route(tree, relation, columns)
     positions = _positions(columns)
     roots = list(fact.roots)
-    forest = lambda: list(zip(tree.roots, roots))  # noqa: E731
+    at, arity = route.root_index, len(route.nodes[0].children)
     for raw in rows:
         view = _RowView(positions, raw)
         try:
             union, added, removed = _routed_walk(
-                route, 0, route.nodes[0], roots[route.root_index],
+                route, 0, route.nodes[0], roots[at],
                 view, {}, database, relation, splice, kind,
             )
         except _ClassMismatch:
             continue  # the row never joins into this view
         if union is None:
             continue  # no-op for this row
-        expanded_added = _cross((), forest(), route.root_index, added)
-        expanded_removed = _cross((), forest(), route.root_index, removed)
-        roots[route.root_index] = union
-        splice.added.extend(expanded_added)
-        splice.removed.extend(expanded_removed)
+        # Each half: the anchor root cut to what changed, the other
+        # roots shared as they stand.
+        for entries, half in ((added, splice.inserted), (removed, splice.deleted)):
+            if entries:
+                cut = roots[:at] + [_u_make(entries, arity)] + roots[at + 1 :]
+                half.append(Factorisation(tree, cut))
+        roots[at] = union
     return Factorisation(tree, roots)
 
 
@@ -609,9 +600,10 @@ def _routed_walk(
 ) -> tuple:
     """Apply one row at one route level.
 
-    Returns ``(new_union_or_None, added_rows, removed_rows)`` where the
-    rows are over the *subtree schema* of ``node`` and ``None`` means
-    "nothing changed here".
+    Returns ``(new_union_or_None, added, removed)``: ``None`` means
+    "nothing changed here", and ``added``/``removed`` list the
+    ``(value, children)`` entries of ``node``'s union that hold exactly
+    the tuples the row added and removed below it.
     """
     last = position == len(route.nodes) - 1
     if id(node) in route.owned:
@@ -636,18 +628,17 @@ def _routed_walk(
         if index is None:
             return None, [], []  # row never contributed
         if last:
-            entry = singleton_cunion(union.values[index], _u_children(union, index))
-            removed = fragment_rows((node,), (entry,))
             splice.nodes_touched += 1
-            return _u_remove(union, index), [], removed
+            entry = (union.values[index], _u_children(union, index))
+            return _u_remove(union, index), [], [entry]
         return _routed_descend(
             route, position, node, union, index, view, bindings,
             database, relation, splice, kind,
         )
     # Non-owned route node: the change applies below every entry.
     entries: list[tuple] = []
-    added: list[Row] = []
-    removed: list[Row] = []
+    added: list[tuple] = []
+    removed: list[tuple] = []
     changed = False
     for index in range(len(union.values)):
         result, entry_added, entry_removed = _routed_entry(
@@ -684,8 +675,9 @@ def _routed_entry(
     kind: str,
 ):
     """Recurse below one entry; returns ``(_UNCHANGED | (value,
-    children) | None, added, removed)`` with rows expanded to this
-    node's subtree schema (``None`` means the entry was pruned away)."""
+    children) | None, added, removed)`` (``None`` means the entry was
+    pruned away), the deltas being this entry with the route's branch
+    cut to what changed below it and its siblings shared."""
     value = union.values[index]
     children = _u_children(union, index)
     branch = route.steps[position]
@@ -699,13 +691,17 @@ def _routed_entry(
     )
     if new_child is None:
         return _UNCHANGED, [], []
-    prefix, parts = _value_tuple(node, value), list(zip(node.children, children))
-    added = _cross(prefix, parts, branch, child_added)
-    removed = _cross(prefix, parts, branch, child_removed)
+    arity = len(child.children)
+    added, removed = [
+        [(value, children[:branch] + (_u_make(part, arity),) + children[branch + 1 :])]
+        if part
+        else []
+        for part in (child_added, child_removed)
+    ]
     splice.nodes_touched += 1
     if not new_child.values:
         # ∅ absorption: an empty fragment kills the entry; everything
-        # the entry represented is exactly the expanded removal.
+        # the entry represented is exactly the removal.
         return None, added, removed
     new_children = (
         children[:branch] + (new_child,) + children[branch + 1 :]
@@ -765,8 +761,7 @@ def _routed_fresh(
             fresh.append((value, children))
     if not fresh:
         return None, [], []
-    added = fragment_rows((node,), (_u_make(fresh, len(node.children)),))
-    return new_union, added, []
+    return new_union, fresh, []
 
 
 def _fragment_union(

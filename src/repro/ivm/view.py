@@ -1,12 +1,17 @@
 """Live query results, kept fresh by additive deltas.
 
 ``session.watch(query)`` returns a :class:`LiveView`: a maintained
-result whose SUM/COUNT/AVG aggregates are updated by subtracting and
-adding delta contributions over the partial-sum state — never by
-recomputation — while MIN/MAX recompute only the groups a delta
-actually touched.  The view synchronises lazily against the database's
-version stamp and change log, so mutations through *any* path (the
-session, the database, SQL statements) are observed.
+result that keeps, per group, the component tuple the engine's γ folds
+(Section 3: COUNT, SUM and the parts of AVG are additive over ⊎) plus a
+support COUNT.  The components come from one FDB plan, compiled once:
+the query without HAVING, ORDER BY and LIMIT, over a one-relation
+database holding the target's rows.  Each change's rows run through
+that plan and the result is folded in — COUNT and SUM add with the
+change's sign, MIN and MAX combine on insertion and mark their group
+for a rerun of the same plan over the whole target when a deletion
+may have removed the extremum.  The view synchronises lazily against
+the database's version stamp and change log, so mutations through
+*any* path (the session, the database, SQL statements) are observed.
 
 Maintenance evidence is carried on the returned
 :class:`repro.api.result.Result`: ``result.explain()`` shows the
@@ -16,39 +21,39 @@ incremental-vs-recompute ratio and the factorisation rebuild count.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterator
+from dataclasses import replace
+from itertools import repeat
+from typing import TYPE_CHECKING, Iterator, Sequence
 
+from repro.core.aggregates import empty_aggregate_components
+from repro.core.engine import FDBEngine
+from repro.core.enumerate import iter_columns
+from repro.core.output import finaliser, gamma_components
+from repro.database import Database
 from repro.ivm.stats import MaintenanceStats
 from repro.obs import clock
-from repro.query import Query
+from repro.query import AggregateSpec, Query, QueryError
+from repro.relational.engine import RDBEngine
 from repro.relational.relation import Relation
-from repro.relational.sort import sort_rows
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.api.result import Result
     from repro.api.session import Session
     from repro.database import LogRecord
 
-
-class _Group:
-    """Additive state of one aggregate group."""
-
-    __slots__ = ("support", "accumulators", "dirty")
-
-    def __init__(self, n_specs: int) -> None:
-        self.support = 0  # contributing input rows
-        self.accumulators: list[Any] = [None] * n_specs
-        self.dirty = False  # a MIN/MAX needs recomputation
+#: The alias of the support COUNT added to the component plan.
+_SUPPORT = "__support"
 
 
 class LiveView:
     """A maintained query result (see the module docstring).
 
     Incremental maintenance applies when the query aggregates over a
-    single input relation; everything else falls back to re-running the
-    query (counted in :attr:`stats` as a recompute).  HAVING, ORDER BY
-    and LIMIT are re-applied over the maintained group table on every
-    refresh — they are result-sized, not data-sized.
+    single input relation that the FDB engine plans; everything else
+    falls back to re-running the query (counted in :attr:`stats` as a
+    recompute).  HAVING, ORDER BY and LIMIT are re-applied to the
+    finalised groups on every refresh by the RDB stages — they are
+    result-sized, not data-sized.
     """
 
     def __init__(
@@ -58,19 +63,18 @@ class LiveView:
         self._query = query
         self._engine = engine
         self.stats = MaintenanceStats()
-        self._groups: dict[tuple, _Group] = {}
-        self._dirty_keys: set[tuple] = set()
+        #: Group key -> γ's component tuple (the support COUNT included).
+        self._groups: dict[tuple, tuple] = {}
+        self._dirty: set[tuple] = set()
         self._result: "Result | None" = None
         self._version = session.database.version
-        self._supported = self._check_supported()
+        #: The component plan's input: a one-relation database whose
+        #: relation each fold replaces (never logged or versioned).
+        self._input = Database()
+        self._plan = self._compile()
         self._seconds = 0.0
-        self._counting = True
         start = clock.now()
-        if self._supported:
-            self._rebuild_groups()
-            self._result = self._result_from_groups()
-        else:
-            self._result = self._run_query()
+        self._result = self._recompute()
         self._seconds = clock.now() - start
 
     # ------------------------------------------------------------------
@@ -106,30 +110,58 @@ class LiveView:
     def refresh(self) -> "Result":
         """Force a full recomputation (and count it as one)."""
         self.stats.recomputes += 1
-        if self._supported:
-            self._rebuild_groups()
-            self._result = self._result_from_groups()
-        else:
-            self._result = self._run_query()
+        self._result = self._recompute()
         self._version = self._session.database.version
         return self._result
 
     def __repr__(self) -> str:
-        mode = "incremental" if self._supported else "recompute"
+        mode = "incremental" if self._plan is not None else "recompute"
         return f"LiveView({self._query}, mode={mode}, {self.stats})"
 
     # ------------------------------------------------------------------
-    # Support analysis
+    # The component plan
     # ------------------------------------------------------------------
-    def _check_supported(self) -> bool:
+    def _compile(self) -> "tuple | None":
+        """``(engine, compiled plan, component query, components)``, or
+        None when the query is not maintained incrementally."""
         query = self._query
         if not query.aggregates or len(query.relations) != 1:
-            return False
+            return None
+        target = query.relations[0]
         try:
-            schema = set(self._session.database.schema(query.relations[0]))
+            schema = self._session.database.schema(target)
         except KeyError:
-            return False
-        return query.referenced_attributes() <= schema
+            return None
+        if not query.referenced_attributes() <= set(schema):
+            return None
+        self._input.relations[target] = Relation(schema, [])
+        engine = FDBEngine(output="factorised", optimizer="greedy")
+        try:
+            components = replace(
+                query,
+                aggregates=query.aggregates + (AggregateSpec("count", None, _SUPPORT),),
+                having=(),
+                order_by=(),
+                limit=None,
+            )
+            compiled = engine.compile(components, self._input)
+        except QueryError:
+            return None
+        functions, _ = gamma_components(components.aggregates, components.group_by)
+        return engine, compiled, components, functions
+
+    def _components(self, relation: Relation) -> dict[tuple, tuple]:
+        """γ's component tuple per group of ``relation``'s rows."""
+        engine, compiled, query, _ = self._plan
+        self._input.relations[query.relations[0]] = relation
+        result, _, _ = engine.execute_planned(compiled, query, self._input)
+        fact, leaf = result.factorisation, result.aggregate_node
+        cut = len(query.group_by)
+        groups: dict[tuple, tuple] = {}
+        for columns in iter_columns(fact, (), (*query.group_by, leaf)):
+            keys = zip(*columns[:cut]) if cut else repeat(())
+            groups.update(zip(keys, columns[cut]))
+        return groups
 
     # ------------------------------------------------------------------
     # Synchronisation
@@ -140,19 +172,17 @@ class LiveView:
             return
         start = clock.now()
         records = database.changes_since(self._version)
-        if records is None or not self._supported:
+        if (
+            records is None
+            or self._plan is None
+            or not all(map(self._apply_record, records))
+        ):
             self.refresh()
-            self._seconds = clock.now() - start
-            return
-        for record in records:
-            if not self._apply_record(record):
-                self.refresh()
-                self._seconds = clock.now() - start
-                return
-        if self._dirty_keys:
-            self._recompute_dirty()
-        self._version = database.version
-        self._result = self._result_from_groups()
+        else:
+            if self._dirty:
+                self._rerun_dirty()
+            self._version = database.version
+            self._result = self._result_from_groups()
         self._seconds = clock.now() - start
 
     def _apply_record(self, record: "LogRecord") -> bool:
@@ -177,182 +207,88 @@ class LiveView:
         self.stats.incremental += 1
         self.stats.rows_inserted += len(added)
         self.stats.rows_deleted += len(removed)
-        for row in added:
-            self._absorb(dict(zip(columns, row)), +1)
-        for row in removed:
-            self._absorb(dict(zip(columns, row)), -1)
+        self._fold(added, columns, +1)
+        self._fold(removed, columns, -1)
         return True
 
     # ------------------------------------------------------------------
     # Additive group maintenance
     # ------------------------------------------------------------------
-    def _passes(self, binding: dict) -> bool:
-        query = self._query
-        for equality in query.equalities:
-            if binding[equality.left] != binding[equality.right]:
-                return False
-        for condition in query.comparisons:
-            target = condition.attribute
-            value = (
-                binding[target]
-                if isinstance(target, str)
-                else target.evaluate(binding)
-            )
-            if not condition.test(value):
-                return False
-        return True
-
-    @staticmethod
-    def _spec_value(spec, binding: dict) -> Any:
-        target = spec.attribute
-        if target is None:
-            return 1
-        if isinstance(target, str):
-            return binding[target]
-        return target.evaluate(binding)
-
-    def _absorb(self, binding: dict, sign: int) -> None:
-        if not self._passes(binding):
+    def _fold(self, rows: Sequence[tuple], columns: Sequence[str], sign: int) -> None:
+        """Fold the components of ``rows`` into the groups with ``sign``."""
+        if not rows:
             return
-        query = self._query
-        key = tuple(binding[g] for g in query.group_by)
-        group = self._groups.get(key)
-        if group is None:
-            group = _Group(len(query.aggregates))
-            self._groups[key] = group
-        group.support += sign
-        if self._counting:
+        functions = self._plan[3]
+        support = functions.index(("count", None))
+        for key, delta in self._components(Relation.adopt(columns, list(rows))).items():
+            if not delta[support]:
+                continue  # the ungrouped γ over no row that passes
             self.stats.groups_touched += 1
-        if group.support <= 0:
-            del self._groups[key]
-            self._dirty_keys.discard(key)
-            return
-        for index, spec in enumerate(query.aggregates):
-            function = spec.function
-            if function == "count":
-                continue  # derived from support
-            value = self._spec_value(spec, binding)
-            current = group.accumulators[index]
-            if function == "sum":
-                group.accumulators[index] = (
-                    value * sign if current is None else current + value * sign
-                )
-            elif function == "avg":
-                total, count = current if current is not None else (0, 0)
-                group.accumulators[index] = (
-                    total + value * sign,
-                    count + sign,
-                )
-            elif sign > 0:  # min/max gain: a direct comparison suffices
-                if current is None:
-                    group.accumulators[index] = value
-                elif function == "min":
-                    group.accumulators[index] = min(current, value)
+            current = self._groups.get(key)
+            if current is None:
+                if sign > 0:
+                    self._groups[key] = delta
+                continue
+            merged = []
+            for (function, _), mine, theirs in zip(functions, current, delta):
+                if function in ("count", "sum"):
+                    merged.append(mine + sign * theirs)
+                elif sign > 0:
+                    merged.append(min(mine, theirs) if function == "min" else max(mine, theirs))
                 else:
-                    group.accumulators[index] = max(current, value)
-            else:  # min/max loss: recompute only if the extremum left
-                if current is not None and value == current:
-                    group.dirty = True
-                    self._dirty_keys.add(key)
+                    if theirs == mine:  # the extremum may have left
+                        self._dirty.add(key)
+                    merged.append(mine)
+            if merged[support] > 0:
+                self._groups[key] = tuple(merged)
+            else:
+                del self._groups[key]
+                self._dirty.discard(key)
 
-    def _recompute_dirty(self) -> None:
-        """One scan refreshing MIN/MAX of the groups a delta touched."""
-        query = self._query
-        relation = self._session.database.flat(query.relations[0])
-        schema = relation.schema
-        extremal = [
-            (index, spec)
-            for index, spec in enumerate(query.aggregates)
-            if spec.function in ("min", "max")
-        ]
-        fresh: dict[tuple, list[Any]] = {
-            key: [None] * len(query.aggregates) for key in self._dirty_keys
-        }
-        for row in relation.rows:
-            binding = dict(zip(schema, row))
-            key = tuple(binding[g] for g in query.group_by)
-            slot = fresh.get(key)
-            if slot is None or not self._passes(binding):
-                continue
-            for index, spec in extremal:
-                value = self._spec_value(spec, binding)
-                if slot[index] is None:
-                    slot[index] = value
-                elif spec.function == "min":
-                    slot[index] = min(slot[index], value)
-                else:
-                    slot[index] = max(slot[index], value)
-        for key, values in fresh.items():
-            group = self._groups.get(key)
-            if group is None:
-                continue
-            for index, _ in extremal:
-                group.accumulators[index] = values[index]
-            group.dirty = False
-        self._dirty_keys.clear()
+    def _rerun_dirty(self) -> None:
+        """Rerun the plan over the whole target for the dirty groups."""
+        fresh = self._components(self._session.database.flat(self._query.relations[0]))
+        for key in self._dirty:
+            if key in self._groups and key in fresh:
+                self._groups[key] = fresh[key]
+        self._dirty.clear()
 
     # ------------------------------------------------------------------
-    # Full builds
+    # Full builds and results
     # ------------------------------------------------------------------
-    def _rebuild_groups(self) -> None:
-        query = self._query
-        self._groups = {}
-        self._dirty_keys = set()
-        relation = self._session.database.flat(query.relations[0])
-        schema = relation.schema
-        seen: set[tuple] = set()
-        self._counting = False  # a full build is not delta maintenance
-        try:
-            for row in relation.rows:
-                if row in seen:
-                    continue  # set semantics, matching the factorised form
-                seen.add(row)
-                self._absorb(dict(zip(schema, row)), +1)
-        finally:
-            self._counting = True
+    def _recompute(self) -> "Result":
+        if self._plan is None:
+            return self._run_query()
+        self._groups = self._components(
+            self._session.database.flat(self._query.relations[0])
+        )
+        self._dirty = set()
+        return self._result_from_groups()
 
     def _result_from_groups(self) -> "Result":
         from repro.api.result import Result
 
         query = self._query
-        schema = query.output_schema
-        rows: list[tuple] = []
-        if not query.group_by and not self._groups:
+        functions = self._plan[3]
+        groups = self._groups
+        if not query.group_by and not groups:
             # Every engine returns one grand-total row over an empty
             # input: COUNT is 0, SUM/AVG/MIN/MAX are NULL; match them.
-            from repro.core.aggregates import empty_aggregate_row
-
-            rows.append(empty_aggregate_row(query.aggregates))
-        for key in sorted(self._groups):
-            group = self._groups[key]
-            values: list[Any] = []
-            for index, spec in enumerate(query.aggregates):
-                if spec.function == "count":
-                    values.append(group.support)
-                elif spec.function == "avg":
-                    total, count = group.accumulators[index]
-                    values.append(total / count)
-                else:
-                    values.append(group.accumulators[index])
-            rows.append(key + tuple(values))
+            groups = {(): empty_aggregate_components(functions)}
+        keys = sorted(groups)
+        key_columns = list(zip(*keys))
+        values = finaliser(query.aggregates, functions, query.group_by)(
+            [groups[key] for key in keys], key_columns
+        )
+        relation = Relation.adopt(
+            query.output_schema,
+            list(zip(*key_columns, *values)),
+            name=query.name or "live",
+        )
+        rdb = RDBEngine()
         if query.having:
-            lookup_positions = {name: i for i, name in enumerate(schema)}
-            rows = [
-                row
-                for row in rows
-                if all(
-                    row[lookup_positions[condition.target]] is not None
-                    and condition.test(
-                        row[lookup_positions[condition.target]]
-                    )
-                    for condition in query.having
-                )
-            ]
-        if query.order_by:
-            rows = sort_rows(rows, schema, query.order_by)
-        if query.limit is not None:
-            rows = rows[: query.limit]
-        relation = Relation(schema, rows, name=query.name or "live")
+            relation = rdb.apply_having(query, relation)
+        relation = rdb.apply_order_and_limit(query, relation)
         backend = self._session._resolve(self._engine)
         return Result(
             query,
@@ -374,9 +310,9 @@ class LiveView:
 
         def explain() -> str:
             lines = [
-                "live view: aggregates maintained additively from the "
-                "change log (SUM/COUNT/AVG subtract-and-add; MIN/MAX "
-                "recompute affected groups only)",
+                "live view: γ's components maintained from the change "
+                "log (COUNT/SUM add with the change's sign; MIN/MAX rerun "
+                "the plan for groups whose extremum was deleted)",
                 backend.explain(query, database),
             ]
             return "\n".join(lines)

@@ -197,12 +197,15 @@ class _ResultEntry:
     no log record in ``(floor, version]`` touches ``relations``, so the
     payload is correct for any reader pinned anywhere in
     ``[floor, version]`` — and beyond ``version`` after a replay.
+    ``artifact`` is the compiled plan the payload was computed with
+    (``None`` when there was none), so a hit can render it.
     """
 
     payload: Any
     version: int
     relations: frozenset
     floor: int = -1
+    artifact: Any = None
 
     def __post_init__(self) -> None:
         if self.floor < 0:
@@ -231,7 +234,13 @@ class ResultCache:
         return len(self._entries)
 
     def lookup(self, key: Hashable, database: "Database") -> Any:
-        """The cached payload if still valid at the reader's version.
+        """The cached payload if still valid at the reader's version
+        (see :meth:`entry`)."""
+        entry = self.entry(key, database)
+        return None if entry is None else entry.payload
+
+    def entry(self, key: Hashable, database: "Database") -> "_ResultEntry | None":
+        """The cached entry if still valid at the reader's version.
 
         ``database`` may be the live database or a pinned
         :class:`repro.database.Snapshot` — validation runs against
@@ -273,7 +282,7 @@ class ResultCache:
             self._entries.move_to_end(key)
             self.stats.hits += 1
             _RESULT_HIT.inc()
-            return entry.payload
+            return entry
 
     def store(
         self,
@@ -281,12 +290,13 @@ class ResultCache:
         payload: Any,
         database: "Database",
         relations: Iterable[str],
+        artifact: Any = None,
     ) -> None:
         if not self.capacity:
             return
         with self._lock:
             self._entries[key] = _ResultEntry(
-                payload, database.version, frozenset(relations)
+                payload, database.version, frozenset(relations), artifact=artifact
             )
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:

@@ -314,11 +314,11 @@ class PreparedQuery:
         )
         start = clock.now()
         with spans.span("cache.lookup"):
-            payload = results.lookup(result_key, database)
-        if payload is not None:
+            entry = results.entry(result_key, database)
+        if entry is not None:
             # A hit needs no live backend: _peek names it without
             # freshening (no change-log forwarding for skipped work).
-            payload = _isolate(payload)  # hits never alias the snapshot
+            payload = _isolate(entry.payload)  # hits never alias the snapshot
             backend = session._peek(self._engine)
             run_seconds = clock.now() - start
             info = LifecycleInfo(
@@ -329,10 +329,8 @@ class PreparedQuery:
                 parameters=self._parameters,
             )
             self._observe(root, backend.name, "hit", run_seconds)
-            # What a hit serves was computed with the plan this handle
-            # retains, if it has run one.
-            retained = None if self._artifact is MISS else self._artifact
-            return self._wrap(bound, backend, payload, info, retained)
+            # The entry keeps the plan its payload was computed with.
+            return self._wrap(bound, backend, payload, info, entry.artifact)
         backend = session._resolve(self._engine)
         artifact = self._current_artifact(backend, database)
         with spans.span("engine.run", engine=backend.name):
@@ -344,7 +342,11 @@ class PreparedQuery:
             # Store a snapshot: the caller owns `payload` and may mutate
             # its rows; the cache entry must stay pristine.
             results.store(
-                result_key, _isolate(payload), database, self._query.relations
+                result_key,
+                _isolate(payload),
+                database,
+                self._query.relations,
+                artifact,
             )
         info = LifecycleInfo(
             plan_cache=self._plan_status,

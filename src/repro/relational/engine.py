@@ -93,7 +93,7 @@ class RDBEngine:
                 relation, query.group_by, query.aggregates, method=self.grouping
             )
             if query.having:
-                result = self._apply_having(query, result)
+                result = self.apply_having(query, result)
             return result
         if query.computed:
             return self._apply_computed(query, relation)
@@ -139,7 +139,7 @@ class RDBEngine:
             rows.append(shaped)
         return Relation(schema, rows, name=f"π({relation.name})")
 
-    def _apply_having(self, query: Query, relation: Relation) -> Relation:
+    def apply_having(self, query: Query, relation: Relation) -> Relation:
         positions = [
             (relation.position(h.target), h) for h in query.having
         ]

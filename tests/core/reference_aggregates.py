@@ -20,6 +20,7 @@ from repro.core.aggregates import (
     EmptyAggregateError,
     ExpressionStats,
     _available_attributes,
+    empty_aggregate_components,
 )
 from repro.core.frep import CUnion, iter_entries, singleton_cunion
 from repro.core.ftree import FNode
@@ -63,6 +64,12 @@ def _locate_nodes(
             f"a product; found {len(carriers)}"
         )
     return carriers[0]
+
+
+def empty_aggregate_row(specs: Sequence) -> tuple:
+    """The single output row of ungrouped aggregates over zero rows:
+    COUNT is 0, every other aggregate NULL (``None``), as in SQL."""
+    return empty_aggregate_components([(spec.function, None) for spec in specs])
 
 
 def expand_functions(specs: Sequence) -> tuple[tuple[str, "str | None"], ...]:

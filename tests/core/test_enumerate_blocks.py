@@ -14,7 +14,6 @@ from typing import Any, Iterator, Sequence
 import pytest
 
 from repro import connect
-from repro.core import aggregates as agg
 from repro.core import enumerate as enum
 from repro.core import operators as ops
 from repro.core.engine import FDBEngine, build_inputs
@@ -152,7 +151,7 @@ def ref_flat_aggregate_rows(query, fact: Factorisation) -> list[tuple]:
     rows: list[tuple] = []
     items = list(zip(fact.ftree.roots, fact.roots))
     if not query.group_by and ref.forest_is_empty(items):
-        rows = [agg.empty_aggregate_row(query.aggregates)]
+        rows = [ref.empty_aggregate_row(query.aggregates)]
         rows = [row for row in rows if passes(row)]
     else:
         order = [k for k in query.order_by if k.attribute in query.group_by]

@@ -1,9 +1,12 @@
 """LiveView: maintained aggregate results over the change log."""
 
+import random
+
 import pytest
 
 from repro import Delta, connect
 from repro.data.pizzeria import pizzeria_database
+from tests.integration.test_group_aggregate_differential import AGGREGATES
 
 
 @pytest.fixture
@@ -247,3 +250,42 @@ def test_live_stats_count_rows(session):
     assert live.result is not None
     assert live.stats.rows_inserted > 0
     assert "+0/-0" not in live.result.explain().splitlines()[-1]
+
+
+def _rounded(rows) -> list:
+    return sorted(
+        tuple(round(v, 6) if isinstance(v, float) else v for v in row)
+        for row in rows
+    )
+
+
+@pytest.mark.parametrize("aggregate", AGGREGATES)
+@pytest.mark.parametrize("group", ["", "customer"])
+def test_live_view_of_every_aggregate_equals_fdb(group, aggregate):
+    rng = random.Random(f"live/{group}/{aggregate}")
+    session = connect(pizzeria_database())
+    select = f"{group}, " if group else ""
+    sql = f"SELECT {select}{aggregate} AS v FROM R"
+    sql += f" GROUP BY {group}" if group else ""
+    live = session.watch(sql)
+    pools = {
+        "customer": ["Mario", "Pietro", "Lucia", "Zoe"],
+        "date": ["Monday", "Friday", "Sunday"],
+        "pizza": ["Margherita", "Capricciosa", "Hawaii"],
+        "item": ["base", "ham", "mushrooms", "olives"],
+        "price": [1, 2, 3, 6, 9],
+    }
+    for step in range(30):
+        name = rng.choice(("Orders", "Pizzas", "Items"))
+        flat = session.database.flat(name)
+        if flat.rows and rng.random() < 0.45:
+            session.delete(name, [rng.choice(flat.rows)])
+        else:
+            session.insert(
+                name, [tuple(rng.choice(pools[a]) for a in flat.schema)]
+            )
+        if step % 5 == 4:
+            fresh = session.sql(sql, engine="fdb").rows
+            assert _rounded(live.rows) == _rounded(fresh), (step, sql)
+    assert live.stats.recomputes == 0
+    assert live.stats.incremental > 0

@@ -7,11 +7,15 @@ splicing (bounded nodes touched, zero rebuilds) whenever the f-tree's
 independence assumptions allow it.
 """
 
+import random
+
 import pytest
 
 from repro.data.pizzeria import pizzeria_database
+from repro.data.workloads import build_workload_database
 from repro.database import Database
 from repro.ivm.delta import Delta, DeltaError
+from repro.ivm.maintain import drift_magnitude
 from repro.relational.operators import multiway_join
 from repro.relational.relation import Relation
 
@@ -232,6 +236,31 @@ def test_direct_delete_violation_falls_back():
     assert set(fact.iter_tuples()) == flat
 
 
+def test_rebuild_of_a_view_that_drops_a_join_attribute_is_exact():
+    # V keeps customer and item of Orders ⋈ Pizzas and drops pizza, the
+    # attribute that joins them: the join of the two projections would
+    # be their cross product.
+    from repro.core.build import factorise
+    from repro.core.ftree import build_ftree
+
+    database = pizzeria_database()
+
+    def expected():
+        joined = multiway_join([database.flat("Orders"), database.flat("Pizzas")])
+        return set(joined.project(("customer", "item")).rows)
+
+    tree = build_ftree(
+        [("customer", ["item"])],
+        keys={"customer": {"Orders"}, "item": {"Pizzas"}},
+    )
+    view = Relation(("customer", "item"), sorted(expected()), "V")
+    database.add_factorised("V", factorise(view, tree))
+    database.insert("Orders", [("Zoe", "Monday", "Hawaii")])
+    database.delete("Pizzas", [("Capricciosa", "ham")])
+    assert database.maintenance.rebuilds == 2
+    assert _fact_rows(database, "V") == expected()
+
+
 def test_insert_missing_column_rejected():
     database = pizzeria_database()
     with pytest.raises(DeltaError, match="misses columns"):
@@ -313,3 +342,59 @@ def test_apply_validates_whole_delta_up_front():
             + Delta.insert("Items", [("bad", 1, 2)])
         )
     assert database.flat("Items").rows == rows
+
+
+# ---------------------------------------------------------------------------
+# View deltas: the factorised halves are exactly the change
+# ---------------------------------------------------------------------------
+def _view_rows(database: Database) -> dict:
+    return {
+        name: set(fact.iter_tuples())
+        for name, fact in database.factorised.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "build, targets",
+    [
+        (pizzeria_database, ("Orders", "Pizzas", "Items", "R")),
+        (
+            lambda: build_workload_database(scale=0.25, seed=7),
+            ("Orders", "Packages", "Items", "R1", "R3"),
+        ),
+    ],
+    ids=["pizzeria", "workload"],
+)
+def test_view_delta_rows_are_the_change(build, targets):
+    rng = random.Random(f"view-delta/{'/'.join(targets)}")
+    database = build()
+    pools: dict[str, list] = {}
+    for name in targets:
+        flat = database.flat(name)
+        for position, attribute in enumerate(flat.schema):
+            values = {row[position] for row in flat.rows}
+            pools[attribute] = sorted(values | set(pools.get(attribute, ())))
+    for attribute, values in pools.items():
+        values.append(max(values) + 1 if isinstance(values[0], int) else "new")
+    checked = set()
+    for _ in range(40):
+        name = rng.choice(targets)
+        flat = database.flat(name)
+        before = _view_rows(database)
+        if flat.rows and rng.random() < 0.5:
+            report = database.delete(name, [rng.choice(flat.rows)])
+        else:
+            row = tuple(rng.choice(pools[a][-8:]) for a in flat.schema)
+            report = database.insert(name, [row])
+        after = _view_rows(database)
+        for record in report.records:
+            for view, delta in record.view_deltas.items():
+                if delta.rebuilt:
+                    continue
+                checked.add("direct" if view == record.relation else "routed")
+                assert set(delta.added) == after[view] - before[view]
+                assert set(delta.removed) == before[view] - after[view]
+                assert drift_magnitude(delta) == len(delta.added) + len(
+                    delta.removed
+                )
+    assert checked == {"direct", "routed"}

@@ -8,6 +8,7 @@ leaves the other as it was.
 
 import pytest
 
+from repro import connect
 from repro.api.engines import SQLiteBackend
 from repro.core.build import factorise
 from repro.data.workloads import build_workload_database, section6_ftree
@@ -105,3 +106,18 @@ def test_a_forwarding_sqlite_backend_receives_both_views_deltas():
             assert ("c900", "dNEW00001", package) in {row[:3] for row in table}
     finally:
         backend.close()
+
+
+def test_a_repricing_enumerates_no_view_delta_rows():
+    # No sqlite backend and no live view reads the rows: the deltas stay
+    # factorised, and drift is counted on them.
+    database = build_workload_database(scale=0.1, seed=7)
+    session = connect(database)
+    sql = "SELECT customer, SUM(price) AS revenue FROM R1 GROUP BY customer"
+    session.sql(sql)
+    report = session.apply(_repricing(database))
+    session.sql(sql)
+    deltas = [d for record in report.records for d in record.view_deltas.values()]
+    assert deltas and all(d.inserted or d.deleted for d in deltas)
+    assert not any("added" in vars(d) or "removed" in vars(d) for d in deltas)
+    assert database.drift_rows("R1") > 0

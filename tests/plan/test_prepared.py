@@ -23,6 +23,28 @@ def session():
 # ---------------------------------------------------------------------------
 # Plan cache
 # ---------------------------------------------------------------------------
+def test_a_result_cache_hit_explains_without_compiling(session, monkeypatch):
+    from repro.core.engine import FDBEngine
+
+    compiles = []
+    compile_plan = FDBEngine.compile
+    monkeypatch.setattr(
+        FDBEngine,
+        "compile",
+        lambda self, *args: compiles.append(1) or compile_plan(self, *args),
+    )
+    sql = "SELECT g, SUM(price) AS rev FROM R GROUP BY g"
+    first = session.sql(sql)
+    text = first.explain()
+    assert len(compiles) == 1
+    # Each statement gets a fresh handle: the hit's explain renders the
+    # plan kept beside the cached payload.
+    hit = session.sql(sql)
+    assert hit.lifecycle.result_cache == "hit"
+    assert hit.explain().splitlines()[0] == text.splitlines()[0]
+    assert len(compiles) == 1
+
+
 def test_repeated_execute_hits_the_plan_cache(session):
     sql = "SELECT g, SUM(price) AS rev FROM R WHERE price > :f GROUP BY g"
     first = session.execute(sql, params={"f": 4})

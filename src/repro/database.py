@@ -684,12 +684,23 @@ class Database:
     # Change application internals
     # ------------------------------------------------------------------
     def _validate_change(self, change) -> None:
-        """State-independent checks, run for the whole delta up front."""
+        """Checks that read no rows, run for the whole delta up front."""
         from repro.ivm.delta import DeltaError, Insertion
 
         name = change.relation
         if name not in self:
             raise UnknownRelationError(name)
+        for view_name, fact in self.factorised.items():
+            dropped = view_name != name and self._dropped_join_attributes(fact, name)
+            if dropped:
+                # A rebuild factorises the contributors' projections onto
+                # the view, and their join is not the projection of the
+                # join when the view drops an attribute joining two of them.
+                raise DeltaError(
+                    f"view {view_name!r} drops {dropped!r}, which join its "
+                    f"contributors, so it cannot be maintained under "
+                    f"changes to {name!r}"
+                )
         schema = self.schema(name)
         if isinstance(change, Insertion):
             columns = change.columns or tuple(schema)
@@ -717,6 +728,18 @@ class Database:
                     f"row arity {len(row)} does not match the {arity} "
                     f"expected columns of {name!r}"
                 )
+
+    def _dropped_join_attributes(self, fact: "Factorisation", name: str) -> list[str]:
+        """The attributes joining two contributors of ``fact`` that the
+        view drops, when ``name`` is one of those contributors."""
+        from repro.ivm.maintain import contributors
+
+        keys = contributors(fact)
+        if name not in keys:
+            return []
+        kept = {a for node in fact.ftree.nodes() for a in node.attributes}
+        produced = [a for key in sorted(keys) if key in self for a in self.schema(key)]
+        return sorted({a for a in produced if a not in kept and produced.count(a) > 1})
 
     def _apply_change(self, change) -> LogRecord:
         """Apply one change that :meth:`_validate_change` accepted."""
@@ -900,7 +923,6 @@ class Database:
     ) -> "Factorisation":
         """Fall back to re-factorising a view after a failed splice."""
         from repro.core.build import factorise
-        from repro.core.ftree import path_ftree
         from repro.ivm.delta import DeltaError
         from repro.ivm.maintain import contributors
 
@@ -960,17 +982,14 @@ class Database:
                 f"view {view_name!r} cannot be rebuilt: its contributors "
                 f"do not produce attributes {absent!r}"
             )
-        # The join of the contributors' projections onto the view is the
-        # projection of their join, unless the view drops an attribute
-        # joining two of them: that join is then factorised over a path
-        # (valid for any join) and projected.
-        dropped = {a for a in produced if a not in attributes and produced.count(a) > 1}
-        kept = set(attributes) | dropped
-        projected = [r.project([a for a in r.schema if a in kept]) for r in inputs]
-        if not dropped:
-            return factorise(projected, fact.ftree)
-        joined = factorise(projected, path_ftree(sorted(kept), view_name))
-        return factorise(joined.to_relation().project(attributes), fact.ftree)
+        # The view keeps every attribute joining two of its contributors
+        # (:meth:`_validate_change` refuses changes otherwise), so the
+        # join of their projections onto the view is the view.
+        projected = [
+            relation.project([a for a in relation.schema if a in attributes])
+            for relation in inputs
+        ]
+        return factorise(projected, fact.ftree)
 
     def _append_log(self, record: LogRecord) -> None:
         """Append one record, truncating with respect for pinned readers.

@@ -11,7 +11,8 @@ and deleted halves as factorisations sharing the view's fragments,
 whose rows are enumerated only when a consumer reads them.
 :class:`LiveView` (:mod:`repro.ivm.view`) maintains aggregate query
 results on top of the database's change log, folding each change's γ
-components — from the engine's own plan — into its groups.
+components — from the engine's own plan, run on the factorised halves
+of a view's delta — into its groups.
 
 Quickstart::
 

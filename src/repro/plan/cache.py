@@ -233,12 +233,6 @@ class ResultCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def lookup(self, key: Hashable, database: "Database") -> Any:
-        """The cached payload if still valid at the reader's version
-        (see :meth:`entry`)."""
-        entry = self.entry(key, database)
-        return None if entry is None else entry.payload
-
     def entry(self, key: Hashable, database: "Database") -> "_ResultEntry | None":
         """The cached entry if still valid at the reader's version.
 

@@ -69,6 +69,21 @@ def test_min_max_recompute_affected_group_only(session):
     assert live.stats.groups_touched > 0
 
 
+@pytest.mark.parametrize("group", [("customer",), ("customer", "date")])
+def test_min_max_of_a_flat_relation_after_deleting_extrema(session, group):
+    # Orders is flat: a rerun reads the rows of the dirty groups only.
+    query = (
+        session.query("Orders").group_by(*group).min("pizza", "lo").max("pizza", "hi")
+    )
+    live = session.watch(query)
+    for row in [("Mario", "Friday", "Margherita"), ("Lucia", "Friday", "Quattro")]:
+        session.insert("Orders", [row])
+    for row in [("Mario", "Monday", "Capricciosa"), ("Lucia", "Friday", "Quattro")]:
+        session.delete("Orders", [row])
+        assert sorted(live.result.rows) == _fresh(session, query.to_query())
+    assert live.stats.recomputes == 0
+
+
 def test_having_order_limit_reapplied(session):
     query = (
         session.query("R")
@@ -142,6 +157,32 @@ def test_factorisation_rebuild_does_not_break_live_view(session):
     assert database.maintenance.rebuilds == 1
     assert sorted(live.result.rows) == _fresh(session, query.to_query())
     assert live.stats.recomputes == 0
+
+
+def test_live_view_follows_a_rebuilt_f_tree(session):
+    # After a direct insert rebuilds R over a new f-tree, the deltas of
+    # later changes come over that tree: the component plan follows it.
+    database = session.database
+    queries = [
+        session.query("R").group_by("customer").sum("price", "rev"),
+        session.query("R").group_by("pizza").min("price", "lo").max("price", "hi"),
+    ]
+    views = [session.watch(query) for query in queries]
+    schema = database.flat("R").schema
+    row = dict(zip(schema, database.flat("R").rows[0]))
+    row["date"], row["customer"] = "Sunday", "Zoe"
+    row["item"], row["price"] = "caviar", 42
+    session.insert("R", [tuple(row[a] for a in schema)])
+    tree = database.get_factorised("R").ftree
+    session.delete("Items", [("pineapple", 2)])
+    session.insert("Orders", [("Lucia", "Monday", "Hawaii")])
+    assert database.maintenance.rebuilds == 1
+    assert database.get_factorised("R").ftree is tree
+    for live, query in zip(views, queries):
+        assert sorted(live.result.rows) == _fresh(session, query.to_query())
+        assert live.stats.recomputes == 0
+        assert live.stats.deltas_applied == 3
+        assert live._plan.tree is tree
 
 
 def test_rebuilt_routed_view_forces_recompute():
@@ -240,6 +281,25 @@ def test_global_aggregate_over_drained_relation_matches_engines():
     assert live.result.rows == session.execute(
         session.query("U").count("n").sum("b", "t").to_query(), engine="fdb"
     ).rows
+
+
+@pytest.mark.parametrize("aggregate", ["SUM(b) AS s", "MIN(b) AS s, COUNT(*) AS n"])
+def test_grand_total_over_no_matching_row_takes_later_inserts(aggregate):
+    from repro.relational.relation import Relation
+
+    session = connect(Relation(("a", "b"), [(1, 5), (2, 7)], "U"))
+    sql = f"SELECT {aggregate} FROM U WHERE b > 100"
+    live = session.watch(sql)
+    assert live.result.rows == session.sql(sql).rows
+    session.insert("U", [(3, 150)])
+    assert live.result.rows == session.sql(sql).rows
+    # The same from an empty target, after a drain and a refresh.
+    session.delete("U")
+    live.refresh()
+    assert live.result.rows == session.sql(sql).rows
+    session.insert("U", [(4, 120)])
+    assert live.result.rows == session.sql(sql).rows
+    assert live.stats.recomputes == 1
 
 
 def test_live_stats_count_rows(session):

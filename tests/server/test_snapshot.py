@@ -153,12 +153,12 @@ def test_result_cache_never_serves_the_future(pizzeria):
     pizzeria.insert("Items", [("truffle", 9)])
 
     cache.store("q", "computed-at-new", pizzeria, relations=("Items",))
-    assert cache.lookup("q", pizzeria) == "computed-at-new"
+    assert cache.entry("q", pizzeria).payload == "computed-at-new"
 
     # The pinned reader must not see a result computed after its pin —
     # and the miss must not evict the entry for newer readers.
-    assert cache.lookup("q", old) is None
-    assert cache.lookup("q", pizzeria) == "computed-at-new"
+    assert cache.entry("q", old) is None
+    assert cache.entry("q", pizzeria).payload == "computed-at-new"
     old.release()
 
 
@@ -173,9 +173,9 @@ def test_result_cache_validates_entry_against_reader_pin(pizzeria):
 
     # The write touched Items: evicted for the fresh reader.  Pizzas is
     # untouched: still served, at both pins.
-    assert cache.lookup("items", fresh) is None
-    assert cache.lookup("pizzas", fresh) == "old-pizzas"
-    assert cache.lookup("pizzas", snap) == "old-pizzas"
+    assert cache.entry("items", fresh) is None
+    assert cache.entry("pizzas", fresh).payload == "old-pizzas"
+    assert cache.entry("pizzas", snap).payload == "old-pizzas"
     snap.release()
     fresh.release()
 

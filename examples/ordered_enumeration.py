@@ -56,7 +56,7 @@ def main() -> None:
     r3 = db.get_factorised("R3")
     print("stored as the path", " → ".join(r3.schema()))
     start = time.perf_counter()
-    swapped = ops.swap(r3, "customer")  # the single swap of the paper
+    swapped = ops.swap(r3.ftree, "customer").run(r3)  # the single swap of the paper
     elapsed = time.perf_counter() - start
     print(f"one swap restructures it in {elapsed * 1000:.1f} ms;")
     first = next(iter_tuples(swapped, ["customer", "date", "package"]))

@@ -29,25 +29,26 @@ def main() -> None:
     print(fact.pretty())
 
     banner("Example 1.1 — S = ϖ_{customer,date,pizza; sum(price)}(R)")
-    s = ops.apply_aggregation(
-        fact, "pizza", ["item"], [("sum", "price")], name="sum(price)"
-    )
+    s = ops.aggregate(
+        fact.ftree, "pizza", ["item"], [("sum", "price")], name="sum(price)"
+    ).run(fact)
     print("f-tree is now T2:")
     print(s.ftree.pretty())
     print(s.pretty())
 
     banner("Example 1.2 — P = ϖ_{customer; sum(price)}(R), staged")
-    t3 = ops.swap(ops.swap(s, "customer"), "customer")
+    t3 = ops.swap(s.ftree, "customer").run(s)
+    t3 = ops.swap(t3.ftree, "customer").run(t3)
     print("after two swaps (T3):")
     print(t3.ftree.pretty())
-    t4 = ops.apply_aggregation(
-        t3, "pizza", ["date"], [("count", None)], name="count(date)"
-    )
+    t4 = ops.aggregate(
+        t3.ftree, "pizza", ["date"], [("count", None)], name="count(date)"
+    ).run(t3)
     print("\nafter γ_count(date) (T4):")
     print(t4.pretty())
-    final = ops.apply_aggregation(
-        t4, "customer", ["pizza"], [("sum", "price")], name="revenue"
-    )
+    final = ops.aggregate(
+        t4.ftree, "customer", ["pizza"], [("sum", "price")], name="revenue"
+    ).run(t4)
     print("\nfinal factorisation:")
     print(final.pretty())
 
@@ -61,7 +62,8 @@ def main() -> None:
         ("customer", "pizza", "item", "price"),
     ]:
         print(f"  supports {order}: {supports_order(t1, list(order))}")
-    pushed = ops.swap(ops.swap(fact, "customer"), "customer")
+    pushed = ops.swap(fact.ftree, "customer").run(fact)
+    pushed = ops.swap(pushed.ftree, "customer").run(pushed)
     print(
         "  after pushing customer up twice: "
         f"{supports_order(pushed.ftree, ['customer', 'pizza', 'item', 'price'])}"
@@ -78,9 +80,9 @@ def main() -> None:
     print(f"  E2 (product) singletons:    {e2.size()}")
 
     banner("Examples 4-5 — γ and the dependencies it introduces")
-    t2 = ops.apply_aggregation(
-        fact, "pizza", ["item"], [("sum", "price")], name="sumprice"
-    )
+    t2 = ops.aggregate(
+        fact.ftree, "pizza", ["item"], [("sum", "price")], name="sumprice"
+    ).run(fact)
     tree = t2.ftree
     print(f"  sumprice depends on pizza: "
           f"{tree.node('sumprice').depends_on(tree.node('pizza'))}")
@@ -89,13 +91,13 @@ def main() -> None:
 
     banner("Example 6 — aggregate singletons are pre-aggregated relations")
     pizzas_fact = factorise_path(pizzas, "Pizzas")
-    counted = ops.apply_aggregation(
-        pizzas_fact, "pizza", ["item"], [("count", None)], name="count(item)"
-    )
+    counted = ops.aggregate(
+        pizzas_fact.ftree, "pizza", ["item"], [("count", None)], name="count(item)"
+    ).run(pizzas_fact)
     print(counted.pretty())
-    total = ops.apply_aggregation(
-        counted, None, ["pizza"], [("count", None)], name="count(pizza,item)"
-    )
+    total = ops.aggregate(
+        counted.ftree, None, ["pizza"], [("count", None)], name="count(pizza,item)"
+    ).run(counted)
     print(f"  count(pizza, item) = {next(iter(total.iter_tuples()))[0][0]} "
           "(not 3: the partial counts weigh in)")
 

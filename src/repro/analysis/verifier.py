@@ -406,7 +406,7 @@ def verify_plan(
         if any(f.severity == "error" for f in pre):
             return findings
         try:
-            tree = step.apply_tree(tree)
+            tree = step.place(tree).tree
         except (FPlanError, FTreeError, KeyError, ValueError) as error:
             findings.append(
                 Finding(

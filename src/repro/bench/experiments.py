@@ -447,8 +447,8 @@ def run_optimizer_study(scale: float = 0.25) -> ExperimentReport:
         )
         greedy_plan = GreedyOptimizer().plan(fact.ftree, ctx)
         exhaustive_plan = ExhaustiveOptimizer().plan(fact.ftree, ctx)
-        greedy_trees = greedy_plan.simulate(fact.ftree)[1:]
-        exhaustive_trees = exhaustive_plan.simulate(fact.ftree)[1:]
+        greedy_trees = [p.tree for p in greedy_plan.place(fact.ftree)]
+        exhaustive_trees = [p.tree for p in exhaustive_plan.place(fact.ftree)]
         greedy_cost = plan_cost(greedy_trees, hypergraph)
         exhaustive_cost = plan_cost(exhaustive_trees, hypergraph)
         # The paper's optimality claim is under the *asymptotic* bounds

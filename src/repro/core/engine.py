@@ -1,4 +1,4 @@
-"""The FDB query engine: plan once, then run the plan on the current data.
+"""The FDB query engine: plan and place once, replay per run.
 
 :meth:`FDBEngine.compile` derives everything the f-plan depends on from
 the catalogue alone, exactly once (:meth:`FDBEngine.planning_inputs`):
@@ -14,13 +14,17 @@ the catalogue alone, exactly once (:meth:`FDBEngine.planning_inputs`):
    partial aggregation and restructuring into a plan over the input
    f-tree; the plan never reads a value.
 
-The :class:`FDBCompiled` artifact carries those inputs and the planning
+Every step — χ prefix, selection, f-plan — is placed on its f-tree
+there, once (:class:`repro.core.operators.Placement`): output tree,
+level and kernel arguments, with fresh keys and γ names minted, so the
+trees ``explain()`` prints are the trees that run.  The
+:class:`FDBCompiled` artifact carries the placements and the planning
 context to :meth:`FDBEngine.execute_planned`, :meth:`FDBEngine.explain`
 and the plan verifier (:mod:`repro.analysis.verifier`).  A run builds
-the input factorisation from the current data (:func:`build_inputs`),
-evaluates every selection (constant or expression) in one traversal, replays the
-plan operator by operator, and hands the result to the output stage
-(:mod:`repro.core.output`).
+the input factorisation from the current data over the compiled input
+tree (:func:`build_inputs`), replays the placements — each selection
+with this run's constants — as level kernels only, and hands the result
+to the output stage (:mod:`repro.core.output`).
 
 The engine is read-only with respect to the database: operators share
 unchanged fragments instead of mutating them.
@@ -34,7 +38,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any
 
 from repro.core import aggregates as agg
 from repro.core import operators as ops
@@ -55,6 +59,7 @@ from repro.core.optimizer import (
 from repro.core.output import shape_output
 from repro.obs.metrics import metrics
 from repro.obs.state import STATE
+from repro.plan.cache import ftree_signature
 from repro.query import Query, QueryError, natural_equalities
 
 if TYPE_CHECKING:  # pragma: no cover - circular import guard
@@ -137,14 +142,16 @@ if hasattr(os, "register_at_fork"):
 @dataclass(frozen=True)
 class PlannedInput:
     """How one input relation enters a compiled plan (see
-    :meth:`FDBEngine.planning_inputs`): names and positions only, so
+    :meth:`FDBEngine.planning_inputs`): f-trees and placements only, so
     the plan stays valid as the data changes."""
 
     name: str
     mapping: dict  # rename map (natural-join disambiguation)
     registered: bool  # the registered factorised view is used
     order: tuple[str, ...]  # path order, join attributes first
-    swaps: tuple[SwapStep, ...]  # χ prefix for its expression selections
+    swaps: FPlan  # χ prefix for its expression selections, placed on ``tree``
+    tree: FTree  # its f-tree, renamed
+    source: "FTree | None"  # the registered view's f-tree it was compiled over
 
 
 @dataclass(frozen=True)
@@ -180,19 +187,24 @@ class FDBCompiled:
     It is *value-independent*: constant-selection values never enter
     the planning context, so one compiled plan serves every parameter
     binding of the same canonical query.  ``inputs`` say how to build
-    the input factorisation over ``ftree`` from the current data, and
-    ``context`` holds the constraints the plan was chosen under.
+    the input factorisation over ``inputs_tree`` from the current data,
+    ``selections`` are the query's selections placed from there (each
+    run binds its constants) up to ``ftree``, ``plan.placed`` the plan's
+    steps placed from ``ftree``, and ``context`` holds the constraints
+    the plan was chosen under.
     """
 
     query: Query  # effective (projection-resolved), unbound form
     plan: FPlan
-    ftree: FTree
+    ftree: FTree  # the plan's input f-tree: after the selections
     inputs: tuple[PlannedInput, ...]
     context: PlanContext
     # Optimiser provenance: strategy, estimated final-tree size, the
     # statistics sources the estimate was computed from (None for plans
     # costed purely asymptotically) and the search's fallback, if any.
     provenance: dict
+    inputs_tree: FTree  # the product of the inputs' f-trees
+    selections: tuple[ops.Placement, ...]
     # The plan's order-only last χ and where it runs (see OrderSwap).
     order_swap: "OrderSwap | None" = None
 
@@ -208,10 +220,11 @@ class FDBEngine:
     """Main-memory engine for queries on factorised databases.
 
     Evaluation is a two-phase lifecycle: :meth:`compile` canonicalises
-    the query and chooses the f-plan from the *schema-level* shape of
+    the query, chooses the f-plan from the *schema-level* shape of
     the inputs (no data is touched — the optimiser only ever sees the
-    f-tree), and :meth:`execute_planned` builds the input factorisation
-    from the current data and replays the retained plan.
+    f-tree) and places its steps, and :meth:`execute_planned` builds the
+    input factorisation from the current data and replays the retained
+    placements.
     :meth:`execute_traced` is the one-shot composition of the two.
 
     Parameters
@@ -258,11 +271,15 @@ class FDBEngine:
         The provenance prices every tree the plan builds with the price
         the search used (:func:`repro.core.optimizer.tree_pricer`).
         """
-        query, inputs, ftree, ctx = self.planning_inputs(query, database)
+        query, inputs, inputs_tree, ctx = self.planning_inputs(query, database)
+        selects = FPlan(select_steps(query.comparisons, inputs_tree))
+        selections = selects.place(inputs_tree)
+        ftree = selections[-1].tree if selections else inputs_tree
         started = time.perf_counter()
         plan = self.optimizer.plan(ftree, ctx)
         _OPTIMIZER_TIMERS[self.optimizer_name].observe(time.perf_counter() - started)
-        trees = plan.simulate(ftree)
+        plan.placed = tuple(plan.place(ftree))
+        trees = [ftree, *(placement.tree for placement in plan.placed)]
         estimated = list(map(tree_pricer(ctx), trees))
         order_swap = self._order_swap(query, plan, trees, ctx, estimated[-1])
         if order_swap is not None and order_swap.on_demand:
@@ -281,7 +298,10 @@ class FDBEngine:
             "stats": sources,
             "fallback": plan.fallback,
         }
-        return FDBCompiled(query, plan, ftree, inputs, ctx, provenance, order_swap)
+        return FDBCompiled(
+            query, plan, ftree, inputs, ctx, provenance,
+            inputs_tree, tuple(selections), order_swap,
+        )
 
     def _order_swap(
         self,
@@ -298,7 +318,7 @@ class FDBEngine:
         :func:`repro.core.enumerate.on_demand_swap` can merge.  The
         choice depends only on the query and the statistics, so it is
         made once here and retained with the plan.  ``trees`` are the
-        plan's simulated trees and ``estimate`` the size of the last.
+        plan's placed trees and ``estimate`` the size of the last.
         """
         if (
             self.output != "flat"
@@ -348,9 +368,10 @@ class FDBEngine:
         Returns ``(effective_query, inputs, ftree, context)``: the
         projection-normalised query; per input relation its rename map,
         whether it is a registered view, its path order (join attributes
-        near the root) and the χ prefix that puts each of its expression
-        selections on one root-to-leaf path; the input f-tree (after the
-        χ prefixes); and the optimiser's
+        near the root), its f-tree and the χ prefix, placed on it, that
+        puts each of its expression selections on one root-to-leaf path;
+        the product of the inputs' f-trees (after the χ prefixes, before
+        the selections); and the optimiser's
         :class:`repro.core.optimizer.PlanContext` (hypergraph, kept
         attributes, aggregation components, γ coupling/protection
         constraints, and statistics for the cost-based optimiser).
@@ -362,7 +383,7 @@ class FDBEngine:
         join_attrs = {a for eq in equalities for a in (eq.left, eq.right)}
 
         inputs: list[PlannedInput] = []
-        roots: list = []
+        trees: list[FTree] = []
         hyperedges: dict[str, set[str]] = {}
         pending = [c for c in query.comparisons if c.is_expression]
         for name in query.relations:
@@ -375,25 +396,30 @@ class FDBEngine:
             if view is not None:
                 tree = view.ftree
                 for old, new in mapping.items():
-                    tree = ops.rename_tree(tree, old, new)
+                    tree = ops.rename(tree, old, new).tree
             else:
                 tree = path_ftree(order, name)
             # An expression selection is tested on one root-to-leaf path
-            # of its input's f-tree (a χ prefix puts its attributes there)
-            # and makes the nodes it reads dependent.
+            # of its input's f-tree (a χ prefix puts its attributes there).
             swaps: tuple = ()
+            current = tree
             for condition in [c for c in pending if set(c.attributes) <= set(schema)]:
                 attrs = condition.attributes
                 for attribute in attrs:
-                    more, tree = _push_up_steps(
-                        tree, attribute, lambda t: t.on_one_path(attrs)
+                    more, current = _push_up_steps(
+                        current, attribute, lambda t: t.on_one_path(attrs)
                     )
                     swaps += tuple(more)
-                if tree.on_one_path(attrs):
-                    tree = ops.select_tree(tree, condition)
+                if current.on_one_path(attrs):
                     pending.remove(condition)
-            roots.extend(tree.roots)
-            inputs.append(PlannedInput(name, mapping, view is not None, order, swaps))
+            prefix = FPlan(swaps, FPlan(swaps).place(tree))
+            trees.append(prefix.placed[-1].tree if swaps else tree)
+            source = view.ftree if view is not None else None
+            inputs.append(
+                PlannedInput(
+                    name, mapping, view is not None, order, prefix, tree, source
+                )
+            )
             hyperedges[name] = set(schema)
         if pending:
             raise QueryError(
@@ -403,7 +429,7 @@ class FDBEngine:
                 "expression selections on one path of one input relation"
             )
 
-        ftree = FTree(roots)
+        ftree = trees[0] if len(trees) == 1 else FTree([r for t in trees for r in t.roots])
         classes = _equivalence_classes(equalities)
         hypergraph = Hypergraph(hyperedges).with_equivalences(classes)
         ctx = self._plan_context(query, ftree, hypergraph, equalities)
@@ -418,14 +444,14 @@ class FDBEngine:
         """Run a compiled plan against the current data.
 
         ``query`` is the runtime (parameter-bound) form of
-        ``compiled.query``: selections and output shaping come from it,
-        while the planning work is skipped entirely — the retained
-        ``compiled.plan`` replays against an input factorisation built
-        as ``compiled.inputs`` say.
+        ``compiled.query``: the selections' constants and output shaping
+        come from it, while the planning work is skipped entirely — no
+        step is placed: the retained placements replay against an input
+        factorisation built as ``compiled.inputs`` say.
         """
         if query.projection != compiled.query.projection:
             query = replace(query, projection=compiled.query.projection)
-        fact = build_inputs(compiled.inputs, database)
+        fact = build_inputs(compiled, database)
         trace = ExecutionTrace()
         stats = agg.ExpressionStats()
         trace.expression_stats = stats
@@ -434,11 +460,21 @@ class FDBEngine:
         if order_swap is not None:
             trace.enumeration = order_swap.describe()
 
-        # Selections first (Section 5.1: evaluated in one pass each).
-        select_plan = FPlan(select_steps(query.comparisons, fact.ftree))
-        fact = select_plan.execute(fact, trace)
+        # Selections first (Section 5.1: evaluated in one pass each),
+        # placed at compile; a selection's comparisons are its kernel's
+        # first argument, bound here to this run's constants.
+        selects = select_steps(query.comparisons, compiled.inputs_tree)
+        if len(selects) != len(compiled.selections):
+            raise QueryError("the query's selections are not its plan's")
+        bound = [
+            placement._replace(args=(step.conditions, *placement.args[1:]))
+            for step, placement in zip(selects, compiled.selections)
+        ]
+        fact = FPlan(selects, bound).execute(fact, trace)
         merged = compiled.merged
-        plan = FPlan(compiled.plan.steps[:-1]) if merged else compiled.plan
+        plan = compiled.plan
+        if merged:
+            plan = FPlan(plan.steps[:-1], plan.placed[:-1])
         fact = plan.execute(fact, trace)
         if STATE.enabled and plan.steps:
             qerror = _ESTIMATE_QERROR[self.optimizer_name]
@@ -495,14 +531,14 @@ class FDBEngine:
         if provenance["fallback"]:
             lines.append(f"fallback: {provenance['fallback']}")
         for planned in filter(lambda planned: planned.swaps, compiled.inputs):
-            lines.append(f"{planned.name}: {FPlan(planned.swaps)}  (one path per σ)")
+            lines.append(f"{planned.name}: {planned.swaps}  (one path per σ)")
         lines.append("input f-tree:")
         lines.extend("  " + line for line in ftree.pretty().splitlines())
         for select in select_steps(query.comparisons, ftree):
             lines.append(f"{select}  (one traversal)")
         hypergraph = compiled.context.hypergraph
-        for step, tree in zip(plan, plan.simulate(ftree)[1:]):
-            exponent = s_parameter(tree, hypergraph)
+        for step, placement in zip(plan, plan.placed):
+            exponent = s_parameter(placement.tree, hypergraph)
             lines.append(f"{str(step):<44} bound O(|D|^{exponent:.2f})")
         if query.aggregates:
             mode = (
@@ -627,29 +663,39 @@ class FDBEngine:
 # ---------------------------------------------------------------------------
 # Helpers
 # ---------------------------------------------------------------------------
-def build_inputs(inputs: Sequence[PlannedInput], database: "Database") -> Factorisation:
-    """The input factorisation of a compiled plan, from the current data.
+def build_inputs(compiled: FDBCompiled, database: "Database") -> Factorisation:
+    """The input factorisation of a compiled plan, from the current data,
+    over ``compiled.inputs_tree``.
 
-    A registered view is renamed as planned, a flat relation renamed and
-    factorised over its planned path; then each input's χ prefix runs,
-    and the inputs are combined with the product operator.
+    A registered view's fragments are taken as they stand, over its
+    compiled (renamed) f-tree, a flat relation's are factorised over its
+    planned path; then each input's χ prefix replays, and the inputs'
+    roots side by side are their product.  The placements hold
+    positions in the f-tree they were compiled over, so a view whose
+    f-tree has changed shape since (a maintenance rebuild) raises
+    :class:`repro.query.QueryError` instead of replaying them onto it.
     """
-    facts = []
-    for planned in inputs:
+    roots: list = []
+    for planned in compiled.inputs:
         if planned.registered:
-            fact = database.get_factorised(planned.name)
-            for old, new in planned.mapping.items():
-                fact = ops.rename(fact, old, new)
+            view = database.get_factorised(planned.name)
+            if view is None or (
+                view.ftree is not planned.source
+                and ftree_signature(view.ftree) != ftree_signature(planned.source)
+            ):
+                raise QueryError(
+                    f"{planned.name!r} is no longer factorised over the f-tree "
+                    "its plan was compiled for; compile the query again"
+                )
+            fact = Factorisation(planned.tree, view.roots)
         else:
             relation = database.flat(planned.name)
             if planned.mapping:
                 relation = relation.rename(planned.mapping)
-            fact = factorise_path(relation, key=planned.name, order=list(planned.order))
-        facts.append(FPlan(planned.swaps).execute(fact))
-    fact = facts[0]
-    for other in facts[1:]:
-        fact = ops.product(fact, other)
-    return fact
+            path = factorise_path(relation, key=planned.name, order=list(planned.order))
+            fact = Factorisation(planned.tree, path.roots)
+        roots.extend(planned.swaps.execute(fact).roots)
+    return Factorisation(compiled.inputs_tree, roots)
 
 
 def _with_effective_projection(query: Query, database: "Database") -> Query:

@@ -49,7 +49,7 @@ from typing import Iterator, Sequence
 
 from repro.core.frep import CUnion, Factorisation
 from repro.core.ftree import FNode, FTree
-from repro.core.operators import swap_tree
+from repro.core.operators import swap
 from repro.relational.sort import SortKey, normalise_order
 
 #: Rows a block holds at most.  A block is filled from the innermost
@@ -119,7 +119,7 @@ def restructure_for_order(ftree: FTree, order: Sequence) -> list[str]:
             node = current.node(key.attribute)
             parent = current.parent(node)
             if parent is not None and not (set(parent.all_names) & seen):
-                current = swap_tree(current, node.name)
+                current = swap(current, node.name).tree
                 swaps.append(node.name)
                 changed = True
                 break
@@ -525,7 +525,7 @@ def _merge_plan(
     if len(swaps) != 1:
         return None
     (child,) = swaps
-    sequence, _ = _expansion(swap_tree(ftree, child).roots, keys)
+    sequence, _ = _expansion(swap(ftree, child).tree.roots, keys)
     at = next(j for j, node in enumerate(sequence) if node.name == child)
     top = ftree.parent(ftree.node(child)).name
     if at + 1 == len(sequence) or sequence[at + 1].name != top:

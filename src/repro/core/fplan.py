@@ -1,9 +1,12 @@
 """F-plans: sequences of operators compiled from a query (Section 5).
 
-An f-plan step names one operator application; the executor replays the
-steps against both layers (tree-only for the optimiser's simulation,
-full factorisation for evaluation) and records the intermediate f-trees
-and representation sizes so experiments can report where time goes.
+An f-plan step names one operator application.  It is placed once on
+its input f-tree (:meth:`Step.place`, giving the output tree, the level
+and the kernel's arguments; :mod:`repro.core.operators`): the
+optimiser's search reads the placed trees, and a compiled plan keeps
+the placements, so each run replays them on the current data
+(:meth:`FPlan.execute`) and records per-step sizes and wall time so
+experiments can report where time goes.
 """
 
 from __future__ import annotations
@@ -28,10 +31,9 @@ class FPlanError(ValueError):
 class Step:
     """Base class for f-plan steps."""
 
-    def apply_tree(self, ftree: FTree) -> FTree:
-        raise NotImplementedError
-
-    def apply(self, fact: Factorisation) -> Factorisation:
+    def place(self, ftree: FTree) -> ops.Placement:
+        """The step's operator placed on ``ftree`` (see
+        :class:`repro.core.operators.Placement`)."""
         raise NotImplementedError
 
 
@@ -41,11 +43,8 @@ class SwapStep(Step):
 
     child: str
 
-    def apply_tree(self, ftree: FTree) -> FTree:
-        return ops.swap_tree(ftree, self.child)
-
-    def apply(self, fact: Factorisation) -> Factorisation:
-        return ops.swap(fact, self.child)
+    def place(self, ftree: FTree) -> ops.Placement:
+        return ops.swap(ftree, self.child)
 
     def __str__(self) -> str:
         return f"χ↑{self.child}"
@@ -58,11 +57,8 @@ class MergeStep(Step):
     left: str
     right: str
 
-    def apply_tree(self, ftree: FTree) -> FTree:
-        return ops.merge_tree(ftree, self.left, self.right)
-
-    def apply(self, fact: Factorisation) -> Factorisation:
-        return ops.merge_siblings(fact, self.left, self.right)
+    def place(self, ftree: FTree) -> ops.Placement:
+        return ops.merge(ftree, self.left, self.right)
 
     def __str__(self) -> str:
         return f"merge({self.left}={self.right})"
@@ -75,11 +71,8 @@ class AbsorbStep(Step):
     ancestor: str
     descendant: str
 
-    def apply_tree(self, ftree: FTree) -> FTree:
-        return ops.absorb_tree(ftree, self.ancestor, self.descendant)
-
-    def apply(self, fact: Factorisation) -> Factorisation:
-        return ops.absorb(fact, self.ancestor, self.descendant)
+    def place(self, ftree: FTree) -> ops.Placement:
+        return ops.absorb(ftree, self.ancestor, self.descendant)
 
     def __str__(self) -> str:
         return f"absorb({self.ancestor}={self.descendant})"
@@ -97,11 +90,8 @@ class SelectStep(Step):
     def conditions(self) -> tuple[Comparison, ...]:
         return (self.condition, *self.more)
 
-    def apply_tree(self, ftree: FTree) -> FTree:
-        return ops.select_tree(ftree, self.condition)
-
-    def apply(self, fact: Factorisation) -> Factorisation:
-        return ops.select_constant(fact, *self.conditions)
+    def place(self, ftree: FTree) -> ops.Placement:
+        return ops.select(ftree, *self.conditions)
 
     def __str__(self) -> str:
         return f"σ[{' ∧ '.join(map(str, self.conditions))}]"
@@ -131,15 +121,9 @@ class AggregateStep(Step):
     functions: tuple[tuple[str, str | None], ...]
     name: str
 
-    def apply_tree(self, ftree: FTree) -> FTree:
-        tree, _ = ops.aggregate_tree(
+    def place(self, ftree: FTree) -> ops.Placement:
+        return ops.aggregate(
             ftree, self.parent, self.children, self.functions, self.name
-        )
-        return tree
-
-    def apply(self, fact: Factorisation) -> Factorisation:
-        return ops.apply_aggregation(
-            fact, self.parent, self.children, self.functions, self.name
         )
 
     def __str__(self) -> str:
@@ -156,13 +140,8 @@ class RenameStep(Step):
     old: str
     new: str
 
-    def apply_tree(self, ftree: FTree) -> FTree:
-        # rename is implemented on factorisations; tree-only callers can
-        # apply it through a zero-fragment factorisation.
-        return ops.rename_tree(ftree, self.old, self.new)
-
-    def apply(self, fact: Factorisation) -> Factorisation:
-        return ops.rename(fact, self.old, self.new)
+    def place(self, ftree: FTree) -> ops.Placement:
+        return ops.rename(ftree, self.old, self.new)
 
     def __str__(self) -> str:
         return f"ρ[{self.old}→{self.new}]"
@@ -174,11 +153,8 @@ class RemoveLeafStep(Step):
 
     name: str
 
-    def apply_tree(self, ftree: FTree) -> FTree:
-        return ops.remove_leaf_tree(ftree, self.name)
-
-    def apply(self, fact: Factorisation) -> Factorisation:
-        return ops.remove_leaf(fact, self.name)
+    def place(self, ftree: FTree) -> ops.Placement:
+        return ops.remove_leaf(ftree, self.name)
 
     def __str__(self) -> str:
         return f"π∖{self.name}"
@@ -186,7 +162,7 @@ class RemoveLeafStep(Step):
 
 @dataclass
 class ExecutionTrace:
-    """Sizes, trees, and per-step wall time recorded while executing.
+    """Sizes and per-step wall time recorded while executing.
 
     ``seconds[i]`` is the wall-clock cost of applying ``steps[i]``
     (``sizes[i]`` the singleton count of its output factorisation,
@@ -206,7 +182,6 @@ class ExecutionTrace:
     sizes: list[int] = field(default_factory=list)
     bytes: list[int] = field(default_factory=list)
     unions: list[int] = field(default_factory=list)
-    trees: list[FTree] = field(default_factory=list)
     seconds: list[float] = field(default_factory=list)
     expression_stats: object | None = None
     # Optimiser provenance of the executed plan (strategy, estimated
@@ -255,12 +230,17 @@ class FPlan:
 
     ``fallback`` says why an optimiser returned this plan in place of
     the one it searched for (``None``: it did not fall back).
+    ``placed`` are the steps placed on the plan's input f-tree
+    (:meth:`place`) once it is compiled; ``None`` before.
     """
 
     fallback: "str | None" = None
 
-    def __init__(self, steps: Sequence[Step]) -> None:
+    def __init__(
+        self, steps: Sequence[Step], placed: "Sequence[ops.Placement] | None" = None
+    ) -> None:
         self.steps: tuple[Step, ...] = tuple(steps)
+        self.placed = None if placed is None else tuple(placed)
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -271,36 +251,42 @@ class FPlan:
     def __str__(self) -> str:
         return " ; ".join(str(step) for step in self.steps) or "(no-op)"
 
-    def simulate(self, ftree: FTree) -> list[FTree]:
-        """Tree-level replay: the sequence of intermediate f-trees."""
-        trees = [ftree]
+    def place(self, ftree: FTree) -> list[ops.Placement]:
+        """Every step placed on the output f-tree of the one before,
+        the first on ``ftree``: the plan's trees without its data."""
+        placed = []
         for step in self.steps:
-            trees.append(step.apply_tree(trees[-1]))
-        return trees
+            placed.append(step.place(ftree))
+            ftree = placed[-1].tree
+        return placed
 
     def execute(
         self, fact: Factorisation, trace: ExecutionTrace | None = None
     ) -> Factorisation:
-        """Apply every step to the factorisation, optionally tracing."""
+        """Run every step on the factorisation, optionally tracing: a
+        compiled plan replays its placements, which ``fact``'s f-tree
+        must be the input tree of; any other plan is placed here."""
+        placed = self.placed
+        if placed is None:
+            placed = self.place(fact.ftree)
         current = fact
         if trace is None:
-            for step in self.steps:
-                current = step.apply(current)
+            for placement in placed:
+                current = placement.run(current)
             return current
         # One child span per step under ``engine.run`` (never a root of
         # its own); the spans' no-op fast path when observability is off.
         nested = STATE.enabled and spans.current_span() is not None
-        for step in self.steps:
+        for step, placement in zip(self.steps, placed):
             with spans.span(type(step).__name__) if nested else nullcontext() as span:
                 started = clock.now()
-                current = step.apply(current)
+                current = placement.run(current)
                 trace.seconds.append(clock.now() - started)
             trace.steps.append(str(step))
             singletons, resident = current.size_info()
             trace.sizes.append(singletons)
             trace.bytes.append(resident)
             trace.unions.append(current.covered)
-            trace.trees.append(current.ftree)
             if span is not None:
                 span.attributes.update(
                     singletons=singletons, unions=trace.unions[-1]

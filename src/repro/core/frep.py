@@ -130,13 +130,6 @@ def _tuple_count(union: CUnion) -> int:
     return total
 
 
-def _value_tuple(node: FNode, value: Any) -> tuple:
-    """The output values one entry contributes (class attrs repeated)."""
-    if node.is_aggregate:
-        return (value,)
-    return (value,) * len(node.attributes)
-
-
 class Factorisation:
     """A factorised relation: an f-tree plus one :class:`CUnion` per root."""
 
@@ -227,10 +220,6 @@ class Factorisation:
                     spread = [tally[key] for key in unique]
                 pending.append((child, below, spread))
         return singles, nbytes
-
-    def byte_size(self) -> int:
-        """Resident bytes of the container structure (see size_info)."""
-        return self.size_info()[1]
 
     def tuple_count(self) -> int:
         """Cardinality of the represented relation |⟦E⟧|.

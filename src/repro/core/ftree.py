@@ -279,19 +279,15 @@ class FTree:
 
     def path_to(self, name: str) -> tuple[int, tuple[int, ...]]:
         """Position of a node: (root index, child indices along the way)."""
-        target = self.node(name)
-        spine = [target] + self.ancestors(target)
-        spine.reverse()  # root first
-        root = spine[0]
-        root_index = next(
-            i for i, candidate in enumerate(self.roots) if candidate is root
-        )
+        # Nodes compare by identity, so ``index`` finds the very node.
+        node = self.node(name)
         steps = []
-        for upper, lower in zip(spine, spine[1:]):
-            steps.append(
-                next(i for i, child in enumerate(upper.children) if child is lower)
-            )
-        return root_index, tuple(steps)
+        parent = self._parents[id(node)]
+        while parent is not None:
+            steps.append(parent.children.index(node))
+            node, parent = parent, self._parents[id(parent)]
+        steps.reverse()
+        return self.roots.index(node), tuple(steps)
 
     def on_same_path(self, first: FNode, second: FNode) -> bool:
         """Whether two nodes lie on one root-to-leaf path."""

@@ -1,9 +1,10 @@
 """Batch kernels over whole f-tree levels.
 
-Each f-plan operator in :mod:`repro.core.operators` resolves its
-position in the f-tree and applies one kernel from this module there:
-:func:`repro.core.frep.map_cunion_level` hands the kernel every union of
-the target node at once — a *level* — the kernel concatenates the
+Each f-plan operator in :mod:`repro.core.operators` is placed on its
+f-tree once, naming one kernel factory of this module and its
+arguments; every run builds the kernel from them and
+:func:`repro.core.frep.map_cunion_level` hands it every union of the
+target node at once — a *level* — the kernel concatenates the
 columns it needs (``level_values``/``level_column``), runs one
 comprehension per column over the concatenation, and ``splice_level``
 cuts the results back into unions.  The kernels keep the operators'
@@ -304,6 +305,18 @@ def keep_bound(test: Callable, depths: Sequence[int]) -> LevelKernel:
     def kernel(_: FNode, unions: list[CUnion], contexts: list) -> Sequence[CUnion]:
         live = [bool(test([path[d] for d in depths])) for path in contexts]
         return splice_level(unions, live=live)
+
+    return kernel
+
+
+# ---------------------------------------------------------------------------
+# projection: drop a leaf column
+# ---------------------------------------------------------------------------
+def drop_column(index: int) -> LevelKernel:
+    """π: the level without its child column ``index`` (a leaf)."""
+
+    def kernel(_: FNode, unions: list[CUnion]) -> Sequence[CUnion]:
+        return splice_level(unions, drop=(index,))
 
     return kernel
 

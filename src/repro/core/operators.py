@@ -1,15 +1,24 @@
 """F-plan operators: mappings between factorisations (Sections 2.1, 3, 4.2).
 
-Every operator has two layers:
+Every operator is placed once and replayed per run.  Its *placement*
+reads the input f-tree and the step's arguments, never data, and
+returns a :class:`Placement`:
 
-- a pure *tree-level* transform (``*_tree``) producing the output f-tree,
-  used by the optimiser to explore plans without touching data; and
-- the transform on a :class:`repro.core.frep.Factorisation`: it resolves
-  the operator's position in the f-tree and hands every union at that
-  position — one f-tree *level* — to the matching batch kernel of
-  :mod:`repro.core.kernels` in a single call
-  (:func:`repro.core.frep.map_cunion_level`), which rebuilds only the
-  affected spine of the representation.
+- the output f-tree;
+- the level the operator acts on: a root index and the child-index path
+  down to it (:meth:`repro.core.ftree.FTree.path_to`), or the forest of
+  roots for a root-level step;
+- the batch kernel of :mod:`repro.core.kernels` and its arguments.
+
+The optimiser's search reads only the output tree.
+:meth:`repro.core.engine.FDBEngine.compile` keeps the whole placement,
+and :meth:`Placement.run` replays it on the current data: the kernel is
+built from its arguments and handed every union at that position — one
+f-tree *level* — in a single call
+(:func:`repro.core.frep.map_cunion_level`), which rebuilds only the
+affected spine of the representation.  Fresh dependency keys and γ
+names are minted by the placement, so the tree that runs is the tree
+that was placed.
 
 Operators preserve the two global invariants: values within each union
 are sorted ascending, and no entry has an empty child union (∅ absorbs
@@ -17,31 +26,37 @@ through products, so emptiness is pruned upward on the spot).
 
 Implemented operators:
 
-====================  =====================================================
-``swap``              χ_{A,B}: exchange a node with its parent (Section 4.2)
-``merge_siblings``    selection A=B for sibling nodes (sorted intersection)
-``absorb``            selection A=B when one node is the other's descendant
-``select_constant``   selection Aθc in one traversal
-``remove_leaf``       projection step: drop a leaf node
-``rename``            rename an attribute or aggregate (constant time)
-``product``           cross product: concatenate forests
-``apply_aggregation`` the new γ_F(U) operator of Section 3
-====================  =====================================================
+==========================  ===============================================
+``swap``                    χ_{A,B}: exchange a node with its parent (4.2)
+``merge``                   selection A=B for sibling nodes (intersection)
+``absorb``                  selection A=B when one node is the other's
+                            descendant
+``select``                  selection Aθc, or on an expression, in one
+                            traversal
+``remove_leaf``             projection step: drop a leaf node
+``remove_class_attribute``  projection step: drop one name of a class
+``rename``                  rename an attribute or aggregate
+``nest_under``              nest a subtree below an independent sibling
+``nest_root_under``         nest a root tree below a node of another tree
+``aggregate``               the new γ_F(U) operator of Section 3
+``product``                 cross product: concatenate forests (data only)
+==========================  ===============================================
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from repro.core import kernels
 from repro.core.frep import CUnion, Factorisation, empty_cunion, map_cunion_level
-from repro.core.frep import splice_level
 from repro.core.ftree import (
     AggregateAttribute,
     FNode,
     FTree,
     fresh_aggregate_name,
 )
+from repro.obs import clock
+from repro.obs.state import STATE
 from repro.query import Comparison
 
 #: When True, swap verifies that fragments independent of the swapped
@@ -49,6 +64,13 @@ from repro.query import Comparison
 STRICT_SWAP_CHECKS = False
 
 _dep_counter = [0]
+
+_TIMERS = {
+    label: kernels.KERNEL_SECONDS.labels(label)
+    for label in (
+        "swap", "merge", "absorb", "select", "remove_leaf", "nest", "aggregate"
+    )
+}
 
 
 def _fresh_dependency_key() -> str:
@@ -60,70 +82,92 @@ class OperatorError(ValueError):
     """Raised when an operator's applicability conditions fail."""
 
 
+class Placement(NamedTuple):
+    """One operator placed on an f-tree (see the module docstring).
+
+    ``kernel(*args)`` builds the kernel: for a level (``root`` set) one
+    that :func:`repro.core.frep.map_cunion_level` applies at ``path``
+    below root ``root``, with each entry's path values when
+    ``contexts``; for the forest (``root`` is None) one from the root
+    unions to the new ones.  ``label`` names its wall time in
+    ``repro_kernel_seconds`` (None: a tree-only step, not timed).
+    """
+
+    tree: FTree
+    root: "int | None"
+    path: tuple
+    kernel: Callable
+    args: tuple
+    label: "str | None" = None
+    contexts: bool = False
+
+    def run(self, fact: Factorisation) -> Factorisation:
+        """The operator on ``fact``, a factorisation over the f-tree it
+        was placed on."""
+        started = clock.now() if STATE.enabled and self.label else None
+        kernel = self.kernel(*self.args)
+        if self.root is None:
+            out = Factorisation(self.tree, kernel(fact.roots))
+        else:
+            out = map_cunion_level(
+                fact, self.root, self.path, kernel, self.tree, self.contexts
+            )
+        if started is not None:
+            _TIMERS[self.label].observe(clock.now() - started)
+        return out
+
+
+def _tied(tree: FTree, names: set, key: str) -> FTree:
+    """``tree`` with dependency ``key`` added to the nodes ``names``."""
+    return tree.map_nodes(
+        lambda n: n.with_keys(n.keys | {key}) if n.name in names else n
+    )
+
+
+def _unchanged() -> Callable:
+    """Tree-only steps: every fragment stays as it is."""
+    return lambda roots: roots
+
+
 # ---------------------------------------------------------------------------
 # swap χ_{A,B}
 # ---------------------------------------------------------------------------
-def swap_tree(ftree: FTree, child_name: str) -> FTree:
-    """Tree-level effect of χ: promote the named node above its parent.
+def swap(ftree: FTree, child_name: str) -> Placement:
+    """χ_{A,B}: promote the named node B above its parent A (Section 4.2).
 
-    Children of the promoted node B that depend on the old parent A stay
-    below A (the T_AB of Section 4.2); independent children move up with
-    B (T_B).  Dependency keys are untouched — a swap never changes the
-    represented relation.
+    Children of B that depend on A stay below A (the T_AB of Section
+    4.2); independent children move up with B (T_B).  Dependency keys
+    are untouched — a swap never changes the represented relation.  The
+    kernel regroups A's level by B, linear in the affected fragments:
+    each (a, b) pair is visited once; the union over B is assembled
+    sorted.
     """
     node_b = ftree.node(child_name)
     node_a = ftree.parent(node_b)
     if node_a is None:
         raise OperatorError(f"node {child_name!r} is a root; nothing to swap")
-    new_b, _, _ = _swapped_nodes(node_a, node_b)
-    return ftree.replace_node(node_a.name, lambda _: [new_b])
-
-
-def _swapped_nodes(
-    node_a: FNode, node_b: FNode
-) -> tuple[FNode, list[int], list[int]]:
-    """New top node plus the T_B / T_AB child index partition of B."""
-    j = next(i for i, child in enumerate(node_a.children) if child is node_b)
+    j = node_a.children.index(node_b)
     tb_idx: list[int] = []
     tab_idx: list[int] = []
     for i, child in enumerate(node_b.children):
-        if child.subtree_keys() & node_a.keys:
-            tab_idx.append(i)
-        else:
-            tb_idx.append(i)
-    a_rest = [child for i, child in enumerate(node_a.children) if i != j]
+        (tab_idx if child.subtree_keys() & node_a.keys else tb_idx).append(i)
+    rest_idx = [i for i in range(len(node_a.children)) if i != j]
     new_a = node_a.with_children(
-        a_rest + [node_b.children[i] for i in tab_idx]
+        [node_a.children[i] for i in rest_idx] + [node_b.children[i] for i in tab_idx]
     )
     new_b = node_b.with_children([node_b.children[i] for i in tb_idx] + [new_a])
-    return new_b, tb_idx, tab_idx
-
-
-@kernels.timed("swap")
-def swap(fact: Factorisation, child_name: str) -> Factorisation:
-    """χ_{A,B} on a factorisation: regroup by B before A (Section 4.2).
-
-    Linear in the size of the affected fragments: each (a, b) pair is
-    visited once; the union over B is assembled sorted.
-    """
-    ftree = fact.ftree
-    node_b = ftree.node(child_name)
-    node_a = ftree.parent(node_b)
-    if node_a is None:
-        raise OperatorError(f"node {child_name!r} is a root; nothing to swap")
-    j = next(i for i, child in enumerate(node_a.children) if child is node_b)
-    new_b, tb_idx, tab_idx = _swapped_nodes(node_a, node_b)
-    new_ftree = ftree.replace_node(node_a.name, lambda _: [new_b])
-    rest_idx = [i for i in range(len(node_a.children)) if i != j]
-    pivot = kernels.pivot(
-        j,
-        rest_idx,
-        tb_idx,
-        tab_idx,
-        _check_independent_fragments if STRICT_SWAP_CHECKS else None,
+    return Placement(
+        ftree.replace_node(node_a.name, lambda _: [new_b]),
+        *ftree.path_to(node_a.name),
+        _pivot,
+        (j, rest_idx, tb_idx, tab_idx),
+        "swap",
     )
-    root_index, steps = ftree.path_to(node_a.name)
-    return map_cunion_level(fact, root_index, steps, pivot, new_ftree)
+
+
+def _pivot(*indices) -> kernels.LevelKernel:
+    check = _check_independent_fragments if STRICT_SWAP_CHECKS else None
+    return kernels.pivot(*indices, check)
 
 
 def _check_independent_fragments(
@@ -150,81 +194,64 @@ def _fragments_signature(fragments: Sequence[CUnion]) -> tuple:
 # ---------------------------------------------------------------------------
 # merge (selection A=B on sibling nodes)
 # ---------------------------------------------------------------------------
-def merge_tree(ftree: FTree, name_a: str, name_b: str) -> FTree:
-    """Tree-level merge: one node with the united class, keys, children."""
+def merge(ftree: FTree, name_a: str, name_b: str) -> Placement:
+    """σ_{A=B} for siblings: one node with the united class, keys and
+    children; the kernel intersects the two sorted unions (linear)."""
     node_a, node_b = ftree.node(name_a), ftree.node(name_b)
-    _require_siblings(ftree, node_a, node_b)
-    merged = _merged_node(node_a, node_b)
-    without_b = ftree.replace_node(node_b.name, lambda _: [])
-    return without_b.replace_node(node_a.name, lambda _: [merged])
-
-
-def _require_siblings(ftree: FTree, node_a: FNode, node_b: FNode) -> None:
     if node_a is node_b:
         raise OperatorError("cannot merge a node with itself")
-    if ftree.parent(node_a) is not ftree.parent(node_b):
+    parent = ftree.parent(node_a)
+    if ftree.parent(node_b) is not parent:
         raise OperatorError(
             f"merge requires sibling nodes; {node_a.label()!r} and "
             f"{node_b.label()!r} have different parents"
         )
-
-
-def _merged_node(node_a: FNode, node_b: FNode) -> FNode:
     if node_a.is_aggregate or node_b.is_aggregate:
         raise OperatorError("cannot merge aggregate nodes")
-    return FNode(
+    merged = FNode(
         node_a.attributes + node_b.attributes,
         node_a.children + node_b.children,
         node_a.keys | node_b.keys,
     )
-
-
-@kernels.timed("merge")
-def merge_siblings(fact: Factorisation, name_a: str, name_b: str) -> Factorisation:
-    """σ_{A=B} for siblings: intersect the two sorted unions (linear)."""
-    ftree = fact.ftree
-    node_a, node_b = ftree.node(name_a), ftree.node(name_b)
-    _require_siblings(ftree, node_a, node_b)
-    parent = ftree.parent(node_a)
-    new_ftree = merge_tree(ftree, name_a, name_b)
-
+    without_b = ftree.replace_node(node_b.name, lambda _: [])
+    tree = without_b.replace_node(node_a.name, lambda _: [merged])
+    siblings = ftree.roots if parent is None else parent.children
+    ia, ib = siblings.index(node_a), siblings.index(node_b)
+    # The merged node keeps A's slot, minus one if B preceded A.
+    slot = ia - 1 if ib < ia else ia
     if parent is None:
-        ia = next(i for i, n in enumerate(ftree.roots) if n is node_a)
-        ib = next(i for i, n in enumerate(ftree.roots) if n is node_b)
-        merged = kernels.intersect_cunions(fact.roots[ia], fact.roots[ib])
-        # Positional bookkeeping: replace_node keeps A's slot and drops B's.
-        roots = _reposition_roots(fact.roots, ia, ib, merged)
-        return Factorisation(new_ftree, roots)
-
-    ia = next(i for i, n in enumerate(parent.children) if n is node_a)
-    ib = next(i for i, n in enumerate(parent.children) if n is node_b)
-    intersect = kernels.intersect_columns(ia, ib, _merged_slot(ia, ib))
-    root_index, steps = ftree.path_to(parent.name)
-    return map_cunion_level(fact, root_index, steps, intersect, new_ftree)
+        return Placement(tree, None, (), _merge_roots, (ia, ib, slot), "merge")
+    return Placement(
+        tree,
+        *ftree.path_to(parent.name),
+        kernels.intersect_columns,
+        (ia, ib, slot),
+        "merge",
+    )
 
 
-def _merged_slot(ia: int, ib: int) -> int:
-    """Slot of the merged child after removing both originals.
+def _merge_roots(ia: int, ib: int, slot: int) -> Callable:
+    def kernel(roots: Sequence[CUnion]) -> list[CUnion]:
+        merged = kernels.intersect_cunions(roots[ia], roots[ib])
+        rest = [u for i, u in enumerate(roots) if i != ia and i != ib]
+        rest.insert(slot, merged)
+        return rest
 
-    ``replace_node`` keeps the merged node in A's position, minus one if
-    B preceded A in the child list.
-    """
-    return ia - 1 if ib < ia else ia
-
-
-def _reposition_roots(
-    roots: Sequence[CUnion], ia: int, ib: int, merged: CUnion
-) -> list[CUnion]:
-    remaining = [u for i, u in enumerate(roots) if i != ia and i != ib]
-    remaining.insert(_merged_slot(ia, ib), merged)
-    return remaining
+    return kernel
 
 
 # ---------------------------------------------------------------------------
 # absorb (selection A=B when one node is the other's descendant)
 # ---------------------------------------------------------------------------
-def absorb_tree(ftree: FTree, ancestor_name: str, descendant_name: str) -> FTree:
-    """Tree-level absorb: the descendant's class joins the ancestor's."""
+def absorb(ftree: FTree, ancestor_name: str, descendant_name: str) -> Placement:
+    """σ_{A=B} with B below A: B's class joins A's and B's children
+    take its place.
+
+    The kernel filters, for every value ``a`` of the ancestor, the
+    descendant union in each context below it to the single entry with
+    value ``a`` (binary search in the sorted union) and splices its
+    children in place; contexts with no match are pruned.
+    """
     node_anc = ftree.node(ancestor_name)
     node_desc = ftree.node(descendant_name)
     if not ftree.is_ancestor(node_anc, node_desc):
@@ -233,54 +260,31 @@ def absorb_tree(ftree: FTree, ancestor_name: str, descendant_name: str) -> FTree
         )
     if node_anc.is_aggregate or node_desc.is_aggregate:
         raise OperatorError("cannot absorb aggregate nodes")
-    hoisted = ftree.replace_node(
-        node_desc.name, lambda node: list(node.children)
-    )
+    hoisted = ftree.replace_node(node_desc.name, lambda node: list(node.children))
     merged = FNode(
         node_anc.attributes + node_desc.attributes,
         hoisted.node(node_anc.name).children,
         node_anc.keys | node_desc.keys,
     )
-    return hoisted.replace_node(node_anc.name, lambda _: [merged])
-
-
-@kernels.timed("absorb")
-def absorb(
-    fact: Factorisation, ancestor_name: str, descendant_name: str
-) -> Factorisation:
-    """σ_{A=B} with B below A: filter B's unions to A's context value.
-
-    For every value ``a`` of the ancestor, the descendant union in each
-    context below it is filtered to the single entry with value ``a``
-    (binary search in the sorted union) and its children are spliced in
-    place; contexts with no match are pruned.
-    """
-    ftree = fact.ftree
-    node_anc = ftree.node(ancestor_name)
-    node_desc = ftree.node(descendant_name)
-    new_ftree = absorb_tree(ftree, ancestor_name, descendant_name)
-
     # Child-index path from the ancestor down to the descendant.
     spine = [node_desc]
     while spine[-1] is not node_anc:
         spine.append(ftree.parent(spine[-1]))
     spine.reverse()  # ancestor ... descendant
-    rel_steps = [
-        next(i for i, child in enumerate(upper.children) if child is lower)
-        for upper, lower in zip(spine, spine[1:])
-    ]
-    matching = kernels.match_descendant(rel_steps, len(node_desc.children))
-    root_index, steps = ftree.path_to(node_anc.name)
-    return map_cunion_level(fact, root_index, steps, matching, new_ftree)
+    rel_steps = [upper.children.index(lower) for upper, lower in zip(spine, spine[1:])]
+    return Placement(
+        hoisted.replace_node(node_anc.name, lambda _: [merged]),
+        *ftree.path_to(node_anc.name),
+        kernels.match_descendant,
+        (rel_steps, len(node_desc.children)),
+        "absorb",
+    )
 
 
 # ---------------------------------------------------------------------------
-# constant selection
+# selection
 # ---------------------------------------------------------------------------
-@kernels.timed("select")
-def select_constant(
-    fact: Factorisation, condition: Comparison, *more: Comparison
-) -> Factorisation:
+def select(ftree: FTree, condition: Comparison, *more: Comparison) -> Placement:
     """σ_{AθC}: one filter pass cuts every union of A's level.
 
     ``more`` are further constant comparisons on A's node, tested in the
@@ -290,139 +294,136 @@ def select_constant(
     expression is tested at the deepest node it reads:
     once per distinct value if that is the only one, else per entry
     with its ancestors' values bound from its path, which must hold
-    every node read (the planner's χ puts them on one path).  One that
-    reads no attribute is tested once: false empties every root.
+    every node read (the planner's χ puts them on one path); the nodes
+    it reads become dependent (a fresh shared key).  One that reads no
+    attribute is tested once: false empties every root.
+
+    The comparisons are the kernel's first argument, so a compiled
+    selection runs with the constants of each binding.
     """
-    ftree = fact.ftree
+    conditions = (condition, *more)
     if any(each.is_expression for each in more):
         raise OperatorError("only constant comparisons share one σ")
     if condition.is_expression:
-        return _select_expression(fact, condition)
+        return _select_expression(ftree, conditions)
     node = ftree.node(condition.attribute)
-    tests = []
-    for each in (condition, *more):
+    for each in conditions:
         if ftree.node(each.attribute) is not node:
             raise OperatorError(f"σ[{each}] is not on the node of {node.name!r}")
+    if node.is_aggregate and len(node.aggregate.functions) != 1:
+        raise OperatorError(
+            f"selection on composite aggregate {node.aggregate} is ambiguous"
+        )
+    return Placement(
+        ftree, *ftree.path_to(node.name), _keep_values, (conditions, node.is_aggregate),
+        "select",
+    )
+
+
+def _keep_values(
+    conditions: Sequence[Comparison], aggregate: bool
+) -> kernels.LevelKernel:
+    tests = []
+    for each in conditions:
         test = each.test
         # Which end of a sorted union an order comparison keeps.
         keeps_suffix = {">": True, ">=": True, "<": False, "<=": False}.get(each.op)
-        if node.is_aggregate:
-            component = _scalar_component(node.aggregate)
-            test = lambda value, test=test: test(value[component])  # noqa: E731
+        if aggregate:
+            test = lambda value, test=test: test(value[0])  # noqa: E731
             keeps_suffix = None  # component tuples sort as tuples
         tests.append((test, keeps_suffix))
-    root_index, steps = ftree.path_to(node.name)
-    return map_cunion_level(
-        fact, root_index, steps, kernels.keep_matching(tests), ftree
-    )
+    return kernels.keep_matching(tests)
 
 
-def select_tree(ftree: FTree, condition: Comparison) -> FTree:
-    """Tree-level σ: the shape is unchanged, but the nodes an expression
-    reads become dependent (a fresh shared key) if there are several."""
-    if not condition.is_expression:
-        return ftree
-    names = {ftree.node(a).name for a in condition.attributes}
-    if len(names) < 2:
-        return ftree
-    fresh = _fresh_dependency_key()
-    return ftree.map_nodes(
-        lambda n: n.with_keys(n.keys | {fresh}) if n.name in names else n
-    )
-
-
-def _select_expression(fact: Factorisation, condition: Comparison) -> Factorisation:
-    ftree, expression = fact.ftree, condition.attribute
-    names = expression.attributes()
+def _select_expression(ftree: FTree, conditions: tuple) -> Placement:
+    (condition,) = conditions
+    names = condition.attribute.attributes()
     if not names:
-        if condition.test(expression.evaluate({})):
-            return fact
-        return Factorisation(ftree, [empty_cunion(len(u.children)) for u in fact.roots])
+        return Placement(ftree, None, (), _keep_all_or_none, (conditions,), "select")
     if not ftree.on_one_path(names):
         raise OperatorError(f"σ[{condition}] reads independent branches")
     depths = [ftree.depth(ftree.node(name)) for name in names]
     deepest = ftree.node(names[depths.index(max(depths))])
-    test = lambda values: condition.test(expression.evaluate(dict(zip(names, values))))
-    several = len(set(depths)) > 1
-    if several:
-        kernel = kernels.keep_bound(test, depths)
-    else:
-        kernel = kernels.keep_matching([(lambda value: test([value] * len(names)), None)])
-    root_index, steps = ftree.path_to(deepest.name)
-    new_ftree = select_tree(ftree, condition)
-    return map_cunion_level(fact, root_index, steps, kernel, new_ftree, several)
+    read = {ftree.node(a).name for a in condition.attributes}
+    tree = _tied(ftree, read, _fresh_dependency_key()) if len(read) > 1 else ftree
+    return Placement(
+        tree,
+        *ftree.path_to(deepest.name),
+        _keep_expression,
+        (conditions, names, depths),
+        "select",
+        len(set(depths)) > 1,
+    )
 
 
-def _scalar_component(aggregate: AggregateAttribute) -> int:
-    if len(aggregate.functions) != 1:
-        raise OperatorError(
-            f"selection on composite aggregate {aggregate} is ambiguous"
-        )
-    return 0
+def _keep_expression(
+    conditions: Sequence[Comparison], names: Sequence[str], depths: Sequence[int]
+) -> kernels.LevelKernel:
+    (condition,) = conditions
+    expression = condition.attribute
+
+    def test(values: Sequence) -> bool:
+        return condition.test(expression.evaluate(dict(zip(names, values))))
+
+    if len(set(depths)) > 1:
+        return kernels.keep_bound(test, depths)
+    return kernels.keep_matching([(lambda value: test([value] * len(names)), None)])
+
+
+def _keep_all_or_none(conditions: Sequence[Comparison]) -> Callable:
+    (condition,) = conditions
+    if condition.test(condition.attribute.evaluate({})):
+        return lambda roots: roots
+    return lambda roots: [empty_cunion(len(u.children)) for u in roots]
 
 
 # ---------------------------------------------------------------------------
-# projection: remove a leaf
+# projection: remove a leaf, or one attribute of a class
 # ---------------------------------------------------------------------------
-def remove_leaf_tree(ftree: FTree, name: str) -> FTree:
-    """Drop a leaf node; dependents of it become mutually dependent."""
+def remove_leaf(ftree: FTree, name: str) -> Placement:
+    """Projection step: drop a leaf; dependents of it become mutually
+    dependent.
+
+    No duplicate elimination is ever needed: distinct sibling structure
+    is untouched, so the remaining representation stays a set.
+    """
     node = ftree.node(name)
     if node.children:
         raise OperatorError(f"node {name!r} is not a leaf")
     if sum(len(list(root.walk())) for root in ftree.roots) == 1:
         raise OperatorError("cannot remove the only node of an f-tree")
-    removed_keys = node.keys
-    pruned = ftree.replace_node(name, lambda _: [])
-    dependents = {
-        n.name for n in pruned.nodes() if n.keys & removed_keys
-    }
-    if len(dependents) <= 1:
-        return pruned
-    fresh = _fresh_dependency_key()
-    return pruned.map_nodes(
-        lambda n: n.with_keys(n.keys | {fresh}) if n.name in dependents else n
+    tree = ftree.replace_node(name, lambda _: [])
+    dependents = {n.name for n in tree.nodes() if n.keys & node.keys}
+    if len(dependents) > 1:
+        tree = _tied(tree, dependents, _fresh_dependency_key())
+    parent = ftree.parent(node)
+    if parent is None:
+        index = ftree.roots.index(node)
+        return Placement(tree, None, (), _drop_root, (index,), "remove_leaf")
+    index = parent.children.index(node)
+    return Placement(
+        tree, *ftree.path_to(parent.name), kernels.drop_column, (index,), "remove_leaf"
     )
 
 
-@kernels.timed("remove_leaf")
-def remove_leaf(fact: Factorisation, name: str) -> Factorisation:
-    """Projection step: drop a leaf attribute from the representation.
+def _drop_root(index: int) -> Callable:
+    def kernel(roots: Sequence[CUnion]) -> list[CUnion]:
+        rest = [u for i, u in enumerate(roots) if i != index]
+        if not roots[index]:  # ∅ stays ∅: the other roots empty too
+            rest = [empty_cunion(len(u.children)) for u in rest]
+        return rest
 
-    No duplicate elimination is ever needed: distinct sibling structure
-    is untouched, so the remaining representation stays a set.
-    """
-    ftree = fact.ftree
-    node = ftree.node(name)
-    new_ftree = remove_leaf_tree(ftree, name)
-    parent = ftree.parent(node)
-
-    if parent is None:
-        index = next(i for i, n in enumerate(ftree.roots) if n is node)
-        roots = [u for i, u in enumerate(fact.roots) if i != index]
-        if not fact.roots[index]:  # ∅ stays ∅: the other roots empty too
-            roots = [empty_cunion(len(u.children)) for u in roots]
-        return Factorisation(new_ftree, roots)
-
-    index = next(i for i, n in enumerate(parent.children) if n is node)
-
-    def drop(_: FNode, unions: list[CUnion]) -> Sequence[CUnion]:
-        return splice_level(unions, drop=(index,))
-
-    root_index, steps = ftree.path_to(parent.name)
-    return map_cunion_level(fact, root_index, steps, drop, new_ftree)
+    return kernel
 
 
-# ---------------------------------------------------------------------------
-# projection: drop one attribute of an equivalence class
-# ---------------------------------------------------------------------------
-def remove_class_attribute(fact: Factorisation, attribute: str) -> Factorisation:
+def remove_class_attribute(ftree: FTree, attribute: str) -> Placement:
     """Drop an attribute from a multi-attribute class (fragments untouched).
 
     After a selection A=B merged two nodes, projecting away one of the
     equal attributes only changes the label — every singleton already
     carries the shared value for the remaining attribute.
     """
-    node = fact.ftree.node(attribute)
+    node = ftree.node(attribute)
     if node.is_aggregate:
         raise OperatorError("aggregate attributes are removed via projection")
     if len(node.attributes) < 2:
@@ -430,50 +431,35 @@ def remove_class_attribute(fact: Factorisation, attribute: str) -> Factorisation
             f"{attribute!r} is the only attribute of its node; "
             "use remove_leaf instead"
         )
-
-    def relabel(current: FNode) -> FNode:
-        if attribute not in current.attributes:
-            return current
-        return current.with_attributes(
-            tuple(a for a in current.attributes if a != attribute)
-        )
-
-    return Factorisation(fact.ftree.map_nodes(relabel), fact.roots)
+    relabelled = node.with_attributes(tuple(a for a in node.attributes if a != attribute))
+    return Placement(
+        ftree.replace_node(node.name, lambda _: [relabelled]), None, (), _unchanged, ()
+    )
 
 
 # ---------------------------------------------------------------------------
 # rename
 # ---------------------------------------------------------------------------
-def rename_tree(ftree: FTree, old: str, new: str) -> FTree:
-    """Tree-level rename: attribute names live in the f-tree alone."""
+def rename(ftree: FTree, old: str, new: str) -> Placement:
+    """Rename an attribute: names live in the f-tree alone, so the
+    fragments are untouched (constant time)."""
     if new in ftree:
         raise OperatorError(f"attribute {new!r} already exists")
     node = ftree.node(old)
-
-    def relabel(current: FNode) -> FNode:
-        if current.name != node.name and old not in current.attributes:
-            return current
-        if current.aggregate is not None:
-            aggregate = AggregateAttribute(
-                current.aggregate.functions, current.aggregate.over, new
-            )
-            return FNode(aggregate, current.children, current.keys)
-        attributes = tuple(new if a == old else a for a in current.attributes)
-        return current.with_attributes(attributes)
-
-    return ftree.map_nodes(relabel)
-
-
-def rename(fact: Factorisation, old: str, new: str) -> Factorisation:
-    """Rename an attribute (constant time: the fragments are untouched)."""
-    return Factorisation(rename_tree(fact.ftree, old, new), fact.roots)
+    if node.aggregate is not None:
+        label = AggregateAttribute(node.aggregate.functions, node.aggregate.over, new)
+        renamed = FNode(label, node.children, node.keys)
+    else:
+        renamed = node.with_attributes([new if a == old else a for a in node.attributes])
+    return Placement(
+        ftree.replace_node(node.name, lambda _: [renamed]), None, (), _unchanged, ()
+    )
 
 
 # ---------------------------------------------------------------------------
 # nesting independent fragments (group-path linearisation)
 # ---------------------------------------------------------------------------
-@kernels.timed("nest")
-def nest_under(fact: Factorisation, name: str, target_sibling: str) -> Factorisation:
+def nest_under(ftree: FTree, name: str, target_sibling: str) -> Placement:
     """Move a subtree below an *independent sibling* subtree.
 
     Valid because distinct children of one node are conditionally
@@ -484,7 +470,6 @@ def nest_under(fact: Factorisation, name: str, target_sibling: str) -> Factorisa
     factorisation of an aggregate query requires (the aggregate value
     depends on every group attribute).
     """
-    ftree = fact.ftree
     node = ftree.node(name)
     target = ftree.node(target_sibling)
     parent = ftree.parent(node)
@@ -492,54 +477,54 @@ def nest_under(fact: Factorisation, name: str, target_sibling: str) -> Factorisa
         raise OperatorError(
             f"{name!r} and {target_sibling!r} must be siblings to nest"
         )
-    s_idx = next(i for i, c in enumerate(parent.children) if c is node)
-    t_idx = next(i for i, c in enumerate(parent.children) if c is target)
-
+    s_idx = parent.children.index(node)
+    t_idx = parent.children.index(target)
     new_target = target.with_children(tuple(target.children) + (node,))
-    new_children = [
-        (new_target if i == t_idx else c)
-        for i, c in enumerate(parent.children)
-        if i != s_idx
-    ]
-    new_parent = parent.with_children(new_children)
-    new_ftree = ftree.replace_node(parent.name, lambda _: [new_parent])
-
-    root_index, steps = ftree.path_to(parent.name)
-    return map_cunion_level(
-        fact, root_index, steps, kernels.nest_column(s_idx, t_idx), new_ftree
+    new_parent = parent.with_children(
+        [new_target if i == t_idx else c for i, c in enumerate(parent.children) if i != s_idx]
+    )
+    return Placement(
+        ftree.replace_node(parent.name, lambda _: [new_parent]),
+        *ftree.path_to(parent.name),
+        kernels.nest_column,
+        (s_idx, t_idx),
+        "nest",
     )
 
 
-@kernels.timed("nest")
-def nest_root_under(fact: Factorisation, root_name: str, target: str) -> Factorisation:
+def nest_root_under(ftree: FTree, root_name: str, target: str) -> Placement:
     """Move a whole root tree below an arbitrary node of another tree.
 
     Roots of a forest are independent of everything else, so the moved
     fragment is context-free and can be shared under every value of the
     target node.
     """
-    ftree = fact.ftree
     node = ftree.node(root_name)
     if ftree.parent(node) is not None:
         raise OperatorError(f"{root_name!r} is not a root")
     target_node = ftree.node(target)
     if target_node is node or ftree.is_ancestor(node, target_node):
         raise OperatorError("cannot nest a tree under its own subtree")
-    r_idx = next(i for i, r in enumerate(ftree.roots) if r is node)
-
-    new_target = target_node.with_children(
-        tuple(target_node.children) + (node,)
+    moved = ftree.roots.index(node)
+    new_target = target_node.with_children(tuple(target_node.children) + (node,))
+    pruned = FTree([r for i, r in enumerate(ftree.roots) if i != moved])
+    return Placement(
+        pruned.replace_node(target, lambda _: [new_target]),
+        None,
+        (),
+        _hang_root,
+        (moved, pruned, *pruned.path_to(target)),
+        "nest",
     )
-    pruned_roots = [r for i, r in enumerate(ftree.roots) if i != r_idx]
-    pruned_fact_roots = [u for i, u in enumerate(fact.roots) if i != r_idx]
-    pruned_tree = FTree(pruned_roots)
-    new_ftree = pruned_tree.replace_node(target, lambda _: [new_target])
 
-    pruned = Factorisation(pruned_tree, pruned_fact_roots)
-    root_index, steps = pruned_tree.path_to(target)
-    return map_cunion_level(
-        pruned, root_index, steps, kernels.hang_below(fact.roots[r_idx]), new_ftree
-    )
+
+def _hang_root(moved: int, pruned: FTree, root: int, path: tuple) -> Callable:
+    def kernel(roots: Sequence[CUnion]) -> tuple[CUnion, ...]:
+        rest = Factorisation(pruned, [u for i, u in enumerate(roots) if i != moved])
+        hang = kernels.hang_below(roots[moved])
+        return map_cunion_level(rest, root, path, hang, pruned).roots
+
+    return kernel
 
 
 # ---------------------------------------------------------------------------
@@ -554,72 +539,78 @@ def product(left: Factorisation, right: Factorisation) -> Factorisation:
 # ---------------------------------------------------------------------------
 # the γ aggregation operator (Section 3)
 # ---------------------------------------------------------------------------
-def aggregate_tree(
+def aggregate(
     ftree: FTree,
     parent_name: str | None,
     child_names: Sequence[str],
-    functions: Sequence[tuple[str, str | None]],
+    functions: Sequence[tuple],
     name: str | None = None,
-) -> tuple[FTree, str]:
-    """Tree-level γ_F(U): replace sibling subtrees U with one node F(U).
+    stats=None,
+    bound: bool = False,
+) -> Placement:
+    """γ_F(U): replace sibling subtrees U with one node F(U) (Section 3).
 
-    Returns the new tree and the new node's name.  Dependency handling
-    per Section 3: every remaining node that depended on a node of U
-    receives a fresh shared key, which the new aggregate node also
-    carries (it depends on each of them, and they on each other).
+    Dependency handling per Section 3: every remaining node that
+    depended on a node of U receives a fresh shared key, which the new
+    aggregate node also carries (it depends on each of them, and they
+    on each other).  The new node is named ``name`` (by default a fresh
+    name).
+
+    The kernel replaces each expression over U with ⟨F(U): v⟩ (Section
+    3.2): the linear-time recursion of :mod:`repro.core.kernels`, as one
+    batch fold over the whole level of U's parent; ``stats`` records how
+    products of factors were evaluated.  A context left without tuples
+    of U (a selection drained it) represents no result tuples and is
+    pruned, matching the SQL rule that empty groups do not appear; γ of
+    the empty relation is an empty union, not a ⟨F(∅): v⟩ singleton.
+    With ``bound``, the components may also read the attributes of U's
+    parent and of its ancestors: γ then folds every occurrence of a
+    shared fragment apart, each with its own values of them.
     """
     parent, indices = _resolve_subtrees(ftree, parent_name, child_names)
-    subtrees = (
-        [ftree.roots[i] for i in indices]
-        if parent is None
-        else [parent.children[i] for i in indices]
-    )
+    siblings = ftree.roots if parent is None else parent.children
+    subtrees = [siblings[i] for i in indices]
     over: set[str] = set()
     removed_keys: set[str] = set()
+    removed_names: set[str] = set()
     for subtree in subtrees:
         over |= subtree.subtree_atomic_attributes()
         removed_keys |= subtree.subtree_keys()
+        removed_names |= subtree.subtree_names()
         for node in subtree.walk():
             if node.aggregate is not None:
                 over |= set(node.aggregate.over)
-    agg_name = name or fresh_aggregate_name()
-    attribute = AggregateAttribute(tuple(functions), frozenset(over), agg_name)
-
-    removed_names = set()
-    for subtree in subtrees:
-        removed_names |= subtree.subtree_names()
+    attribute = AggregateAttribute(
+        tuple(functions), frozenset(over), name or fresh_aggregate_name()
+    )
     dependents = {
         n.name
         for n in ftree.nodes()
         if n.name not in removed_names and (n.keys & removed_keys)
     }
     fresh = _fresh_dependency_key()
-    new_node = FNode(attribute, (), {fresh})
-
+    # The new node takes the first selected child's slot.
     slot = indices[0]
+    kept = [c for i, c in enumerate(siblings) if i not in indices]
+    kept.insert(slot, FNode(attribute, (), {fresh}))
     if parent is None:
-        roots = [r for i, r in enumerate(ftree.roots) if i not in indices]
-        roots.insert(_collapsed_slot(slot, indices), new_node)
-        new_ftree = FTree(roots)
+        tree = FTree(kept)
     else:
-        children = [
-            c for i, c in enumerate(parent.children) if i not in indices
-        ]
-        children.insert(_collapsed_slot(slot, indices), new_node)
-        new_parent = parent.with_children(children)
-        new_ftree = ftree.replace_node(parent.name, lambda _: [new_parent])
+        new_parent = parent.with_children(kept)
+        tree = ftree.replace_node(parent.name, lambda _: [new_parent])
     if dependents:
-        new_ftree = new_ftree.map_nodes(
-            lambda n: n.with_keys(n.keys | {fresh})
-            if n.name in dependents
-            else n
-        )
-    return new_ftree, agg_name
-
-
-def _collapsed_slot(first: int, indices: Sequence[int]) -> int:
-    """Slot of the new node once the selected children are removed."""
-    return first - sum(1 for i in indices if i < first)
+        tree = _tied(tree, dependents, fresh)
+    context = (
+        [n.attributes for n in [*reversed(ftree.ancestors(parent)), parent]]
+        if bound
+        else []
+    )
+    args = (subtrees, tuple(functions), stats, context, indices, slot)
+    if parent is None:
+        return Placement(tree, None, (), _fold_roots, args, "aggregate")
+    return Placement(
+        tree, *ftree.path_to(parent.name), _fold_level, args, "aggregate", bound
+    )
 
 
 def _resolve_subtrees(
@@ -651,50 +642,19 @@ def _resolve_subtrees(
     return parent, sorted(indices)
 
 
-@kernels.timed("aggregate")
-def apply_aggregation(
-    fact: Factorisation,
-    parent_name: str | None,
-    child_names: Sequence[str],
-    functions: Sequence[tuple],
-    name: str | None = None,
-    stats=None,
-    bound: bool = False,
-) -> Factorisation:
-    """γ_F(U): replace each expression over U with ⟨F(U): v⟩ (Section 3.2).
+def _fold_level(child_nodes, functions, stats, context, indices, slot) -> Callable:
+    components = kernels.context_components(child_nodes, functions, stats, context)
+    return kernels.fold_columns(components, indices, slot)
 
-    The values are computed by the linear-time recursion of
-    :mod:`repro.core.kernels`, as one batch fold over the whole level
-    of U's parent; ``stats`` records how products of factors were
-    evaluated.  A context left without tuples of U (a selection
-    drained it) represents no result tuples and is pruned, matching the
-    SQL rule that empty groups do not appear; γ of the empty relation
-    is an empty union, not a ⟨F(∅): v⟩ singleton.  With ``bound``, the
-    components may also read the attributes of U's parent and of its
-    ancestors: γ then folds every occurrence of a shared fragment apart,
-    each with its own values of them.
-    """
-    ftree = fact.ftree
-    parent, indices = _resolve_subtrees(ftree, parent_name, child_names)
-    new_ftree, _ = aggregate_tree(
-        ftree, parent_name, child_names, functions, name
-    )
-    slot = _collapsed_slot(indices[0], indices)
-    child_nodes = [
-        (ftree.roots if parent is None else parent.children)[i] for i in indices
-    ]
-    path = [*reversed(ftree.ancestors(parent)), parent] if bound else []
-    components = kernels.context_components(
-        child_nodes, tuple(functions), stats, [n.attributes for n in path]
-    )
 
-    if parent is None:
+def _fold_roots(child_nodes, functions, stats, context, indices, slot) -> Callable:
+    components = kernels.context_components(child_nodes, functions, stats, context)
+
+    def kernel(roots: Sequence[CUnion]) -> list[CUnion]:
         # The roots are one context: zero or one aggregate value.
-        _, found = components([[fact.roots[i]] for i in indices])
-        roots = [u for i, u in enumerate(fact.roots) if i not in indices]
-        roots.insert(slot, CUnion(found, ()))
-        return Factorisation(new_ftree, roots)
+        _, found = components([[roots[i]] for i in indices])
+        rest = [u for i, u in enumerate(roots) if i not in indices]
+        rest.insert(slot, CUnion(found, ()))
+        return rest
 
-    fold = kernels.fold_columns(components, indices, slot)
-    root_index, steps = ftree.path_to(parent.name)
-    return map_cunion_level(fact, root_index, steps, fold, new_ftree, bound)
+    return kernel

@@ -153,7 +153,7 @@ class GreedyOptimizer:
             if selection is not None:
                 step, equality = selection
                 steps.append(step)
-                tree = step.apply_tree(tree)
+                tree = step.place(tree).tree
                 pending.remove(equality)
                 pending = [eq for eq in pending if not _same_node(tree, eq)]
                 continue
@@ -173,7 +173,7 @@ class GreedyOptimizer:
                 more = [swap]
             steps.extend(more)
             for step in more:
-                tree = step.apply_tree(tree)
+                tree = step.place(tree).tree
         raise OptimizerError("greedy optimiser did not converge")
 
 
@@ -362,7 +362,7 @@ def _push_up_steps(tree: FTree, name: str, stop) -> tuple[list[Step], FTree]:
             break
         step = SwapStep(node.name)
         steps.append(step)
-        current = step.apply_tree(current)
+        current = step.place(current).tree
     return steps, current
 
 
@@ -390,8 +390,8 @@ def _cheapest_push(
         if not mergeable(current) or not steps:
             continue
         cost = sum(
-            ftree_cost(t, ctx.hypergraph, ctx.scale)
-            for t in FPlan(steps).simulate(tree)[1:]
+            ftree_cost(placement.tree, ctx.hypergraph, ctx.scale)
+            for placement in FPlan(steps).place(tree)
         )
         options.append((cost, steps))
     if not options:
@@ -459,10 +459,8 @@ class ExhaustiveOptimizer:
         greedy = budget = None
         if prune:
             greedy = GreedyOptimizer().plan(ftree, ctx)
-            budget = max(
-                (s_parameter(tree, ctx.hypergraph) for tree in greedy.simulate(ftree)),
-                default=0.0,
-            )
+            trees = [ftree, *(placement.tree for placement in greedy.place(ftree))]
+            budget = max(s_parameter(tree, ctx.hypergraph) for tree in trees)
         # Candidate trees share the subtrees a step left alone, so the
         # memos (keyed by node, or by state) compute each part once.
         sig_memo: dict = {}
@@ -483,7 +481,7 @@ class ExhaustiveOptimizer:
             if expanded > self.max_states:
                 break
             for step, new_pending in self._edges(tree, pending, ctx):
-                new_tree = step.apply_tree(tree)
+                new_tree = step.place(tree).tree
                 signature = _signature(new_tree, sig_memo)
                 state = (signature, new_pending)
                 if state in seen:

@@ -88,11 +88,8 @@ class FactorisedResult:
         fact = self.factorisation
         order = [key for key in self.order if key.attribute in fact.ftree]
         if self.computed:
-            columns, shape = _computed_shaper(
-                self.output_schema[: -len(self.computed)], self.computed
-            )
-            blocks = iter_blocks(fact, order, columns)
-            return ([shape(row) for row in block] for block in blocks)
+            plain = self.output_schema[: -len(self.computed)]
+            return _computed_blocks(fact, order, plain, self.computed)
         if self.aggregate_node is None:
             return iter_blocks(fact, order, self.output_schema)
         # Group attributes, then the aliases read off the aggregate
@@ -267,21 +264,29 @@ def gamma_components(
     return tuple(components or [("count", None)]), bound
 
 
-def _computed_shaper(
-    plain: Sequence[str], computed: Sequence
-) -> tuple[list[str], Callable[[tuple], tuple]]:
-    """Columns to enumerate and the row function appending the computed
-    columns to the ``plain`` ones."""
+def _computed_blocks(
+    fact: Factorisation, order: Sequence, plain: Sequence[str], computed: Sequence
+) -> Iterator[list[tuple]]:
+    """Row blocks of the ``plain`` columns with the ``computed`` ones
+    appended, for the flat and the factorised output alike.
+
+    π is set semantics: a non-injective expression can map distinct
+    source tuples to equal output rows, and only the first is kept.
+    """
     sources = sorted({a for column in computed for a in column.source_attributes})
     cut = len(plain)
-
-    def shape(row: tuple) -> tuple:
-        binding = dict(zip(sources, row[cut:]))
-        return row[:cut] + tuple(
-            [column.expression.evaluate(binding) for column in computed]
-        )
-
-    return list(plain) + sources, shape
+    seen: set[tuple] = set()
+    for block in iter_blocks(fact, order, list(plain) + sources):
+        out = []
+        for row in block:
+            binding = dict(zip(sources, row[cut:]))
+            row = row[:cut] + tuple(
+                [column.expression.evaluate(binding) for column in computed]
+            )
+            if row not in seen:
+                seen.add(row)
+                out.append(row)
+        yield out
 
 
 def shape_output(
@@ -353,7 +358,7 @@ def finalised_result(
             )
         spec = query.aggregates[0]
         fact = _final_leaf(fact, node_name, spec, query.group_by)
-        fact = ops.rename(fact, node_name, spec.alias)
+        fact = ops.rename(fact.ftree, node_name, spec.alias).run(fact)
         node_name = spec.alias
         keyed = [
             SortKey(key.attribute, key.descending)
@@ -362,7 +367,7 @@ def finalised_result(
             for key in order
         ]
         for child in restructure_for_order(fact.ftree, keyed):
-            fact = ops.swap(fact, child)
+            fact = ops.swap(fact.ftree, child).run(fact)
         order = tuple(keyed)
     return FactorisedResult(
         fact, query.output_schema, node_name, query.aggregates, order, query.limit
@@ -408,9 +413,9 @@ def _aggregate_leaf(
     for condition in query.having:
         if condition.target in group:
             # HAVING over a grouping attribute is a plain selection.
-            fact = ops.select_constant(
-                fact, Comparison(condition.target, condition.op, condition.value)
-            )
+            fact = ops.select(
+                fact.ftree, Comparison(condition.target, condition.op, condition.value)
+            ).run(fact)
             continue
         spec = next(s for s in query.aggregates if s.alias == condition.target)
         # SQL NULL semantics: a None aggregate satisfies no condition.
@@ -479,21 +484,17 @@ def _spj_output(
     order = () if alias_keys else normalise_order(query.order_by)
     if order and merged is None and not supports_order(fact.ftree, order):
         for child in restructure_for_order(fact.ftree, order):
-            fact = ops.swap(fact, child)
+            fact = ops.swap(fact.ftree, child).run(fact)
     if query.projection is not None:
         base_schema = list(query.projection)
     elif merged is not None:
-        base_schema = ops.swap_tree(fact.ftree, merged).attribute_names()
+        base_schema = ops.swap(fact.ftree, merged).tree.attribute_names()
     else:
         base_schema = fact.schema()
     out_schema = base_schema + [c.alias for c in computed]
     rows: Iterable[tuple]
     if computed:
-        columns, shape = _computed_shaper(base_schema, computed)
-        rows = _distinct(
-            shape(row)
-            for row in chain.from_iterable(iter_blocks(fact, order, columns))
-        )
+        rows = chain.from_iterable(_computed_blocks(fact, order, base_schema, computed))
     else:
         rows = chain.from_iterable(iter_blocks(fact, order, base_schema))
     if alias_keys:
@@ -509,16 +510,6 @@ def _component(spec: AggregateSpec) -> tuple:
     if spec.function == "count":
         return ("count", None)
     return (spec.function, spec.attribute)
-
-
-def _distinct(rows: Iterable[tuple]) -> Iterator[tuple]:
-    """π is set semantics: a non-injective expression can map distinct
-    source tuples to equal output rows."""
-    seen: set[tuple] = set()
-    for row in rows:
-        if row not in seen:
-            seen.add(row)
-            yield row
 
 
 def _on_leaf(
@@ -606,23 +597,23 @@ def _linearise_group(fact: Factorisation, group_order: list[str]) -> Factorisati
             if index == 0:
                 if parent is None:
                     break
-                fact = ops.swap(fact, name)
+                fact = ops.swap(fact.ftree, name).run(fact)
                 continue
             predecessor = group_order[index - 1]
             if parent is not None and predecessor in set(parent.all_names):
                 break
             if parent is None:
                 # Root of another tree: hang it below the predecessor.
-                fact = ops.nest_root_under(fact, name, predecessor)
+                fact = ops.nest_root_under(fact.ftree, name, predecessor).run(fact)
                 break
             parent_path = [g for g in parent.all_names if g in path_rank]
             if parent_path:
                 # Sibling branch of the path: hop below the next path
                 # attribute instead of swapping above an earlier one.
                 rank = path_rank[parent_path[0]]
-                fact = ops.nest_under(fact, name, group_order[rank + 1])
+                fact = ops.nest_under(fact.ftree, name, group_order[rank + 1]).run(fact)
                 continue
-            fact = ops.swap(fact, name)
+            fact = ops.swap(fact.ftree, name).run(fact)
     return fact
 
 
@@ -702,17 +693,19 @@ def _fold_partials(
     else:
         if hook >= 0:
             for root in loose:
-                fact = ops.nest_root_under(fact, root, names[hook])
+                fact = ops.nest_root_under(fact.ftree, root, names[hook]).run(fact)
             for depth in range(hook):
                 for partial in partials(fact.ftree.node(names[depth]).children):
-                    fact = ops.nest_under(fact, partial, names[depth + 1])
+                    fact = ops.nest_under(fact.ftree, partial, names[depth + 1]).run(fact)
             loose = partials(fact.ftree.node(names[hook]).children)
         parent = names[hook] if hook >= 0 else None
-        fact = ops.apply_aggregation(fact, parent, loose, functions, name, stats, bound)
+        fact = ops.aggregate(
+            fact.ftree, parent, loose, functions, name, stats, bound
+        ).run(fact)
     if hook < 0 and path:
-        fact = ops.nest_root_under(fact, name, names[-1])
+        fact = ops.nest_root_under(fact.ftree, name, names[-1]).run(fact)
     for depth in range(hook, len(path) - 1) if hook >= 0 else ():
-        fact = ops.nest_under(fact, name, names[depth + 1])
+        fact = ops.nest_under(fact.ftree, name, names[depth + 1]).run(fact)
     # One shared key keeps the path a path under later swaps.
     tied = set(names) | {name}
     tree = fact.ftree.map_nodes(
@@ -746,11 +739,11 @@ def _project_to(fact: Factorisation, kept: set[str]) -> Factorisation:
             if len(node.attributes) > len(extra):
                 # Mixed class: drop the unneeded names only (free).
                 for attribute in extra:
-                    fact = ops.remove_class_attribute(fact, attribute)
+                    fact = ops.remove_class_attribute(fact.ftree, attribute).run(fact)
                 acted = True
                 break
             if not node.children:
-                fact = ops.remove_leaf(fact, node.name)
+                fact = ops.remove_leaf(fact.ftree, node.name).run(fact)
                 acted = True
                 break
             depth = fact.ftree.depth(node)
@@ -760,4 +753,4 @@ def _project_to(fact: Factorisation, kept: set[str]) -> Factorisation:
             continue
         if deepest is None:
             return fact
-        fact = ops.swap(fact, deepest.children[0].name)
+        fact = ops.swap(fact.ftree, deepest.children[0].name).run(fact)

@@ -42,8 +42,10 @@ from __future__ import annotations
 
 import threading
 import weakref
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from itertools import count
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from repro.obs import clock
@@ -145,6 +147,10 @@ def _derive_flat(
         derived = sort_relation(derived, order)
     derived.name = name
     return derived
+
+
+#: A log record's version: the key the version-ordered log bisects on.
+_VERSION = attrgetter("version")
 
 
 @dataclass(frozen=True)
@@ -320,8 +326,7 @@ class Snapshot:
         records = self.database.changes_since(version)
         if records is None:
             return None
-        pin = self._state.version
-        return [record for record in records if record.version <= pin]
+        return records[: bisect_right(records, self._state.version, key=_VERSION)]
 
     def snapshot(self, version: "int | None" = None) -> "Snapshot":
         """A sibling pin (same version unless another retained one is named)."""
@@ -615,11 +620,14 @@ class Database:
             return ApplyReport(self.version, inserted, deleted, tuple(records))
 
     def changes_since(self, version: int) -> list[LogRecord] | None:
-        """Replayable records after ``version``, or None if truncated."""
+        """Replayable records after ``version``, or None if truncated.
+
+        The log is in version order, so the records are found by
+        bisection, not by a scan."""
         with self._log_lock:
             if version < self._log_floor:
                 return None
-            return [record for record in self._log if record.version > version]
+            return self._log[bisect_right(self._log, version, key=_VERSION) :]
 
     # ------------------------------------------------------------------
     # Snapshots (MVCC readers)

@@ -129,7 +129,7 @@ def test_restructure_for_order_example2(pizza_fact):
     assert swaps == ["customer", "customer"]
     current = pizza_fact
     for child in swaps:
-        current = ops.swap(current, child)
+        current = ops.swap(current.ftree, child).run(current)
     rows = list(iter_tuples(current, order))
     assert rows == sort_rows(rows, current.schema(), order)
 

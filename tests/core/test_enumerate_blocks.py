@@ -260,7 +260,7 @@ def random_merge_order(rng: random.Random, tree: FTree) -> "list | None":
     for _ in range(20):
         if not inner:
             return None
-        swapped = ops.swap_tree(tree, rng.choice(inner).name)
+        swapped = ops.swap(tree, rng.choice(inner).name).tree
         order = random_order(rng, swapped)
         if enum.on_demand_swap(tree, order) is not None:
             return order
@@ -350,7 +350,7 @@ def test_on_demand_swap_matches_swap_then_enumerate(seed):
         if order is None:
             continue
         child = enum.on_demand_swap(fact.ftree, order)
-        swapped = ops.swap(fact, child)
+        swapped = ops.swap(fact.ftree, child).run(fact)
         assert not supports_order(fact.ftree, order)
         expected = list(iter_tuples(swapped, order))
         columns = swapped.schema()
@@ -400,7 +400,7 @@ def test_on_demand_swap_touches_at_most_one_block_more(produced, limit):
     fact = _wide_fact()
     order = ["b", ("a", "desc"), "c"]
     assert enum.on_demand_swap(fact.ftree, order) == "b"
-    expected = list(iter_tuples(ops.swap(fact, "b"), order, limit))
+    expected = list(iter_tuples(ops.swap(fact.ftree, "b").run(fact), order, limit))
     produced["rows"] = produced["largest"] = 0
     rows = list(iter_tuples(fact, order, limit))
     assert rows == [(row[1], row[0], row[2]) for row in expected]
@@ -735,7 +735,7 @@ def test_sweep_on_demand_orders(sweep_facts, name):
         order = random_merge_order(rng, fact.ftree)
         if order is None:
             continue
-        swapped = ops.swap(fact, enum.on_demand_swap(fact.ftree, order))
+        swapped = ops.swap(fact.ftree, enum.on_demand_swap(fact.ftree, order)).run(fact)
         columns = swapped.schema()
         expected = list(ref_iter_tuples(swapped, order))
         for limit in (1, 1023, 1024, 1025, None):
@@ -814,7 +814,7 @@ def _aggregate_queries():
 def _planned_fact(engine: FDBEngine, query, database):
     """The factorisation ``execute_planned`` hands to the output stage."""
     compiled = engine.compile(query, database)
-    fact = build_inputs(compiled.inputs, database)
+    fact = build_inputs(compiled, database)
     trace = ExecutionTrace()
     selects = compiled.query.comparisons
     fact = FPlan([SelectStep(c) for c in selects]).execute(fact, trace)

@@ -41,9 +41,9 @@ def test_figure1_factorisation_structure(view):
 def test_example1_scenario1_local_aggregation(view):
     """S = ϖ_{customer,date,pizza; sum(price)}(R): aggregation is local."""
     _, fact = view
-    s = ops.apply_aggregation(
-        fact, "pizza", ["item"], [("sum", "price")], name="sp"
-    )
+    s = ops.aggregate(
+        fact.ftree, "pizza", ["item"], [("sum", "price")], name="sp"
+    ).run(fact)
     by_pizza = {
         pizza: children[1].values[0][0]
         for pizza, children in iter_entries(s.roots[0])
@@ -54,22 +54,23 @@ def test_example1_scenario1_local_aggregation(view):
 def test_example1_scenario2_restructure_and_partials(view):
     """P = ϖ_{customer; sum(price)}(R) via T2 → T3 → T4 → final."""
     _, fact = view
-    s = ops.apply_aggregation(
-        fact, "pizza", ["item"], [("sum", "price")], name="sp"
-    )
-    t3 = ops.swap(ops.swap(s, "customer"), "customer")
+    s = ops.aggregate(
+        fact.ftree, "pizza", ["item"], [("sum", "price")], name="sp"
+    ).run(fact)
+    t3 = ops.swap(s.ftree, "customer").run(s)
+    t3 = ops.swap(t3.ftree, "customer").run(t3)
     assert t3.ftree.attribute_names()[0] == "customer"
-    t4 = ops.apply_aggregation(
-        t3, "pizza", ["date"], [("count", None)], name="cd"
-    )
+    t4 = ops.aggregate(
+        t3.ftree, "pizza", ["date"], [("count", None)], name="cd"
+    ).run(t3)
     # T4 fragment of Mario/Capricciosa: count 2, sum 8 (paper's figures).
     mario = dict(iter_entries(t4.roots[0]))["Mario"]
     capricciosa = dict(iter_entries(mario[0]))["Capricciosa"]
     values = sorted(child.values[0] for child in capricciosa)
     assert values == [(2,), (8,)]
-    final = ops.apply_aggregation(
-        t4, "customer", ["pizza"], [("sum", "price")], name="revenue"
-    )
+    final = ops.aggregate(
+        t4.ftree, "customer", ["pizza"], [("sum", "price")], name="revenue"
+    ).run(t4)
     assert sorted(final.iter_tuples()) == [
         ("Lucia", (9,)),
         ("Mario", (22,)),
@@ -109,7 +110,8 @@ def test_example2_orders(view, t1):
     ]:
         assert supports_order(t1, list(order)), order
     assert not supports_order(t1, ["customer", "pizza", "item", "price"])
-    pushed = ops.swap(ops.swap(fact, "customer"), "customer")
+    pushed = ops.swap(fact.ftree, "customer").run(fact)
+    pushed = ops.swap(pushed.ftree, "customer").run(pushed)
     assert supports_order(pushed.ftree, ["customer", "pizza", "item", "price"])
     rows = list(iter_tuples(pushed, ["customer", "pizza", "item", "price"]))
     from repro.relational.sort import sort_rows
@@ -145,21 +147,23 @@ def test_example7_composition_equivalence(view):
     """γ_sum(U) ∘ γ_count(date) ∘ γ_sum(item,price) = γ_sum(U)."""
     _, fact = view
     # Left side: the full staged pipeline of Example 1.
-    staged = ops.apply_aggregation(
-        fact, "pizza", ["item"], [("sum", "price")], name="sp"
-    )
-    staged = ops.swap(ops.swap(staged, "customer"), "customer")
-    staged = ops.apply_aggregation(
-        staged, "pizza", ["date"], [("count", None)], name="cd"
-    )
-    staged = ops.apply_aggregation(
-        staged, "customer", ["pizza"], [("sum", "price")], name="rev"
-    )
+    staged = ops.aggregate(
+        fact.ftree, "pizza", ["item"], [("sum", "price")], name="sp"
+    ).run(fact)
+    staged = ops.swap(staged.ftree, "customer").run(staged)
+    staged = ops.swap(staged.ftree, "customer").run(staged)
+    staged = ops.aggregate(
+        staged.ftree, "pizza", ["date"], [("count", None)], name="cd"
+    ).run(staged)
+    staged = ops.aggregate(
+        staged.ftree, "customer", ["pizza"], [("sum", "price")], name="rev"
+    ).run(staged)
     # Right side: restructure first, then one γ over the whole subtree.
-    direct = ops.swap(ops.swap(fact, "customer"), "customer")
-    direct = ops.apply_aggregation(
-        direct, "customer", ["pizza"], [("sum", "price")], name="rev"
-    )
+    direct = ops.swap(fact.ftree, "customer").run(fact)
+    direct = ops.swap(direct.ftree, "customer").run(direct)
+    direct = ops.aggregate(
+        direct.ftree, "customer", ["pizza"], [("sum", "price")], name="rev"
+    ).run(direct)
     assert sorted(staged.iter_tuples()) == sorted(direct.iter_tuples())
 
 
@@ -196,32 +200,33 @@ def test_example11_alternative_plan(pizzeria_rels):
     fact = factorise(joined, t1_indep, check=True)
 
     # Plan A (Example 1): partial sum, push customer up twice, finish.
-    plan_a = ops.apply_aggregation(
-        fact, "pizza", ["item"], [("sum", "price")], name="sp"
-    )
-    plan_a = ops.swap(ops.swap(plan_a, "customer"), "customer")
-    plan_a = ops.apply_aggregation(
-        plan_a, "customer", ["pizza"], [("sum", "price")], name="revenue"
-    )
+    plan_a = ops.aggregate(
+        fact.ftree, "pizza", ["item"], [("sum", "price")], name="sp"
+    ).run(fact)
+    plan_a = ops.swap(plan_a.ftree, "customer").run(plan_a)
+    plan_a = ops.swap(plan_a.ftree, "customer").run(plan_a)
+    plan_a = ops.aggregate(
+        plan_a.ftree, "customer", ["pizza"], [("sum", "price")], name="revenue"
+    ).run(plan_a)
 
     # Plan B (Example 11): partial sum, push *date* up — customer is
     # independent of pizza, so it moves up with date, giving the
     # example's tree date → (customer, pizza → sp).
-    plan_b = ops.apply_aggregation(
-        fact, "pizza", ["item"], [("sum", "price")], name="sp"
-    )
-    plan_b = ops.swap(plan_b, "date")
+    plan_b = ops.aggregate(
+        fact.ftree, "pizza", ["item"], [("sum", "price")], name="sp"
+    ).run(fact)
+    plan_b = ops.swap(plan_b.ftree, "date").run(plan_b)
     date_children = {
         c.name for c in plan_b.ftree.node("date").children
     }
     assert "customer" in date_children  # the example's picture
-    plan_b = ops.apply_aggregation(
-        plan_b, "date", ["pizza"], [("sum", "price")], name="sp2"
-    )
-    plan_b = ops.swap(plan_b, "customer")
-    plan_b = ops.apply_aggregation(
-        plan_b, "customer", ["date"], [("sum", "price")], name="revenue"
-    )
+    plan_b = ops.aggregate(
+        plan_b.ftree, "date", ["pizza"], [("sum", "price")], name="sp2"
+    ).run(plan_b)
+    plan_b = ops.swap(plan_b.ftree, "customer").run(plan_b)
+    plan_b = ops.aggregate(
+        plan_b.ftree, "customer", ["date"], [("sum", "price")], name="revenue"
+    ).run(plan_b)
     assert sorted(plan_a.iter_tuples()) == sorted(plan_b.iter_tuples())
 
 

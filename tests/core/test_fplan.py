@@ -31,9 +31,9 @@ def test_plan_simulate_matches_execute(pizza_fact):
             SwapStep("customer"),
         ]
     )
-    trees = plan.simulate(pizza_fact.ftree)
+    placed = plan.place(pizza_fact.ftree)
     result = plan.execute(pizza_fact)
-    assert trees[-1].attribute_names() == result.ftree.attribute_names()
+    assert placed[-1].tree.attribute_names() == result.ftree.attribute_names()
 
 
 def test_trace_records_sizes(pizza_fact):
@@ -53,14 +53,14 @@ def test_select_step(pizza_fact):
     values = {row[-1] for row in out.iter_tuples()}
     assert values == {6}
     # Tree shape is unchanged by constant selections.
-    assert plan.simulate(pizza_fact.ftree)[-1] is pizza_fact.ftree
+    assert plan.place(pizza_fact.ftree)[-1].tree is pizza_fact.ftree
 
 
 def test_rename_step(pizza_fact):
     plan = FPlan([RenameStep("price", "cost")])
     out = plan.execute(pizza_fact)
     assert "cost" in out.ftree
-    tree = plan.simulate(pizza_fact.ftree)[-1]
+    tree = plan.place(pizza_fact.ftree)[-1].tree
     assert "cost" in tree and "price" not in tree
 
 

@@ -165,7 +165,7 @@ def test_size_info_matches_naive_walk_with_shared_subtrees(seed):
     }
     fact = factorise(Relation(("a", "b", "c", "d"), sorted(rows)), tree)
     # χ shares the fragments that do not depend on the old parent.
-    for swapped in (fact, ops.swap(fact, "b")):
+    for swapped in (fact, ops.swap(fact.ftree, "b").run(fact)):
         assert swapped.size_info() == _naive_size_info(swapped)
         assert swapped.size_info()[0] == swapped.size()
 
@@ -188,7 +188,7 @@ def test_accounting_a_swap_output_costs_less_than_the_swap():
             timings.append(time.perf_counter() - started)
         return min(timings), result
 
-    swap_seconds, swapped = best(lambda: ops.swap(view, "date"))
+    swap_seconds, swapped = best(lambda: ops.swap(view.ftree, "date").run(view))
     walk_seconds, totals = best(swapped.size_info)
     assert totals == _naive_size_info(swapped)
     assert walk_seconds < swap_seconds

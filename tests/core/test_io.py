@@ -32,9 +32,9 @@ def test_ftree_roundtrip(t1):
 
 
 def test_ftree_with_aggregate_roundtrip(pizza_fact):
-    aggregated = ops.apply_aggregation(
-        pizza_fact, "pizza", ["item"], [("sum", "price")], name="sp"
-    )
+    aggregated = ops.aggregate(
+        pizza_fact.ftree, "pizza", ["item"], [("sum", "price")], name="sp"
+    ).run(pizza_fact)
     restored = ftree_from_dict(ftree_to_dict(aggregated.ftree))
     node = restored.node("sp")
     assert node.is_aggregate
@@ -49,9 +49,9 @@ def test_factorisation_roundtrip(pizza_fact):
 
 
 def test_roundtrip_with_aggregate_values(pizza_fact):
-    aggregated = ops.apply_aggregation(
-        pizza_fact, "pizza", ["item"], [("sum", "price"), ("count", None)], name="sp"
-    )
+    aggregated = ops.aggregate(
+        pizza_fact.ftree, "pizza", ["item"], [("sum", "price"), ("count", None)], name="sp"
+    ).run(pizza_fact)
     restored = loads(dumps(aggregated))
     assert list(restored.iter_tuples()) == list(aggregated.iter_tuples())
 

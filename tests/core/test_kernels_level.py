@@ -73,10 +73,9 @@ def ref_swap(fact, child_name):
     ftree = fact.ftree
     node_b = ftree.node(child_name)
     node_a = ftree.parent(node_b)
-    j = next(i for i, child in enumerate(node_a.children) if child is node_b)
-    new_b, tb_idx, tab_idx = ops._swapped_nodes(node_a, node_b)
-    new_ftree = ftree.replace_node(node_a.name, lambda _: [new_b])
-    rest_idx = [i for i in range(len(node_a.children)) if i != j]
+    placed = ops.swap(ftree, child_name)
+    j, rest_idx, tb_idx, tab_idx = placed.args
+    new_ftree = placed.tree
 
     if not tb_idx and not tab_idx and not rest_idx:
 
@@ -131,10 +130,10 @@ def ref_merge(fact, name_a, name_b):
     ftree = fact.ftree
     node_a, node_b = ftree.node(name_a), ftree.node(name_b)
     parent = ftree.parent(node_a)
-    new_ftree = ops.merge_tree(ftree, name_a, name_b)
+    new_ftree = ops.merge(ftree, name_a, name_b).tree
     ia = next(i for i, n in enumerate(parent.children) if n is node_a)
     ib = next(i for i, n in enumerate(parent.children) if n is node_b)
-    slot = ops._merged_slot(ia, ib)
+    slot = ia - 1 if ib < ia else ia
 
     def transform(_, union):
         values, cols = union.values, union.children
@@ -158,7 +157,7 @@ def ref_absorb(fact, ancestor_name, descendant_name):
     ftree = fact.ftree
     node_anc = ftree.node(ancestor_name)
     node_desc = ftree.node(descendant_name)
-    new_ftree = ops.absorb_tree(ftree, ancestor_name, descendant_name)
+    new_ftree = ops.absorb(ftree, ancestor_name, descendant_name).tree
     spine = [node_desc]
     while spine[-1] is not node_anc:
         spine.append(ftree.parent(spine[-1]))
@@ -250,9 +249,7 @@ def ref_absorb(fact, ancestor_name, descendant_name):
 
 def ref_select(fact, condition):
     node = fact.ftree.node(condition.attribute)
-    component = (
-        ops._scalar_component(node.aggregate) if node.is_aggregate else None
-    )
+    component = 0 if node.is_aggregate else None
 
     def transform(_, union):
         values = union.values
@@ -284,7 +281,7 @@ def ref_remove_leaf(fact, name):
 
     root_index, steps = ftree.path_to(parent.name)
     return map_cunion_at(
-        fact, root_index, steps, transform, ops.remove_leaf_tree(ftree, name)
+        fact, root_index, steps, transform, ops.remove_leaf(ftree, name).tree
     )
 
 
@@ -346,10 +343,8 @@ def ref_aggregate(fact, parent_name, child_names, functions, name):
     scalar evaluators, which the batch passes are twins of."""
     ftree = fact.ftree
     parent, indices = ops._resolve_subtrees(ftree, parent_name, child_names)
-    new_ftree, _ = ops.aggregate_tree(
-        ftree, parent_name, child_names, functions, name
-    )
-    slot = ops._collapsed_slot(indices[0], indices)
+    new_ftree = ops.aggregate(ftree, parent_name, child_names, functions, name).tree
+    slot = indices[0]
     if parent is None:
         items = [(ftree.roots[i], fact.roots[i]) for i in indices]
         roots = [u for i, u in enumerate(fact.roots) if i not in indices]
@@ -508,12 +503,12 @@ def test_swap_general_and_pure(seed):
     for node in list(fact.ftree.nodes()):
         if fact.ftree.parent(node) is None:
             continue
-        assert_same(ops.swap(fact, node.name), ref_swap(fact, node.name))
+        assert_same(ops.swap(fact.ftree, node.name).run(fact), ref_swap(fact, node.name))
     # The pure two-level shape: a leaf that is its parent's only child,
     # below a level of several unions.
     tree = FTree([FNode(("a",), (FNode(("b",), (leaf("c"),), ("k",)),), ("k",))])
     pure = Factorisation(tree, [random_union(rng, tree.roots[0])])
-    assert_same(ops.swap(pure, "c"), ref_swap(pure, "c"))
+    assert_same(ops.swap(pure.ftree, "c").run(pure), ref_swap(pure, "c"))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -524,7 +519,7 @@ def test_merge_and_absorb(seed):
         plain = [c for c in parent.children if not c.is_aggregate]
         for left, right in zip(plain, plain[1:]):
             assert_same(
-                ops.merge_siblings(fact, left.name, right.name),
+                ops.merge(fact.ftree, left.name, right.name).run(fact),
                 ref_merge(fact, left.name, right.name),
             )
     for upper in tree.nodes():
@@ -532,7 +527,7 @@ def test_merge_and_absorb(seed):
             if lower.is_aggregate or not tree.is_ancestor(upper, lower):
                 continue
             assert_same(
-                ops.absorb(fact, upper.name, lower.name),
+                ops.absorb(fact.ftree, upper.name, lower.name).run(fact),
                 ref_absorb(fact, upper.name, lower.name),
             )
 
@@ -549,12 +544,12 @@ def test_select_prunes_ancestors_and_keeps_columns_aligned(seed):
             (">", 1), ("<", 3), (">=", 2), ("<=", 2), ("=", 2), ("!=", 0), (">", 9), ("<", 0),
         ):
             condition = Comparison(node.name, op, constant)
-            got = ops.select_constant(fact, condition)
+            got = ops.select(fact.ftree, condition).run(fact)
             assert_same(got, ref_select(fact, condition))
     # (">", 9) keeps nothing: the whole relation is pruned to ∅.
-    assert ops.select_constant(
-        fact, Comparison(fact.ftree.roots[0].name, ">", 9)
-    ).is_empty()
+    assert ops.select(
+        fact.ftree, Comparison(fact.ftree.roots[0].name, ">", 9)
+    ).run(fact).is_empty()
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -567,13 +562,13 @@ def test_projection_and_nests(seed):
             continue
         if not node.children:
             assert_same(
-                ops.remove_leaf(fact, node.name),
+                ops.remove_leaf(fact.ftree, node.name).run(fact),
                 ref_remove_leaf(fact, node.name),
             )
         for sibling in parent.children:
             if sibling is not node and not sibling.is_aggregate:
                 assert_same(
-                    ops.nest_under(fact, node.name, sibling.name),
+                    ops.nest_under(fact.ftree, node.name, sibling.name).run(fact),
                     ref_nest_under(fact, node.name, sibling.name),
                 )
     extra = FNode(("z",), (leaf("y", keys=("kz",)),), ("kz",))
@@ -583,7 +578,7 @@ def test_projection_and_nests(seed):
     for target in tree.nodes():
         if target.is_aggregate:
             continue
-        got = ops.nest_root_under(product, "z", target.name)
+        got = ops.nest_root_under(product.ftree, "z", target.name).run(product)
         assert_same(got, ref_nest_root_under(product, "z", target.name))
         # The moved tree is one fragment, shared by every entry.
         moved = product.roots[-1]
@@ -609,9 +604,9 @@ def check_gamma(fact, *args):
         want = ref_aggregate(fact, *args)
     except (agg.CompositionError, agg.EmptyAggregateError) as error:
         with pytest.raises(type(error)):
-            ops.apply_aggregation(fact, *args)
+            ops.aggregate(fact.ftree, *args).run(fact)
     else:
-        assert_same(ops.apply_aggregation(fact, *args), want)
+        assert_same(ops.aggregate(fact.ftree, *args).run(fact), want)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -653,7 +648,7 @@ def test_expression_aggregates_take_the_scalar_fallback(seed):
         aggregate("avg", col("c") * col("d"), "m"),
     )
     functions, _ = gamma_components(specs, ())
-    got = ops.apply_aggregation(fact, "a", ["b"], functions, "out")
+    got = ops.aggregate(fact.ftree, "a", ["b"], functions, "out").run(fact)
     want = ref_aggregate(fact, "a", ["b"], expand_functions(specs), "out")
 
     def finals(result, functions):
@@ -714,7 +709,10 @@ def test_random_expression_specs_through_the_one_gamma_equal_the_oracle(seed):
 
     for parent, children in (("a", ["b"]), (None, ["a"])):
         got = finals(
-            ops.apply_aggregation, parent, children, gamma_components(specs, ())[0]
+            lambda fact, *args: ops.aggregate(fact.ftree, *args).run(fact),
+            parent,
+            children,
+            gamma_components(specs, ())[0],
         )
         want = finals(ref_aggregate, parent, children, expand_functions(specs))
         assert got == want, specs
@@ -728,7 +726,7 @@ def test_a_term_below_a_count_node_is_weighted_by_its_count():
     n_union = CUnion([(2,), (3,)], ([CUnion([1, 4], ()), CUnion([5], ())],))
     fact = Factorisation(tree, [CUnion([0], ([n_union],))])
     functions = (("sum", (col("p"), col("p"))), ("sum", "p"), ("count", None))
-    got = ops.apply_aggregation(fact, "a", ["n"], functions, "out")
+    got = ops.aggregate(fact.ftree, "a", ["n"], functions, "out").run(fact)
     assert shape(got.roots[0]) == ([0], [[([(2 * 17 + 3 * 25, 25, 7)], [])]])
 
 
@@ -746,7 +744,7 @@ def test_extrema_lift_the_stored_partial_of_an_aggregate_node():
         ("min", "p"), ("max", "p"), ("min", "q"), ("max", "q"),
         ("count", None), ("sum", "q"),
     )
-    got = ops.apply_aggregation(fact, "a", ["m"], functions, "out")
+    got = ops.aggregate(fact.ftree, "a", ["m"], functions, "out").run(fact)
     want = (1, 9, 2, 7, 1 * 2 + 2 * 1, 1 * (5 + 7) + 2 * 2)
     assert shape(got.roots[0]) == ([0], [[([want], [])]])
     assert_same(got, ref_aggregate(fact, "a", ["m"], functions, "out"))
@@ -755,7 +753,7 @@ def test_extrema_lift_the_stored_partial_of_an_aggregate_node():
     leaves = [CUnion([(2, 8, 1), (5, 6, 3)], ()), CUnion([(4, 4, 1)], ())]
     fact = Factorisation(flat, [CUnion([0, 1], (leaves,))])
     functions = (("max", "p"), ("count", None), ("min", "p"))
-    got = ops.apply_aggregation(fact, "a", ["m"], functions, "out")
+    got = ops.aggregate(fact.ftree, "a", ["m"], functions, "out").run(fact)
     assert shape(got.roots[0]) == ([0, 1], [[([(8, 4, 2)], []), ([(4, 1, 4)], [])]])
     assert_same(got, ref_aggregate(fact, "a", ["m"], functions, "out"))
 
@@ -765,7 +763,7 @@ def test_extrema_lift_the_stored_partial_of_an_aggregate_node():
     for function in ("min", "max"):
         check_gamma(fact, "a", ["m"], ((function, "p"),), "out")
         with pytest.raises(agg.CompositionError):
-            ops.apply_aggregation(fact, "a", ["m"], ((function, "p"),), "out")
+            ops.aggregate(fact.ftree, "a", ["m"], ((function, "p"),), "out").run(fact)
 
 
 def test_extrema_over_an_empty_fragment_still_raise():
@@ -776,14 +774,14 @@ def test_extrema_over_an_empty_fragment_still_raise():
     fact = Factorisation(tree, [CUnion([0], ([b_union],))])
     for function in ("min", "max"):
         with pytest.raises(agg.EmptyAggregateError):
-            ops.apply_aggregation(fact, "a", ["b"], ((function, "c"),), "out")
+            ops.aggregate(fact.ftree, "a", ["b"], ((function, "c"),), "out").run(fact)
         with pytest.raises(agg.EmptyAggregateError):
             ref_aggregate(fact, "a", ["b"], ((function, "c"),), "out")
     # Whole contexts without tuples are dropped, never evaluated.
     dead = Factorisation(
         tree, [CUnion([0, 1], ([CUnion([], ([],)), b_union],))]
     )
-    got = ops.apply_aggregation(dead, "a", ["b"], (("count", None),), "out")
+    got = ops.aggregate(dead.ftree, "a", ["b"], (("count", None),), "out").run(dead)
     assert shape(got.roots[0]) == ([1], [[([(1,)], [])]])
 
 
@@ -804,7 +802,7 @@ def test_shared_fragment_is_evaluated_once_and_stays_shared():
             tested.append(value)
             return value >= 2
 
-    got = ops.select_constant(fact, Counting("b", ">=", 2))
+    got = ops.select(fact.ftree, Counting("b", ">=", 2)).run(fact)
     assert sorted(tested) == [1, 2, 3]  # once per distinct value of the level
     column = got.roots[0].children[0]
     assert column[0] is column[2] is column[3]
@@ -837,7 +835,7 @@ def test_order_comparisons_probe_sorted_unions_by_bisection():
                 probed.append(value)
                 return super().test(value)
 
-        got = ops.select_constant(fact, Counting("a", op, constant))
+        got = ops.select(fact.ftree, Counting("a", op, constant)).run(fact)
         assert len(probed) <= 7  # log2(64) + 1, not 64
         assert_same(got, ref_select(fact, Comparison("a", op, constant)))
 
@@ -847,14 +845,14 @@ def test_untouched_fragments_and_columns_are_shared_by_reference():
     b_col = [CUnion([1, 2], ()), CUnion([3], ())]
     e_col = [CUnion([5], ()), CUnion([6], ())]
     fact = Factorisation(tree, [CUnion([0, 1], (b_col, e_col))])
-    kept = ops.select_constant(fact, Comparison("b", ">", 1))
+    kept = ops.select(fact.ftree, Comparison("b", ">", 1)).run(fact)
     root = kept.roots[0]
     assert root.values is fact.roots[0].values  # no entry pruned: no copy
     assert root.children[1] is e_col  # the sibling column itself
     assert root.children[0][1] is b_col[1]  # a union that lost nothing
     assert shape(root.children[0][0]) == ([2], [])
     # Once an entry is pruned, every column is cut alike.
-    cut = ops.select_constant(fact, Comparison("b", ">", 2)).roots[0]
+    cut = ops.select(fact.ftree, Comparison("b", ">", 2)).run(fact).roots[0]
     assert shape(cut) == ([1], [[([3], [])], [([6], [])]])
     assert cut.children[1][0] is e_col[1]
 

@@ -14,7 +14,7 @@ def test_merge_roots_reversed_argument_order():
     r = Relation(("a",), [(1,), (2,), (3,)], "R")
     s = Relation(("b",), [(2,), (3,), (4,)], "S")
     fact = ops.product(factorise_path(r, "R"), factorise_path(s, "S"))
-    merged = ops.merge_siblings(fact, "b", "a")  # B first
+    merged = ops.merge(fact.ftree, "b", "a").run(fact)  # B first
     merged.validate()
     assert sorted(merged.iter_tuples()) == [(2, 2), (3, 3)]
 
@@ -28,7 +28,7 @@ def test_merge_three_roots_positional_bookkeeping():
         ops.product(factorise_path(rels[0], "A"), factorise_path(rels[1], "B")),
         factorise_path(rels[2], "C"),
     )
-    merged = ops.merge_siblings(fact, "a", "c")  # non-adjacent roots
+    merged = ops.merge(fact.ftree, "a", "c").run(fact)  # non-adjacent roots
     merged.validate()
     assert sorted(merged.iter_tuples()) == [
         (1, 1, 1),
@@ -47,7 +47,7 @@ def test_swap_node_with_equivalence_class():
         ("p", "a", "b", "c"), [(1, 5, 5, 9), (1, 6, 6, 8), (2, 5, 5, 7)]
     )
     fact = factorise(relation, tree)
-    swapped = ops.swap(fact, "a")  # the class node rises above p
+    swapped = ops.swap(fact.ftree, "a").run(fact)  # the class node rises above p
     swapped.validate()
     assert swapped.to_relation() == relation
     root = swapped.ftree.roots[0]
@@ -67,15 +67,15 @@ def test_ordered_enumeration_by_class_attribute():
 
 def test_select_constant_on_root(pizzeria):
     fact = pizzeria.get_factorised("R")
-    selected = ops.select_constant(fact, Comparison("pizza", "!=", "Hawaii"))
+    selected = ops.select(fact.ftree, Comparison("pizza", "!=", "Hawaii")).run(fact)
     assert selected.roots[0].values == ["Capricciosa", "Margherita"]
 
 
 def test_absorb_class_accumulates_attributes():
     relation = Relation(("a", "b", "c"), [(1, 1, 1), (2, 2, 3)])
     fact = factorise_path(relation, "R")
-    once = ops.absorb(fact, "a", "b")  # class (a, b)
-    twice = ops.absorb(once, "a", "c")  # class (a, b, c)
+    once = ops.absorb(fact.ftree, "a", "b").run(fact)  # class (a, b)
+    twice = ops.absorb(once.ftree, "a", "c").run(once)  # class (a, b, c)
     twice.validate()
     assert sorted(twice.iter_tuples()) == [(1, 1, 1)]
     assert set(twice.ftree.roots[0].attributes) == {"a", "b", "c"}
@@ -83,11 +83,11 @@ def test_absorb_class_accumulates_attributes():
 
 def test_swap_aggregate_node_to_root(pizzeria):
     fact = pizzeria.get_factorised("R")
-    aggregated = ops.apply_aggregation(
-        fact, "pizza", ["date", "item"], [("count", None)], name="n"
-    )
+    aggregated = ops.aggregate(
+        fact.ftree, "pizza", ["date", "item"], [("count", None)], name="n"
+    ).run(fact)
     # The aggregate node can be promoted like any other (Q7's mechanism).
-    promoted = ops.swap(aggregated, "n")
+    promoted = ops.swap(aggregated.ftree, "n").run(aggregated)
     promoted.validate()
     assert promoted.ftree.roots[0].name == "n"
     counts = promoted.roots[0].values
@@ -105,7 +105,7 @@ def test_deeply_nested_swap_chain():
         node = current.ftree.node(name)
         if current.ftree.parent(node) is None:
             continue
-        current = ops.swap(current, name)
+        current = ops.swap(current.ftree, name).run(current)
         current.validate()
     assert current.to_relation() == relation
 
@@ -115,8 +115,8 @@ def test_nest_under_then_swap_back():
     r = Relation(("a", "v"), [(1, 5), (2, 6)], "R")
     s = Relation(("b",), [(8,), (9,)], "S")
     fact = ops.product(factorise_path(r, "R"), factorise_path(s, "S"))
-    nested = ops.nest_root_under(fact, "b", "a")
-    swapped = ops.swap(nested, "b")
+    nested = ops.nest_root_under(fact.ftree, "b", "a").run(fact)
+    swapped = ops.swap(nested.ftree, "b").run(nested)
     swapped.validate()
     assert swapped.schema() == ["b", "a", "v"]  # b promoted to the root
     expected = {(b, a, v) for (a, v) in r.rows for (b,) in s.rows}

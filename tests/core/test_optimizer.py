@@ -144,11 +144,11 @@ def test_exhaustive_matches_greedy_exponent():
         greedy = GreedyOptimizer().plan(tree, ctx)
         exhaustive = ExhaustiveOptimizer().plan(tree, ctx)
         g_exp = max(
-            (s_parameter(t, HYPERGRAPH) for t in greedy.simulate(tree)[1:]),
+            (s_parameter(p.tree, HYPERGRAPH) for p in greedy.place(tree)),
             default=0.0,
         )
         e_exp = max(
-            (s_parameter(t, HYPERGRAPH) for t in exhaustive.simulate(tree)[1:]),
+            (s_parameter(p.tree, HYPERGRAPH) for p in exhaustive.place(tree)),
             default=0.0,
         )
         assert g_exp <= e_exp + 1e-9, name

@@ -164,3 +164,110 @@ def test_the_search_reports_and_counts_its_fallback(database):
     searched = FDBEngine().compile(query, database)
     assert searched.provenance["fallback"] is None
     assert "fallback:" not in FDBEngine().explain(query, database)
+
+
+# ---------------------------------------------------------------------------
+# Compile once: the compiled plan carries its placed steps
+# ---------------------------------------------------------------------------
+#: The placements of :mod:`repro.core.operators` and what they mint.
+_PLACING = (
+    "swap", "merge", "absorb", "select", "remove_leaf", "remove_class_attribute",
+    "rename", "nest_under", "nest_root_under", "aggregate",
+    "_resolve_subtrees", "_fresh_dependency_key",
+)
+
+
+def _runs(monkeypatch, forbidden):
+    """Fail on any call of ``forbidden`` placing functions and on any
+    step placement; record each placement run with the f-tree it got."""
+    from repro.core import fplan
+    from repro.core import operators as ops
+
+    def refuse(name):
+        def refused(*args, **kwargs):
+            raise AssertionError(f"{name} called while replaying a compiled plan")
+
+        return refused
+
+    for name in forbidden:
+        monkeypatch.setattr(ops, name, refuse(name))
+    for cls in (fplan.Step, *fplan.Step.__subclasses__()):
+        monkeypatch.setattr(cls, "place", refuse(f"{cls.__name__}.place"))
+    seen = []
+    run = ops.Placement.run
+
+    def spying(self, fact):
+        seen.append((self, fact.ftree))
+        return run(self, fact)
+
+    monkeypatch.setattr(ops.Placement, "run", spying)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "sql,forbidden",
+    [
+        ("SELECT * FROM R WHERE price > 1 ORDER BY customer", _PLACING),
+        (
+            "SELECT customer, SUM(price) AS revenue FROM R WHERE price > 1 "
+            "GROUP BY customer",
+            (),  # the output stage's own γ places itself per run
+        ),
+    ],
+    ids=["spj", "aggregate"],
+)
+def test_execute_planned_replays_the_compiled_placements(monkeypatch, sql, forbidden):
+    """Over a registered view, a run places no plan step and mints no
+    key or name: each step's kernel runs on the very f-tree the step
+    was placed on at compile."""
+    from repro.core import operators as ops
+    from repro.data.pizzeria import pizzeria_database
+
+    for twin in ("swap_tree", "merge_tree", "absorb_tree", "remove_leaf_tree",
+                 "aggregate_tree", "select_tree", "rename_tree", "apply_aggregation"):
+        assert not hasattr(ops, twin), twin
+    database = pizzeria_database()
+    engine = FDBEngine()
+    query = parse_query(sql)
+    compiled = engine.compile(query, database)
+    assert compiled.inputs[0].registered and compiled.plan.placed
+    want = engine.execute_planned(compiled, query, database)[0].rows
+    seen = _runs(monkeypatch, forbidden)
+    got, _, trace = engine.execute_planned(compiled, query, database)
+    assert got.rows == want
+    ran = [placement for placement, _ in seen]
+    steps = len(compiled.plan.placed)
+    start = len(compiled.selections)
+    assert all(a is b for a, b in zip(ran[start:], compiled.plan.placed))
+    previous = compiled.inputs_tree
+    for placement, tree in seen[: start + steps]:
+        assert tree is previous
+        previous = placement.tree
+    assert compiled.selections[-1].tree is compiled.ftree
+    assert previous is compiled.plan.placed[-1].tree
+    assert trace.steps[start:] == [str(step) for step in compiled.plan]
+
+
+def test_a_plan_compiled_for_another_view_tree_refuses_to_run():
+    """A compiled plan replays positions: over a view rebuilt to its
+    path f-tree it raises instead of replaying them there."""
+    from repro.core.build import factorise
+    from repro.core.ftree import FTree
+    from repro.data.pizzeria import pizzeria_database
+    from repro.database import _path_fallback_tree
+    from repro.query import QueryError
+
+    database = pizzeria_database()
+    engine = FDBEngine()
+    sql = "SELECT customer, SUM(price) AS revenue FROM R GROUP BY customer"
+    query = parse_query(sql)
+    compiled = engine.compile(query, database)
+    want = sorted(engine.execute_planned(compiled, query, database)[0].rows)
+    tree = database.get_factorised("R").ftree
+    # The same shape in a new f-tree object still runs.
+    database.add_factorised("R", factorise(database.flat("R"), FTree(tree.roots)))
+    assert sorted(engine.execute_planned(compiled, query, database)[0].rows) == want
+    database.add_factorised("R", factorise(database.flat("R"), _path_fallback_tree(tree)))
+    with pytest.raises(QueryError, match="compile the query again"):
+        engine.execute_planned(compiled, query, database)
+    assert sorted(engine.execute(query, database).rows) == want

@@ -87,9 +87,9 @@ def test_one_pass_equals_one_pass_per_comparison(seed):
             Comparison("b", rng.choice(OPS), rng.randrange(-5, 105))
             for _ in range(rng.randrange(1, 4))
         ]
-        one = ops.select_constant(fact, *conditions)
+        one = ops.select(fact.ftree, *conditions).run(fact)
         apart = fact
         for condition in conditions:
-            apart = ops.select_constant(apart, condition)
+            apart = ops.select(apart.ftree, condition).run(apart)
         assert list(one.iter_tuples()) == list(apart.iter_tuples())
         one.validate()

@@ -68,10 +68,10 @@ def test_trace_size_accounting_matches(db, name):
     engine = FDBEngine(output="flat")
     compiled = engine.compile(query, db)
     _, plan, trace = engine.execute_planned(compiled, query, db)
-    fact = build_inputs(compiled.inputs, db)
+    fact = build_inputs(compiled, db)
     sizes = []
     for step in plan:
-        fact = step.apply(fact)
+        fact = step.place(fact.ftree).run(fact)
         sizes.append(fact.size())
     assert len(trace.steps) == len(trace.sizes) == len(trace.bytes)
     assert trace.sizes[len(trace.sizes) - len(sizes):] == sizes

@@ -105,7 +105,7 @@ def test_swap_sequence_preserves_relation(relation, swap_names):
         node = fact.ftree.node(name)
         if fact.ftree.parent(node) is None:
             continue
-        fact = ops.swap(fact, name)
+        fact = ops.swap(fact.ftree, name).run(fact)
         fact.validate()
         assert fact.ftree.satisfies_path_constraint()
     assert fact.to_relation() == relation
@@ -165,7 +165,7 @@ def test_ordered_enumeration_equals_sorting(relation, perm, directions):
     ]
     fact = factorise_path(relation, "R")
     for child in restructure_for_order(fact.ftree, order):
-        fact = ops.swap(fact, child)
+        fact = ops.swap(fact.ftree, child).run(fact)
     rows = list(iter_tuples(fact, order))
     expected = sort_rows(
         relation.project(fact.schema(), dedup=False).rows,
@@ -179,7 +179,7 @@ def test_ordered_enumeration_equals_sorting(relation, perm, directions):
 @SETTINGS
 def test_constant_selection_matches_relational(relation, threshold):
     fact = factorise_path(relation, "R")
-    selected = ops.select_constant(fact, Comparison("b", "<=", threshold))
+    selected = ops.select(fact.ftree, Comparison("b", "<=", threshold)).run(fact)
     selected.validate()
     expected = relation.select(lambda row: row["b"] <= threshold)
     assert selected.to_relation() == expected
@@ -189,7 +189,7 @@ def test_constant_selection_matches_relational(relation, threshold):
 @SETTINGS
 def test_absorb_matches_relational_selection(relation):
     fact = factorise_path(relation, "R")  # a → b → c
-    absorbed = ops.absorb(fact, "a", "c")
+    absorbed = ops.absorb(fact.ftree, "a", "c").run(fact)
     absorbed.validate()
     expected = relation.select(lambda row: row["a"] == row["c"])
     flat = absorbed.to_relation()
@@ -208,7 +208,7 @@ def test_merge_computes_natural_join(pair):
         factorise_path(r2, "R", order=["b1", "a"]),
         factorise_path(s2, "S", order=["b2", "c"]),
     )
-    merged = ops.merge_siblings(fact, "b1", "b2")
+    merged = ops.merge(fact.ftree, "b1", "b2").run(fact)
     merged.validate()
     expected = natural_join(r, s)
     flat = merged.to_relation()
@@ -226,7 +226,7 @@ def test_merge_computes_natural_join(pair):
 @SETTINGS
 def test_remove_leaf_is_projection(relation):
     fact = factorise_path(relation, "R")
-    removed = ops.remove_leaf(fact, "c")
+    removed = ops.remove_leaf(fact.ftree, "c").run(fact)
     removed.validate()
     assert removed.to_relation() == relation.project(["a", "b"])
 

@@ -50,9 +50,9 @@ def test_serialisation_roundtrip_after_aggregation(relation):
     if not len(relation):
         return
     fact = factorise_path(relation, "R")
-    aggregated = ops.apply_aggregation(
-        fact, "a", ["b"], [("count", None)], name="n"
-    )
+    aggregated = ops.aggregate(
+        fact.ftree, "a", ["b"], [("count", None)], name="n"
+    ).run(fact)
     restored = loads(dumps(aggregated))
     assert list(restored.iter_tuples()) == list(aggregated.iter_tuples())
 

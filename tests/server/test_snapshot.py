@@ -191,3 +191,35 @@ def test_cow_mutation_does_not_alias_old_rows():
     assert set(old_relation.rows) == {(1, 10), (2, 20)}
     assert set(db.flat("T").rows) == {(2, 20), (3, 30)}
     snap.release()
+
+
+def test_changes_since_bisects_to_the_records_a_full_scan_finds(monkeypatch, pizzeria):
+    """Across log truncation and pinned snapshots, the bisected records
+    are those of a scan over the whole version-ordered log."""
+    monkeypatch.setattr(database_module, "MAX_LOG", 4)
+    monkeypatch.setattr(database_module, "MAX_PINNED_LOG", 12)
+
+    def scanned(version, pin=None):
+        if version < pizzeria._log_floor:
+            return None
+        return [
+            record
+            for record in pizzeria._log
+            if record.version > version and (pin is None or record.version <= pin)
+        ]
+
+    snapshots = []
+    for index in range(20):
+        pizzeria.insert("Items", [(f"extra-{index}", index)])
+        if index % 6 == 0:
+            snapshots.append(pizzeria.snapshot())
+        if index == 13:
+            snapshots.pop(0).release()  # the oldest pin goes: truncation resumes
+        for version in range(pizzeria.version + 1):
+            assert pizzeria.changes_since(version) == scanned(version)
+            for snap in snapshots:
+                want = [] if version >= snap.version else scanned(version, snap.version)
+                assert snap.changes_since(version) == want
+    assert pizzeria.changes_since(0) is None  # truncated at some point
+    for snap in snapshots:
+        snap.release()
